@@ -2,7 +2,8 @@
 
 Subcommands: dist, embed, db-build, db-query, experiment.  Parse failures
 exit 2, shape mismatches 3, unsatisfiable reduction dimensions 4, empty
-databases 5, invalid experiment configurations 6; messages go to stderr.
+databases 5, invalid experiment configurations 6, and any other invalid
+input (such as a duplicate record id or k < 1) 1; messages go to stderr.
 All randomness flows from --seed.
 """
 from __future__ import annotations

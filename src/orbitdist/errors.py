@@ -55,5 +55,9 @@ class UnknownIdError(OrbitDistError):
     """A record id does not exist in the database."""
 
 
+class DuplicateIdError(OrbitDistError, ValueError):
+    """Two records of one database share an id."""
+
+
 class ConfigInvalidError(OrbitDistError):
     """An experiment configuration violates its invariants."""

@@ -147,18 +147,23 @@ def load_database(path) -> ShapeDatabase:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line 1: invalid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: line 1: header must be a JSON object")
     for key in ("group", "n", "l", "feature_map"):
         if key not in header:
             raise ParseError(f"{path}: header is missing {key!r}")
-    group = GroupAction(header["group"])
+    try:
+        group = GroupAction(header["group"])
+    except ValueError:
+        raise ParseError(f"{path}: header has unknown group {header['group']!r}") from None
     records = []
     for i, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {i}: invalid JSON: {exc}") from None
-        if "id" not in obj or "matrix" not in obj:
-            raise ParseError(f"{path}: line {i}: record needs 'id' and 'matrix'")
+        if not isinstance(obj, dict) or "id" not in obj or "matrix" not in obj:
+            raise ParseError(f"{path}: line {i}: record must be an object with 'id' and 'matrix'")
         records.append((str(obj["id"]), matrix_from_json(obj["matrix"], f"{path}:line {i}")))
     db = ShapeDatabase(group, records, header["feature_map"])
     if records and (db.n != int(header["n"]) or db.l != int(header["l"])):

@@ -83,11 +83,6 @@ def nuclear_norm(m) -> float:
     return float(svd(m).singular_values.sum())
 
 
-def frobenius_norm(m) -> float:
-    """sqrt(trace(M M*)), the euclidean norm of the flattened entries."""
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def frobenius_dist(m1, m2) -> float:
     """Frobenius distance between two same-shape matrices."""
     a = as_matrix(m1, name="m1")

@@ -3,15 +3,24 @@
 The square-root features of rank-n configurations live on the variety of
 low-rank matrices, which admits a linear projection that stays injective
 (with positive lower Lipschitz constant) onto a much smaller subspace.
-The subspace removed is spanned by coefficient matrices of the bivariate
+The subspace W removed is spanned by coefficient matrices of the bivariate
 polynomials ``(x - y)^r x^i y^j`` under the identification that places the
 coefficient of ``x^a y^b`` at entry (a, b): a Wronskian argument shows this
 span meets the rank-<=r matrices only at zero, so projecting onto its
 orthogonal complement never collapses a difference of two features.
 
-The reducer basis is an orthonormal real basis of the projected image of
-the ambient space (real symmetric or Hermitian matrices), so projecting is
-a plain inner-product evaluation and is non-expansive.
+The complement has a closed form.  A polynomial is divisible by
+``(x - y)^r`` exactly when its first r y-derivatives vanish on the
+diagonal, and each of those derivatives reads one antidiagonal a + b = s
+of the coefficient matrix.  So W-perp splits by antidiagonal: on
+antidiagonal s it is spanned by the polynomials in the column index of
+degree below min(r, length of s).  The reducer basis holds their
+orthonormal versions (discrete orthogonal polynomials, built by a short
+recurrence on each antidiagonal).  Symmetric matrices have palindromic
+antidiagonals, which only the even-degree polynomials see; the imaginary
+part of a Hermitian matrix is anti-palindromic and only the odd-degree
+ones see it.  Projecting is a plain inner-product evaluation and is
+non-expansive.
 """
 from __future__ import annotations
 
@@ -31,9 +40,6 @@ from .errors import (
 from .linalg import HERM_TOL, as_matrix
 from .metrics import GroupAction
 from . import embeddings
-
-_SQRT2 = np.sqrt(2.0)
-
 
 class Ambient(enum.Enum):
     """Real matrix space the reducer operates on."""
@@ -73,67 +79,28 @@ def _vec_real(m: np.ndarray) -> np.ndarray:
     return np.concatenate([c.real.ravel(), c.imag.ravel()])
 
 
-def _ambient_basis(size: int, ambient: Ambient) -> list[np.ndarray]:
-    """Canonical orthonormal basis matrices of the ambient space, ordered to
-    match the flattening in :mod:`embeddings`."""
-    basis: list[np.ndarray] = []
-    for i in range(size):
-        e = np.zeros((size, size))
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(size):
-        for j in range(i + 1, size):
-            e = np.zeros((size, size))
-            e[i, j] = e[j, i] = 1.0 / _SQRT2
-            basis.append(e)
-    if ambient is Ambient.HERMITIAN:
-        for i in range(size):
-            for j in range(i + 1, size):
-                e = np.zeros((size, size), dtype=complex)
-                e[i, j] = 1j / _SQRT2
-                e[j, i] = -1j / _SQRT2
-                basis.append(e)
-    return basis
-
-
-def _intersection_basis(size: int, rank: int, ambient: Ambient) -> list[np.ndarray]:
-    """Spanning set of the intersection of the separating subspace with the
-    ambient space.
-
-    The coefficient matrices are real with transpose sending (i, j) to
-    (j, i), so symmetric members come from symmetrized index pairs and the
-    Hermitian case adds the antisymmetric pairs with an i factor.
-    """
-    raw = separating_subspace_basis(size, rank)
-    m = size - rank
-    b = lambda i, j: raw[i * m + j]
-    out: list[np.ndarray] = []
-    for i in range(m):
-        out.append(b(i, i))
-        for j in range(i + 1, m):
-            out.append(b(i, j) + b(j, i))
-    if ambient is Ambient.HERMITIAN:
-        for i in range(m):
-            for j in range(i + 1, m):
-                out.append(1j * (b(i, j) - b(j, i)))
-    return out
-
-
 @dataclass(frozen=True)
 class ReducerBasis:
     """Orthonormal basis of the reduced feature space.
 
     ``basis`` has one row per output coordinate, expressed in the real
     coordinates of the full matrix space; ``dim`` counts the rows and
-    ``intersection_dim`` records how many ambient dimensions were removed.
+    ``intersection_dim`` counts the ambient dimensions removed.
     """
 
     rank: int
     size: int
     ambient: Ambient
     basis: np.ndarray
-    dim: int
-    intersection_dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def intersection_dim(self) -> int:
+        m = self.size - self.rank
+        return m * (m + 1) // 2 if self.ambient is Ambient.SYMMETRIC else m * m
 
     def project(self, m) -> np.ndarray:
         """Coordinates of the projection of an ambient-space matrix.
@@ -153,37 +120,42 @@ class ReducerBasis:
         return self.basis @ _vec_real(a)
 
     def to_json(self) -> str:
-        """Serialize to a JSON string that reconstructs the exact basis."""
+        """Serialize the parameters that determine the basis."""
         payload = {
             "rank": self.rank,
             "size": self.size,
             "ambient": self.ambient.value,
             "dim": self.dim,
             "intersection_dim": self.intersection_dim,
-            "basis": [[float(x) for x in row] for row in self.basis],
         }
         return json.dumps(payload, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ReducerBasis":
+        """Rebuild the reducer from its parameters; a stored ``basis`` is ignored."""
         d = json.loads(text)
-        basis = np.array(d["basis"], dtype=float)
-        return ReducerBasis(
-            rank=int(d["rank"]),
-            size=int(d["size"]),
-            ambient=Ambient(d["ambient"]),
-            basis=basis,
-            dim=int(d["dim"]),
-            intersection_dim=int(d["intersection_dim"]),
-        )
+        rank = int(d["rank"])
+        if rank % 2:
+            raise InvalidRankError(f"reducer rank must be even (2n), got {rank}")
+        return build_reducer(rank // 2, int(d["size"]), Ambient(d["ambient"]))
 
 
-def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
-    """QR-orthonormalize full-column-rank columns (unit-normalized first)."""
-    if cols.shape[1] == 0:
-        return cols
-    cols = cols / np.linalg.norm(cols, axis=0, keepdims=True)
-    q, _ = np.linalg.qr(cols)
+def _orthonormal_polynomials(t: np.ndarray, degree: int) -> np.ndarray:
+    """Columns k < degree: the orthonormal polynomials of degree k on the
+    points ``t``.
+
+    Built by the Arnoldi recurrence (multiply the last column by t,
+    orthogonalize twice), which stays accurate at degrees where a monomial
+    Vandermonde is too ill-conditioned.  On a grid symmetric about 0,
+    column k has the parity of k.
+    """
+    q = np.empty((t.size, degree))
+    q[:, 0] = 1.0 / np.sqrt(t.size)
+    for k in range(1, degree):
+        v = t * q[:, k - 1]
+        for _ in range(2):
+            v -= q[:, :k] @ (q[:, :k].T @ v)
+        q[:, k] = v / np.linalg.norm(v)
     return q
 
 
@@ -201,36 +173,21 @@ def build_reducer(n: int, size: int, ambient: Ambient) -> ReducerBasis:
             f"need size >= 2n for rank-2n separation, got size={size}, n={n}"
         )
     rank = 2 * n
-    amb_cols = np.column_stack([_vec_real(b) for b in _ambient_basis(size, ambient)])
-    if size == rank:
-        q_w = np.zeros((amb_cols.shape[0], 0))
-        k_int = 0
-        v_cols = amb_cols
-    else:
-        w_mats = separating_subspace_basis(size, rank)
-        w_cols = np.column_stack(
-            [_vec_real(b) for b in w_mats] + [_vec_real(1j * b) for b in w_mats]
-        )
-        q_w = _orthonormal_columns(w_cols)
-        int_cols = np.column_stack([_vec_real(b) for b in _intersection_basis(size, rank, ambient)])
-        q_int = _orthonormal_columns(int_cols)
-        k_int = q_int.shape[1]
-        # complement of the intersection inside the ambient space; the
-        # singular values split exactly into ones and zeros, so the cut
-        # at 0.5 is unambiguous
-        c = amb_cols - q_int @ (q_int.T @ amb_cols)
-        u, s, _ = np.linalg.svd(c, full_matrices=False)
-        v_cols = u[:, s > 0.5]
-    r = v_cols - q_w @ (q_w.T @ v_cols)
-    q = _orthonormal_columns(r)
-    return ReducerBasis(
-        rank=rank,
-        size=size,
-        ambient=ambient,
-        basis=np.ascontiguousarray(q.T),
-        dim=q.shape[1],
-        intersection_dim=k_int,
-    )
+    rows = []  # (flat real coordinates, values) of each output coordinate
+    for s in range(2 * size - 1):
+        cols = np.arange(max(0, s - size + 1), min(s, size - 1) + 1)
+        q = _orthonormal_polynomials(cols - s / 2, min(rank, cols.size))
+        cells = (s - cols) * size + cols
+        for k in range(q.shape[1]):
+            if k % 2 == 0:
+                rows.append((cells, q[:, k]))
+            elif ambient is Ambient.HERMITIAN:
+                rows.append((cells + size * size, q[:, k]))
+    basis = np.zeros((len(rows), 2 * size * size))
+    for row, (cells, values) in zip(basis, rows):
+        row[cells] = values
+    basis.flags.writeable = False
+    return ReducerBasis(rank=rank, size=size, ambient=ambient, basis=basis)
 
 
 _AMBIENTS = {

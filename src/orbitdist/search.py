@@ -16,8 +16,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (
+    DuplicateIdError,
     EmptyDatabaseError,
     FeatureMapMismatchError,
+    OutOfRangeError,
     ShapeMismatchError,
     UnknownIdError,
 )
@@ -65,13 +67,13 @@ class ShapeDatabase:
         self.feature_map = feature_map
         self.ids: list[str] = []
         self.matrices: list[np.ndarray] = []
-        seen: set[str] = set()
+        self._rows: dict[str, int] = {}
         shape = None
         for rid, m in records:
             rid = str(rid)
-            if rid in seen:
-                raise ValueError(f"duplicate record id {rid!r}")
-            seen.add(rid)
+            if rid in self._rows:
+                raise DuplicateIdError(f"duplicate record id {rid!r}")
+            self._rows[rid] = len(self.ids)
             a = as_matrix(m, name=f"record {rid!r}")
             if shape is None:
                 shape = a.shape
@@ -117,8 +119,8 @@ class ShapeDatabase:
 
     def index_of(self, rid: str) -> int:
         try:
-            return self.ids.index(rid)
-        except ValueError:
+            return self._rows[rid]
+        except KeyError:
             raise UnknownIdError(f"no record with id {rid!r}") from None
 
     @property
@@ -154,7 +156,7 @@ def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:
     of the true nearest orbit.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise OutOfRangeError(f"k must be >= 1, got {k}")
     qf = db.query_feature(query)
     kk = min(k, len(db))
     dist, idx = db._tree.query(qf, k=kk)

@@ -173,6 +173,32 @@ class TestDatabaseCommands:
         assert main(["db-build", "--group", "E", "--out", str(tmp_path / "db.jsonl")]) == 5
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case,code",
+        [("shared-stem", 1), ("k-zero", 1), ("unknown-group", 2), ("non-object-record", 2)],
+    )
+    def test_malformed_input_single_error_line(self, tmp_path, capsys, case, code):
+        header = {"group": "E", "n": 2, "l": 3, "feature_map": "full"}
+        lines = [json.dumps({"id": "a", "matrix": [[1, 2, 3], [4, 5, 6]]})]
+        if case == "unknown-group":
+            header["group"] = "Z"
+        if case == "non-object-record":
+            lines = ["5"]
+        db_file = tmp_path / "db.jsonl"
+        db_file.write_text("\n".join([json.dumps(header)] + lines) + "\n")
+        query = write_csv(tmp_path / "q.csv", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        if case == "shared-stem":
+            (tmp_path / "x").mkdir()
+            same_stem = write_csv(tmp_path / "x" / "q.csv", [[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
+            out = str(tmp_path / "out.jsonl")
+            argv = ["db-build", "--group", "E", "--out", out, query, same_stem]
+        else:
+            argv = ["db-query", str(db_file), query, "-k", "0" if case == "k-zero" else "1"]
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "Traceback" not in err[0]
+
 
 class TestExperimentCommand:
     def test_classify_zero_noise_rates(self, tmp_path, capsys):

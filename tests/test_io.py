@@ -118,6 +118,20 @@ class TestDatabaseFiles:
         with pytest.raises(ParseError, match="line 2"):
             load_database(path)
 
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("[1]\n", "header must be a JSON object"),
+            ('{"group": "Z", "n": 2, "l": 3, "feature_map": "full"}\n', "unknown group 'Z'"),
+            ('{"group": "E", "n": 2, "l": 3, "feature_map": "full"}\n5\n', "line 2"),
+        ],
+    )
+    def test_malformed_lines_are_parse_errors(self, tmp_path, text, match):
+        path = tmp_path / "db.jsonl"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            load_database(path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         header = '{"group": "E", "n": 2, "l": 3, "feature_map": "full"}'
         rec = json.dumps({"id": "a", "matrix": [[1, 2, 3], [4, 5, 6]]})

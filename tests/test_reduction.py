@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,57 @@ class TestSerialization:
         assert restored.ambient == rb.ambient
         assert restored.dim == rb.dim
         np.testing.assert_array_equal(restored.basis, rb.basis)
+
+    def test_payload_carries_parameters_only(self):
+        rb = build_reducer(1, 4, Ambient.SYMMETRIC)
+        payload = json.loads(rb.to_json())
+        assert "basis" not in payload
+        # payloads written with the basis array still load
+        payload["basis"] = rb.basis.tolist()
+        np.testing.assert_array_equal(ReducerBasis.from_json(json.dumps(payload)).basis, rb.basis)
+        payload["rank"] = 3
+        with pytest.raises(InvalidRankError):
+            ReducerBasis.from_json(json.dumps(payload))
+
+
+def _real_coords(m):
+    c = np.asarray(m, dtype=complex)
+    return np.concatenate([c.real.ravel(), c.imag.ravel()])
+
+
+class TestLeastSquaresOracle:
+    """Compare against a projection built straight from the definition of W:
+    the complex span of the coefficient matrices of (x - y)^2n x^i y^j."""
+
+    @pytest.mark.parametrize("ambient", list(Ambient))
+    @pytest.mark.parametrize("n,size", [(1, 2), (1, 5), (2, 7), (3, 9), (12, 26)])
+    def test_projection_matches_lstsq_complement(self, rng, ambient, n, size):
+        mats = separating_subspace_basis(size, 2 * n)
+        w = np.array([_real_coords(b) for b in mats] + [_real_coords(1j * b) for b in mats])
+        w = w.T.reshape(2 * size * size, len(w))
+
+        def residual(m):
+            v = _real_coords(m)
+            if not w.shape[1]:
+                return v
+            x, *_ = np.linalg.lstsq(w, v, rcond=None)
+            return v - w @ x
+
+        rb = build_reducer(n, size, ambient)
+        ms = []
+        for _ in range(6):
+            g = rng.standard_normal((size, size))
+            if ambient is Ambient.HERMITIAN:
+                g = g + 1j * rng.standard_normal((size, size))
+            ms.append(g + g.conj().T)
+        coords = [rb.project(m) for m in ms]
+        for m, c in zip(ms, coords):
+            assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(residual(m)), rel=1e-12)
+        for i in range(len(ms)):
+            for j in range(i + 1, len(ms)):
+                expected = np.linalg.norm(residual(ms[i] - ms[j]))
+                assert np.linalg.norm(coords[i] - coords[j]) == pytest.approx(expected, rel=1e-12)
+
+    def test_large_size_dimensions(self):
+        assert build_reducer(1, 64, Ambient.SYMMETRIC).dim == 2 * 64 - 1
+        assert build_reducer(1, 64, Ambient.HERMITIAN).dim == 4 * (64 - 1)

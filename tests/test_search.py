@@ -5,6 +5,7 @@ from orbitdist import (
     EmptyDatabaseError,
     FeatureMapMismatchError,
     GroupAction,
+    OutOfRangeError,
     ShapeDatabase,
     ShapeMismatchError,
     UnknownIdError,
@@ -121,7 +122,7 @@ class TestFeatureNearest:
 
     def test_k_must_be_positive(self, rng):
         db = triangle_db(rng, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError):
             feature_nearest(db, rng.standard_normal((2, 3)), k=0)
 
     def test_certificate_against_linear_scan(self, rng):
