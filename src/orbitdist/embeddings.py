@@ -18,10 +18,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import as_matrix, svd
-from .metrics import GroupAction, center
+from .linalg import _adjoint, as_matrix, svd
+from .metrics import GroupAction, _prepared
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def _gram_root(x: np.ndarray) -> np.ndarray:
+    _, s, v = svd(x)
+    r = (v * s[..., None, :]) @ _adjoint(v)
+    r += _adjoint(r)
+    r *= 0.5
+    return r
 
 
 def gram_root(a) -> np.ndarray:
@@ -32,10 +40,16 @@ def gram_root(a) -> np.ndarray:
     first would halve the attainable precision whenever the Gram is
     rank-deficient, i.e. whenever there are more points than dimensions.
     """
-    m = as_matrix(a)
-    _, s, v = svd(m)
-    r = (v * s) @ v.conj().T
-    return 0.5 * (r + r.conj().T)
+    return _gram_root(as_matrix(a))
+
+
+def _flatten(a: np.ndarray, hermitian: bool) -> np.ndarray:
+    i, j = np.triu_indices(a.shape[-1], k=1)
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    off = a[..., i, j]
+    if hermitian:
+        return np.concatenate([diag.real, _SQRT2 * off.real, _SQRT2 * off.imag], axis=-1)
+    return np.concatenate([diag, _SQRT2 * off], axis=-1)
 
 
 def sym_flatten(m) -> np.ndarray:
@@ -45,9 +59,7 @@ def sym_flatten(m) -> np.ndarray:
     length l(l+1)/2.  Euclidean distance between two flattenings equals
     the Frobenius distance between the matrices.
     """
-    a = as_matrix(m)
-    iu = np.triu_indices(a.shape[0], k=1)
-    return np.concatenate([np.diag(a), _SQRT2 * a[iu]])
+    return _flatten(as_matrix(m), hermitian=False)
 
 
 def herm_flatten(m) -> np.ndarray:
@@ -56,10 +68,7 @@ def herm_flatten(m) -> np.ndarray:
     Real diagonal, then sqrt(2)-scaled real and imaginary parts of the
     strict upper triangle; length l^2.
     """
-    a = as_matrix(m)
-    iu = np.triu_indices(a.shape[0], k=1)
-    off = a[iu]
-    return np.concatenate([np.diag(a).real, _SQRT2 * off.real, _SQRT2 * off.imag])
+    return _flatten(as_matrix(m), hermitian=True)
 
 
 @lru_cache(maxsize=None)
@@ -85,12 +94,42 @@ def mean_last_basis(l: int) -> np.ndarray:
     return w
 
 
+def _reduced_block(a: np.ndarray) -> np.ndarray:
+    w = mean_last_basis(a.shape[-1])
+    return (w.T @ a @ w)[..., :-1, :-1]
+
+
 def reduced_block(m) -> np.ndarray:
     """Compress a matrix annihilating the all-ones vector to its
     (l-1)-by-(l-1) block in the :func:`mean_last_basis` coordinates."""
-    a = as_matrix(m)
-    w = mean_last_basis(a.shape[0])
-    return (w.T @ a @ w)[:-1, :-1]
+    return _reduced_block(as_matrix(m))
+
+
+def _root_and_block(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix feature of each configuration in a validated ``(..., n, l)``
+    stack, and the block of it that the flattened features read: the whole
+    root, or its (l-1)-by-(l-1) block when translations are quotiented."""
+    s = _gram_root(_prepared(group, x))
+    return s, _reduced_block(s) if group.quotients_translations else s
+
+
+def _embed(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s, block = _root_and_block(group, x)
+    return s, _flatten(block, hermitian=group.is_complex)
+
+
+def _configuration(group: GroupAction, a) -> np.ndarray:
+    m = as_matrix(a)
+    if np.iscomplexobj(m) and not group.is_complex:
+        raise ShapeMismatchError(
+            f"{group.name.lower()} embedding requires a real configuration"
+        )
+    return m
+
+
+def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix feature and flattened coordinates for ``group``."""
+    return _embed(group, _configuration(group, a))
 
 
 def orthogonal_embedding(a) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +138,7 @@ def orthogonal_embedding(a) -> tuple[np.ndarray, np.ndarray]:
     Returns the PSD square root of the l-by-l Gram matrix together with
     its isometric flattening (length l(l+1)/2).
     """
-    m = as_matrix(a)
-    if np.iscomplexobj(m):
-        raise ShapeMismatchError("orthogonal embedding requires a real configuration")
-    s = gram_root(m)
-    return s, sym_flatten(s)
+    return embedding_for(GroupAction.ORTHOGONAL, a)
 
 
 def euclidean_embedding(a) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +147,7 @@ def euclidean_embedding(a) -> tuple[np.ndarray, np.ndarray]:
     The matrix annihilates the all-ones vector, so the flattening keeps
     only the (l-1)-by-(l-1) block (length l(l-1)/2).
     """
-    m = as_matrix(a)
-    if np.iscomplexobj(m):
-        raise ShapeMismatchError("euclidean embedding requires a real configuration")
-    s = gram_root(center(m))
-    return s, sym_flatten(reduced_block(s))
+    return embedding_for(GroupAction.EUCLIDEAN, a)
 
 
 def unitary_embedding(a) -> tuple[np.ndarray, np.ndarray]:
@@ -125,29 +156,12 @@ def unitary_embedding(a) -> tuple[np.ndarray, np.ndarray]:
     Returns the Hermitian PSD square root of the Gram matrix ``A* A`` and
     its real isometric flattening (length l^2).
     """
-    m = as_matrix(np.asarray(a, dtype=np.complex128))
-    h = gram_root(m)
-    return h, herm_flatten(h)
+    return embedding_for(GroupAction.UNITARY, a)
 
 
 def complex_euclidean_embedding(a) -> tuple[np.ndarray, np.ndarray]:
     """Feature under the complex-euclidean action (length (l-1)^2)."""
-    m = as_matrix(np.asarray(a, dtype=np.complex128))
-    h = gram_root(center(m))
-    return h, herm_flatten(reduced_block(h))
-
-
-_EMBEDDINGS = {
-    GroupAction.ORTHOGONAL: orthogonal_embedding,
-    GroupAction.EUCLIDEAN: euclidean_embedding,
-    GroupAction.UNITARY: unitary_embedding,
-    GroupAction.COMPLEX_EUCLIDEAN: complex_euclidean_embedding,
-}
-
-
-def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix feature and flattened coordinates for ``group``."""
-    return _EMBEDDINGS[group](a)
+    return embedding_for(GroupAction.COMPLEX_EUCLIDEAN, a)
 
 
 def feature_dim(group: GroupAction, l: int) -> int:

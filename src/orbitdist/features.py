@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import embedding_for, feature_dim
+from .embeddings import _embed, embedding_for, feature_dim
 from .errors import FeatureMapMismatchError
 from .linalg import as_matrix
 from .metrics import GroupAction
-from .reduction import ReducerBasis, reduced_embedding, reduced_feature_dim, reducer_for
-from .triangles import triangle_embedding
+from .reduction import (
+    ReducerBasis,
+    _reduced_stack,
+    reduced_embedding,
+    reduced_feature_dim,
+    reducer_for,
+)
+from .triangles import _triangle_coords, triangle_embedding
 
 FULL = "full"
 REDUCED = "reduced"
@@ -31,12 +37,29 @@ def feature_vector(
     """Flattened invariant feature of a configuration."""
     m = as_matrix(a)
     if feature_map == FULL:
-        if group is GroupAction.EUCLIDEAN and m.shape == (2, 3) and not np.iscomplexobj(m):
+        if _is_triangle(group, m):
             return triangle_embedding(m)
         return embedding_for(group, m)[1]
     if feature_map == REDUCED:
         return reduced_embedding(group, m, reducer)
     raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
+
+
+def _is_triangle(group: GroupAction, x: np.ndarray) -> bool:
+    return group is GroupAction.EUCLIDEAN and x.shape[-2:] == (2, 3) and not np.iscomplexobj(x)
+
+
+def _feature_stack(
+    group: GroupAction, x: np.ndarray, feature_map: str, reducer: ReducerBasis | None
+) -> np.ndarray:
+    """:func:`feature_vector` of every configuration in a validated
+    ``(N, n, l)`` stack, one row each; ``reducer`` comes from
+    :func:`reducer_if_needed`."""
+    if feature_map == REDUCED:
+        return _reduced_stack(group, x, reducer)
+    if _is_triangle(group, x):
+        return _triangle_coords(x)
+    return _embed(group, x)[1]
 
 
 def feature_length(group: GroupAction, n: int, l: int, feature_map: str = FULL) -> int:

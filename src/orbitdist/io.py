@@ -156,6 +156,12 @@ def load_database(path) -> ShapeDatabase:
         group = GroupAction(header["group"])
     except ValueError:
         raise ParseError(f"{path}: header has unknown group {header['group']!r}") from None
+    try:
+        shape = (int(header["n"]), int(header["l"]))
+    except (TypeError, ValueError):
+        raise ParseError(
+            f"{path}: header n and l must be integers, got {header['n']!r} and {header['l']!r}"
+        ) from None
     records = []
     for i, line in enumerate(lines[1:], start=2):
         try:
@@ -166,7 +172,7 @@ def load_database(path) -> ShapeDatabase:
             raise ParseError(f"{path}: line {i}: record must be an object with 'id' and 'matrix'")
         records.append((str(obj["id"]), matrix_from_json(obj["matrix"], f"{path}:line {i}")))
     db = ShapeDatabase(group, records, header["feature_map"])
-    if records and (db.n != int(header["n"]) or db.l != int(header["l"])):
+    if records and (db.n, db.l) != shape:
         raise ParseError(
             f"{path}: header shape ({header['n']}, {header['l']}) does not match records"
         )

@@ -46,36 +46,60 @@ class EigenFactors(NamedTuple):
     eigenvalues: np.ndarray
 
 
+def _as_array(m, name: str, *, stacked: bool) -> np.ndarray:
+    a = np.asarray(m)
+    if np.iscomplexobj(a):
+        a = a.astype(np.complex128, copy=False)
+    else:
+        a = a.astype(np.float64, copy=False)
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
+        expected = "at least 2-D" if stacked else "2-D"
+        raise ShapeMismatchError(f"{name} must be {expected}, got ndim={a.ndim}")
+    if a.size and not np.isfinite(a).all():
+        raise NonFiniteError(f"{name} contains NaN or Inf entries")
+    return a
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return x.swapaxes(-1, -2).conj()
+
+
+def _frobenius_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack, summed as one dot product
+    per matrix (per real and imaginary part), just as ``np.linalg.norm``
+    sums a single matrix, so a norm taken over a stack has the bits of the
+    norm of each matrix taken alone."""
+    v = x.reshape(x.shape[:-2] + (1, -1))
+    sq = v.real @ v.real.swapaxes(-1, -2)
+    if np.iscomplexobj(v):
+        sq = sq + v.imag @ v.imag.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
 def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
     """Validate and return ``m`` as a 2-D float64/complex128 array.
 
     Raises NonFiniteError on NaN/Inf entries and ShapeMismatchError when
     the input is not two-dimensional.
     """
-    a = np.asarray(m)
-    if np.iscomplexobj(a):
-        a = a.astype(np.complex128, copy=False)
-    else:
-        a = a.astype(np.float64, copy=False)
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"{name} must be 2-D, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"{name} contains NaN or Inf entries")
-    return a
+    return _as_array(m, name, stacked=False)
 
 
 def svd(m) -> SvdFactors:
     """Thin SVD with r = min(n, l) factors.
 
-    Real input yields real factors.  Raises ConvergenceFailureError if the
-    backend does not converge.
+    Also factors a stack ``(..., n, l)`` of matrices at once, with the
+    factors stacked the same way.  Real input yields real factors.  Raises
+    NonFiniteError on NaN/Inf entries and ConvergenceFailureError if the
+    backend does not converge on any matrix of the stack.
     """
-    a = as_matrix(m)
+    a = _as_array(m, "matrix", stacked=True)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
-    return SvdFactors(u, s, vh.conj().T)
+    return SvdFactors(u, s, _adjoint(vh))
 
 
 def nuclear_norm(m) -> float:
@@ -93,18 +117,20 @@ def frobenius_dist(m1, m2) -> float:
 
 
 def _check_hermitian(a: np.ndarray) -> None:
-    scale = max(1.0, float(np.linalg.norm(a)))
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > HERM_TOL * scale:
+    scale = np.maximum(1.0, _frobenius_norms(a))
+    defect = _frobenius_norms(a - _adjoint(a))
+    if (defect > HERM_TOL * scale).any():
         raise NotHermitianError(
-            f"matrix is not Hermitian: ||M - M*|| = {defect:.3e} exceeds tolerance"
+            f"matrix is not Hermitian: ||M - M*|| = {defect.max():.3e} exceeds tolerance"
         )
 
 
 def eigh(m) -> EigenFactors:
-    """Eigendecomposition of a Hermitian matrix (checked to tolerance)."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    """Eigendecomposition of a Hermitian matrix (checked to tolerance).
+
+    A stack ``(..., l, l)`` is decomposed matrix by matrix."""
+    a = _as_array(m, "matrix", stacked=True)
+    if a.shape[-2] != a.shape[-1]:
         raise ShapeMismatchError(f"expected square matrix, got {a.shape}")
     _check_hermitian(a)
     try:
@@ -120,21 +146,27 @@ def psd_sqrt(m, tol_neg: float | None = None) -> np.ndarray:
     Eigenvalues in ``[-tol_neg, 0)`` are clamped to zero: Gram matrices of
     nearly rank-deficient configurations routinely produce tiny negative
     eigenvalues in floating point.  ``tol_neg`` defaults to 1e-9 times the
-    Frobenius norm of the input.
+    Frobenius norm of the input.  A stack ``(..., l, l)`` gets one root per
+    matrix, each with its own default ``tol_neg``.
 
     Raises NotHermitianError/NotPSDError when the input is not a
     numerically PSD Hermitian matrix.
     """
-    q, w = eigh(m)
+    a = _as_array(m, "matrix", stacked=True)
+    q, w = eigh(a)
     if tol_neg is None:
-        tol_neg = 1e-9 * float(np.linalg.norm(as_matrix(m)))
-    if w.size and w.min() < -tol_neg:
-        raise NotPSDError(f"eigenvalue {w.min():.3e} below -tol_neg = {-tol_neg:.3e}")
-    root = np.sqrt(np.maximum(w, 0.0))
-    r = (q * root) @ q.conj().T
-    if not np.iscomplexobj(np.asarray(m)):
-        r = r.real
-    else:
-        # round-off can leave a tiny skew-Hermitian part; resymmetrize
-        r = 0.5 * (r + r.conj().T)
-    return r
+        tol_neg = 1e-9 * _frobenius_norms(a)
+    if w.size:
+        lowest = w[..., 0]  # eigenvalues ascend
+        bad = lowest < -tol_neg
+        if bad.any():
+            k = np.argmax(bad)
+            tol = np.broadcast_to(tol_neg, lowest.shape)
+            raise NotPSDError(
+                f"eigenvalue {np.ravel(lowest)[k]:.3e} below -tol_neg = {-np.ravel(tol)[k]:.3e}"
+            )
+    r = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _adjoint(q)
+    if not np.iscomplexobj(a):
+        return r.real
+    # round-off can leave a tiny skew-Hermitian part; resymmetrize
+    return 0.5 * (r + _adjoint(r))

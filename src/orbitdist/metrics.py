@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import as_matrix, svd
+from .linalg import _adjoint, _frobenius_norms, as_matrix, svd
 
 
 class GroupAction(enum.Enum):
@@ -83,8 +83,24 @@ def _check_pair(a, b, *, require_real: bool) -> tuple[np.ndarray, np.ndarray]:
     return ma, mb
 
 
-def _rotation_distance(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Shared Procrustes core: distance and minimizing rotation W.
+def _prepared(group: GroupAction, x: np.ndarray) -> np.ndarray:
+    """A validated ``(..., n, l)`` stack as ``group`` acts on it: promoted
+    to complex for the unitary actions, centred when translations are
+    quotiented."""
+    if group.is_complex:
+        x = x.astype(np.complex128, copy=False)
+    if group.quotients_translations:
+        x = x - x.mean(axis=-1, keepdims=True)
+    return x
+
+
+def _procrustes(group: GroupAction, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit distances and minimizing rotations over a leading batch axis.
+
+    ``a`` and ``b`` are validated ``(..., n, l)`` stacks that broadcast
+    against each other (one query against a block of records, or pairs).
+    Returns distances of the broadcast batch shape and rotations of shape
+    ``(..., n, n)``.
 
     W = V @ U* from the SVD of A @ B* makes ``W A B*`` PSD Hermitian, which
     is exactly the optimality condition for min over rotations of
@@ -93,19 +109,26 @@ def _rotation_distance(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]
     round-off, but the subtraction cancels catastrophically at orbit
     coincidence while the direct norm stays exact.
     """
-    cross = a @ b.conj().T
-    u, _, v = svd(cross)
-    w = v @ u.conj().T
-    return float(np.linalg.norm(w @ a - b)), w
+    a, b = _prepared(group, a), _prepared(group, b)
+    u, _, v = svd(a @ _adjoint(b))
+    w = v @ _adjoint(u)
+    return _frobenius_norms(w @ a - b), w
+
+
+def _distance(group: GroupAction, a, b) -> tuple[float, Alignment]:
+    ma, mb = _check_pair(a, b, require_real=not group.is_complex)
+    d, w = _procrustes(group, ma, mb)
+    if group.quotients_translations:
+        t = mb.mean(axis=1) - w @ ma.mean(axis=1)
+    else:
+        t = np.zeros(ma.shape[0], dtype=w.dtype)
+    d = float(d)
+    return d, Alignment(w, t, d)
 
 
 def dist_unitary(a, b) -> tuple[float, Alignment]:
     """Distance between the unitary orbits of two complex configurations."""
-    ma, mb = _check_pair(np.asarray(a, dtype=np.complex128), b, require_real=False)
-    mb = mb.astype(np.complex128, copy=False)
-    d, w = _rotation_distance(ma, mb)
-    t = np.zeros(ma.shape[0], dtype=np.complex128)
-    return d, Alignment(w, t, d)
+    return _distance(GroupAction.UNITARY, a, b)
 
 
 def dist_orthogonal(a, b) -> tuple[float, Alignment]:
@@ -114,27 +137,17 @@ def dist_orthogonal(a, b) -> tuple[float, Alignment]:
     Coincides with the unitary distance of the same matrices viewed as
     complex; the real SVD keeps the aligner real orthogonal.
     """
-    ma, mb = _check_pair(a, b, require_real=True)
-    d, w = _rotation_distance(ma, mb)
-    t = np.zeros(ma.shape[0])
-    return d, Alignment(w, t, d)
+    return _distance(GroupAction.ORTHOGONAL, a, b)
 
 
 def dist_euclidean(a, b) -> tuple[float, Alignment]:
     """Distance between the euclidean (rotation + translation) orbits."""
-    ma, mb = _check_pair(a, b, require_real=True)
-    d, w = _rotation_distance(center(ma), center(mb))
-    t = mb.mean(axis=1) - w @ ma.mean(axis=1)
-    return d, Alignment(w, t, d)
+    return _distance(GroupAction.EUCLIDEAN, a, b)
 
 
 def dist_complex_euclidean(a, b) -> tuple[float, Alignment]:
     """Complex analogue of :func:`dist_euclidean` (unitary + translation)."""
-    ma, mb = _check_pair(np.asarray(a, dtype=np.complex128), b, require_real=False)
-    mb = mb.astype(np.complex128, copy=False)
-    d, w = _rotation_distance(center(ma), center(mb))
-    t = mb.mean(axis=1) - w @ ma.mean(axis=1)
-    return d, Alignment(w, t, d)
+    return _distance(GroupAction.COMPLEX_EUCLIDEAN, a, b)
 
 
 _DISTANCES = {

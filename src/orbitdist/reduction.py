@@ -228,16 +228,27 @@ def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None
     Output length is n(2l-2n+1) / n(2l-2n-1) / 4n(l-n) / 4n(l-n-1) for the
     orthogonal / euclidean / unitary / complex-euclidean actions.
     """
-    m = as_matrix(a)
+    m = embeddings._configuration(group, a)
     n, l = m.shape
     if reducer is None:
         reducer = reducer_for(group, n, l)
-    mat, _ = embeddings.embedding_for(group, m)
-    if group.quotients_translations:
-        mat = embeddings.reduced_block(mat)
+    _, mat = embeddings._root_and_block(group, m)
     if reducer.size != mat.shape[0] or reducer.rank != 2 * n:
         raise ShapeMismatchError(
             f"reducer built for rank {reducer.rank}, size {reducer.size} does not match "
             f"a {n}x{l} input under group {group.value}"
         )
     return reducer.project(mat)
+
+
+def _reduced_stack(group: GroupAction, x: np.ndarray, reducer: ReducerBasis) -> np.ndarray:
+    """:func:`reduced_embedding` of every configuration in a validated
+    ``(N, n, l)`` stack, one row each, with ``reducer`` already matched."""
+    _, mats = embeddings._root_and_block(group, x)
+    flat = mats.reshape(mats.shape[:-2] + (-1,))
+    # the columns of the basis that read the real and the imaginary part
+    real, imag = np.split(reducer.basis, 2, axis=1)
+    out = flat.real @ real.T
+    if np.iscomplexobj(flat):
+        out += flat.imag @ imag.T
+    return out

@@ -26,6 +26,19 @@ from .metrics import dist_euclidean
 _SQRT2 = np.sqrt(2.0)
 _SQRT3 = np.sqrt(3.0)
 _SQRT6 = np.sqrt(6.0)
+# Vertices (a1, a2, a3) -> edge combinations (a2 - a1, 2 a3 - a1 - a2), and
+# the norms that make them orthonormal.
+_EDGE_COMBINATIONS = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 2.0]])
+_EDGE_NORMS = np.array([_SQRT2, _SQRT6])
+# Root entries (r1, r3/sqrt(2), r3/sqrt(2), r2) -> triangle coordinates.
+_ROOT_TO_COORDS = np.array(
+    [
+        [1 / _SQRT2, 0.0, 1 / _SQRT2],
+        [0.0, _SQRT2, 0.0],
+        [0.0, 0.0, 0.0],
+        [-1 / _SQRT2, 0.0, 1 / _SQRT2],
+    ]
+)
 
 
 def _as_triangle(t) -> np.ndarray:
@@ -46,14 +59,22 @@ def side_lengths(t) -> np.ndarray:
     )
 
 
+def _edge_grams(x: np.ndarray) -> np.ndarray:
+    e = (x @ _EDGE_COMBINATIONS) / _EDGE_NORMS
+    return e.swapaxes(-1, -2) @ e
+
+
 def edge_gram(t) -> np.ndarray:
     """2x2 Gram matrix of the orthonormalized centered edge combinations
     (a2 - a1)/sqrt(2) and (2 a3 - a1 - a2)/sqrt(6)."""
-    m = _as_triangle(t)
-    a1, a2, a3 = m.T
-    u = (a2 - a1) / _SQRT2
-    v = (2.0 * a3 - a1 - a2) / _SQRT6
-    return np.array([[u @ u, u @ v], [u @ v, v @ v]])
+    return _edge_grams(_as_triangle(t))
+
+
+def _triangle_coords(x: np.ndarray) -> np.ndarray:
+    """:func:`triangle_embedding` of every triangle in a validated
+    ``(..., 2, 3)`` stack."""
+    root = psd_sqrt(_edge_grams(x))
+    return root.reshape(root.shape[:-2] + (4,)) @ _ROOT_TO_COORDS
 
 
 def triangle_embedding(t) -> np.ndarray:
@@ -65,10 +86,7 @@ def triangle_embedding(t) -> np.ndarray:
     between such triples coincide with Frobenius distances between the
     full euclidean features.
     """
-    root = psd_sqrt(edge_gram(t))
-    r1, r2 = root[0, 0], root[1, 1]
-    r3 = _SQRT2 * root[0, 1]
-    return np.array([(r1 - r2) / _SQRT2, r3, (r1 + r2) / _SQRT2])
+    return _triangle_coords(_as_triangle(t))
 
 
 def triangle_from_coords(coords) -> np.ndarray:

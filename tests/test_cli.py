@@ -175,7 +175,13 @@ class TestDatabaseCommands:
 
     @pytest.mark.parametrize(
         "case,code",
-        [("shared-stem", 1), ("k-zero", 1), ("unknown-group", 2), ("non-object-record", 2)],
+        [
+            ("shared-stem", 1),
+            ("k-zero", 1),
+            ("unknown-group", 2),
+            ("non-object-record", 2),
+            ("non-integer-header", 2),
+        ],
     )
     def test_malformed_input_single_error_line(self, tmp_path, capsys, case, code):
         header = {"group": "E", "n": 2, "l": 3, "feature_map": "full"}
@@ -184,6 +190,8 @@ class TestDatabaseCommands:
             header["group"] = "Z"
         if case == "non-object-record":
             lines = ["5"]
+        if case == "non-integer-header":
+            header["n"] = "x"
         db_file = tmp_path / "db.jsonl"
         db_file.write_text("\n".join([json.dumps(header)] + lines) + "\n")
         query = write_csv(tmp_path / "q.csv", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -15,11 +15,7 @@ from orbitdist import (
     side_lengths,
     triangle_embedding,
 )
-from orbitdist.experiments import (
-    _dist_euclidean_batch,
-    _side_lengths_batch,
-    _triangle_coords_batch,
-)
+from orbitdist.experiments import _side_lengths_batch, _triangle_coords_batch
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -27,14 +23,6 @@ SQRT3 = np.sqrt(3.0)
 
 class TestVectorizedKernels:
     """The batch kernels must agree with the scalar reference paths."""
-
-    def test_batch_euclidean_distance(self, rng):
-        a = rng.standard_normal((64, 2, 3))
-        b = rng.standard_normal((64, 2, 3))
-        batch = _dist_euclidean_batch(a, b)
-        for i in range(64):
-            expected, _ = dist_euclidean(a[i], b[i])
-            assert batch[i] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_batch_side_lengths(self, rng):
         x = rng.standard_normal((32, 2, 3))

@@ -124,6 +124,8 @@ class TestDatabaseFiles:
             ("[1]\n", "header must be a JSON object"),
             ('{"group": "Z", "n": 2, "l": 3, "feature_map": "full"}\n', "unknown group 'Z'"),
             ('{"group": "E", "n": 2, "l": 3, "feature_map": "full"}\n5\n', "line 2"),
+            ('{"group": "E", "n": "x", "l": 3, "feature_map": "full"}\n', "must be integers"),
+            ('{"group": "E", "n": 2, "l": null, "feature_map": "full"}\n', "must be integers"),
         ],
     )
     def test_malformed_lines_are_parse_errors(self, tmp_path, text, match):

@@ -56,6 +56,25 @@ class TestSvd:
         with pytest.raises(NonFiniteError):
             svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+    def test_stack_matches_each_matrix(self, rng):
+        m = rng.standard_normal((5, 3, 4))
+        u, s, v = svd(m)
+        assert u.shape == (5, 3, 3) and s.shape == (5, 3) and v.shape == (5, 4, 3)
+        for i in range(5):
+            ui, si, vi = svd(m[i])
+            np.testing.assert_allclose(s[i], si, rtol=1e-14)
+            np.testing.assert_allclose((u[i] * s[i]) @ v[i].T, m[i], atol=1e-12)
+
+    def test_stack_rejects_one_nan_matrix(self, rng):
+        m = rng.standard_normal((4, 2, 2))
+        m[2, 1, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            svd(m)
+
+    def test_rejects_vector(self):
+        with pytest.raises(ShapeMismatchError):
+            svd(np.ones(3))
+
 
 class TestNuclearNorm:
     def test_identity(self):
@@ -122,6 +141,17 @@ class TestPsdSqrt:
     def test_rejects_negative_definite(self):
         with pytest.raises(NotPSDError):
             psd_sqrt(np.diag([1.0, -0.5]))
+
+    def test_stack_matches_each_matrix(self, rng):
+        g = rng.standard_normal((6, 2, 3))
+        b = np.swapaxes(g, -1, -2) @ g
+        r = psd_sqrt(b)
+        for i in range(6):
+            np.testing.assert_allclose(r[i], psd_sqrt(b[i]), atol=1e-12)
+
+    def test_stack_rejects_one_negative_matrix(self):
+        with pytest.raises(NotPSDError):
+            psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)]))
 
     def test_clamps_roundoff_negatives(self):
         b = np.diag([1.0, -1e-12])

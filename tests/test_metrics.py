@@ -13,6 +13,7 @@ from orbitdist import (
     frobenius_dist,
     orbit_distance,
 )
+from orbitdist.metrics import _procrustes
 
 from oracles import (
     o2_grid_min,
@@ -282,3 +283,62 @@ class TestMetricProperties:
             assert d_u == pytest.approx(d_o, rel=1e-10, abs=1e-12)
             assert d_e <= d_o + 1e-12
             assert d_f <= d_u + 1e-12
+
+
+SCALAR_DISTANCES = {
+    GroupAction.ORTHOGONAL: dist_orthogonal,
+    GroupAction.EUCLIDEAN: dist_euclidean,
+    GroupAction.UNITARY: dist_unitary,
+    GroupAction.COMPLEX_EUCLIDEAN: dist_complex_euclidean,
+}
+
+
+class TestStackedKernel:
+    """The stacked Procrustes kernel against the scalar API, pair by pair."""
+
+    def test_batch_euclidean_distance(self, rng):
+        a = rng.standard_normal((64, 2, 3))
+        b = rng.standard_normal((64, 2, 3))
+        batch, _ = _procrustes(GroupAction.EUCLIDEAN, a, b)
+        for i in range(64):
+            expected, _ = dist_euclidean(a[i], b[i])
+            assert batch[i] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("group", ALL_GROUPS)
+    def test_stack_matches_scalar_including_near_coincident(self, rng, group):
+        pairs = [sample_pair(rng, group, n=3, l=5) for _ in range(20)]
+        steps = []
+        for _ in range(20):
+            a, _ = sample_pair(rng, group, n=3, l=5)
+            delta, _ = sample_pair(rng, group, n=3, l=5)
+            delta *= 1e-9 * np.linalg.norm(a) / np.linalg.norm(delta)
+            pairs.append((a, apply_element(*random_element(rng, group, 3), a) + delta))
+            steps.append(np.linalg.norm(delta))
+        a = np.stack([p[0] for p in pairs])
+        b = np.stack([p[1] for p in pairs])
+        batch, rotations = _procrustes(group, a, b)
+        assert batch.shape == (40,) and rotations.shape == (40, 3, 3)
+        for i, (ai, bi) in enumerate(pairs):
+            expected, alignment = SCALAR_DISTANCES[group](ai, bi)
+            assert batch[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(rotations[i], alignment.rotation, atol=1e-12)
+        # no cancellation: a pair one small step from coincidence measures
+        # at most that step, far below the sqrt(eps) floor of the
+        # ||A||^2 + ||B||^2 - 2 ||A B*||_nuc shortcut
+        near = batch[20:]
+        assert np.all(near > 0.0)
+        assert np.all(near <= np.array(steps) * (1.0 + 1e-6))
+
+    @pytest.mark.parametrize("group", ALL_GROUPS)
+    def test_query_broadcasts_against_records(self, rng, group):
+        q, _ = sample_pair(rng, group, n=2, l=4)
+        records = np.stack([sample_pair(rng, group, n=2, l=4)[0] for _ in range(7)])
+        batch, _ = _procrustes(group, q, records)
+        expected = [orbit_distance(group, q, m)[0] for m in records]
+        np.testing.assert_allclose(batch, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("group", ALL_GROUPS)
+    def test_scalar_api_rejects_stacks(self, rng, group):
+        a, b = sample_pair(rng, group)
+        with pytest.raises(ShapeMismatchError):
+            orbit_distance(group, np.stack([a, a]), np.stack([b, b]))

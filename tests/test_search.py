@@ -15,6 +15,9 @@ from orbitdist import (
     orbit_distance,
     verify,
 )
+from orbitdist import search
+
+from oracles import rotation2
 
 SQRT2 = np.sqrt(2.0)
 
@@ -54,6 +57,81 @@ class TestShapeDatabase:
         assert res.approximation_bound == np.inf
 
 
+def group_db(rng, group, size, n=2, l=4, feature_map="full"):
+    records = []
+    for i in range(size):
+        m = rng.standard_normal((n, l))
+        if group.is_complex:
+            m = m + 1j * rng.standard_normal((n, l))
+        records.append((f"r{i:04d}", m))
+    return ShapeDatabase(group, records, feature_map)
+
+
+def scan_oracle(db, query):
+    """The exact scan as a plain loop over the scalar API: (d, id) minimum."""
+    return min((orbit_distance(db.group, query, m)[0], rid) for rid, m in zip(db.ids, db.matrices))
+
+
+class TestStackedBuild:
+    @pytest.mark.parametrize(
+        "group,n,l,feature_map",
+        [
+            (GroupAction.ORTHOGONAL, 2, 4, "full"),
+            (GroupAction.EUCLIDEAN, 2, 5, "full"),
+            (GroupAction.EUCLIDEAN, 2, 3, "full"),
+            (GroupAction.UNITARY, 2, 3, "full"),
+            (GroupAction.COMPLEX_EUCLIDEAN, 2, 4, "full"),
+            (GroupAction.ORTHOGONAL, 1, 5, "reduced"),
+            (GroupAction.EUCLIDEAN, 1, 6, "reduced"),
+            (GroupAction.UNITARY, 1, 4, "reduced"),
+            (GroupAction.COMPLEX_EUCLIDEAN, 1, 5, "reduced"),
+        ],
+    )
+    def test_features_match_feature_vector(self, rng, group, n, l, feature_map):
+        db = group_db(rng, group, 30, n, l, feature_map)
+        for m, f in zip(db.matrices, db.features):
+            expected = feature_vector(group, m, feature_map)
+            np.testing.assert_allclose(f, expected, rtol=0.0, atol=1e-12 * np.linalg.norm(m))
+
+    def test_degenerate_triangles_match_feature_vector(self):
+        line = np.array([[0.0, 1.0, 3.0], [0.0, 2.0, 6.0]])
+        records = [("line", line), ("point", np.ones((2, 3))), ("zero", np.zeros((2, 3)))]
+        db = ShapeDatabase(GroupAction.EUCLIDEAN, records)
+        for m, f in zip(db.matrices, db.features):
+            np.testing.assert_allclose(f, feature_vector(db.group, m), rtol=0.0, atol=1e-12)
+
+    def test_matrices_are_read_only(self, rng):
+        db = triangle_db(rng, 4)
+        assert db.matrices.shape == (4, 2, 3)
+        with pytest.raises(ValueError):
+            db.matrices[0, 0, 0] = 1.0
+
+    def test_records_are_copied(self, rng):
+        m = rng.standard_normal((2, 3))
+        db = ShapeDatabase(GroupAction.EUCLIDEAN, [("a", m)])
+        m[0, 0] += 1.0
+        assert db.matrices[0, 0, 0] != m[0, 0]
+
+    def test_complex_record_in_real_group_rejected(self, rng):
+        records = [("a", rng.standard_normal((2, 3))), ("b", rng.standard_normal((2, 3)) + 1j)]
+        with pytest.raises(ShapeMismatchError, match="'b'"):
+            ShapeDatabase(GroupAction.EUCLIDEAN, records)
+
+    @pytest.mark.parametrize("size", [1, 3, 8, 11])
+    def test_block_boundaries(self, rng, monkeypatch, size):
+        # blocks of 4: one record, fewer than a block, whole blocks, a ragged tail
+        whole = group_db(np.random.default_rng(size), GroupAction.EUCLIDEAN, size, 2, 5)
+        monkeypatch.setattr(search, "_BLOCK", 4)
+        blocked = group_db(np.random.default_rng(size), GroupAction.EUCLIDEAN, size, 2, 5)
+        np.testing.assert_array_equal(blocked.features, whole.features)
+        for _ in range(3):
+            query = rng.standard_normal((2, 5))
+            res = linear_scan_nearest(blocked, query)
+            d, rid = scan_oracle(blocked, query)
+            assert res.id == rid
+            assert res.exact_orbit_distance == pytest.approx(d, rel=1e-12, abs=0.0)
+
+
 class TestLinearScan:
     def test_member_of_orbit_found_at_zero(self, rng):
         db = triangle_db(rng, 30)
@@ -87,6 +165,29 @@ class TestLinearScan:
         db = ShapeDatabase(GroupAction.EUCLIDEAN, [])
         with pytest.raises(EmptyDatabaseError):
             linear_scan_nearest(db, rng.standard_normal((2, 3)))
+
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_matches_scalar_loop_oracle(self, rng, group):
+        db = group_db(rng, group, 60)
+        for j in range(6):
+            # even queries are a record reflected and shifted (in its orbit
+            # under E and F, close to it under O and U), odd ones fresh
+            query = group_db(rng, group, 1).matrices[0]
+            if j % 2 == 0:
+                query = db.matrices[int(rng.integers(len(db)))][::-1] + 0.5
+            res = linear_scan_nearest(db, query)
+            d, rid = scan_oracle(db, query)
+            assert res.id == rid
+            assert res.exact_orbit_distance == pytest.approx(d, rel=1e-12, abs=1e-15)
+
+    def test_duplicates_at_any_position_tie_on_id(self, rng):
+        t = rng.standard_normal((2, 3))
+        others = [(f"m{i}", rng.standard_normal((2, 3))) for i in range(9)]
+        records = [("zz", t)] + others[:5] + [("bb", t.copy())] + others[5:] + [("cc", t.copy())]
+        db = ShapeDatabase(GroupAction.EUCLIDEAN, records)
+        query = rotation2(0.7) @ t + 3.0
+        res = linear_scan_nearest(db, query)
+        assert res.id == "bb" == scan_oracle(db, query)[1]
 
     def test_lower_lipschitz_invariant(self, rng):
         # with full features the exact distance never exceeds the feature gap
