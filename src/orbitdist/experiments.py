@@ -1,38 +1,45 @@
 """Seeded, reproducible experiments on random triangles and configurations.
 
-Three studies are provided:
-
-- ``distortion_experiment``: distribution of the ratio between feature
-  distances and the euclidean orbit distance over random triangle pairs,
-  for the side-length map and the triangle embedding.
+- ``distortion_experiment``: ratio of feature distance to euclidean orbit
+  distance over random triangle pairs, for the side-length map and the
+  triangle embedding.
 - ``classification_experiment``: nearest-record classification of noisy
-  triangles against a random database, comparing the exact orbit distance
-  with both invariant maps across a noise grid.
+  triangles against a random database under the exact orbit distance and
+  both invariant maps, across a noise grid.
 - ``lower_constant_survey``: empirical lower Lipschitz ratio of the
   reduced (projected) embedding, for which no closed-form constant exists.
 
-Every trial owns an RNG stream derived from (master seed, trial index)
-through numpy's splittable SeedSequence, so reports are bit-reproducible
-and trials could be evaluated in any order.  The heavy arithmetic is
-vectorized over trials: the distortion study's orbit distances come from
-the stacked Procrustes kernel of :mod:`orbitdist.metrics`, called in
-blocks of pairs; the classification study ranks records with one GEMM per
-block of queries and the closed-form 2x2 nuclear norm.  The triangle
-feature closed forms are cross-checked against the scalar reference
-implementations in the test suite.
+Sampling is counter-based (Salmon et al., SC'11).  For a seed
+``0 <= k < 2**64``, stream ``s`` is the 64-bit word sequence of
+``Philox(key=k + (s << 64))`` and word ``w`` gives the standard normal
+``ndtri(((w >> 12) + 1/2) / 2**52)``.  ``Philox.advance`` reaches any word
+directly, so a whole block of trials is drawn with one call, and one seed
+gives one byte-identical report.  In the pair studies trial ``i`` reads
+words ``[per*i, per*(i+1))`` of stream 0, with ``per`` = 12 for two
+triangles and 2nl (doubled for the complex groups) for two configurations;
+a pair closer than 1e-12 in orbit distance is redrawn, attempt ``r >= 1``
+reading the same words of stream ``r``.  The classification study reads
+its database from words ``[0, 6*db_size)`` of stream 0 and the noise of
+query ``q`` from words ``[6q, 6q+6)`` of stream 1.
+
+The arithmetic is stacked over blocks of trials: orbit distances come from
+the Procrustes kernel of :mod:`orbitdist.metrics`, reduced features from
+the stacked projection of :mod:`orbitdist.reduction`, and the
+classification ranking from two complex GEMMs per block of queries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
-import math
 
 import numpy as np
 from scipy.spatial.distance import cdist
+from scipy.special import ndtri
 
 from .errors import ConfigInvalidError
-from .metrics import GroupAction, _procrustes, orbit_distance
-from .reduction import reduced_embedding, reducer_for
+from .metrics import GroupAction, _procrustes
+from .reduction import _reduced_stack, reducer_for
+from .search import _BLOCK
 
 MAP_SIDE_LENGTHS = "side_lengths"
 MAP_TRIANGLE = "triangle_embedding"
@@ -42,7 +49,7 @@ _SQRT2 = np.sqrt(2.0)
 _SQRT6 = np.sqrt(6.0)
 _DEGENERATE = 1e-12
 _HIST_EDGES = np.linspace(0.0, 1.8, 61)
-# Pairs per stacked distance call in the distortion study.
+# Pairs per block in the distortion study.
 _PAIR_BLOCK = 1 << 14
 
 
@@ -76,7 +83,7 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         return ExperimentConfig(
-            seed=int(d.get("seed", 0)),
+            seed=_seed(int(d.get("seed", 0))),
             n_pairs=None if d.get("n_pairs") is None else int(d["n_pairs"]),
             db_size=None if d.get("db_size") is None else int(d["db_size"]),
             noise_grid=tuple(float(e) for e in d.get("noise_grid", ())),
@@ -117,49 +124,70 @@ class ExperimentReport:
 # seeded sampling
 
 
-def _trial_streams(seed: int, n_trials: int):
-    return np.random.SeedSequence(seed).spawn(n_trials)
+def _seed(seed: int) -> int:
+    _require(0 <= seed < 1 << 64, f"seed must be in [0, 2**64), got {seed}")
+    return int(seed)
 
 
-def _trial_normals(children, count: int) -> np.ndarray:
-    out = np.empty((len(children), count))
-    for i, c in enumerate(children):
-        out[i] = np.random.default_rng(c).standard_normal(count)
-    return out
+def _normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """Standard normals from words ``[start, start + count)`` of one stream.
 
-
-def _redraw(child, count: int, n_skip: int) -> np.ndarray:
-    """Continue a trial's stream past its first ``n_skip`` draws."""
-    rng = np.random.default_rng(child)
-    rng.standard_normal(count * n_skip)
-    return rng.standard_normal(count)
+    ``Philox.advance`` moves one counter step, four words, at a time.
+    ``Generator.random`` turns word w into (w >> 11) / 2**53; flooring to
+    52 bits and adding half a step, exactly and in place, gives
+    ((w >> 12) + 1/2) / 2**52, strictly inside (0, 1), so every normal is
+    finite (with 53 bits the largest word would round up to 1.0).
+    """
+    steps, skip = divmod(int(start), 4)  # Philox.advance rejects numpy integers
+    bits = np.random.Philox(key=seed + (stream << 64))
+    bits.advance(steps)
+    u = np.random.Generator(bits).random(skip + count)[skip:]
+    u *= 2.0**52
+    np.floor(u, out=u)
+    u += 0.5
+    u *= 2.0**-52
+    return ndtri(u, out=u)
 
 
 # ---------------------------------------------------------------------------
-# vectorized triangle kernels (batch axis first)
+# stacked pair and triangle kernels (batch axis first)
 
 
-def _center_batch(x: np.ndarray) -> np.ndarray:
-    return x - x.mean(axis=2, keepdims=True)
+def _plane_points(x: np.ndarray) -> np.ndarray:
+    """Centred vertices of a batch of planar triangles as complex numbers."""
+    z = x[:, 0] + 1j * x[:, 1]
+    return z - z.mean(axis=1, keepdims=True)
 
 
-def _nuclear_2x2(c: np.ndarray) -> np.ndarray:
-    """Nuclear norm of a batch of 2x2 matrices: the singular values satisfy
-    (s1 + s2)^2 = ||C||_F^2 + 2 |det C|."""
-    fro2 = np.einsum("...ij,...ij->...", c, c)
-    det = c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
-    return np.sqrt(np.maximum(fro2 + 2.0 * np.abs(det), 0.0))
+def _config_pairs(group: GroupAction, n: int, l: int, rows: np.ndarray):
+    """The two ``(N, n, l)`` configurations in rows of draws: real draws in
+    order, or for a complex group the real parts then the imaginary parts."""
+    if group.is_complex:
+        rows = rows[:, : 2 * n * l] + 1j * rows[:, 2 * n * l :]
+    return rows[:, : n * l].reshape(-1, n, l), rows[:, n * l :].reshape(-1, n, l)
 
 
-def _euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean orbit distance of each pair (a[i], b[i]), through the
-    stacked Procrustes kernel in blocks of pairs to bound its memory."""
-    return np.concatenate(
-        [
-            _procrustes(GroupAction.EUCLIDEAN, a[lo : lo + _PAIR_BLOCK], b[lo : lo + _PAIR_BLOCK])[0]
-            for lo in range(0, len(a), _PAIR_BLOCK)
-        ]
-    )
+def _pair_ratios(group: GroupAction, n: int, l: int, seed: int, n_pairs: int, block: int, gaps):
+    """``gaps(A, B) / d_G(A, B)``, one row per trial, over ``n_pairs`` random
+    pairs of ``(n, l)`` configurations drawn as the module docstring says.
+    Each block of ``block`` pairs is drawn, measured by the Procrustes
+    kernel and redrawn on its own, so memory does not grow with n_pairs."""
+    per = 2 * n * l * (2 if group.is_complex else 1)
+
+    def distances(rows: np.ndarray) -> np.ndarray:
+        return _procrustes(group, *_config_pairs(group, n, l, rows))[0]
+
+    ratios = []
+    for lo in range(0, n_pairs, block):
+        rows = _normals(seed, 0, per * lo, per * min(block, n_pairs - lo)).reshape(-1, per)
+        d = distances(rows)
+        bad, stream = np.flatnonzero(d < _DEGENERATE), 1
+        while bad.size:
+            rows[bad] = [_normals(seed, stream, per * (lo + i), per) for i in bad]
+            d[bad] = distances(rows[bad])
+            bad, stream = bad[d[bad] < _DEGENERATE], stream + 1
+        ratios.append(gaps(*_config_pairs(group, n, l, rows)) / d[:, None])
+    return np.concatenate(ratios)
 
 
 def _side_lengths_batch(x: np.ndarray) -> np.ndarray:
@@ -232,33 +260,23 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Ratio distribution of feature distance over orbit distance for
     random triangle pairs with standard normal vertex coordinates.
 
-    Pairs closer than 1e-12 in orbit distance are redrawn from the same
-    trial stream, so the ratio is always well defined.
+    Pairs closer than 1e-12 in orbit distance are redrawn from the next
+    stream at the same words, so the ratio is always well defined.
     """
+    seed = _seed(cfg.seed)
     _require(cfg.n_pairs is not None and cfg.n_pairs >= 1, "n_pairs must be >= 1")
     _require(len(cfg.maps) >= 1, "at least one map is required")
     _require(
         set(cfg.maps) <= {MAP_SIDE_LENGTHS, MAP_TRIANGLE},
         f"maps must be a subset of [{MAP_SIDE_LENGTHS}, {MAP_TRIANGLE}]",
     )
-    children = _trial_streams(cfg.seed, cfg.n_pairs)
-    draws = _trial_normals(children, 12)
-    pairs = draws.reshape(cfg.n_pairs, 2, 2, 3)
-    d = _euclidean_distances(pairs[:, 0], pairs[:, 1])
-    for i in np.flatnonzero(d < _DEGENERATE):
-        n_skip = 1
-        while True:
-            fresh = _redraw(children[i], 12, n_skip).reshape(2, 2, 3)
-            di = _euclidean_distances(fresh[None, 0], fresh[None, 1])[0]
-            if di >= _DEGENERATE:
-                pairs[i], d[i] = fresh, di
-                break
-            n_skip += 1
+    fmaps = [_TRIANGLE_FEATURES[name] for name in cfg.maps]
+    ratios = _pair_ratios(
+        GroupAction.EUCLIDEAN, 2, 3, seed, cfg.n_pairs, _PAIR_BLOCK,
+        lambda a, b: np.stack([np.linalg.norm(f(a) - f(b), axis=1) for f in fmaps], axis=1),
+    )
     ratio_stats, histograms = {}, {}
-    for name in cfg.maps:
-        fmap = _TRIANGLE_FEATURES[name]
-        num = np.linalg.norm(fmap(pairs[:, 0]) - fmap(pairs[:, 1]), axis=1)
-        r = num / d
+    for name, r in zip(cfg.maps, ratios.T):
         ratio_stats[name] = _ratio_stats(r)
         counts, _ = np.histogram(r, bins=_HIST_EDGES)
         histograms[name] = {
@@ -287,26 +305,21 @@ def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray) -> floa
     """Misclassification rate of nearest-record lookup by the exact
     euclidean orbit distance.
 
-    Ranks records by d^2 = ||A||^2 + ||B||^2 - 2 ||A B*||_nuc.  Near a
-    coincident pair that subtraction cancels and loses the relative
-    accuracy of d, which is why the distance kernel avoids it.  Only the
-    argmin over records is used here, though, and the absolute error of
-    d^2 stays at round-off of ||A||^2 + ||B||^2: the ranking can change
-    only between records whose squared distances agree to that round-off.
-    A stacked SVD per (query, record) pair would cost far more.
+    With centred vertices as complex vectors a and b, ||A B*||_nuc =
+    max(|<a, b>|, |a^T b|): the best rotation and the best reflection.
+    Records are ranked by d^2 = ||a||^2 + ||b||^2 - 2 ||A B*||_nuc.  That
+    subtraction cancels near a coincident pair, which is why the distance
+    kernel avoids it; only the argmin is used here, and its absolute error
+    stays at round-off of ||a||^2 + ||b||^2, so only records whose squared
+    distances agree to round-off can swap.
     """
-    cq, cb = _center_batch(queries), _center_batch(db)
-    qn = np.einsum("nia,nia->n", cq, cq)
-    bn = np.einsum("nia,nia->n", cb, cb)
-    flat_b = cb.reshape(-1, 3).T
-    pred = np.empty(len(queries), dtype=int)
-    step = 512
-    for lo in range(0, len(queries), step):
-        hi = min(lo + step, len(queries))
-        # one GEMM: cross[q, d, i, j] = sum_a cq[q, i, a] * cb[d, j, a]
-        cross = (cq[lo:hi].reshape(-1, 3) @ flat_b).reshape(hi - lo, 2, len(db), 2)
-        d2 = qn[lo:hi, None] + bn[None, :] - 2.0 * _nuclear_2x2(cross.transpose(0, 2, 1, 3))
-        pred[lo:hi] = d2.argmin(axis=1)
+    zq, zb = _plane_points(queries), _plane_points(db)
+    qn, bn = ((z.real**2 + z.imag**2).sum(axis=1) for z in (zq, zb))
+    pred = np.empty(len(zq), dtype=int)
+    for lo in range(0, len(zq), 512):
+        z = zq[lo : lo + 512]
+        nuc = np.maximum(np.abs(z.conj() @ zb.T), np.abs(z @ zb.T))
+        pred[lo : lo + 512] = (qn[lo : lo + 512, None] + bn - 2.0 * nuc).argmin(axis=1)
     return float(np.mean(pred != labels))
 
 
@@ -318,25 +331,21 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     gaussian noise of standard deviation eps on every coordinate, and
     classified by its nearest database record under each map's distance.
     """
+    seed = _seed(cfg.seed)
     _require(cfg.db_size is not None and cfg.db_size >= 1, "db_size must be >= 1")
     _require(cfg.n_draws >= 1, "n_draws must be >= 1")
     _validate_noise_grid(cfg.noise_grid)
     _require(len(cfg.maps) >= 1, "at least one map is required")
     allowed = {MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE}
     _require(set(cfg.maps) <= allowed, f"maps must be a subset of {sorted(allowed)}")
-    children = _trial_streams(cfg.seed, 1 + cfg.db_size * cfg.n_draws)
-    db = np.random.default_rng(children[0]).standard_normal((cfg.db_size, 2, 3))
-    noise = _trial_normals(children[1:], 6).reshape(cfg.db_size, cfg.n_draws, 2, 3)
+    db = _normals(seed, 0, 0, 6 * cfg.db_size).reshape(cfg.db_size, 2, 3)
+    noise = _normals(seed, 1, 0, 6 * cfg.db_size * cfg.n_draws).reshape(-1, 2, 3)
     labels = np.repeat(np.arange(cfg.db_size), cfg.n_draws)
     base = np.repeat(db, cfg.n_draws, axis=0)
-    db_feats = {
-        name: _TRIANGLE_FEATURES[name](db)
-        for name in cfg.maps
-        if name != MAP_EXACT
-    }
+    db_feats = {name: _TRIANGLE_FEATURES[name](db) for name in cfg.maps if name != MAP_EXACT}
     rates = {name: [] for name in cfg.maps}
     for eps in cfg.noise_grid:
-        queries = base + eps * noise.reshape(-1, 2, 3)
+        queries = base + eps * noise
         for name in cfg.maps:
             if name == MAP_EXACT:
                 rate = _exact_rate(queries, db, labels)
@@ -364,30 +373,20 @@ def lower_constant_survey(
 
     No closed-form lower constant is available for the projection, so the
     survey reports the observed minimum and quantiles; the minimum must be
-    strictly positive.
+    strictly positive.  Pairs run in blocks of at most ``search._BLOCK``
+    and at most 2**14 entries per l x l feature stack, so the memory of
+    the feature step grows with neither ``n_pairs`` nor l.
     """
-    _require(n_pairs >= 1, "n_pairs must be >= 1")
+    seed = _seed(seed)
+    _require(n_pairs is not None and n_pairs >= 1, "n_pairs must be >= 1")
     reducer = reducer_for(group, n, l)
-    per = 2 * n * l * (2 if group.is_complex else 1)
-    children = _trial_streams(seed, n_pairs)
-    draws = _trial_normals(children, per)
-    ratios = np.empty(n_pairs)
-    for i in range(n_pairs):
-        row, n_skip = draws[i], 1
-        while True:
-            if group.is_complex:
-                z = row[: 2 * n * l] + 1j * row[2 * n * l :]
-                a, b = z[: n * l].reshape(n, l), z[n * l :].reshape(n, l)
-            else:
-                a, b = row[: n * l].reshape(n, l), row[n * l :].reshape(n, l)
-            d, _ = orbit_distance(group, a, b)
-            if d >= _DEGENERATE:
-                break
-            row = _redraw(children[i], per, n_skip)
-            n_skip += 1
-        fa = reduced_embedding(group, a, reducer)
-        fb = reduced_embedding(group, b, reducer)
-        ratios[i] = np.linalg.norm(fa - fb) / d
+    block = min(_BLOCK, max(1, (1 << 14) // (l * l)))
+
+    def gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        fa, fb = _reduced_stack(group, a, reducer), _reduced_stack(group, b, reducer)
+        return np.linalg.norm(fa - fb, axis=1, keepdims=True)
+
+    ratios = _pair_ratios(group, n, l, seed, n_pairs, block, gaps)[:, 0]
     stats = _ratio_stats(ratios)
     stats["quantiles"] = {
         str(q): float(np.quantile(ratios, q)) for q in (0.001, 0.01, 0.05, 0.25, 0.5)

@@ -302,3 +302,24 @@ class TestExperimentCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")
         assert main(["experiment", "distortion", "--config", str(cfg)]) == 6
+
+    @pytest.mark.parametrize(
+        "kind, seed, config",
+        [
+            ("distortion", "-1", {"n_pairs": 10}),
+            ("distortion", str(2**64), {"n_pairs": 10}),
+            ("classify", "-1", {"db_size": 5, "noise_grid": [0.0]}),
+            ("lower-constant", str(2**64), {"n_pairs": 10}),
+            ("lower-constant", "0", {"n_pairs": None}),
+        ],
+        ids=["seed-negative", "seed-2**64", "classify-seed-negative", "lower-constant-seed-2**64",
+             "lower-constant-n_pairs-null"],
+    )
+    def test_out_of_range_config_single_error_line(self, tmp_path, capsys, kind, seed, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["experiment", kind, "--seed", seed, "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "report.json").exists()

@@ -1,5 +1,8 @@
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from orbitdist import (
     ConfigInvalidError,
@@ -12,10 +15,14 @@ from orbitdist import (
     dist_euclidean,
     distortion_experiment,
     lower_constant_survey,
+    orbit_distance,
+    reduced_embedding,
+    reducer_for,
     side_lengths,
     triangle_embedding,
 )
-from orbitdist.experiments import _side_lengths_batch, _triangle_coords_batch
+from orbitdist import experiments
+from orbitdist.experiments import _normals, _side_lengths_batch, _triangle_coords_batch
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -39,6 +46,120 @@ class TestVectorizedKernels:
     def test_batch_triangle_coords_degenerate(self):
         x = np.stack([np.ones((2, 3)), np.zeros((2, 3))])
         np.testing.assert_allclose(_triangle_coords_batch(x), np.zeros((2, 3)))
+
+
+class TestSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 3),
+        start=st.integers(0, 200),
+        count=st.integers(0, 40),
+    )
+    @example(seed=0, stream=0, start=7, count=5)
+    @example(seed=2**64 - 1, stream=2, start=601, count=3)
+    def test_any_window_is_a_slice_of_one_long_draw(self, seed, stream, start, count):
+        words = np.random.Philox(key=seed + (stream << 64)).random_raw(start + count)
+        long_draw = ndtri(((words >> 12).astype(float) + 0.5) * 2.0**-52)
+        window = _normals(seed, stream, start, count)
+        np.testing.assert_array_equal(window, long_draw[start:])
+        assert np.all(np.isfinite(window))
+
+    def test_streams_differ(self):
+        assert not np.array_equal(_normals(5, 0, 0, 12), _normals(5, 1, 0, 12))
+        assert not np.array_equal(_normals(5, 0, 0, 12), _normals(6, 0, 0, 12))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        triangle = ExperimentConfig(seed=seed, n_pairs=10, maps=(MAP_TRIANGLE,))
+        with pytest.raises(ConfigInvalidError):
+            distortion_experiment(triangle)
+        classify = ExperimentConfig(seed=seed, db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,))
+        with pytest.raises(ConfigInvalidError):
+            classification_experiment(classify)
+        with pytest.raises(ConfigInvalidError):
+            lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, 10, seed=seed)
+        with pytest.raises(ConfigInvalidError):
+            ExperimentConfig.from_dict({"seed": seed})
+
+    def test_largest_seed_is_accepted(self):
+        cfg = ExperimentConfig(seed=2**64 - 1, n_pairs=10, maps=(MAP_TRIANGLE,))
+        assert distortion_experiment(cfg).config["seed"] == 2**64 - 1
+
+
+def _triangle_case():
+    def pair(row):
+        return tuple(row.reshape(2, 2, 3))
+
+    def ratio(a, b):
+        return np.linalg.norm(triangle_embedding(a) - triangle_embedding(b)) / dist_euclidean(a, b)[0]
+
+    def run():
+        cfg = ExperimentConfig(seed=17, n_pairs=60, maps=(MAP_SIDE_LENGTHS, MAP_TRIANGLE))
+        return distortion_experiment(cfg).ratio_stats[MAP_TRIANGLE]
+
+    return 12, pair, lambda a, b: dist_euclidean(a, b)[0], ratio, run, "_PAIR_BLOCK"
+
+
+def _survey_case(group, n, l):
+    reducer = reducer_for(group, n, l)
+
+    def pair(row):
+        a, b = experiments._config_pairs(group, n, l, row[None])
+        return a[0], b[0]
+
+    def ratio(a, b):
+        gap = reduced_embedding(group, a, reducer) - reduced_embedding(group, b, reducer)
+        return np.linalg.norm(gap) / orbit_distance(group, a, b)[0]
+
+    def run():
+        return lower_constant_survey(group, n, l, 60, seed=17).ratio_stats["reduced"]
+
+    per = 2 * n * l * (2 if group.is_complex else 1)
+    return per, pair, lambda a, b: orbit_distance(group, a, b)[0], ratio, run, "_BLOCK"
+
+
+class TestRedraw:
+    """Pairs below the degeneracy threshold are redrawn from stream r at
+    the same words; forced here by raising the threshold, with blocks of
+    16 pairs so that redraws fall in several blocks."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _triangle_case,
+            lambda: _survey_case(GroupAction.ORTHOGONAL, 1, 4),
+            lambda: _survey_case(GroupAction.UNITARY, 1, 3),
+        ],
+        ids=["distortion", "lower-constant-O", "lower-constant-U"],
+    )
+    def test_redrawn_pairs_come_from_stream_r(self, monkeypatch, case):
+        per, pair, distance, ratio, run, block_name = case()
+        first = [distance(*pair(_normals(17, 0, per * i, per))) for i in range(60)]
+        threshold = float(np.median(first))
+        monkeypatch.setattr(experiments, "_DEGENERATE", threshold)
+        monkeypatch.setattr(experiments, block_name, 16)
+        calls = []
+
+        def spy(seed, stream, start, count):
+            calls.append((stream, start, count))
+            return _normals(seed, stream, start, count)
+
+        monkeypatch.setattr(experiments, "_normals", spy)
+        stats = run()
+        redraws, ratios = [], []
+        for i in range(60):
+            stream, row = 0, _normals(17, 0, per * i, per)
+            while distance(*pair(row)) < threshold:
+                stream += 1
+                redraws.append((stream, per * i, per))
+                row = _normals(17, stream, per * i, per)
+            ratios.append(ratio(*pair(row)))
+        assert sorted(c for c in calls if c[0] >= 1) == sorted(redraws)
+        assert len(redraws) >= 30 and max(r[0] for r in redraws) >= 2
+        assert all(np.isfinite(stats[k]) for k in ("min", "max", "mean", "std"))
+        for key, value in (("min", min(ratios)), ("max", max(ratios)), ("mean", np.mean(ratios))):
+            assert stats[key] == pytest.approx(value, rel=1e-12)
 
 
 class TestDistortionExperiment:
@@ -113,24 +234,47 @@ class TestClassificationExperiment:
         for rates in rep.rates["misclassification"].values():
             assert all(0.0 <= r <= 1.0 for r in rates)
 
-    def test_exact_map_agrees_with_scalar_reference(self, rng):
-        # classify a handful of noisy triangles by a plain python loop
-        cfg = ExperimentConfig(
-            seed=13, db_size=12, n_draws=2, noise_grid=(0.02,), maps=(MAP_EXACT,)
-        )
-        rep = classification_experiment(cfg)
-        children = np.random.SeedSequence(13).spawn(1 + 12 * 2)
-        db = np.random.default_rng(children[0]).standard_normal((12, 2, 3))
-        wrong = 0
-        k = 0
-        for i in range(12):
-            for _ in range(2):
-                noise = np.random.default_rng(children[1 + k]).standard_normal(6).reshape(2, 3)
-                k += 1
-                noisy = db[i] + 0.02 * noise
+    def test_exact_map_agrees_with_scalar_reference(self):
+        # classify noisy triangles by a plain python loop over dist_euclidean,
+        # at a noise level where that loop misclassifies some of them
+        eps = 0.3
+        for seed in (13, 14, 15, 16):
+            cfg = ExperimentConfig(
+                seed=seed, db_size=12, n_draws=2, noise_grid=(eps,), maps=(MAP_EXACT,)
+            )
+            rep = classification_experiment(cfg)
+            db = _normals(seed, 0, 0, 72).reshape(12, 2, 3)
+            wrong = 0
+            for k in range(24):
+                noisy = db[k // 2] + eps * _normals(seed, 1, 6 * k, 6).reshape(2, 3)
                 dists = [dist_euclidean(noisy, db[j])[0] for j in range(12)]
-                wrong += int(np.argmin(dists) != i)
-        assert rep.rates["misclassification"][MAP_EXACT][0] == pytest.approx(wrong / 24)
+                wrong += int(np.argmin(dists) != k // 2)
+            assert wrong >= 1
+            assert rep.rates["misclassification"][MAP_EXACT][0] == wrong / 24
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_exact_rate_on_mirror_images(self, rng, eps):
+        # every query is a reflected, rotated and shifted copy of a record,
+        # so only the reflection term |a^T b| can find its record
+        db = rng.standard_normal((16, 2, 3))
+        labels = np.repeat(np.arange(16), 3)
+        queries = []
+        for i in labels:
+            t = rng.uniform(0.0, 2.0 * np.pi)
+            mirror = np.array([[np.cos(t), np.sin(t)], [np.sin(t), -np.cos(t)]])
+            shift = rng.standard_normal((2, 1))
+            queries.append(mirror @ db[i] + shift + eps * rng.standard_normal((2, 3)))
+        queries = np.array(queries)
+        wrong = sum(
+            int(np.argmin([dist_euclidean(q, b)[0] for b in db]) != i)
+            for q, i in zip(queries, labels)
+        )
+        rate = experiments._exact_rate(queries, db, labels)
+        assert rate == wrong / len(labels)
+        if eps == 0.0:
+            assert rate == 0.0
+        else:
+            assert wrong >= 1
 
     def test_determinism(self):
         cfg = ExperimentConfig(
@@ -175,6 +319,36 @@ class TestLowerConstantSurvey:
 
         with pytest.raises(DimensionHypothesisError):
             lower_constant_survey(GroupAction.ORTHOGONAL, 2, 3, 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "group, n, l",
+        [
+            (GroupAction.ORTHOGONAL, 1, 4),
+            (GroupAction.EUCLIDEAN, 1, 5),
+            (GroupAction.UNITARY, 1, 3),
+            (GroupAction.COMPLEX_EUCLIDEAN, 1, 4),
+        ],
+    )
+    def test_batched_ratios_match_scalar_loop(self, monkeypatch, group, n, l):
+        # blocks of 16 pairs, so 50 pairs cross three block boundaries
+        monkeypatch.setattr(experiments, "_BLOCK", 16)
+        rep = lower_constant_survey(group, n, l, 50, seed=9)
+        per = 2 * n * l * (2 if group.is_complex else 1)
+        reducer = reducer_for(group, n, l)
+        ratios = []
+        for i in range(50):
+            a, b = experiments._config_pairs(group, n, l, _normals(9, 0, per * i, per)[None])
+            gap = reduced_embedding(group, a[0], reducer) - reduced_embedding(group, b[0], reducer)
+            ratios.append(np.linalg.norm(gap) / orbit_distance(group, a[0], b[0])[0])
+        s = rep.ratio_stats["reduced"]
+        for key, value in (("min", min(ratios)), ("max", max(ratios)), ("mean", np.mean(ratios))):
+            assert s[key] == pytest.approx(value, rel=1e-12)
+        assert s["quantiles"]["0.5"] == pytest.approx(np.quantile(ratios, 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [None, 0])
+    def test_invalid_n_pairs(self, bad):
+        with pytest.raises(ConfigInvalidError):
+            lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, bad, seed=0)
 
     def test_determinism(self):
         a = lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, 100, seed=7)
