@@ -31,7 +31,7 @@ from .experiments import (
     distortion_experiment,
     lower_constant_survey,
 )
-from .features import FULL, REDUCED, feature_vector
+from .features import FULL, REDUCED, _is_triangle, feature_vector
 from .io import ParseError, atomic_write_text, fmt17, load_database, read_matrix, save_database
 from .metrics import GroupAction, orbit_distance
 from .search import ShapeDatabase, feature_nearest, verify
@@ -59,7 +59,7 @@ def _cmd_dist(args) -> int:
 def _map_name(group: GroupAction, m: np.ndarray, feature_map: str) -> str:
     if feature_map == REDUCED:
         return f"reduced_{group.name.lower()}"
-    if group is GroupAction.EUCLIDEAN and m.shape == (2, 3) and not np.iscomplexobj(m):
+    if _is_triangle(group, m):
         return MAP_TRIANGLE
     return f"{group.name.lower()}_embedding"
 

@@ -43,8 +43,17 @@ def gram_root(a) -> np.ndarray:
     return _gram_root(as_matrix(a))
 
 
+@lru_cache(maxsize=None)
+def _upper(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an l-by-l matrix."""
+    i, j = np.triu_indices(l, k=1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
 def _flatten(a: np.ndarray, hermitian: bool) -> np.ndarray:
-    i, j = np.triu_indices(a.shape[-1], k=1)
+    i, j = _upper(a.shape[-1])
     diag = np.diagonal(a, axis1=-2, axis2=-1)
     off = a[..., i, j]
     if hermitian:
@@ -118,13 +127,18 @@ def _embed(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, _flatten(block, hermitian=group.is_complex)
 
 
-def _configuration(group: GroupAction, a) -> np.ndarray:
-    m = as_matrix(a)
+def _check_field(group: GroupAction, m: np.ndarray) -> np.ndarray:
+    """The validated matrix ``m``; ShapeMismatchError when ``group`` acts on
+    real configurations and ``m`` is complex."""
     if np.iscomplexobj(m) and not group.is_complex:
         raise ShapeMismatchError(
             f"{group.name.lower()} embedding requires a real configuration"
         )
     return m
+
+
+def _configuration(group: GroupAction, a) -> np.ndarray:
+    return _check_field(group, as_matrix(a))
 
 
 def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:

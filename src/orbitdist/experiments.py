@@ -22,6 +22,11 @@ reading the same words of stream ``r``.  The classification study reads
 its database from words ``[0, 6*db_size)`` of stream 0 and the noise of
 query ``q`` from words ``[6q, 6q+6)`` of stream 1.
 
+Study sizes have ceilings: ``n_pairs`` at most ``MAX_PAIRS`` (10**7),
+``db_size`` at most ``MAX_DB_SIZE`` (10**4) and ``n_draws`` at most
+``MAX_DRAWS`` (100).  A size outside ``[1, ceiling]`` raises
+ConfigInvalidError before anything is drawn.
+
 The arithmetic is stacked over blocks of trials: orbit distances come from
 the Procrustes kernel of :mod:`orbitdist.metrics`, reduced features from
 the stacked projection of :mod:`orbitdist.reduction`, and the
@@ -51,6 +56,14 @@ _DEGENERATE = 1e-12
 _HIST_EDGES = np.linspace(0.0, 1.8, 61)
 # Pairs per block in the distortion study.
 _PAIR_BLOCK = 1 << 14
+# Ceilings on the study sizes, so that a config cannot ask for more memory
+# than a workstation has.  The pair studies keep a few float64 ratios per
+# pair (about 0.3 GB at MAX_PAIRS); the classification study keeps a few
+# hundred bytes per noisy query, db_size * n_draws of them (about 0.3 GB
+# at both ceilings).
+MAX_PAIRS = 10**7
+MAX_DB_SIZE = 10**4
+MAX_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -247,6 +260,13 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigInvalidError(message)
 
 
+def _require_count(value, name: str, ceiling: int) -> None:
+    _require(
+        value is not None and 1 <= value <= ceiling,
+        f"{name} must be in [1, {ceiling}], got {value}",
+    )
+
+
 def _validate_noise_grid(grid) -> None:
     _require(len(grid) >= 1, "noise_grid must be nonempty")
     _require(all(e >= 0.0 for e in grid), "noise levels must be >= 0")
@@ -264,7 +284,7 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     stream at the same words, so the ratio is always well defined.
     """
     seed = _seed(cfg.seed)
-    _require(cfg.n_pairs is not None and cfg.n_pairs >= 1, "n_pairs must be >= 1")
+    _require_count(cfg.n_pairs, "n_pairs", MAX_PAIRS)
     _require(len(cfg.maps) >= 1, "at least one map is required")
     _require(
         set(cfg.maps) <= {MAP_SIDE_LENGTHS, MAP_TRIANGLE},
@@ -332,8 +352,8 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     classified by its nearest database record under each map's distance.
     """
     seed = _seed(cfg.seed)
-    _require(cfg.db_size is not None and cfg.db_size >= 1, "db_size must be >= 1")
-    _require(cfg.n_draws >= 1, "n_draws must be >= 1")
+    _require_count(cfg.db_size, "db_size", MAX_DB_SIZE)
+    _require_count(cfg.n_draws, "n_draws", MAX_DRAWS)
     _validate_noise_grid(cfg.noise_grid)
     _require(len(cfg.maps) >= 1, "at least one map is required")
     allowed = {MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE}
@@ -378,7 +398,7 @@ def lower_constant_survey(
     the feature step grows with neither ``n_pairs`` nor l.
     """
     seed = _seed(seed)
-    _require(n_pairs is not None and n_pairs >= 1, "n_pairs must be >= 1")
+    _require_count(n_pairs, "n_pairs", MAX_PAIRS)
     reducer = reducer_for(group, n, l)
     block = min(_BLOCK, max(1, (1 << 14) // (l * l)))
 

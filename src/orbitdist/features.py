@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import _embed, embedding_for, feature_dim
+from .embeddings import _check_field, _embed, feature_dim
 from .errors import FeatureMapMismatchError
 from .linalg import as_matrix
 from .metrics import GroupAction
 from .reduction import (
     ReducerBasis,
+    _matched_reducer,
     _reduced_stack,
-    reduced_embedding,
     reduced_feature_dim,
     reducer_for,
 )
-from .triangles import _triangle_coords, triangle_embedding
+from .triangles import _triangle_coords
 
 FULL = "full"
 REDUCED = "reduced"
@@ -36,13 +36,12 @@ def feature_vector(
 ) -> np.ndarray:
     """Flattened invariant feature of a configuration."""
     m = as_matrix(a)
-    if feature_map == FULL:
-        if _is_triangle(group, m):
-            return triangle_embedding(m)
-        return embedding_for(group, m)[1]
+    if feature_map not in (FULL, REDUCED):
+        raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
+    m = _check_field(group, m)
     if feature_map == REDUCED:
-        return reduced_embedding(group, m, reducer)
-    raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
+        reducer = _matched_reducer(group, *m.shape, reducer)
+    return _feature_stack(group, m, feature_map, reducer)
 
 
 def _is_triangle(group: GroupAction, x: np.ndarray) -> bool:
@@ -52,9 +51,9 @@ def _is_triangle(group: GroupAction, x: np.ndarray) -> bool:
 def _feature_stack(
     group: GroupAction, x: np.ndarray, feature_map: str, reducer: ReducerBasis | None
 ) -> np.ndarray:
-    """:func:`feature_vector` of every configuration in a validated
-    ``(N, n, l)`` stack, one row each; ``reducer`` comes from
-    :func:`reducer_if_needed`."""
+    """:func:`feature_vector` of each configuration in a validated
+    ``(..., n, l)`` stack, one row each (a single ``(n, l)`` configuration
+    gives one vector); ``reducer`` is already matched to the stack."""
     if feature_map == REDUCED:
         return _reduced_stack(group, x, reducer)
     if _is_triangle(group, x):

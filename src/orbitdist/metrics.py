@@ -90,7 +90,9 @@ def _prepared(group: GroupAction, x: np.ndarray) -> np.ndarray:
     if group.is_complex:
         x = x.astype(np.complex128, copy=False)
     if group.quotients_translations:
-        x = x - x.mean(axis=-1, keepdims=True)
+        # the column mean as np.mean forms it (one sum, one division), to
+        # the bit, without the Python overhead of np.mean
+        x = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
     return x
 
 
@@ -119,7 +121,8 @@ def _distance(group: GroupAction, a, b) -> tuple[float, Alignment]:
     ma, mb = _check_pair(a, b, require_real=not group.is_complex)
     d, w = _procrustes(group, ma, mb)
     if group.quotients_translations:
-        t = mb.mean(axis=1) - w @ ma.mean(axis=1)
+        l = ma.shape[1]
+        t = mb.sum(axis=1) / l - w @ (ma.sum(axis=1) / l)
     else:
         t = np.zeros(ma.shape[0], dtype=w.dtype)
     d = float(d)

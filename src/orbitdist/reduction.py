@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -96,6 +96,13 @@ class ReducerBasis:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @cached_property
+    def _halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of ``basis`` that read the real and the imaginary
+        part of a flattened matrix: views, made once."""
+        real, imag = np.split(self.basis, 2, axis=1)
+        return real, imag
 
     @property
     def intersection_dim(self) -> int:
@@ -221,6 +228,25 @@ def reduced_feature_dim(group: GroupAction, n: int, l: int) -> int:
     return 4 * n * (size - n)
 
 
+def _matched_reducer(group: GroupAction, n: int, l: int, reducer: ReducerBasis | None) -> ReducerBasis:
+    """``reducer`` once checked against ``group`` on n-by-l inputs, or the
+    cached reducer for them when it is None."""
+    if reducer is None:
+        return reducer_for(group, n, l)
+    if reducer.size != _block_size(group, l) or reducer.rank != 2 * n:
+        raise ShapeMismatchError(
+            f"reducer built for rank {reducer.rank}, size {reducer.size} does not match "
+            f"a {n}x{l} input under group {group.value}"
+        )
+    if reducer.ambient is not _AMBIENTS[group]:
+        # a symmetric reducer would silently drop the imaginary part
+        raise AmbientMismatchError(
+            f"group {group.value} needs a {_AMBIENTS[group].value} reducer, "
+            f"got a {reducer.ambient.value} one"
+        )
+    return reducer
+
+
 def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None) -> np.ndarray:
     """Lower-dimensional invariant feature: project the matrix feature of
     ``group`` onto the separating complement.
@@ -229,26 +255,22 @@ def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None
     orthogonal / euclidean / unitary / complex-euclidean actions.
     """
     m = embeddings._configuration(group, a)
-    n, l = m.shape
-    if reducer is None:
-        reducer = reducer_for(group, n, l)
-    _, mat = embeddings._root_and_block(group, m)
-    if reducer.size != mat.shape[0] or reducer.rank != 2 * n:
-        raise ShapeMismatchError(
-            f"reducer built for rank {reducer.rank}, size {reducer.size} does not match "
-            f"a {n}x{l} input under group {group.value}"
-        )
-    return reducer.project(mat)
+    return _reduced_stack(group, m, _matched_reducer(group, *m.shape, reducer))
 
 
 def _reduced_stack(group: GroupAction, x: np.ndarray, reducer: ReducerBasis) -> np.ndarray:
-    """:func:`reduced_embedding` of every configuration in a validated
-    ``(N, n, l)`` stack, one row each, with ``reducer`` already matched."""
+    """:func:`reduced_embedding` of each configuration in a validated
+    ``(..., n, l)`` stack, one row each, with ``reducer`` already matched.
+
+    Each configuration gets its own matrix-vector product, so its
+    coordinates have the same bits whichever batch it is projected in
+    (one matrix product over the batch would not: BLAS sums in a
+    different order for one row than for many).
+    """
     _, mats = embeddings._root_and_block(group, x)
-    flat = mats.reshape(mats.shape[:-2] + (-1,))
-    # the columns of the basis that read the real and the imaginary part
-    real, imag = np.split(reducer.basis, 2, axis=1)
-    out = flat.real @ real.T
+    flat = mats.reshape(mats.shape[:-2] + (-1, 1))
+    real, imag = reducer._halves
+    out = real @ flat.real
     if np.iscomplexobj(flat):
-        out += flat.imag @ imag.T
-    return out
+        out += imag @ flat.imag
+    return out[..., 0]

@@ -19,16 +19,18 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .embeddings import _check_field
 from .errors import (
     DuplicateIdError,
     EmptyDatabaseError,
     FeatureMapMismatchError,
+    OrbitDistError,
     OutOfRangeError,
     ShapeMismatchError,
     UnknownIdError,
 )
-from .features import FULL, REDUCED, _feature_stack, feature_vector, reducer_if_needed
-from .linalg import as_matrix
+from .features import FULL, REDUCED, _feature_stack, reducer_if_needed
+from .linalg import _as_array, as_matrix
 from .metrics import GroupAction, _procrustes, orbit_distance
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -39,6 +41,44 @@ _BLOCK = 1024
 
 def _blocks(x: np.ndarray):
     return (x[lo : lo + _BLOCK] for lo in range(0, len(x), _BLOCK))
+
+
+def _stack_records(group: GroupAction, records) -> tuple[list[str], dict[str, int], np.ndarray]:
+    """Record ids, their row numbers, and the records as one validated
+    ``(N, n, l)`` stack.
+
+    The stack is checked as a whole.  Only when that check fails are the
+    records checked one at a time, to name the first offending record.
+    """
+    records = list(records)
+    ids = [str(rid) for rid, _ in records]
+    rows = {rid: i for i, rid in enumerate(ids)}
+    if not ids:
+        return ids, rows, np.zeros((0, 0, 0))
+    if len(rows) == len(ids):
+        try:
+            x = _as_array(np.stack([m for _, m in records]), "records", stacked=True)
+        except (OrbitDistError, ValueError, TypeError):
+            pass
+        else:
+            if x.ndim == 3 and (group.is_complex or not np.iscomplexobj(x)):
+                return ids, rows, x
+    rows, mats = {}, []
+    for rid, (_, m) in zip(ids, records):
+        if rid in rows:
+            raise DuplicateIdError(f"duplicate record id {rid!r}")
+        rows[rid] = len(mats)
+        a = as_matrix(m, name=f"record {rid!r}")
+        if mats and a.shape != mats[0].shape:
+            raise ShapeMismatchError(
+                f"record {rid!r} has shape {a.shape}, database uses {mats[0].shape}"
+            )
+        if np.iscomplexobj(a) and not group.is_complex:
+            raise ShapeMismatchError(
+                f"record {rid!r} is complex; group {group.value} acts on real configurations"
+            )
+        mats.append(a)
+    return ids, rows, np.stack(mats)
 
 
 @dataclass(frozen=True)
@@ -78,37 +118,18 @@ class ShapeDatabase:
             raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
         self.group = group
         self.feature_map = feature_map
-        self.ids: list[str] = []
-        self._rows: dict[str, int] = {}
-        mats = []
-        for rid, m in records:
-            rid = str(rid)
-            if rid in self._rows:
-                raise DuplicateIdError(f"duplicate record id {rid!r}")
-            self._rows[rid] = len(self.ids)
-            a = as_matrix(m, name=f"record {rid!r}")
-            if mats and a.shape != mats[0].shape:
-                raise ShapeMismatchError(
-                    f"record {rid!r} has shape {a.shape}, database uses {mats[0].shape}"
-                )
-            if np.iscomplexobj(a) and not group.is_complex:
-                raise ShapeMismatchError(
-                    f"record {rid!r} is complex; group {group.value} acts on real configurations"
-                )
-            self.ids.append(rid)
-            mats.append(a)
-        self.matrices = np.stack(mats) if mats else np.zeros((0, 0, 0))
+        self.ids, self._rows, self.matrices = _stack_records(group, records)
         self.matrices.flags.writeable = False
-        self.n, self.l = self.matrices.shape[1:] if mats else (0, 0)
-        self._reducer = reducer_if_needed(group, self.n, self.l, feature_map) if mats else None
+        self.n, self.l = self.matrices.shape[1:]
+        self._reducer = reducer_if_needed(group, self.n, self.l, feature_map) if self.ids else None
         self.features = (
             np.concatenate(
                 [_feature_stack(group, x, feature_map, self._reducer) for x in _blocks(self.matrices)]
             )
-            if mats
+            if self.ids
             else np.zeros((0, 0))
         )
-        self._tree = cKDTree(self.features) if mats else None
+        self._tree = cKDTree(self.features) if self.ids else None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -121,16 +142,14 @@ class ShapeDatabase:
             raise ShapeMismatchError(
                 f"query shape {q.shape} does not match database shape {(self.n, self.l)}"
             )
-        return q
+        return _check_field(self.group, q)
+
+    def _feature(self, q: np.ndarray) -> np.ndarray:
+        """Feature of a query that :meth:`_check_query` returned."""
+        return _feature_stack(self.group, q, self.feature_map, self._reducer)
 
     def query_feature(self, query) -> np.ndarray:
-        q = self._check_query(query)
-        f = feature_vector(self.group, q, self.feature_map, self._reducer)
-        if f.shape[0] != self.features.shape[1]:
-            raise FeatureMapMismatchError(
-                f"query embeds to length {f.shape[0]}, database stores {self.features.shape[1]}"
-            )
-        return f
+        return self._feature(self._check_query(query))
 
     def index_of(self, rid: str) -> int:
         try:
@@ -151,7 +170,7 @@ def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
     block of records, and equal :func:`orbit_distance` of each record.
     """
     q = db._check_query(query)
-    qf = db.query_feature(query)
+    qf = db._feature(q)
     d = np.concatenate([_procrustes(db.group, q, x)[0] for x in _blocks(db.matrices)])
     i = min(np.flatnonzero(d == d.min()), key=db.ids.__getitem__)
     return QueryResult(
@@ -189,8 +208,12 @@ def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:
 
 
 def verify(db: ShapeDatabase, result: QueryResult, query) -> QueryResult:
-    """Fill in the exact orbit distance for a query result."""
-    q = db._check_query(query)
-    i = db.index_of(result.id)
-    d, _ = orbit_distance(db.group, q, db.matrices[i])
+    """Fill in the exact orbit distance for a query result.
+
+    The query is validated once, by :func:`orbit_distance`, which also
+    checks its shape against the record's.
+    """
+    if not len(db):
+        raise EmptyDatabaseError("database has no records")
+    d, _ = orbit_distance(db.group, query, db.matrices[db.index_of(result.id)])
     return replace(result, exact_orbit_distance=d)

@@ -311,9 +311,14 @@ class TestExperimentCommand:
             ("classify", "-1", {"db_size": 5, "noise_grid": [0.0]}),
             ("lower-constant", str(2**64), {"n_pairs": 10}),
             ("lower-constant", "0", {"n_pairs": None}),
+            ("classify", "0", {"db_size": 10**15, "noise_grid": [0.0]}),
+            ("classify", "0", {"db_size": 5, "n_draws": 10**12, "noise_grid": [0.0]}),
+            ("distortion", "0", {"n_pairs": 10**15}),
+            ("lower-constant", "0", {"n_pairs": 10**15}),
         ],
         ids=["seed-negative", "seed-2**64", "classify-seed-negative", "lower-constant-seed-2**64",
-             "lower-constant-n_pairs-null"],
+             "lower-constant-n_pairs-null", "classify-db_size-10**15", "classify-n_draws-10**12",
+             "distortion-n_pairs-10**15", "lower-constant-n_pairs-10**15"],
     )
     def test_out_of_range_config_single_error_line(self, tmp_path, capsys, kind, seed, config):
         cfg = tmp_path / "cfg.json"

@@ -201,6 +201,7 @@ class TestDistortionExperiment:
             dict(n_pairs=10, maps=()),
             dict(n_pairs=10, maps=(MAP_EXACT,)),
             dict(n_pairs=10, maps=("sides",)),
+            dict(n_pairs=experiments.MAX_PAIRS + 1, maps=(MAP_TRIANGLE,)),
         ],
     )
     def test_invalid_configs(self, bad):
@@ -292,6 +293,8 @@ class TestClassificationExperiment:
             dict(db_size=5, noise_grid=(-0.01, 0.02), maps=(MAP_EXACT,)),
             dict(db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,), n_draws=0),
             dict(db_size=5, noise_grid=(0.0,), maps=("unknown",)),
+            dict(db_size=experiments.MAX_DB_SIZE + 1, noise_grid=(0.0,), maps=(MAP_EXACT,)),
+            dict(db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,), n_draws=experiments.MAX_DRAWS + 1),
         ],
     )
     def test_invalid_configs(self, bad):
@@ -345,7 +348,7 @@ class TestLowerConstantSurvey:
             assert s[key] == pytest.approx(value, rel=1e-12)
         assert s["quantiles"]["0.5"] == pytest.approx(np.quantile(ratios, 0.5), rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [None, 0])
+    @pytest.mark.parametrize("bad", [None, 0, experiments.MAX_PAIRS + 1])
     def test_invalid_n_pairs(self, bad):
         with pytest.raises(ConfigInvalidError):
             lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, bad, seed=0)

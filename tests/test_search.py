@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from orbitdist import (
+    DuplicateIdError,
     EmptyDatabaseError,
     FeatureMapMismatchError,
     GroupAction,
+    NonFiniteError,
     OutOfRangeError,
     ShapeDatabase,
     ShapeMismatchError,
@@ -116,6 +118,38 @@ class TestStackedBuild:
         records = [("a", rng.standard_normal((2, 3))), ("b", rng.standard_normal((2, 3)) + 1j)]
         with pytest.raises(ShapeMismatchError, match="'b'"):
             ShapeDatabase(GroupAction.EUCLIDEAN, records)
+
+    def test_valid_records_are_checked_as_one_stack(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search, "as_matrix", lambda *a, **k: calls.append(a))
+        db = group_db(rng, GroupAction.EUCLIDEAN, 50, 2, 5)
+        assert len(db) == 50 and calls == []
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([[0.0, np.nan, 1.0], [0.0, 0.0, 0.0]]), NonFiniteError),
+            (np.array([[0.0, 1.0, np.inf], [0.0, 0.0, 0.0]]), NonFiniteError),
+            (np.zeros((1, 2, 3)), ShapeMismatchError),
+            (np.zeros(3), ShapeMismatchError),
+            (np.zeros((2, 4)), ShapeMismatchError),
+        ],
+        ids=["nan", "inf", "3-D", "1-D", "shape"],
+    )
+    def test_offending_record_is_named(self, rng, bad, error):
+        records = [(f"r{i}", rng.standard_normal((2, 3))) for i in range(5)]
+        records[3] = ("bad", bad)
+        with pytest.raises(error, match="record 'bad'"):
+            ShapeDatabase(GroupAction.EUCLIDEAN, records)
+
+    def test_first_offending_record_wins(self, rng):
+        # records are checked in order: a non-finite record before a
+        # duplicate id is reported as non-finite, and the other way round
+        a, b = rng.standard_normal((2, 3)), np.full((2, 3), np.nan)
+        with pytest.raises(NonFiniteError, match="'x'"):
+            ShapeDatabase(GroupAction.EUCLIDEAN, [("x", b), ("y", a), ("y", a)])
+        with pytest.raises(DuplicateIdError):
+            ShapeDatabase(GroupAction.EUCLIDEAN, [("y", a), ("y", a), ("x", b)])
 
     @pytest.mark.parametrize("size", [1, 3, 8, 11])
     def test_block_boundaries(self, rng, monkeypatch, size):
