@@ -3,7 +3,8 @@
 Subcommands: dist, embed, db-build, db-query, experiment.  Parse failures
 exit 2, shape mismatches 3, unsatisfiable reduction dimensions 4, empty
 databases 5, invalid experiment configurations 6, and any other invalid
-input (such as a duplicate record id or k < 1) 1; messages go to stderr.
+input (such as a duplicate record id, k < 1, or a matrix file that parses
+but holds NaN or Inf entries) 1; messages go to stderr.
 All randomness flows from --seed.
 """
 from __future__ import annotations

@@ -103,15 +103,11 @@ def mean_last_basis(l: int) -> np.ndarray:
     return w
 
 
-def _reduced_block(a: np.ndarray) -> np.ndarray:
+def _centered_block(a: np.ndarray) -> np.ndarray:
+    """Compress each matrix of a stack annihilating the all-ones vector to
+    its (l-1)-by-(l-1) block in the :func:`mean_last_basis` coordinates."""
     w = mean_last_basis(a.shape[-1])
     return (w.T @ a @ w)[..., :-1, :-1]
-
-
-def reduced_block(m) -> np.ndarray:
-    """Compress a matrix annihilating the all-ones vector to its
-    (l-1)-by-(l-1) block in the :func:`mean_last_basis` coordinates."""
-    return _reduced_block(as_matrix(m))
 
 
 def _root_and_block(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +115,7 @@ def _root_and_block(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.n
     stack, and the block of it that the flattened features read: the whole
     root, or its (l-1)-by-(l-1) block when translations are quotiented."""
     s = _gram_root(_prepared(group, x))
-    return s, _reduced_block(s) if group.quotients_translations else s
+    return s, _centered_block(s) if group.quotients_translations else s
 
 
 def _embed(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,8 +29,10 @@ ConfigInvalidError before anything is drawn.
 
 The arithmetic is stacked over blocks of trials: orbit distances come from
 the Procrustes kernel of :mod:`orbitdist.metrics`, reduced features from
-the stacked projection of :mod:`orbitdist.reduction`, and the
-classification ranking from two complex GEMMs per block of queries.
+the stacked projection of :mod:`orbitdist.reduction`, triangle features
+from the kernels of :mod:`orbitdist.triangles`, and the classification
+ranking from two complex GEMMs per block of queries under the exact
+distance and from one k-d tree per feature map.
 """
 from __future__ import annotations
 
@@ -38,20 +40,19 @@ from dataclasses import dataclass, field
 import json
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from .errors import ConfigInvalidError
 from .metrics import GroupAction, _procrustes
 from .reduction import _reduced_stack, reducer_for
 from .search import _BLOCK
+from .triangles import _side_lengths, _triangle_coords
 
 MAP_SIDE_LENGTHS = "side_lengths"
 MAP_TRIANGLE = "triangle_embedding"
 MAP_EXACT = "exact"
 
-_SQRT2 = np.sqrt(2.0)
-_SQRT6 = np.sqrt(6.0)
 _DEGENERATE = 1e-12
 _HIST_EDGES = np.linspace(0.0, 1.8, 61)
 # Pairs per block in the distortion study.
@@ -203,38 +204,9 @@ def _pair_ratios(group: GroupAction, n: int, l: int, seed: int, n_pairs: int, bl
     return np.concatenate(ratios)
 
 
-def _side_lengths_batch(x: np.ndarray) -> np.ndarray:
-    a1, a2, a3 = x[:, :, 0], x[:, :, 1], x[:, :, 2]
-    return np.stack(
-        [
-            np.linalg.norm(a2 - a3, axis=1),
-            np.linalg.norm(a3 - a1, axis=1),
-            np.linalg.norm(a1 - a2, axis=1),
-        ],
-        axis=1,
-    )
-
-
-def _triangle_coords_batch(x: np.ndarray) -> np.ndarray:
-    """Batch of triangle embeddings via the closed-form 2x2 PSD square root
-    sqrt(M) = (M + sqrt(det M) I) / sqrt(trace M + 2 sqrt(det M))."""
-    u = (x[:, :, 1] - x[:, :, 0]) / _SQRT2
-    v = (2.0 * x[:, :, 2] - x[:, :, 0] - x[:, :, 1]) / _SQRT6
-    g11 = np.einsum("ni,ni->n", u, u)
-    g22 = np.einsum("ni,ni->n", v, v)
-    g12 = np.einsum("ni,ni->n", u, v)
-    s = np.sqrt(np.maximum(g11 * g22 - g12 * g12, 0.0))
-    t = np.sqrt(np.maximum(g11 + g22 + 2.0 * s, 0.0))
-    tsafe = np.where(t > 0.0, t, 1.0)
-    r11 = np.where(t > 0.0, (g11 + s) / tsafe, 0.0)
-    r22 = np.where(t > 0.0, (g22 + s) / tsafe, 0.0)
-    r12 = np.where(t > 0.0, g12 / tsafe, 0.0)
-    return np.stack([(r11 - r22) / _SQRT2, _SQRT2 * r12, (r11 + r22) / _SQRT2], axis=1)
-
-
 _TRIANGLE_FEATURES = {
-    MAP_SIDE_LENGTHS: _side_lengths_batch,
-    MAP_TRIANGLE: _triangle_coords_batch,
+    MAP_SIDE_LENGTHS: _side_lengths,
+    MAP_TRIANGLE: _triangle_coords,
 }
 
 
@@ -312,13 +284,10 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _classify_rate(query_feats: np.ndarray, db_feats: np.ndarray, labels: np.ndarray) -> float:
-    pred = np.empty(len(query_feats), dtype=int)
-    step = 4096
-    for lo in range(0, len(query_feats), step):
-        hi = min(lo + step, len(query_feats))
-        pred[lo:hi] = cdist(query_feats[lo:hi], db_feats).argmin(axis=1)
-    return float(np.mean(pred != labels))
+def _classify_rate(query_feats: np.ndarray, db_tree: cKDTree, labels: np.ndarray) -> float:
+    """Misclassification rate of nearest-record lookup in a k-d tree over
+    the database's features."""
+    return float(np.mean(db_tree.query(query_feats)[1] != labels))
 
 
 def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray) -> float:
@@ -362,7 +331,9 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     noise = _normals(seed, 1, 0, 6 * cfg.db_size * cfg.n_draws).reshape(-1, 2, 3)
     labels = np.repeat(np.arange(cfg.db_size), cfg.n_draws)
     base = np.repeat(db, cfg.n_draws, axis=0)
-    db_feats = {name: _TRIANGLE_FEATURES[name](db) for name in cfg.maps if name != MAP_EXACT}
+    db_trees = {
+        name: cKDTree(_TRIANGLE_FEATURES[name](db)) for name in cfg.maps if name != MAP_EXACT
+    }
     rates = {name: [] for name in cfg.maps}
     for eps in cfg.noise_grid:
         queries = base + eps * noise
@@ -371,7 +342,7 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 rate = _exact_rate(queries, db, labels)
             else:
                 rate = _classify_rate(
-                    _TRIANGLE_FEATURES[name](queries), db_feats[name], labels
+                    _TRIANGLE_FEATURES[name](queries), db_trees[name], labels
                 )
             rates[name].append(rate)
     return ExperimentReport(

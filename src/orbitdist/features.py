@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import _check_field, _embed, feature_dim
+from .embeddings import _check_field, _embed
 from .errors import FeatureMapMismatchError
 from .linalg import as_matrix
 from .metrics import GroupAction
@@ -19,7 +19,6 @@ from .reduction import (
     ReducerBasis,
     _matched_reducer,
     _reduced_stack,
-    reduced_feature_dim,
     reducer_for,
 )
 from .triangles import _triangle_coords
@@ -59,15 +58,6 @@ def _feature_stack(
     if _is_triangle(group, x):
         return _triangle_coords(x)
     return _embed(group, x)[1]
-
-
-def feature_length(group: GroupAction, n: int, l: int, feature_map: str = FULL) -> int:
-    """Length of the vector :func:`feature_vector` produces."""
-    if feature_map == FULL:
-        return feature_dim(group, l)
-    if feature_map == REDUCED:
-        return reduced_feature_dim(group, n, l)
-    raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
 
 
 def reducer_if_needed(group: GroupAction, n: int, l: int, feature_map: str) -> ReducerBasis | None:

@@ -38,14 +38,6 @@ class SvdFactors(NamedTuple):
     v: np.ndarray
 
 
-class EigenFactors(NamedTuple):
-    """Eigendecomposition ``M = q @ diag(w) @ q.conj().T`` of a Hermitian
-    matrix; eigenvalues ``w`` are real and ascending."""
-
-    q: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def _as_array(m, name: str, *, stacked: bool) -> np.ndarray:
     a = np.asarray(m)
     if np.iscomplexobj(a):
@@ -125,21 +117,6 @@ def _check_hermitian(a: np.ndarray) -> None:
         )
 
 
-def eigh(m) -> EigenFactors:
-    """Eigendecomposition of a Hermitian matrix (checked to tolerance).
-
-    A stack ``(..., l, l)`` is decomposed matrix by matrix."""
-    a = _as_array(m, "matrix", stacked=True)
-    if a.shape[-2] != a.shape[-1]:
-        raise ShapeMismatchError(f"expected square matrix, got {a.shape}")
-    _check_hermitian(a)
-    try:
-        w, q = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
-    return EigenFactors(q, w)
-
-
 def psd_sqrt(m, tol_neg: float | None = None) -> np.ndarray:
     """Unique positive semi-definite square root of a Hermitian PSD matrix.
 
@@ -150,10 +127,18 @@ def psd_sqrt(m, tol_neg: float | None = None) -> np.ndarray:
     matrix, each with its own default ``tol_neg``.
 
     Raises NotHermitianError/NotPSDError when the input is not a
-    numerically PSD Hermitian matrix.
+    numerically PSD Hermitian matrix (checked to tolerance),
+    ShapeMismatchError when it is not square and ConvergenceFailureError
+    if the eigensolver does not converge.
     """
     a = _as_array(m, "matrix", stacked=True)
-    q, w = eigh(a)
+    if a.shape[-2] != a.shape[-1]:
+        raise ShapeMismatchError(f"expected square matrix, got {a.shape}")
+    _check_hermitian(a)
+    try:
+        w, q = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(str(exc)) from exc
     if tol_neg is None:
         tol_neg = 1e-9 * _frobenius_norms(a)
     if w.size:

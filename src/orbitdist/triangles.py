@@ -2,43 +2,36 @@
 
 A triangle is a 2-by-3 real matrix whose columns are the vertices;
 degenerate (collinear or coincident) triangles are allowed everywhere.
-Two invariant descriptions are provided:
+Two invariant descriptions are provided, each computed by one kernel
+that also maps a validated ``(..., 2, 3)`` stack at once:
 
 - :func:`side_lengths` -- the classical triple of edge lengths.  It
   separates orbits and is Lipschitz with constant sqrt(3), but it is not
   bi-Lipschitz: :func:`side_lengths_counterexample` produces pairs whose
   side-length distance is quadratically small in their orbit distance.
 - :func:`triangle_embedding` -- three coordinates read off the PSD square
-  root of a 2x2 Gram matrix of centered edge combinations.  Distances
-  between these coordinate triples equal distances between the general
-  euclidean features exactly, so the sqrt(2) sandwich holds.  Its image is
-  the round cone z >= 0, x^2 + y^2 <= z^2, and :func:`triangle_from_coords`
-  inverts it.
+  root of the Gram matrix of the edge matrix ``E = [u v]``, with
+  ``u = (a2 - a1)/sqrt(2)`` and ``v = (2 a3 - a1 - a2)/sqrt(6)``.  The root
+  has the 2x2 closed form ``(E^T E + |det E| I) / sqrt(tr E^T E + 2 |det E|)``
+  (Higham, Functions of Matrices, 2008), with ``|det E|`` read off ``E``
+  itself rather than as the square root of the cancelling ``det E^T E``,
+  so the coordinates keep full relative precision however close the
+  triangle is to collinear.  Distances between these coordinate triples
+  equal distances between the general euclidean features exactly, so the
+  sqrt(2) sandwich ``d <= |f(A) - f(B)| <= sqrt(2) d`` holds.  Its image
+  is the round cone z >= 0, x^2 + y^2 <= z^2, and
+  :func:`triangle_from_coords` inverts it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import OutOfRangeError, ShapeMismatchError
-from .linalg import as_matrix, psd_sqrt
+from .linalg import as_matrix
 from .metrics import dist_euclidean
 
 _SQRT2 = np.sqrt(2.0)
-_SQRT3 = np.sqrt(3.0)
 _SQRT6 = np.sqrt(6.0)
-# Vertices (a1, a2, a3) -> edge combinations (a2 - a1, 2 a3 - a1 - a2), and
-# the norms that make them orthonormal.
-_EDGE_COMBINATIONS = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 2.0]])
-_EDGE_NORMS = np.array([_SQRT2, _SQRT6])
-# Root entries (r1, r3/sqrt(2), r3/sqrt(2), r2) -> triangle coordinates.
-_ROOT_TO_COORDS = np.array(
-    [
-        [1 / _SQRT2, 0.0, 1 / _SQRT2],
-        [0.0, _SQRT2, 0.0],
-        [0.0, 0.0, 0.0],
-        [-1 / _SQRT2, 0.0, 1 / _SQRT2],
-    ]
-)
 
 
 def _as_triangle(t) -> np.ndarray:
@@ -50,38 +43,40 @@ def _as_triangle(t) -> np.ndarray:
     return m
 
 
+def _side_lengths(x: np.ndarray) -> np.ndarray:
+    """:func:`side_lengths` of every triangle in a validated ``(..., 2, 3)``
+    stack."""
+    return np.linalg.norm(x[..., :, [1, 2, 0]] - x[..., :, [2, 0, 1]], axis=-2)
+
+
 def side_lengths(t) -> np.ndarray:
     """Edge lengths (|a2 - a3|, |a3 - a1|, |a1 - a2|) of a triangle."""
-    m = _as_triangle(t)
-    a1, a2, a3 = m.T
-    return np.array(
-        [np.linalg.norm(a2 - a3), np.linalg.norm(a3 - a1), np.linalg.norm(a1 - a2)]
-    )
-
-
-def _edge_grams(x: np.ndarray) -> np.ndarray:
-    e = (x @ _EDGE_COMBINATIONS) / _EDGE_NORMS
-    return e.swapaxes(-1, -2) @ e
-
-
-def edge_gram(t) -> np.ndarray:
-    """2x2 Gram matrix of the orthonormalized centered edge combinations
-    (a2 - a1)/sqrt(2) and (2 a3 - a1 - a2)/sqrt(6)."""
-    return _edge_grams(_as_triangle(t))
+    return _side_lengths(_as_triangle(t))
 
 
 def _triangle_coords(x: np.ndarray) -> np.ndarray:
     """:func:`triangle_embedding` of every triangle in a validated
     ``(..., 2, 3)`` stack."""
-    root = psd_sqrt(_edge_grams(x))
-    return root.reshape(root.shape[:-2] + (4,)) @ _ROOT_TO_COORDS
+    u = (x[..., 1] - x[..., 0]) / _SQRT2
+    v = (2.0 * x[..., 2] - x[..., 0] - x[..., 1]) / _SQRT6
+    g11, g22, g12 = (u * u).sum(axis=-1), (v * v).sum(axis=-1), (u * v).sum(axis=-1)
+    s = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+    t = np.sqrt(g11 + g22 + 2.0 * s)
+    # t = 0 only for coincident vertices, where every numerator is 0 too
+    t = np.where(t > 0.0, t, 1.0)
+    r = _SQRT2 * t
+    return np.stack([(g11 - g22) / r, _SQRT2 * g12 / t, (g11 + g22 + 2.0 * s) / r], axis=-1)
 
 
 def triangle_embedding(t) -> np.ndarray:
     """Three-coordinate bi-Lipschitz invariant of a triangle.
 
-    With the PSD square root of :func:`edge_gram` written as
-    ``[[r1, r3/sqrt(2)], [r3/sqrt(2), r2]]`` the coordinates are
+    With the edge Gram entries ``g11 = |u|^2``, ``g22 = |v|^2``,
+    ``g12 = <u, v>``, ``s = |det [u v]|`` and ``t = sqrt(g11 + g22 + 2 s)``
+    (see the module docstring) the coordinates are
+    ``((g11 - g22)/(sqrt(2) t), sqrt(2) g12/t, (g11 + g22 + 2 s)/(sqrt(2) t))``,
+    and 0 when ``t = 0``.  Writing the PSD root of the Gram matrix as
+    ``[[r1, r3/sqrt(2)], [r3/sqrt(2), r2]]`` these are
     ``((r1 - r2)/sqrt(2), r3, (r1 + r2)/sqrt(2))``; euclidean distances
     between such triples coincide with Frobenius distances between the
     full euclidean features.

@@ -178,6 +178,7 @@ class TestDatabaseCommands:
         [
             ("shared-stem", 1),
             ("k-zero", 1),
+            ("nan-query", 1),
             ("unknown-group", 2),
             ("non-object-record", 2),
             ("non-integer-header", 2),
@@ -195,6 +196,9 @@ class TestDatabaseCommands:
         db_file = tmp_path / "db.jsonl"
         db_file.write_text("\n".join([json.dumps(header)] + lines) + "\n")
         query = write_csv(tmp_path / "q.csv", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        if case == "nan-query":
+            # parses, then fails the finiteness check
+            query = write_csv(tmp_path / "q.csv", [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]])
         if case == "shared-stem":
             (tmp_path / "x").mkdir()
             same_stem = write_csv(tmp_path / "x" / "q.csv", [[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])

@@ -18,34 +18,13 @@ from orbitdist import (
     orbit_distance,
     reduced_embedding,
     reducer_for,
-    side_lengths,
     triangle_embedding,
 )
 from orbitdist import experiments
-from orbitdist.experiments import _normals, _side_lengths_batch, _triangle_coords_batch
+from orbitdist.experiments import _normals
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
-
-
-class TestVectorizedKernels:
-    """The batch kernels must agree with the scalar reference paths."""
-
-    def test_batch_side_lengths(self, rng):
-        x = rng.standard_normal((32, 2, 3))
-        batch = _side_lengths_batch(x)
-        for i in range(32):
-            np.testing.assert_allclose(batch[i], side_lengths(x[i]), rtol=1e-12)
-
-    def test_batch_triangle_coords(self, rng):
-        x = rng.standard_normal((32, 2, 3))
-        batch = _triangle_coords_batch(x)
-        for i in range(32):
-            np.testing.assert_allclose(batch[i], triangle_embedding(x[i]), atol=1e-10)
-
-    def test_batch_triangle_coords_degenerate(self):
-        x = np.stack([np.ones((2, 3)), np.zeros((2, 3))])
-        np.testing.assert_allclose(_triangle_coords_batch(x), np.zeros((2, 3)))
 
 
 class TestSampler:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from orbitdist import (
     triangle_embedding,
     triangle_from_coords,
 )
+from orbitdist.triangles import _side_lengths, _triangle_coords
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -101,6 +103,63 @@ class TestTriangleEmbedding:
         t = random_triangles(rng, 1)[0]
         moved = np.array([[0.0, -1.0], [1.0, 0.0]]) @ t + np.array([3.0, -2.0])[:, None]
         np.testing.assert_allclose(triangle_embedding(moved), triangle_embedding(t), atol=1e-10)
+
+
+class TestStackedKernels:
+    """A stack goes through the same kernel as a single triangle."""
+
+    def test_stack_side_lengths(self, rng):
+        x = random_triangles(rng, 32)
+        batch = _side_lengths(x)
+        for i in range(32):
+            np.testing.assert_array_equal(batch[i], side_lengths(x[i]))
+
+    def test_stack_triangle_coords(self, rng):
+        x = random_triangles(rng, 32)
+        batch = _triangle_coords(x)
+        for i in range(32):
+            np.testing.assert_array_equal(batch[i], triangle_embedding(x[i]))
+
+    def test_stack_triangle_coords_degenerate(self):
+        x = np.stack([np.ones((2, 3)), np.zeros((2, 3))])
+        np.testing.assert_array_equal(_triangle_coords(x), np.zeros((2, 3)))
+
+
+def oracle_coords(t, digits=50):
+    """Triangle coordinates in ``digits``-digit arithmetic, from the
+    eigendecomposition of the edge Gram matrix of the (exact) float input."""
+    with mpmath.workdps(digits):
+        a = [[mpmath.mpf(float(t[i, j])) for j in range(3)] for i in range(2)]
+        r2, r6 = mpmath.sqrt(2), mpmath.sqrt(6)
+        e = mpmath.matrix(
+            [[(a[i][1] - a[i][0]) / r2, (2 * a[i][2] - a[i][0] - a[i][1]) / r6] for i in range(2)]
+        )
+        w, q = mpmath.eigsy(e.T * e)
+        root = q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * q.T
+        coords = [(root[0, 0] - root[1, 1]) / r2, r2 * root[0, 1], (root[0, 0] + root[1, 1]) / r2]
+        return np.array([float(c) for c in coords])
+
+
+class TestFullPrecision:
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_counterexample_pairs_keep_sandwich(self, eps):
+        # the pairs sit on the lower bound, so an eigen-based root that
+        # loses the small Gram eigenvalue maps distinct orbits together
+        a, b, _ = side_lengths_counterexample(eps)
+        d, _ = dist_euclidean(a, b)
+        gap = np.linalg.norm(triangle_embedding(a) - triangle_embedding(b))
+        assert d * (1 - 1e-9) <= gap <= SQRT2 * d * (1 + 1e-9)
+
+    @pytest.mark.parametrize("height", [10.0**-k for k in range(2, 12)])
+    def test_matches_high_precision_oracle_near_collinear(self, rng, height):
+        for _ in range(10):
+            t = random_triangles(rng, 1)[0]
+            t[1] *= height  # every vertex within ~height of the x axis
+            th = rng.uniform(0, 2 * np.pi)
+            t = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]) @ t
+            want = oracle_coords(t)
+            err = np.linalg.norm(triangle_embedding(t) - want) / np.linalg.norm(want)
+            assert err <= 1e-14
 
 
 class TestConeSurjectivity:
