@@ -24,8 +24,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .experiments import (
-    MAP_EXACT,
-    MAP_SIDE_LENGTHS,
+    _DEFAULT_CONFIGS,
     MAP_TRIANGLE,
     ExperimentConfig,
     classification_experiment,
@@ -110,21 +109,6 @@ def _cmd_db_query(args) -> int:
             fields.append(fmt17(r.exact_orbit_distance))
         print(",".join(fields))
     return 0
-
-
-_DEFAULT_CONFIGS = {
-    "distortion": {
-        "n_pairs": 100_000,
-        "maps": [MAP_SIDE_LENGTHS, MAP_TRIANGLE],
-    },
-    "classify": {
-        "db_size": 500,
-        "n_draws": 20,
-        "noise_grid": [0.0, 0.005, 0.01, 0.015, 0.02, 0.025, 0.03],
-        "maps": [MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE],
-    },
-    "lower-constant": {"group": "O", "n": 1, "l": 4, "n_pairs": 10_000},
-}
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -250,28 +234,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each error kind; the first matching entry wins
+_EXIT_CODES = (
+    ((ParseError, OSError), 2),
+    (ShapeMismatchError, 3),
+    (DimensionHypothesisError, 4),
+    (EmptyDatabaseError, 5),
+    (ConfigInvalidError, 6),
+    (OrbitDistError, 1),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except (OrbitDistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShapeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DimensionHypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EmptyDatabaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ConfigInvalidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except OrbitDistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

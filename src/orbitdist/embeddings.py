@@ -25,22 +25,18 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def _gram_root(x: np.ndarray) -> np.ndarray:
-    _, s, v = svd(x)
-    r = (v * s[..., None, :]) @ _adjoint(v)
-    r += _adjoint(r)
-    r *= 0.5
-    return r
-
-
-def gram_root(a) -> np.ndarray:
-    """PSD square root of the Gram matrix ``A* A`` of a configuration.
+    """PSD square root of the Gram matrix ``A* A`` of each configuration.
 
     Computed from the thin SVD of A itself (A = U S V* gives the root
     V S V*) rather than by eigendecomposing the formed Gram: squaring A
     first would halve the attainable precision whenever the Gram is
     rank-deficient, i.e. whenever there are more points than dimensions.
     """
-    return _gram_root(as_matrix(a))
+    _, s, v = svd(x)
+    r = (v * s[..., None, :]) @ _adjoint(v)
+    r += _adjoint(r)
+    r *= 0.5
+    return r
 
 
 @lru_cache(maxsize=None)

@@ -23,20 +23,21 @@ its database from words ``[0, 6*db_size)`` of stream 0 and the noise of
 query ``q`` from words ``[6q, 6q+6)`` of stream 1.
 
 Study sizes have ceilings: ``n_pairs`` at most ``MAX_PAIRS`` (10**7),
-``db_size`` at most ``MAX_DB_SIZE`` (10**4) and ``n_draws`` at most
-``MAX_DRAWS`` (100).  A size outside ``[1, ceiling]`` raises
-ConfigInvalidError before anything is drawn.
+``db_size`` at most ``MAX_DB_SIZE`` (10**4), ``n_draws`` at most
+``MAX_DRAWS`` (100) and the survey's ``l`` at most ``MAX_L`` (1024).  A
+size outside ``[1, ceiling]``, an ``n`` below 1, or an integer field that
+is not a whole number raises ConfigInvalidError before anything is drawn.
 
 The arithmetic is stacked over blocks of trials: orbit distances come from
 the Procrustes kernel of :mod:`orbitdist.metrics`, reduced features from
-the stacked projection of :mod:`orbitdist.reduction`, triangle features
+the sparse projection of :mod:`orbitdist.reduction`, triangle features
 from the kernels of :mod:`orbitdist.triangles`, and the classification
 ranking from two complex GEMMs per block of queries under the exact
 distance and from one k-d tree per feature map.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import json
 
 import numpy as np
@@ -61,10 +62,12 @@ _PAIR_BLOCK = 1 << 14
 # than a workstation has.  The pair studies keep a few float64 ratios per
 # pair (about 0.3 GB at MAX_PAIRS); the classification study keeps a few
 # hundred bytes per noisy query, db_size * n_draws of them (about 0.3 GB
-# at both ceilings).
+# at both ceilings).  Each pair of the lower-constant survey holds l x l
+# Gram roots, 16 MB for a complex one at MAX_L.
 MAX_PAIRS = 10**7
 MAX_DB_SIZE = 10**4
 MAX_DRAWS = 100
+MAX_L = 1024
 
 
 @dataclass(frozen=True)
@@ -96,17 +99,34 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """Config from JSON values.  ConfigInvalidError when an integer field
+        is not a whole number or ``n`` is below 1."""
+        n = _whole(d, "n", 2)
+        _require(n is not None and n >= 1, f"n must be >= 1, got {n}")
         return ExperimentConfig(
-            seed=_seed(int(d.get("seed", 0))),
-            n_pairs=None if d.get("n_pairs") is None else int(d["n_pairs"]),
-            db_size=None if d.get("db_size") is None else int(d["db_size"]),
+            seed=_seed(_whole(d, "seed", 0)),
+            n_pairs=_whole(d, "n_pairs", None),
+            db_size=_whole(d, "db_size", None),
             noise_grid=tuple(float(e) for e in d.get("noise_grid", ())),
-            n_draws=int(d.get("n_draws", 20)),
+            n_draws=_whole(d, "n_draws", 20),
             maps=tuple(d.get("maps", ())),
             group=GroupAction(d.get("group", "E")),
-            n=int(d.get("n", 2)),
-            l=int(d.get("l", 3)),
+            n=n,
+            l=_whole(d, "l", 3),
         )
+
+
+# Defaults of each ``orbitdist experiment`` kind; a config file overrides keys.
+_DEFAULT_CONFIGS = {
+    "distortion": {"n_pairs": 100_000, "maps": [MAP_SIDE_LENGTHS, MAP_TRIANGLE]},
+    "classify": {
+        "db_size": 500,
+        "n_draws": 20,
+        "noise_grid": [0.0, 0.005, 0.01, 0.015, 0.02, 0.025, 0.03],
+        "maps": [MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE],
+    },
+    "lower-constant": {"group": "O", "n": 1, "l": 4, "n_pairs": 10_000},
+}
 
 
 @dataclass(frozen=True)
@@ -121,14 +141,7 @@ class ExperimentReport:
     rates: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "config": self.config,
-            "ratio_stats": self.ratio_stats,
-            "histograms": self.histograms,
-            "rates": self.rates,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -139,7 +152,7 @@ class ExperimentReport:
 
 
 def _seed(seed: int) -> int:
-    _require(0 <= seed < 1 << 64, f"seed must be in [0, 2**64), got {seed}")
+    _require(_is_whole(seed) and 0 <= seed < 1 << 64, f"seed must be in [0, 2**64), got {seed}")
     return int(seed)
 
 
@@ -232,11 +245,26 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigInvalidError(message)
 
 
-def _require_count(value, name: str, ceiling: int) -> None:
+def _is_whole(value) -> bool:
+    """An integer other than a bool, or a float with an integral value
+    (JSON may write 1e5 for 100000)."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _whole(d: dict, key: str, default) -> int | None:
+    value = d.get(key, default)
+    _require(value is None or _is_whole(value), f"{key} must be an integer, got {value!r}")
+    return None if value is None else int(value)
+
+
+def _require_count(value, name: str, ceiling: int) -> int:
     _require(
-        value is not None and 1 <= value <= ceiling,
-        f"{name} must be in [1, {ceiling}], got {value}",
+        _is_whole(value) and 1 <= value <= ceiling,
+        f"{name} must be an integer in [1, {ceiling}], got {value}",
     )
+    return int(value)
 
 
 def _validate_noise_grid(grid) -> None:
@@ -369,7 +397,9 @@ def lower_constant_survey(
     the feature step grows with neither ``n_pairs`` nor l.
     """
     seed = _seed(seed)
-    _require_count(n_pairs, "n_pairs", MAX_PAIRS)
+    n_pairs = _require_count(n_pairs, "n_pairs", MAX_PAIRS)
+    _require(_is_whole(n) and n >= 1, f"n must be an integer >= 1, got {n}")
+    n, l = int(n), _require_count(l, "l", MAX_L)
     reducer = reducer_for(group, n, l)
     block = min(_BLOCK, max(1, (1 << 14) // (l * l)))
 

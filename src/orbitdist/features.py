@@ -15,12 +15,7 @@ from .embeddings import _check_field, _embed
 from .errors import FeatureMapMismatchError
 from .linalg import as_matrix
 from .metrics import GroupAction
-from .reduction import (
-    ReducerBasis,
-    _matched_reducer,
-    _reduced_stack,
-    reducer_for,
-)
+from .reduction import ReducerBasis, _matched_reducer, _reduced_stack
 from .triangles import _triangle_coords
 
 FULL = "full"
@@ -58,8 +53,3 @@ def _feature_stack(
     if _is_triangle(group, x):
         return _triangle_coords(x)
     return _embed(group, x)[1]
-
-
-def reducer_if_needed(group: GroupAction, n: int, l: int, feature_map: str) -> ReducerBasis | None:
-    """Build the reducer once for repeated embedding calls."""
-    return reducer_for(group, n, l) if feature_map == REDUCED else None

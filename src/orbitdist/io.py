@@ -81,7 +81,10 @@ def _grid_from_json(value, path, name: str) -> np.ndarray:
         for j, x in enumerate(row):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise ParseError(f"{path}: {name} row {i + 1}, column {j + 1}: not a number")
-    return np.array(value, dtype=float)
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise ParseError(f"{path}: {name} holds an integer too large for a double") from None
 
 
 def matrix_from_json(value, path="<json>") -> np.ndarray:
@@ -158,7 +161,7 @@ def load_database(path) -> ShapeDatabase:
         raise ParseError(f"{path}: header has unknown group {header['group']!r}") from None
     try:
         shape = (int(header["n"]), int(header["l"]))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(
             f"{path}: header n and l must be integers, got {header['n']!r} and {header['l']!r}"
         ) from None

@@ -14,22 +14,28 @@ The complement has a closed form.  A polynomial is divisible by
 diagonal, and each of those derivatives reads one antidiagonal a + b = s
 of the coefficient matrix.  So W-perp splits by antidiagonal: on
 antidiagonal s it is spanned by the polynomials in the column index of
-degree below min(r, length of s).  The reducer basis holds their
-orthonormal versions (discrete orthogonal polynomials, built by a short
-recurrence on each antidiagonal).  Symmetric matrices have palindromic
-antidiagonals, which only the even-degree polynomials see; the imaginary
-part of a Hermitian matrix is anti-palindromic and only the odd-degree
-ones see it.  Projecting is a plain inner-product evaluation and is
-non-expansive.
+degree below min(r, length of s).  The reducer holds their orthonormal
+versions (discrete orthogonal polynomials, built by a short recurrence on
+each antidiagonal).  Symmetric matrices have palindromic antidiagonals,
+which only the even-degree polynomials see; the imaginary part of a
+Hermitian matrix is anti-palindromic and only the odd-degree ones see it.
+
+Each output coordinate reads one antidiagonal, so the reducer is a sparse
+(CSR) operator on the real coordinates of the matrix (its size^2 entries,
+then the size^2 imaginary parts in the Hermitian ambient) that holds about
+n * size^2 non-zeros (2n * size^2 Hermitian).  Projecting is one sparse
+product and is non-expansive.
 """
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import (
     AmbientMismatchError,
@@ -56,11 +62,7 @@ def separating_subspace_basis(size: int, rank: int) -> list[np.ndarray]:
     """
     if rank <= 0 or rank > size:
         raise InvalidRankError(f"rank must satisfy 0 < rank <= size, got rank={rank}, size={size}")
-    binom = np.zeros(rank + 1)
-    binom[0] = 1.0
-    for k in range(1, rank + 1):
-        binom[k] = binom[k - 1] * (rank - k + 1) / k
-    signed = binom * (-1.0) ** np.arange(rank + 1)
+    signed = [(-1) ** k * math.comb(rank, k) for k in range(rank + 1)]
     out = []
     for i in range(size - rank):
         for j in range(size - rank):
@@ -72,37 +74,24 @@ def separating_subspace_basis(size: int, rank: int) -> list[np.ndarray]:
     return out
 
 
-def _vec_real(m: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a complex matrix (real inner product
-    Re trace(A B*) becomes the euclidean dot product)."""
-    c = np.asarray(m, dtype=np.complex128)
-    return np.concatenate([c.real.ravel(), c.imag.ravel()])
-
-
 @dataclass(frozen=True)
 class ReducerBasis:
     """Orthonormal basis of the reduced feature space.
 
-    ``basis`` has one row per output coordinate, expressed in the real
-    coordinates of the full matrix space; ``dim`` counts the rows and
-    ``intersection_dim`` counts the ambient dimensions removed.
+    ``basis`` is a sparse operator, one row per output coordinate, on the
+    ambient's real coordinates (see the module docstring); ``dim`` counts
+    its rows and ``intersection_dim`` the ambient dimensions removed.
+    ``(rank, size, ambient)`` determine it, and alone decide equality.
     """
 
     rank: int
     size: int
     ambient: Ambient
-    basis: np.ndarray
+    basis: csr_array = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @cached_property
-    def _halves(self) -> tuple[np.ndarray, np.ndarray]:
-        """The columns of ``basis`` that read the real and the imaginary
-        part of a flattened matrix: views, made once."""
-        real, imag = np.split(self.basis, 2, axis=1)
-        return real, imag
 
     @property
     def intersection_dim(self) -> int:
@@ -124,7 +113,7 @@ class ReducerBasis:
             raise AmbientMismatchError("matrix is not symmetric/Hermitian")
         if self.ambient is Ambient.SYMMETRIC and np.iscomplexobj(a) and np.abs(a.imag).max() > HERM_TOL * scale:
             raise AmbientMismatchError("symmetric ambient requires a real matrix")
-        return self.basis @ _vec_real(a)
+        return _project(self, a)
 
     def to_json(self) -> str:
         """Serialize the parameters that determine the basis."""
@@ -180,20 +169,24 @@ def build_reducer(n: int, size: int, ambient: Ambient) -> ReducerBasis:
             f"need size >= 2n for rank-2n separation, got size={size}, n={n}"
         )
     rank = 2 * n
-    rows = []  # (flat real coordinates, values) of each output coordinate
+    hermitian = ambient is Ambient.HERMITIAN
+    cells, values = [], []  # of each output coordinate, in row order
     for s in range(2 * size - 1):
         cols = np.arange(max(0, s - size + 1), min(s, size - 1) + 1)
         q = _orthonormal_polynomials(cols - s / 2, min(rank, cols.size))
-        cells = (s - cols) * size + cols
-        for k in range(q.shape[1]):
-            if k % 2 == 0:
-                rows.append((cells, q[:, k]))
-            elif ambient is Ambient.HERMITIAN:
-                rows.append((cells + size * size, q[:, k]))
-    basis = np.zeros((len(rows), 2 * size * size))
-    for row, (cells, values) in zip(basis, rows):
-        row[cells] = values
-    basis.flags.writeable = False
+        # the flat index (s - c) * size + c falls as c rises: reverse both,
+        # so that each row's column indices are sorted
+        flat = ((s - cols) * size + cols)[::-1]
+        for k in range(0, q.shape[1], 1 if hermitian else 2):
+            cells.append(flat + size * size if k % 2 else flat)
+            values.append(q[::-1, k])
+    indptr = np.cumsum([0] + [c.size for c in cells])
+    basis = csr_array(
+        (np.concatenate(values), np.concatenate(cells), indptr),
+        shape=(len(cells), size * size * (2 if hermitian else 1)),
+    )
+    for part in (basis.data, basis.indices, basis.indptr):
+        part.flags.writeable = False
     return ReducerBasis(rank=rank, size=size, ambient=ambient, basis=basis)
 
 
@@ -260,17 +253,19 @@ def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None
 
 def _reduced_stack(group: GroupAction, x: np.ndarray, reducer: ReducerBasis) -> np.ndarray:
     """:func:`reduced_embedding` of each configuration in a validated
-    ``(..., n, l)`` stack, one row each, with ``reducer`` already matched.
+    ``(..., n, l)`` stack, one row each, with ``reducer`` already matched."""
+    return _project(reducer, embeddings._root_and_block(group, x)[1])
 
-    Each configuration gets its own matrix-vector product, so its
-    coordinates have the same bits whichever batch it is projected in
-    (one matrix product over the batch would not: BLAS sums in a
-    different order for one row than for many).
+
+def _project(reducer: ReducerBasis, mats: np.ndarray) -> np.ndarray:
+    """Reducer coordinates of each matrix in a ``(..., size, size)`` stack.
+
+    One sparse product over the stack, whose columns are the real
+    coordinates of the matrices.  The CSR kernel sums each output entry
+    over its row's non-zeros in stored order whatever the number of
+    columns, so a matrix gets the same bits alone or in any batch.
     """
-    _, mats = embeddings._root_and_block(group, x)
-    flat = mats.reshape(mats.shape[:-2] + (-1, 1))
-    real, imag = reducer._halves
-    out = real @ flat.real
-    if np.iscomplexobj(flat):
-        out += imag @ flat.imag
-    return out[..., 0]
+    flat = mats.reshape(-1, reducer.size * reducer.size)
+    if reducer.ambient is Ambient.HERMITIAN:
+        flat = np.concatenate([flat.real, flat.imag], axis=1)
+    return (reducer.basis @ flat.real.T).T.reshape(mats.shape[:-2] + (-1,))

@@ -29,9 +29,10 @@ from .errors import (
     ShapeMismatchError,
     UnknownIdError,
 )
-from .features import FULL, REDUCED, _feature_stack, reducer_if_needed
+from .features import FULL, REDUCED, _feature_stack
 from .linalg import _as_array, as_matrix
 from .metrics import GroupAction, _procrustes, orbit_distance
+from .reduction import reducer_for
 
 _SQRT2 = float(np.sqrt(2.0))
 # Records per stacked kernel call in the database build and the exact
@@ -121,7 +122,9 @@ class ShapeDatabase:
         self.ids, self._rows, self.matrices = _stack_records(group, records)
         self.matrices.flags.writeable = False
         self.n, self.l = self.matrices.shape[1:]
-        self._reducer = reducer_if_needed(group, self.n, self.l, feature_map) if self.ids else None
+        self._reducer = (
+            reducer_for(group, self.n, self.l) if self.ids and feature_map == REDUCED else None
+        )
         self.features = (
             np.concatenate(
                 [_feature_stack(group, x, feature_map, self._reducer) for x in _blocks(self.matrices)]

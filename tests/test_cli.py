@@ -5,6 +5,7 @@ import pytest
 
 from orbitdist import GroupAction, feature_vector, orbit_distance, triangle_embedding
 from orbitdist.cli import main
+from orbitdist.experiments import MAX_L
 from orbitdist.io import read_matrix, write_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -319,10 +320,18 @@ class TestExperimentCommand:
             ("classify", "0", {"db_size": 5, "n_draws": 10**12, "noise_grid": [0.0]}),
             ("distortion", "0", {"n_pairs": 10**15}),
             ("lower-constant", "0", {"n_pairs": 10**15}),
+            ("lower-constant", "0", {"n": 0}),
+            ("lower-constant", "0", {"n": 1.5}),
+            ("lower-constant", "0", {"l": 3.7}),
+            ("lower-constant", "0", {"l": MAX_L + 1}),
+            ("lower-constant", "0", {"n_pairs": 10.5}),
+            ("classify", "0", {"db_size": 5, "n_draws": "many", "noise_grid": [0.0]}),
         ],
         ids=["seed-negative", "seed-2**64", "classify-seed-negative", "lower-constant-seed-2**64",
              "lower-constant-n_pairs-null", "classify-db_size-10**15", "classify-n_draws-10**12",
-             "distortion-n_pairs-10**15", "lower-constant-n_pairs-10**15"],
+             "distortion-n_pairs-10**15", "lower-constant-n_pairs-10**15", "lower-constant-n-0",
+             "lower-constant-n-1.5", "lower-constant-l-3.7", "lower-constant-l-MAX_L+1",
+             "lower-constant-n_pairs-10.5", "classify-n_draws-string"],
     )
     def test_out_of_range_config_single_error_line(self, tmp_path, capsys, kind, seed, config):
         cfg = tmp_path / "cfg.json"

@@ -11,6 +11,7 @@ from orbitdist import (
     InvalidRankError,
     ReducerBasis,
     build_reducer,
+    feature_vector,
     orbit_distance,
     reduced_embedding,
     reduced_feature_dim,
@@ -98,7 +99,8 @@ class TestBuildReducer:
     def test_basis_orthonormal(self):
         for ambient in Ambient:
             rb = build_reducer(2, 7, ambient)
-            gram = rb.basis @ rb.basis.T
+            basis = rb.basis.toarray()
+            gram = basis @ basis.T
             np.testing.assert_allclose(gram, np.eye(rb.dim), atol=1e-10)
 
     def test_rejects_small_size(self):
@@ -117,7 +119,7 @@ class TestProject:
         rb = build_reducer(1, 4, Ambient.SYMMETRIC)
         coords = rb.project(random_low_rank_symmetric(rng, 4, 4))
         pulled = np.zeros((4, 4))
-        for c, row in zip(coords, rb.basis):
+        for c, row in zip(coords, rb.basis.toarray()):
             pulled += c * row[:16].reshape(4, 4)
         again = rb.project(pulled)
         assert np.linalg.norm(again) == pytest.approx(np.linalg.norm(pulled), rel=1e-12)
@@ -218,6 +220,41 @@ class TestReducedEmbedding:
                     )
 
 
+class TestSparseOperator:
+    def test_storage_grows_with_entries_not_rows_times_columns(self):
+        # one row per antidiagonal: size^2 non-zeros where a dense basis
+        # held (2 * size - 1) * 2 * size^2 entries, 536 MB at size 256
+        rb = build_reducer(1, 256, Ambient.SYMMETRIC)
+        op = rb.basis
+        assert op.shape == (rb.dim, 256 * 256)
+        assert op.nnz == 256 * 256
+        assert op.data.nbytes + op.indices.nbytes + op.indptr.nbytes <= 2 * 2**20
+
+    @pytest.mark.parametrize("n,size", [(1, 6), (2, 9), (3, 8)])
+    def test_nonzeros_per_ambient(self, n, size):
+        symmetric = build_reducer(n, size, Ambient.SYMMETRIC).basis
+        hermitian = build_reducer(n, size, Ambient.HERMITIAN).basis
+        assert hermitian.shape[1] == 2 * symmetric.shape[1] == 2 * size * size
+        assert symmetric.nnz <= n * size * size
+        assert hermitian.nnz <= 2 * n * size * size
+
+    def test_identity_is_the_parameters(self):
+        rb = build_reducer(1, 5, Ambient.HERMITIAN)
+        same = ReducerBasis(rank=2, size=5, ambient=Ambient.HERMITIAN, basis=None)
+        assert rb == same and hash(rb) == hash(same)
+        assert rb != build_reducer(1, 5, Ambient.SYMMETRIC)
+        assert "basis" not in repr(rb)
+
+    def test_large_l_is_non_expansive(self, rng):
+        group = GroupAction.ORTHOGONAL
+        reducer = build_reducer(1, 1024, Ambient.SYMMETRIC)
+        assert reducer_for(group, 1, 1024) is reducer
+        a, b = rng.standard_normal((2, 1, 1024))
+        gap = np.linalg.norm(reduced_embedding(group, a) - reduced_embedding(group, b))
+        full = np.linalg.norm(feature_vector(group, a) - feature_vector(group, b))
+        assert 0.0 < gap <= full * (1 + 1e-12)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         rb = build_reducer(1, 4, Ambient.HERMITIAN)
@@ -226,15 +263,17 @@ class TestSerialization:
         assert restored.size == rb.size
         assert restored.ambient == rb.ambient
         assert restored.dim == rb.dim
-        np.testing.assert_array_equal(restored.basis, rb.basis)
+        np.testing.assert_array_equal(restored.basis.toarray(), rb.basis.toarray())
 
     def test_payload_carries_parameters_only(self):
         rb = build_reducer(1, 4, Ambient.SYMMETRIC)
         payload = json.loads(rb.to_json())
         assert "basis" not in payload
         # payloads written with the basis array still load
-        payload["basis"] = rb.basis.tolist()
-        np.testing.assert_array_equal(ReducerBasis.from_json(json.dumps(payload)).basis, rb.basis)
+        payload["basis"] = rb.basis.toarray().tolist()
+        np.testing.assert_array_equal(
+            ReducerBasis.from_json(json.dumps(payload)).basis.toarray(), rb.basis.toarray()
+        )
         payload["rank"] = 3
         with pytest.raises(InvalidRankError):
             ReducerBasis.from_json(json.dumps(payload))

@@ -34,6 +34,7 @@ from orbitdist import (
     unitary_embedding,
     verify,
 )
+from orbitdist.search import _BLOCK
 
 G = GroupAction
 GROUPS = list(GroupAction)
@@ -182,7 +183,8 @@ def records(rng, group, n, l, size):
 
 class TestScalarMatchesStacked:
     @pytest.mark.parametrize("group, n, l", STACK_CASES)
-    @pytest.mark.parametrize("size", [1, 2, 37])
+    # _BLOCK + 1 records build in two blocks, the last of one record
+    @pytest.mark.parametrize("size", [1, 2, 37, _BLOCK + 1])
     def test_reduced_feature_is_the_database_row(self, rng, group, n, l, size):
         db = ShapeDatabase(group, records(rng, group, n, l, size), "reduced")
         reducer = reducer_for(group, n, l)
