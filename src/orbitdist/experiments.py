@@ -24,16 +24,19 @@ query ``q`` from words ``[6q, 6q+6)`` of stream 1.
 
 Study sizes have ceilings: ``n_pairs`` at most ``MAX_PAIRS`` (10**7),
 ``db_size`` at most ``MAX_DB_SIZE`` (10**4), ``n_draws`` at most
-``MAX_DRAWS`` (100) and the survey's ``l`` at most ``MAX_L`` (1024).  A
-size outside ``[1, ceiling]``, an ``n`` below 1, or an integer field that
-is not a whole number raises ConfigInvalidError before anything is drawn.
+``MAX_DRAWS`` (100), the survey's ``l`` at most ``MAX_L`` (1024) and its
+reducer at most ``MAX_REDUCER_NNZ`` (2**22) non-zeros.  A size outside
+``[1, ceiling]``, an ``n`` below 1, or an integer field that is not a whole
+number raises ConfigInvalidError before anything is drawn or built.
 
 The arithmetic is stacked over blocks of trials: orbit distances come from
 the Procrustes kernel of :mod:`orbitdist.metrics`, reduced features from
 the sparse projection of :mod:`orbitdist.reduction`, triangle features
 from the kernels of :mod:`orbitdist.triangles`, and the classification
 ranking from two complex GEMMs per block of queries under the exact
-distance and from one k-d tree per feature map.
+distance and from one k-d tree per feature map.  ``scipy.special`` (for
+``ndtri``) and ``scipy.spatial`` (for the k-d trees) are imported by the
+functions that use them, so that importing this module loads only numpy.
 """
 from __future__ import annotations
 
@@ -41,12 +44,10 @@ from dataclasses import asdict, dataclass, field
 import json
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import ndtri
 
 from .errors import ConfigInvalidError
 from .metrics import GroupAction, _procrustes
-from .reduction import _reduced_stack, reducer_for
+from .reduction import _block_size, _reduced_stack, reducer_for
 from .search import _BLOCK
 from .triangles import _side_lengths, _triangle_coords
 
@@ -63,11 +64,14 @@ _PAIR_BLOCK = 1 << 14
 # pair (about 0.3 GB at MAX_PAIRS); the classification study keeps a few
 # hundred bytes per noisy query, db_size * n_draws of them (about 0.3 GB
 # at both ceilings).  Each pair of the lower-constant survey holds l x l
-# Gram roots, 16 MB for a complex one at MAX_L.
+# Gram roots, 16 MB for a complex one at MAX_L, and shares a reducer of at
+# most n * size**2 non-zeros (twice that Hermitian), 16 bytes each: the
+# ceiling, 64 MB, admits every group at n <= 2 and l <= MAX_L.
 MAX_PAIRS = 10**7
 MAX_DB_SIZE = 10**4
 MAX_DRAWS = 100
 MAX_L = 1024
+MAX_REDUCER_NNZ = 2**22
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,8 @@ def _normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     ((w >> 12) + 1/2) / 2**52, strictly inside (0, 1), so every normal is
     finite (with 53 bits the largest word would round up to 1.0).
     """
+    from scipy.special import ndtri
+
     steps, skip = divmod(int(start), 4)  # Philox.advance rejects numpy integers
     bits = np.random.Philox(key=seed + (stream << 64))
     bits.advance(steps)
@@ -312,7 +318,7 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _classify_rate(query_feats: np.ndarray, db_tree: cKDTree, labels: np.ndarray) -> float:
+def _classify_rate(query_feats: np.ndarray, db_tree, labels: np.ndarray) -> float:
     """Misclassification rate of nearest-record lookup in a k-d tree over
     the database's features."""
     return float(np.mean(db_tree.query(query_feats)[1] != labels))
@@ -348,6 +354,8 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     gaussian noise of standard deviation eps on every coordinate, and
     classified by its nearest database record under each map's distance.
     """
+    from scipy.spatial import cKDTree
+
     seed = _seed(cfg.seed)
     _require_count(cfg.db_size, "db_size", MAX_DB_SIZE)
     _require_count(cfg.n_draws, "n_draws", MAX_DRAWS)
@@ -400,6 +408,14 @@ def lower_constant_survey(
     n_pairs = _require_count(n_pairs, "n_pairs", MAX_PAIRS)
     _require(_is_whole(n) and n >= 1, f"n must be an integer >= 1, got {n}")
     n, l = int(n), _require_count(l, "l", MAX_L)
+    size = _block_size(group, l)
+    nnz = n * size * size * (2 if group.is_complex else 1)
+    # below size 2n reducer_for raises DimensionHypothesisError, building nothing
+    _require(
+        size < 2 * n or nnz <= MAX_REDUCER_NNZ,
+        f"the reducer for n={n}, l={l} would hold about {nnz} non-zeros, "
+        f"more than {MAX_REDUCER_NNZ}",
+    )
     reducer = reducer_for(group, n, l)
     block = min(_BLOCK, max(1, (1 << 14) // (l * l)))
 

@@ -24,7 +24,9 @@ Each output coordinate reads one antidiagonal, so the reducer is a sparse
 (CSR) operator on the real coordinates of the matrix (its size^2 entries,
 then the size^2 imaginary parts in the Hermitian ambient) that holds about
 n * size^2 non-zeros (2n * size^2 Hermitian).  Projecting is one sparse
-product and is non-expansive.
+product and is non-expansive.  The CSR container comes from
+``scipy.sparse``, imported when a reducer is built, so that importing this
+module loads only numpy.
 """
 from __future__ import annotations
 
@@ -33,9 +35,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import (
     AmbientMismatchError,
@@ -46,6 +48,10 @@ from .errors import (
 from .linalg import HERM_TOL, as_matrix
 from .metrics import GroupAction
 from . import embeddings
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
+
 
 class Ambient(enum.Enum):
     """Real matrix space the reducer operates on."""
@@ -162,6 +168,8 @@ def build_reducer(n: int, size: int, ambient: Ambient) -> ReducerBasis:
     Requires size >= 2n.  The output dimension is n(2*size - 2n + 1) for
     the symmetric ambient and 4n(size - n) for the Hermitian one.
     """
+    from scipy.sparse import csr_array
+
     if n <= 0:
         raise InvalidRankError(f"point dimension must be positive, got {n}")
     if size < 2 * n:

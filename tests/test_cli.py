@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,4 +341,21 @@ class TestExperimentCommand:
         assert main(argv) == 6
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_oversized_reducer_exits_6_without_allocating(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 32, "l": 1024}))
+        argv = ["experiment", "lower-constant", "--config", str(cfg), "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 6
+        # the reducer would hold about 2**25 non-zeros, 0.5 GB
+        assert peak < 1 << 20
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "non-zeros" in err[0]
         assert not (tmp_path / "report.json").exists()

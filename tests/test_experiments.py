@@ -301,6 +301,30 @@ class TestLowerConstantSurvey:
 
         with pytest.raises(DimensionHypothesisError):
             lower_constant_survey(GroupAction.ORTHOGONAL, 2, 3, 10, seed=0)
+        # too large an n for l is a dimension error, whatever the reducer's size
+        with pytest.raises(DimensionHypothesisError):
+            lower_constant_survey(GroupAction.ORTHOGONAL, 10**6, experiments.MAX_L, 10, seed=0)
+
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_reducer_ceiling_admits_n_2_at_max_l(self, monkeypatch, group):
+        class Built(Exception):
+            pass
+
+        def reducer_for(*args):
+            raise Built
+
+        monkeypatch.setattr(experiments, "reducer_for", reducer_for)
+        with pytest.raises(Built):
+            lower_constant_survey(group, 2, experiments.MAX_L, 10, seed=0)
+
+    @pytest.mark.parametrize("group, n", [(GroupAction.ORTHOGONAL, 5), (GroupAction.UNITARY, 3)])
+    def test_reducer_ceiling_rejects_before_building(self, monkeypatch, group, n):
+        def reducer_for(*args):
+            raise AssertionError("reducer built")
+
+        monkeypatch.setattr(experiments, "reducer_for", reducer_for)
+        with pytest.raises(ConfigInvalidError, match="non-zeros"):
+            lower_constant_survey(group, n, experiments.MAX_L, 10, seed=0)
 
     @pytest.mark.parametrize(
         "group, n, l",

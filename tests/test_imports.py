@@ -1,0 +1,110 @@
+"""The import boundary: ``import orbitdist`` loads numpy but no scipy, and
+each scipy module loads in the function that uses it.
+
+Every case runs in a fresh interpreter, since the test session itself has
+scipy loaded.  The interpreters start together, so the file costs about as
+much as its slowest case.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PRELUDE = """
+import json, sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import orbitdist as od
+assert not scipy_modules(), scipy_modules()
+import orbitdist.cli
+assert not scipy_modules(), scipy_modules()
+"""
+
+# case -> (code run after the prelude, scipy subpackage the case must load)
+CASES = {
+    "import": ("", None),
+    "dist-and-embed": (
+        """
+assert orbitdist.cli.main(["dist", "--group", "E", *sys.argv[1:]]) == 0
+assert orbitdist.cli.main(["embed", "--group", "O", sys.argv[1]]) == 0
+""",
+        None,
+    ),
+    "ShapeDatabase": (
+        """
+rng = np.random.default_rng(0)
+db = od.ShapeDatabase(od.GroupAction.EUCLIDEAN, [(str(i), rng.standard_normal((2, 3))) for i in range(8)])
+assert od.feature_nearest(db, db.matrices[5])[0].id == "5"
+""",
+        "scipy.spatial",
+    ),
+    "reduced_embedding": (
+        """
+f = od.reduced_embedding(od.GroupAction.ORTHOGONAL, np.arange(4.0)[None])
+assert f.shape == (7,) and np.isfinite(f).all()
+""",
+        "scipy.sparse",
+    ),
+    "lower_constant_survey": (
+        """
+rep = od.lower_constant_survey(od.GroupAction.ORTHOGONAL, 1, 4, 20, seed=0)
+assert rep.ratio_stats["reduced"]["min"] > 0.0
+""",
+        "scipy.special",
+    ),
+    "classification_experiment": (
+        """
+cfg = od.ExperimentConfig(db_size=20, n_draws=2, noise_grid=(0.0, 0.1),
+                          maps=("exact", "side_lengths", "triangle_embedding"))
+rates = od.classification_experiment(cfg).rates["misclassification"]
+assert all(r[0] == 0.0 for r in rates.values()), rates
+""",
+        "scipy.spatial",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    a, b = tmp / "a.csv", tmp / "b.csv"
+    np.savetxt(a, [[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], delimiter=",")
+    np.savetxt(b, [[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]], delimiter=",")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    procs = {}
+    try:
+        for name, (code, _) in CASES.items():
+            script = PRELUDE + code + "\nprint(json.dumps(scipy_modules()))\n"
+            procs[name] = subprocess.Popen(
+                [sys.executable, "-c", script, str(a), str(b)],
+                cwd=tmp,
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        return {name: p.communicate(timeout=120) + (p.returncode,) for name, p in procs.items()}
+    finally:
+        for p in procs.values():
+            p.kill()
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_fresh_process(runs, case):
+    out, err, code = runs[case]
+    assert code == 0, err
+    loaded = json.loads(out.splitlines()[-1])
+    expected = CASES[case][1]
+    if expected is None:
+        assert loaded == []
+    else:
+        assert expected in loaded

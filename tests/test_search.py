@@ -310,3 +310,31 @@ class TestVerify:
         query = db.matrices[2] + 0.05 * rng.standard_normal((2, 3))
         res = verify(db, feature_nearest(db, query)[0], query)
         assert res.exact_orbit_distance <= res.embedded_distance + 1e-9
+
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_equals_orbit_distance_bit_for_bit(self, rng, group):
+        db = group_db(rng, group, 40)
+        for j in range(8):
+            query = group_db(rng, group, 1).matrices[0]
+            if j % 2 == 0:
+                query = db.matrices[int(rng.integers(len(db)))][::-1] + 0.5
+            if j == 1:
+                query = query.real  # a real query in a complex group too
+            for res in feature_nearest(db, query, k=3):
+                d = verify(db, res, query).exact_orbit_distance
+                assert d == orbit_distance(group, query, db.matrices[db.index_of(res.id)])[0]
+
+    @pytest.mark.parametrize("group", [GroupAction.ORTHOGONAL, GroupAction.EUCLIDEAN])
+    def test_query_errors(self, rng, group):
+        db = group_db(rng, group, 5)
+        res = feature_nearest(db, db.matrices[0])[0]
+        with pytest.raises(ShapeMismatchError):
+            verify(db, res, rng.standard_normal((2, 5)))
+        with pytest.raises(ShapeMismatchError):
+            verify(db, res, db.matrices[0] + 1j)
+
+    def test_empty_database(self, rng):
+        db = group_db(rng, GroupAction.EUCLIDEAN, 3)
+        res = feature_nearest(db, db.matrices[0])[0]
+        with pytest.raises(EmptyDatabaseError):
+            verify(ShapeDatabase(GroupAction.EUCLIDEAN, []), res, db.matrices[0])
