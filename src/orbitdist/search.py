@@ -4,18 +4,22 @@ The database holds its records as one read-only ``(N, n, l)`` stack.  The
 exact route scans every record with the orbit distance, as stacked
 Procrustes solves over fixed-size blocks of records (one batched SVD per
 block rather than one Python call per record); the features are built the
-same way at construction.  The fast route searches a k-d tree over the
-flattened invariant features: because
-full features sandwich the orbit distance within a factor of sqrt(2), the
-feature-nearest record is certified to be within sqrt(2) of the true
-nearest orbit, while the tree search itself is exact (no approximation on
-the feature side).
+same way at construction.  The fast route ranks records by the distance
+between flattened invariant features: because full features sandwich the
+orbit distance within a factor of sqrt(2), the feature-nearest record is
+certified to be within sqrt(2) of the true nearest orbit.
 
-The k-d tree comes from ``scipy.spatial``, imported when a database is
-built, so that importing this module loads only numpy.
+The feature ranking is exact.  One float32 matrix-vector product screens
+every record, and only the records the screen cannot rule out get their
+feature distance computed in float64 (see :func:`feature_nearest` for the
+screen and the bound that makes it exact).  At the feature dimensions of
+real databases (tens of coordinates and up) this scan beats a k-d tree,
+which has to visit nearly every leaf there (Weber, Schek & Blott, VLDB
+1998).  Searching loads only numpy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -26,6 +30,7 @@ from .errors import (
     DuplicateIdError,
     EmptyDatabaseError,
     FeatureMapMismatchError,
+    NonFiniteError,
     OrbitDistError,
     OutOfRangeError,
     ShapeMismatchError,
@@ -40,6 +45,27 @@ _SQRT2 = float(np.sqrt(2.0))
 # Records per stacked kernel call in the database build and the exact
 # scan, so that their working memory does not grow with the database.
 _BLOCK = 1024
+# Unit roundoffs of float32 and float64, and a bound on the absolute error
+# of one float32 rounding or product near underflow (with gradual underflow
+# or flush-to-zero alike).
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+_TINY32 = 2.0**-126
+# The screen runs for scaled query features below this in every entry,
+# which keeps every float32 value it computes finite.
+_SCREEN_MAX = 2.0**100
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n: the relative error bound of n roundings at unit
+    roundoff u."""
+    return n * u / (1.0 - n * u)
+
+
+def _pow2_scale(x: float) -> float:
+    """The power of two that brings x into [1/2, 1); 1 for x = 0, and at
+    most 2**1023 for the subnormal x whose scale float64 cannot hold."""
+    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
 
 
 def _blocks(x: np.ndarray):
@@ -105,10 +131,15 @@ class ShapeDatabase:
     """Immutable indexed collection of same-shape configurations.
 
     Construction copies the records into one read-only ``matrices`` stack
-    of shape ``(N, n, l)``, computes the feature rows block by block
-    (equal to :func:`feature_vector` of each record) and builds the
-    spatial index; afterwards the database is read-only and safe to query
-    from many threads.
+    of shape ``(N, n, l)`` and computes the float64 feature rows
+    ``features`` block by block (equal to :func:`feature_vector` of each
+    record).  For the screen of :func:`feature_nearest` it also keeps, for
+    ``g = sigma * features`` with sigma the power of two that brings
+    ``max |features|`` into [1/2, 1), the squared row norms ``|g_i|^2`` in
+    float64 and a read-only float32 copy of ``g`` stored transposed, so
+    the screen is one matrix-vector product.  A record whose feature
+    overflows float64 is refused with :class:`NonFiniteError`.  Afterwards
+    the database is read-only and safe to query from many threads.
     """
 
     def __init__(
@@ -117,8 +148,6 @@ class ShapeDatabase:
         records: Sequence[tuple[str, np.ndarray]],
         feature_map: str = FULL,
     ):
-        from scipy.spatial import cKDTree
-
         if feature_map not in (FULL, REDUCED):
             raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
         self.group = group
@@ -136,7 +165,25 @@ class ShapeDatabase:
             if self.ids
             else np.zeros((0, 0))
         )
-        self._tree = cKDTree(self.features) if self.ids else None
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            rid = self.ids[int(np.argmin(finite))]
+            raise NonFiniteError(f"record {rid!r} has a feature too large for float64")
+        self._scale = _pow2_scale(float(np.abs(self.features).max(initial=0.0)))
+        g = self._scale * self.features
+        self._sq_norms = np.add.reduce(g * g, axis=-1)
+        self._sq_norms.flags.writeable = False
+        self._g32t = np.ascontiguousarray(g.T, dtype=np.float32)
+        self._g32t.flags.writeable = False
+        self._max_norm = math.sqrt(self._sq_norms.max(initial=0.0))
+        dim = self.features.shape[1]
+        # the terms of the screen's error bound, see feature_nearest
+        self._error_terms = (
+            2.0 * _gamma(dim + 3, _U32),
+            2.0 * _gamma(dim + 5, _U64),
+            8.0 * dim * _TINY32,
+            math.ldexp(self._scale, -1074),
+        )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -154,6 +201,38 @@ class ShapeDatabase:
     def _feature(self, q: np.ndarray) -> np.ndarray:
         """Feature of a query that :meth:`_check_query` returned."""
         return _feature_stack(self.group, q, self.feature_map, self._reducer)
+
+    def _distances(self, qf: np.ndarray, rows) -> np.ndarray:
+        """Float64 feature distances from the query feature ``qf`` to the
+        given rows.
+
+        Each row's distance is summed on its own, so it has the same bits
+        whichever rows are asked for.  The differences are taken at the
+        power of two that brings the largest entry of the records and of
+        the query below 1, so no square overflows.  Scaling by a power of
+        two is exact, so wherever the unscaled sum neither overflows nor
+        underflows the bits equal its bits.
+        """
+        scale = min(self._scale, _pow2_scale(float(np.abs(qf).max(initial=0.0))))
+        d = self.features[rows] * scale - qf * scale
+        return np.sqrt(np.add.reduce(d * d, axis=-1)) / scale
+
+    def _screen(self, qf: np.ndarray, k: int) -> np.ndarray:
+        """Rows the float32 screen cannot rule out of the k feature-nearest
+        (every row when ``k >= N`` or when the screen cannot run)."""
+        if k < len(self) and float(np.abs(qf).max(initial=0.0)) * self._scale < _SCREEN_MAX:
+            h = self._scale * qf
+            s = ((-2.0 * h).astype(np.float32) @ self._g32t).astype(np.float64)
+            s += self._sq_norms
+            hn, m = math.sqrt(h @ h), self._max_norm
+            c32, c64, c_tiny, c_sub = self._error_terms
+            err = (1.0 + 2.0**-20) * (
+                c32 * m * hn + c64 * (m + hn) ** 2 + c_tiny * (1.0 + hn) + c_sub * (m + hn + 1.0)
+            )
+            return np.flatnonzero(s <= np.partition(s, k - 1)[k - 1] + 2.0 * err)
+        if not np.isfinite(qf).all():
+            raise NonFiniteError("the query's feature is too large for float64")
+        return np.arange(len(self))
 
     def query_feature(self, query) -> np.ndarray:
         return self._feature(self._check_query(query))
@@ -174,7 +253,9 @@ def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
     lexicographically smallest id.
 
     The distances come from the stacked Procrustes kernel, one call per
-    block of records, and equal :func:`orbit_distance` of each record.
+    block of records, and equal :func:`orbit_distance` of each record.  The
+    feature distance of the returned record has the bits that
+    :func:`feature_nearest` reports for it.
     """
     q = db._check_query(query)
     qf = db._feature(q)
@@ -182,35 +263,88 @@ def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
     i = min(np.flatnonzero(d == d.min()), key=db.ids.__getitem__)
     return QueryResult(
         id=db.ids[i],
-        embedded_distance=float(np.linalg.norm(qf - db.features[i])),
+        embedded_distance=float(db._distances(qf, [i])[0]),
         exact_orbit_distance=float(d[i]),
         approximation_bound=1.0,
     )
 
 
 def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:
-    """k nearest records by feature distance via the exact spatial index.
+    """The k nearest records by feature distance, exactly.
 
-    Results come back sorted by (feature distance, id).  With full
-    features the top result's orbit distance is certified within sqrt(2)
-    of the true nearest orbit.
+    Results come back sorted by (feature distance, id): they are the first
+    k of that order over every record, ties at the k-th place included,
+    and each distance has the bits :func:`linear_scan_nearest` reports.
+    With full features the top result's orbit distance is certified
+    within sqrt(2) of the true nearest orbit.
+
+    The search screens every record in float32, then computes the float64
+    distance ``d^_i`` of the few it cannot rule out.  With the database's
+    ``g_i = sigma * features[i]`` (every entry below 1 in magnitude) and
+    ``h = sigma * q`` for the query feature q, the squared distance is
+    ``|g_i - h|^2 = s_i + |h|^2`` with ``s_i = |g_i|^2 - 2 g_i.h``, and the
+    screen computes
+
+        s~_i = |g_i|^2 - 2 fl32(g_i).fl32(h),
+
+    the dot products as one float32 matrix-vector product, the stored
+    ``|g_i|^2`` and the subtraction in float64.  The float64 distances
+    correspond to ``s^_i = sigma^2 d^_i^2 - |h|^2``.  With D the feature
+    dimension, ``M = max |g_i|``, ``H = |h|``, ``gamma_n(u) = n u/(1 - n u)``,
+    float32 and float64 unit roundoffs ``u = 2^-24`` and ``v = 2^-53``, and
+    ``eta = 2^-126``, every row satisfies ``|s~_i - s^_i| <= E`` with
+
+        E = (1 + 2^-20) (2 gamma_{D+3}(u) M H + 2 gamma_{D+5}(v) (M + H)^2
+                         + 8 D eta (1 + H) + sigma 2^-1074 (M + H + 1)).
+
+    The terms, each bounding a part of ``|s~_i - s_i|`` or ``|s_i - s^_i|``:
+
+    - float32 rounding of g and h and the D-term float32 dot product:
+      each product of the dot carries two input roundings and at most D
+      roundings of the sum, whatever its order, so the dot is off by at
+      most ``gamma_{D+2}(u) sum_j |g_ij h_j| <= gamma_{D+2}(u) M H``; this
+      dominant term is doubled by the factor 2 on the dot product;
+    - float32 subnormals: each rounding of an entry and each product may
+      be off by up to eta in absolute terms (gradual underflow or flush
+      to zero), which with ``|g_ij| < 1`` adds at most ``3 D eta (1 + H)``;
+      the float64 underflows, far smaller, fit in the rest of
+      ``8 D eta (1 + H)``;
+    - float64 rounding of ``|g_i|^2`` (``gamma_D(v) M^2``) and of the
+      subtraction (``v |s~_i|``);
+    - the float64 distances: ``|s^_i - s_i| <= gamma_{D+4}(v) (M + H)^2``,
+      plus ``sigma 2^-1074 (M + H + 1)`` for a distance that lands among
+      float64 subnormals;
+    - the float64 rounding of the threshold below, of at most
+      ``v (M^2 + 2 M H + 2 E)``; the factor ``1 + 2^-20`` covers the
+      rounding of M, H and E themselves.
+
+    The candidates are the rows with ``s~_i <= s~_(k) + 2E``, where
+    ``s~_(k)`` is the k-th smallest screened value.  Order statistics move
+    by at most E, so ``s^_(k) <= s~_(k) + E``, and every row with
+    ``d^_i <= d^_(k)`` has ``s~_i <= s^_i + E <= s~_(k) + 2E``: every true
+    k-nearest record, and every record tied with the k-th, is a candidate,
+    and ranking the candidates by ``(d^_i, id)`` gives the exact answer.
+    The screen runs when every entry of h is below 2^100 in magnitude,
+    which keeps every float32 value finite for ``D < 2^26``; otherwise, and
+    when k is at least the number of records, every row is scored exactly.
     """
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k}")
     qf = db.query_feature(query)
-    kk = min(k, len(db))
-    dist, idx = db._tree.query(qf, k=kk)
-    dist = np.atleast_1d(dist)
-    idx = np.atleast_1d(idx)
-    order = sorted(range(len(idx)), key=lambda j: (dist[j], db.ids[idx[j]]))
+    rows = db._screen(qf, k)
+    d = db._distances(qf, rows)
+    if len(rows) > k:
+        keep = d <= np.partition(d, k - 1)[k - 1]
+        rows, d = rows[keep], d[keep]
+    best = sorted(zip(d.tolist(), [db.ids[i] for i in rows.tolist()]))[:k]
     return [
         QueryResult(
-            id=db.ids[idx[j]],
-            embedded_distance=float(dist[j]),
+            id=rid,
+            embedded_distance=dist,
             exact_orbit_distance=None,
             approximation_bound=db.certified_bound,
         )
-        for j in order
+        for dist, rid in best
     ]
 
 

@@ -1,5 +1,6 @@
-"""The import boundary: ``import orbitdist`` loads numpy but no scipy, and
-each scipy module loads in the function that uses it.
+"""The import boundary: ``import orbitdist`` loads numpy but no scipy,
+full-feature databases load none either, and each scipy module loads in the
+function that uses it.
 
 Every case runs in a fresh interpreter, since the test session itself has
 scipy loaded.  The interpreters start together, so the file costs about as
@@ -45,7 +46,14 @@ rng = np.random.default_rng(0)
 db = od.ShapeDatabase(od.GroupAction.EUCLIDEAN, [(str(i), rng.standard_normal((2, 3))) for i in range(8)])
 assert od.feature_nearest(db, db.matrices[5])[0].id == "5"
 """,
-        "scipy.spatial",
+        None,
+    ),
+    "db-build-and-query": (
+        """
+assert orbitdist.cli.main(["db-build", "--group", "E", "--out", "db.jsonl", *sys.argv[1:]]) == 0
+assert orbitdist.cli.main(["db-query", "db.jsonl", sys.argv[1], "-k", "1", "--verify"]) == 0
+""",
+        None,
     ),
     "reduced_embedding": (
         """

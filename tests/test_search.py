@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitdist import (
     DuplicateIdError,
@@ -278,6 +282,136 @@ class TestFeatureNearest:
         db = triangle_db(rng, 3)
         with pytest.raises(ShapeMismatchError):
             feature_nearest(db, rng.standard_normal((2, 4)))
+
+    def test_ties_at_k_break_by_id(self):
+        # twelve copies of one record under shuffled ids, among other
+        # records: the first three by (distance, id) are the three smallest
+        # ids, not whichever copies an index happens to visit first
+        rng = np.random.default_rng(1)
+        t = rng.standard_normal((2, 3))
+        ids = [f"d{i:02d}" for i in range(12)]
+        rng.shuffle(ids)
+        records = [(rid, t.copy()) for rid in ids]
+        records += [(f"x{i:02d}", rng.standard_normal((2, 3))) for i in range(40)]
+        records = [records[i] for i in rng.permutation(len(records))]
+        db = ShapeDatabase(GroupAction.EUCLIDEAN, records)
+        results = feature_nearest(db, t, k=3)
+        assert [r.id for r in results] == ["d00", "d01", "d02"]
+        assert [r.embedded_distance for r in results] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_distance_bits_match_linear_scan(self, rng, group):
+        db = group_db(rng, group, 50)
+        for j in range(6):
+            query = group_db(rng, group, 1).matrices[0]
+            if j % 2 == 0:
+                query = db.matrices[int(rng.integers(len(db)))] + 1e-3 * query
+            scan = linear_scan_nearest(db, query)
+            every = {r.id: r.embedded_distance for r in feature_nearest(db, query, k=len(db))}
+            assert every[scan.id] == scan.embedded_distance
+            top = feature_nearest(db, query, k=3)
+            assert [every[r.id] for r in top] == [r.embedded_distance for r in top]
+
+
+def top_k_oracle(db, query, k):
+    """The first k of an exact (feature distance, id) sort over every row."""
+    d = db._distances(db.query_feature(query), np.arange(len(db)))
+    return sorted(zip(d.tolist(), db.ids))[:k]
+
+
+# shapes each feature map accepts; (2, 3) under E is the triangle map
+SCREEN_SHAPES = {"full": [(2, 3), (2, 4), (1, 5)], "reduced": [(1, 4), (1, 5)]}
+
+
+@st.composite
+def screen_cases(draw):
+    """A database and a query: duplicate and nearly duplicate records,
+    shuffled ids, k up to beyond the database size, records at scale
+    1e-150, 1 or 1e150 and queries up to 1e6 times larger."""
+    group = draw(st.sampled_from(list(GroupAction)))
+    feature_map = draw(st.sampled_from(sorted(SCREEN_SHAPES)))
+    n, l = draw(st.sampled_from(SCREEN_SHAPES[feature_map]))
+    scale = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    # triangle coordinates square the entries: 1e156 overflows float64
+    triangle = group is GroupAction.EUCLIDEAN and (n, l) == (2, 3)
+    factor = draw(st.sampled_from([1.0] if triangle and scale > 1.0 else [1.0, 1e6]))
+    size = draw(st.integers(1, 40))
+    copies = draw(st.integers(0, size - 1))
+    jitter = draw(st.sampled_from([0.0, 1e-9]))
+    planted = draw(st.booleans())
+    k = draw(st.integers(1, size + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def draw_matrices(count):
+        m = rng.standard_normal((count, n, l))
+        return m + 1j * rng.standard_normal((count, n, l)) if group.is_complex else m
+
+    x = draw_matrices(size)
+    for _ in range(copies):
+        x[rng.integers(size)] = x[rng.integers(size)] * (1.0 + jitter * rng.standard_normal())
+    ids = [f"r{i:03d}" for i in rng.permutation(size)]
+    db = ShapeDatabase(group, list(zip(ids, scale * x)), feature_map)
+    query = x[rng.integers(size)] if planted else draw_matrices(1)[0]
+    return db, scale * factor * query, k
+
+
+class TestExactScreen:
+    @settings(max_examples=150, deadline=None)
+    @given(screen_cases())
+    def test_equals_exact_sort_over_all_rows(self, case):
+        db, query, k = case
+        got = [(r.embedded_distance, r.id) for r in feature_nearest(db, query, k)]
+        assert got == top_k_oracle(db, query, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(screen_cases())
+    def test_distances_match_numpy_norm(self, case):
+        db, query, _ = case
+        qf = db.query_feature(query)
+        s = np.abs(qf).max() + np.abs(db.features).max()
+        expected = s * np.linalg.norm((db.features - qf) / s, axis=1)
+        got = db._distances(qf, np.arange(len(db)))
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "record_scale, query_scale",
+        [(1.0, 1e40), (1e-300, 1e10), (1e200, 1e-200), (1e200, 1e206)],
+        ids=["query-beyond-float32", "query-overflows-scaled", "query-underflows", "squares-overflow"],
+    )
+    def test_extreme_queries_scored_exactly_without_warnings(self, rng, record_scale, query_scale):
+        records = [(f"r{i:02d}", record_scale * rng.standard_normal((2, 4))) for i in range(30)]
+        db = ShapeDatabase(GroupAction.ORTHOGONAL, records)
+        query = query_scale * rng.standard_normal((2, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [(r.embedded_distance, r.id) for r in feature_nearest(db, query, k=3)]
+        assert got == top_k_oracle(db, query, 3)
+        assert all(np.isfinite(d) for d, _ in got)
+
+    def test_overflowing_features_refused(self, rng):
+        # the triangle map's own overflow warnings are not under test here
+        big = 1e160 * rng.standard_normal((2, 3))
+        db = triangle_db(rng, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="query"):
+                feature_nearest(db, big)
+            with pytest.raises(NonFiniteError, match="'huge'"):
+                ShapeDatabase(GroupAction.EUCLIDEAN, [("fine", big / 1e160), ("huge", big)])
+
+    def test_screen_keeps_few_candidates(self, rng):
+        db = group_db(rng, GroupAction.EUCLIDEAN, 2000, 2, 6)
+        for j in range(10):
+            query = db.matrices[j] + 0.05 * rng.standard_normal((2, 6))
+            rows = db._screen(db.query_feature(query), 5)
+            assert 5 <= len(rows) <= 20
+
+    def test_screen_arrays_are_read_only(self, rng):
+        db = triangle_db(rng, 4)
+        assert db._g32t.dtype == np.float32 and db._g32t.shape == (3, 4)
+        with pytest.raises(ValueError):
+            db._g32t[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            db._sq_norms[0] = 1.0
 
 
 class TestVerify:
