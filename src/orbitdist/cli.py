@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .features import FULL, REDUCED, _is_triangle, feature_vector
 from .io import ParseError, atomic_write_text, fmt17, load_database, read_matrix, save_database
-from .metrics import GroupAction, orbit_distance
+from .metrics import GroupAction, _configuration, orbit_distance
 from .search import ShapeDatabase, feature_nearest, verify
 
 
@@ -46,8 +46,9 @@ def _fmt_entry(x) -> str:
 
 def _cmd_dist(args) -> int:
     group = GroupAction(args.group)
-    a = read_matrix(args.file_a)
-    b = read_matrix(args.file_b)
+    # checked here too, so that an error names the file
+    a = _configuration(group, read_matrix(args.file_a), args.file_a)
+    b = _configuration(group, read_matrix(args.file_b), args.file_b, a.shape)
     d, alignment = orbit_distance(group, a, b)
     print(f"distance {d:.12g}")
     print("rotation " + " ".join(_fmt_entry(x) for x in np.ravel(alignment.rotation)))
@@ -66,7 +67,7 @@ def _map_name(group: GroupAction, m: np.ndarray, feature_map: str) -> str:
 
 def _cmd_embed(args) -> int:
     group = GroupAction(args.group)
-    m = read_matrix(args.file)
+    m = _configuration(group, read_matrix(args.file), args.file)
     feature_map = REDUCED if args.reduced else FULL
     coords = feature_vector(group, m, feature_map)
     row = ",".join(fmt17(x) for x in coords)

@@ -17,9 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeMismatchError
 from .linalg import _adjoint, as_matrix, svd
-from .metrics import GroupAction, _prepared
+from .metrics import GroupAction, _configuration, _prepared
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -119,23 +118,9 @@ def _embed(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, _flatten(block, hermitian=group.is_complex)
 
 
-def _check_field(group: GroupAction, m: np.ndarray) -> np.ndarray:
-    """The validated matrix ``m``; ShapeMismatchError when ``group`` acts on
-    real configurations and ``m`` is complex."""
-    if np.iscomplexobj(m) and not group.is_complex:
-        raise ShapeMismatchError(
-            f"{group.name.lower()} embedding requires a real configuration"
-        )
-    return m
-
-
-def _configuration(group: GroupAction, a) -> np.ndarray:
-    return _check_field(group, as_matrix(a))
-
-
 def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
     """Matrix feature and flattened coordinates for ``group``."""
-    return _embed(group, _configuration(group, a))
+    return _embed(group, _configuration(group, a, "A"))
 
 
 def orthogonal_embedding(a) -> tuple[np.ndarray, np.ndarray]:

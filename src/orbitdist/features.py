@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import _check_field, _embed
+from .embeddings import _embed
 from .errors import FeatureMapMismatchError
-from .linalg import as_matrix
-from .metrics import GroupAction
+from .metrics import GroupAction, _configuration
 from .reduction import ReducerBasis, _matched_reducer, _reduced_stack
 from .triangles import _triangle_coords
 
@@ -29,10 +28,9 @@ def feature_vector(
     reducer: ReducerBasis | None = None,
 ) -> np.ndarray:
     """Flattened invariant feature of a configuration."""
-    m = as_matrix(a)
+    m = _configuration(group, a, "A")
     if feature_map not in (FULL, REDUCED):
         raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
-    m = _check_field(group, m)
     if feature_map == REDUCED:
         reducer = _matched_reducer(group, *m.shape, reducer)
     return _feature_stack(group, m, feature_map, reducer)

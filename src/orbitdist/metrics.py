@@ -73,14 +73,22 @@ def center(a) -> np.ndarray:
     return m - m.mean(axis=1, keepdims=True)
 
 
-def _check_pair(a, b, *, require_real: bool) -> tuple[np.ndarray, np.ndarray]:
-    ma = as_matrix(a, name="A")
-    mb = as_matrix(b, name="B")
-    if ma.shape != mb.shape:
-        raise ShapeMismatchError(f"shapes differ: {ma.shape} vs {mb.shape}")
-    if require_real and (np.iscomplexobj(ma) or np.iscomplexobj(mb)):
-        raise ShapeMismatchError("this group action requires real configurations")
-    return ma, mb
+def _configuration(group: GroupAction, a, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """``a`` as a validated configuration that ``group`` acts on.
+
+    The one input check of every entry point: NonFiniteError on NaN/Inf
+    entries, ShapeMismatchError when ``a`` is not 2-D, is not of ``shape``
+    (when given), or is complex under a real group.  Messages name the
+    input ``name``.
+    """
+    m = as_matrix(a, name=name)
+    if shape is not None and m.shape != shape:
+        raise ShapeMismatchError(f"{name} has shape {m.shape}, expected {shape}")
+    if np.iscomplexobj(m) and not group.is_complex:
+        raise ShapeMismatchError(
+            f"{name} is complex; group {group.value} acts on real configurations"
+        )
+    return m
 
 
 def _prepared(group: GroupAction, x: np.ndarray) -> np.ndarray:
@@ -118,7 +126,8 @@ def _procrustes(group: GroupAction, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
 
 
 def _distance(group: GroupAction, a, b) -> tuple[float, Alignment]:
-    ma, mb = _check_pair(a, b, require_real=not group.is_complex)
+    ma = _configuration(group, a, "A")
+    mb = _configuration(group, b, "B", ma.shape)
     d, w = _procrustes(group, ma, mb)
     if group.quotients_translations:
         l = ma.shape[1]
@@ -153,14 +162,6 @@ def dist_complex_euclidean(a, b) -> tuple[float, Alignment]:
     return _distance(GroupAction.COMPLEX_EUCLIDEAN, a, b)
 
 
-_DISTANCES = {
-    GroupAction.ORTHOGONAL: dist_orthogonal,
-    GroupAction.EUCLIDEAN: dist_euclidean,
-    GroupAction.UNITARY: dist_unitary,
-    GroupAction.COMPLEX_EUCLIDEAN: dist_complex_euclidean,
-}
-
-
 def orbit_distance(group: GroupAction, a, b) -> tuple[float, Alignment]:
-    """Dispatch to the distance for ``group``."""
-    return _DISTANCES[group](a, b)
+    """Distance between the ``group`` orbits of A and B, and its aligner."""
+    return _distance(group, a, b)

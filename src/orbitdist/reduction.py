@@ -46,7 +46,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import HERM_TOL, as_matrix
-from .metrics import GroupAction
+from .metrics import GroupAction, _configuration
 from . import embeddings
 
 if TYPE_CHECKING:
@@ -255,7 +255,7 @@ def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None
     Output length is n(2l-2n+1) / n(2l-2n-1) / 4n(l-n) / 4n(l-n-1) for the
     orthogonal / euclidean / unitary / complex-euclidean actions.
     """
-    m = embeddings._configuration(group, a)
+    m = _configuration(group, a, "A")
     return _reduced_stack(group, m, _matched_reducer(group, *m.shape, reducer))
 
 

@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import _check_field
 from .errors import (
     DuplicateIdError,
     EmptyDatabaseError,
@@ -33,12 +32,11 @@ from .errors import (
     NonFiniteError,
     OrbitDistError,
     OutOfRangeError,
-    ShapeMismatchError,
     UnknownIdError,
 )
 from .features import FULL, REDUCED, _feature_stack
-from .linalg import _as_array, as_matrix
-from .metrics import GroupAction, _procrustes
+from .linalg import _as_array
+from .metrics import GroupAction, _configuration, _procrustes
 from .reduction import reducer_for
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -97,16 +95,8 @@ def _stack_records(group: GroupAction, records) -> tuple[list[str], dict[str, in
         if rid in rows:
             raise DuplicateIdError(f"duplicate record id {rid!r}")
         rows[rid] = len(mats)
-        a = as_matrix(m, name=f"record {rid!r}")
-        if mats and a.shape != mats[0].shape:
-            raise ShapeMismatchError(
-                f"record {rid!r} has shape {a.shape}, database uses {mats[0].shape}"
-            )
-        if np.iscomplexobj(a) and not group.is_complex:
-            raise ShapeMismatchError(
-                f"record {rid!r} is complex; group {group.value} acts on real configurations"
-            )
-        mats.append(a)
+        shape = mats[0].shape if mats else None
+        mats.append(_configuration(group, m, f"record {rid!r}", shape))
     return ids, rows, np.stack(mats)
 
 
@@ -191,12 +181,7 @@ class ShapeDatabase:
     def _check_query(self, query) -> np.ndarray:
         if not len(self):
             raise EmptyDatabaseError("database has no records")
-        q = as_matrix(query, name="query")
-        if q.shape != (self.n, self.l):
-            raise ShapeMismatchError(
-                f"query shape {q.shape} does not match database shape {(self.n, self.l)}"
-            )
-        return _check_field(self.group, q)
+        return _configuration(self.group, query, "query", (self.n, self.l))
 
     def _feature(self, q: np.ndarray) -> np.ndarray:
         """Feature of a query that :meth:`_check_query` returned."""

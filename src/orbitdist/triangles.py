@@ -28,35 +28,46 @@ import numpy as np
 
 from .errors import OutOfRangeError, ShapeMismatchError
 from .linalg import as_matrix
-from .metrics import dist_euclidean
+from .metrics import GroupAction, _configuration, dist_euclidean
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT6 = np.sqrt(6.0)
 
 
-def _as_triangle(t) -> np.ndarray:
-    m = as_matrix(t, name="triangle")
-    if np.iscomplexobj(m):
-        raise ShapeMismatchError("a triangle must be real")
-    if m.shape != (2, 3):
-        raise ShapeMismatchError(f"a triangle is a 2x3 matrix of vertices, got {m.shape}")
-    return m
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each triangle of a validated ``(..., 2, 3)`` stack times the power of
+    two c that brings its largest |entry| into [1/2, 1) (c = 1 for the zero
+    triangle, at most 2**1023), and c with a trailing axis.
+
+    The kernels run on the scaled triangles, so no square overflows, and
+    divide their results, which scale linearly, by c.  Scaling by a power
+    of two is exact: wherever the unscaled arithmetic neither overflows nor
+    underflows the results have its bits.
+    """
+    a = np.abs(x)
+    # the largest |entry| of each row, then of each triangle, by elementwise
+    # maxima: a reduction over the tiny trailing axes is 5x slower on a stack
+    rows = np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
+    c = np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(rows[..., 0], rows[..., 1]))[1], 1023))
+    return x * c[..., None, None], c[..., None]
 
 
 def _side_lengths(x: np.ndarray) -> np.ndarray:
     """:func:`side_lengths` of every triangle in a validated ``(..., 2, 3)``
     stack."""
-    return np.linalg.norm(x[..., :, [1, 2, 0]] - x[..., :, [2, 0, 1]], axis=-2)
+    x, c = _unit_scaled(x)
+    return np.linalg.norm(x[..., :, [1, 2, 0]] - x[..., :, [2, 0, 1]], axis=-2) / c
 
 
 def side_lengths(t) -> np.ndarray:
     """Edge lengths (|a2 - a3|, |a3 - a1|, |a1 - a2|) of a triangle."""
-    return _side_lengths(_as_triangle(t))
+    return _side_lengths(_configuration(GroupAction.EUCLIDEAN, t, "triangle", (2, 3)))
 
 
 def _triangle_coords(x: np.ndarray) -> np.ndarray:
     """:func:`triangle_embedding` of every triangle in a validated
     ``(..., 2, 3)`` stack."""
+    x, c = _unit_scaled(x)
     u = (x[..., 1] - x[..., 0]) / _SQRT2
     v = (2.0 * x[..., 2] - x[..., 0] - x[..., 1]) / _SQRT6
     g11, g22, g12 = (u * u).sum(axis=-1), (v * v).sum(axis=-1), (u * v).sum(axis=-1)
@@ -65,7 +76,7 @@ def _triangle_coords(x: np.ndarray) -> np.ndarray:
     # t = 0 only for coincident vertices, where every numerator is 0 too
     t = np.where(t > 0.0, t, 1.0)
     r = _SQRT2 * t
-    return np.stack([(g11 - g22) / r, _SQRT2 * g12 / t, (g11 + g22 + 2.0 * s) / r], axis=-1)
+    return np.stack([(g11 - g22) / r, _SQRT2 * g12 / t, (g11 + g22 + 2.0 * s) / r], axis=-1) / c
 
 
 def triangle_embedding(t) -> np.ndarray:
@@ -81,17 +92,21 @@ def triangle_embedding(t) -> np.ndarray:
     between such triples coincide with Frobenius distances between the
     full euclidean features.
     """
-    return _triangle_coords(_as_triangle(t))
+    return _triangle_coords(_configuration(GroupAction.EUCLIDEAN, t, "triangle", (2, 3)))
 
 
 def triangle_from_coords(coords) -> np.ndarray:
     """A triangle mapping to the given coordinates under
     :func:`triangle_embedding`.
 
-    The coordinates must lie in the image cone z >= 0, x^2 + y^2 <= z^2
+    The coordinates must be three finite reals (ShapeMismatchError or
+    NonFiniteError otherwise) in the image cone z >= 0, x^2 + y^2 <= z^2
     (OutOfRangeError otherwise).  The first vertex is pinned at the origin.
     """
-    p, q, z = (float(c) for c in np.asarray(coords, dtype=float))
+    c = np.asarray(coords)
+    if c.shape != (3,) or np.iscomplexobj(c):
+        raise ShapeMismatchError(f"coordinates must be three reals, got {c.dtype} of shape {c.shape}")
+    p, q, z = as_matrix(c[None], name="coordinates")[0].tolist()
     if z < 0 or p * p + q * q > z * z * (1 + 1e-12) + 1e-12:
         raise OutOfRangeError("coordinates outside the image cone z >= 0, x^2+y^2 <= z^2")
     root = np.array(

@@ -59,6 +59,16 @@ class TestDist:
         assert main(["dist", "--group", "O", fa, fb]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dist", "embed"])
+    def test_field_error_names_the_file(self, tmp_path, capsys, command):
+        fa = write_csv(tmp_path / "a.csv", [[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
+        fc = tmp_path / "c.json"
+        write_matrix(fc, np.array([[1j, 2.0, 3.0], [0.0, 0.0, 1.0]]))
+        argv = [command, "--group", "E"] + ([fa] if command == "dist" else []) + [str(fc)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {fc} is complex")
+
     def test_complex_json_input(self, tmp_path, capsys):
         a = np.array([[1 + 1j, 0j], [0j, 1 - 1j]])
         pa = tmp_path / "a.json"

@@ -6,6 +6,8 @@ error tests pin down that every malformed input still raises the same
 OrbitDistError subclass at every entry.  (Full features and distances are
 checked against the stacked kernels in test_search.py and test_metrics.py.)
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,8 @@ from orbitdist import (
     orthogonal_embedding,
     reduced_embedding,
     reducer_for,
+    side_lengths,
+    triangle_embedding,
     unitary_embedding,
     verify,
 )
@@ -162,6 +166,58 @@ class TestErrorContract:
         reducer = build_reducer(N, size, Ambient.HERMITIAN)
         with pytest.raises(AmbientMismatchError):
             reduced_embedding(group, good(rng, group), reducer)
+
+    @pytest.mark.parametrize("call", [triangle_embedding, side_lengths])
+    def test_triangle_entries(self, rng, call):
+        t = rng.standard_normal((2, 3))
+        cases = [
+            ("nan", with_entry(t, np.nan), NonFiniteError),
+            ("inf", with_entry(t, np.inf), NonFiniteError),
+            ("3-D", t[None], ShapeMismatchError),
+            ("complex", t + 1j, ShapeMismatchError),
+            ("wrong shape", t[:, :2], ShapeMismatchError),
+            ("transposed", t.T, ShapeMismatchError),
+        ]
+        for label, bad, error in cases:
+            with pytest.raises(error, match="^triangle "):
+                call(bad)
+                pytest.fail(f"{call.__name__} accepted a {label} triangle")
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("feature_map", ["full", "reduced"])
+    def test_database_construction(self, rng, group, feature_map):
+        cases = bad_inputs(rng, group) + [
+            ("wrong shape", good(rng, group, N, L + 1), ShapeMismatchError),
+        ]
+        for label, bad, error in cases:
+            records = [("r0", good(rng, group)), ("x", bad), ("r2", good(rng, group))]
+            with pytest.raises(error, match="^record 'x' "):
+                ShapeDatabase(group, records, feature_map)
+                pytest.fail(f"ShapeDatabase accepted a {label} record")
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_messages_name_the_input(self, rng, group):
+        a = good(rng, group)
+        db = ShapeDatabase(group, [("r0", a)])
+        hit = feature_nearest(db, a)[0]
+        entries = [
+            ("A", lambda x: orbit_distance(group, x, a)),
+            ("B", lambda x: orbit_distance(group, a, x)),
+            ("A", lambda x: embedding_for(group, x)),
+            ("A", lambda x: feature_vector(group, x)),
+            ("A", lambda x: reduced_embedding(group, x)),
+            ("query", lambda x: feature_nearest(db, x)),
+            ("query", lambda x: verify(db, hit, x)),
+            ("record 'x'", lambda x: ShapeDatabase(group, [("r0", a), ("x", x)])),
+        ]
+        cases = bad_inputs(rng, group) + [("wrong shape", good(rng, group, N, L + 1), None)]
+        for label, bad, error in cases:
+            for name, call in entries:
+                if error is None and name == "A":
+                    continue  # a lone configuration has no shape to match
+                with pytest.raises(error or ShapeMismatchError, match=f"^{re.escape(name)} "):
+                    call(bad)
+                    pytest.fail(f"{name} accepted a {label} input")
 
 
 # one shape per group with room for the reduced map, and one with n = 2

@@ -125,7 +125,7 @@ class TestStackedBuild:
 
     def test_valid_records_are_checked_as_one_stack(self, rng, monkeypatch):
         calls = []
-        monkeypatch.setattr(search, "as_matrix", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(search, "_configuration", lambda *a, **k: calls.append(a))
         db = group_db(rng, GroupAction.EUCLIDEAN, 50, 2, 5)
         assert len(db) == 50 and calls == []
 
@@ -389,14 +389,15 @@ class TestExactScreen:
         assert all(np.isfinite(d) for d, _ in got)
 
     def test_overflowing_features_refused(self, rng):
-        # the triangle map's own overflow warnings are not under test here
-        big = 1e160 * rng.standard_normal((2, 3))
+        # edges of length 3e308 give triangle coordinates beyond float64;
+        # the map's own overflow warning is not under test here
+        big = 1.5e308 * np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         db = triangle_db(rng, 5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="query"):
                 feature_nearest(db, big)
             with pytest.raises(NonFiniteError, match="'huge'"):
-                ShapeDatabase(GroupAction.EUCLIDEAN, [("fine", big / 1e160), ("huge", big)])
+                ShapeDatabase(GroupAction.EUCLIDEAN, [("fine", big / 1e308), ("huge", big)])
 
     def test_screen_keeps_few_candidates(self, rng):
         db = group_db(rng, GroupAction.EUCLIDEAN, 2000, 2, 6)

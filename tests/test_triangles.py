@@ -1,8 +1,11 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 
 from orbitdist import (
+    NonFiniteError,
     OutOfRangeError,
     ShapeMismatchError,
     dist_euclidean,
@@ -125,6 +128,37 @@ class TestStackedKernels:
         np.testing.assert_array_equal(_triangle_coords(x), np.zeros((2, 3)))
 
 
+class TestExtremeScales:
+    """Each triangle is scaled by a power of two before its edges are
+    squared, so no scale whose results are representable overflows or
+    underflows."""
+
+    @pytest.mark.parametrize("k", [600, 1000, -600, -1000])
+    def test_power_of_two_scale_is_exact(self, rng, k):
+        x = random_triangles(rng, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coords, sides = _triangle_coords(np.ldexp(x, k)), _side_lengths(np.ldexp(x, k))
+        np.testing.assert_array_equal(coords, np.ldexp(_triangle_coords(x), k))
+        np.testing.assert_array_equal(sides, np.ldexp(_side_lengths(x), k))
+
+    def test_1e156_triangle(self, rng):
+        t = rng.standard_normal((2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coords, sides = triangle_embedding(1e156 * t), side_lengths(1e156 * t)
+        np.testing.assert_allclose(coords, 1e156 * triangle_embedding(t), rtol=1e-14)
+        np.testing.assert_allclose(sides, 1e156 * side_lengths(t), rtol=1e-14)
+
+    def test_stack_of_mixed_scales_matches_single_calls(self, rng):
+        x = random_triangles(rng, 6) * np.array([1e-300, 1e-150, 1.0, 1e150, 1e300, 0.0])[:, None, None]
+        coords, sides = _triangle_coords(x), _side_lengths(x)
+        for i in range(6):
+            np.testing.assert_array_equal(coords[i], triangle_embedding(x[i]))
+            np.testing.assert_array_equal(sides[i], side_lengths(x[i]))
+        assert np.isfinite(coords).all() and np.isfinite(sides).all()
+
+
 def oracle_coords(t, digits=50):
     """Triangle coordinates in ``digits``-digit arithmetic, from the
     eigendecomposition of the edge Gram matrix of the (exact) float input."""
@@ -181,6 +215,23 @@ class TestConeSurjectivity:
             triangle_from_coords([1.0, 1.0, 1.0])
         with pytest.raises(OutOfRangeError):
             triangle_from_coords([0.0, 0.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "coords, error",
+        [
+            ([np.nan, 0.0, 1.0], NonFiniteError),
+            ([0.0, 0.0, np.inf], NonFiniteError),
+            ([0.0, 1.0], ShapeMismatchError),
+            ([0.0, 0.0, 1.0, 1.0], ShapeMismatchError),
+            ([[0.0, 0.0, 1.0]], ShapeMismatchError),
+            ([0.0, 0.0, 1j], ShapeMismatchError),
+            (1.0, ShapeMismatchError),
+        ],
+        ids=["nan", "inf", "two", "four", "nested", "complex", "scalar"],
+    )
+    def test_rejects_malformed_coordinates(self, coords, error):
+        with pytest.raises(error, match="coordinates"):
+            triangle_from_coords(coords)
 
 
 class TestCounterexample:
