@@ -31,7 +31,7 @@ from .experiments import (
     distortion_experiment,
     lower_constant_survey,
 )
-from .features import FULL, REDUCED, _is_triangle, feature_vector
+from .features import FULL, REDUCED, _feature, _is_triangle
 from .io import ParseError, atomic_write_text, fmt17, load_database, read_matrix, save_database
 from .metrics import GroupAction, _configuration, orbit_distance
 from .search import ShapeDatabase, feature_nearest, verify
@@ -69,7 +69,7 @@ def _cmd_embed(args) -> int:
     group = GroupAction(args.group)
     m = _configuration(group, read_matrix(args.file), args.file)
     feature_map = REDUCED if args.reduced else FULL
-    coords = feature_vector(group, m, feature_map)
+    coords = _feature(group, m, feature_map, None, args.file)
     row = ",".join(fmt17(x) for x in coords)
     if args.out:
         atomic_write_text(args.out, row + "\n")

@@ -29,14 +29,19 @@ reducer at most ``MAX_REDUCER_NNZ`` (2**22) non-zeros.  A size outside
 ``[1, ceiling]``, an ``n`` below 1, or an integer field that is not a whole
 number raises ConfigInvalidError before anything is drawn or built.
 
-The arithmetic is stacked over blocks of trials: orbit distances come from
-the Procrustes kernel of :mod:`orbitdist.metrics`, reduced features from
-the sparse projection of :mod:`orbitdist.reduction`, triangle features
-from the kernels of :mod:`orbitdist.triangles`, and the classification
-ranking from two complex GEMMs per block of queries under the exact
-distance and from one k-d tree per feature map.  ``scipy.special`` (for
-``ndtri``) and ``scipy.spatial`` (for the k-d trees) are imported by the
-functions that use them, so that importing this module loads only numpy.
+The arithmetic is stacked over blocks of trials.  Triangle orbit
+distances come from a closed-form planar kernel (:func:`_plane_distances`,
+no SVD), the survey's orbit distances from the Procrustes kernel of
+:mod:`orbitdist.metrics`, reduced features from the sparse projection of
+:mod:`orbitdist.reduction`, and triangle features from the kernels of
+:mod:`orbitdist.triangles`.  The classification ranks each query under a
+feature map with one k-d tree per map.  Under the exact distance it ranks
+only the query's few feature-nearest records, certified by the sqrt(2)
+sandwich, and falls back to every record for the rare query that the
+certificate leaves open, so the result is the exact argmin (see
+:func:`_exact_rate`).  ``scipy.special`` (for ``ndtri``) and
+``scipy.spatial`` (for the k-d trees) are imported by the functions that
+use them, so that importing this module loads only numpy.
 """
 from __future__ import annotations
 
@@ -48,7 +53,7 @@ import numpy as np
 from .errors import ConfigInvalidError
 from .metrics import GroupAction, _procrustes
 from .reduction import _block_size, _reduced_stack, reducer_for
-from .search import _BLOCK
+from .search import _BLOCK, _SQRT2
 from .triangles import _side_lengths, _triangle_coords
 
 MAP_SIDE_LENGTHS = "side_lengths"
@@ -56,6 +61,10 @@ MAP_TRIANGLE = "triangle_embedding"
 MAP_EXACT = "exact"
 
 _DEGENERATE = 1e-12
+# Feature-nearest records ranked exactly per query, and the round-off
+# slack of the certificate that makes the ranking exact (see _exact_rate).
+_EXACT_CANDIDATES = 4
+_SLACK = 2.0**-46
 _HIST_EDGES = np.linspace(0.0, 1.8, 61)
 # Pairs per block in the distortion study.
 _PAIR_BLOCK = 1 << 14
@@ -187,9 +196,41 @@ def _normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 
 
 def _plane_points(x: np.ndarray) -> np.ndarray:
-    """Centred vertices of a batch of planar triangles as complex numbers."""
-    z = x[:, 0] + 1j * x[:, 1]
-    return z - z.mean(axis=1, keepdims=True)
+    """Centred points of a ``(..., 2, l)`` stack of planar configurations
+    as complex numbers, shape ``(..., l)``."""
+    z = x[..., 0, :] + 1j * x[..., 1, :]
+    return z - z.mean(axis=-1, keepdims=True)
+
+
+def _plane_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean orbit distances between broadcast ``(..., 2, l)`` stacks
+    of planar configurations, without an SVD.
+
+    With the centred points as complex vectors z_a and z_b, O(2) acts by
+    ``z -> c z`` (rotations) and ``z -> c conj(z)`` (reflections) with
+    ``|c| = 1``.  For ``w`` = z_a or conj(z_a), ``||c w - z_b||`` is least
+    at c = the phase of ``<w, z_b>`` (c = 1 when that is 0), and the
+    distance is the smaller of the two direct residuals, so nothing
+    cancels.  Choosing the branch by comparing the moduli ``|<z_a, z_b>|``
+    and ``|z_a^T z_b|`` instead would cancel: for a nearly collinear
+    triangle against a rigid copy of itself the two moduli agree to
+    round-off, and the wrong branch is off by up to about sqrt(u) ||a||.
+    Each residual errs by at most a few dozen ulps of ``||a|| + ||b||``
+    (see :func:`_exact_rate`), because the residual is stationary in the
+    phase, plus at most 2^-530 where squares and products underflow.  The
+    inputs must be small enough that no square overflows, as the
+    experiments' normal draws are.
+    """
+    za, zb = _plane_points(a), _plane_points(b)
+    d = None
+    for w in (za, za.conj()):
+        p = (w.conj() * zb).sum(axis=-1)
+        m = np.abs(p)
+        c = np.where(m > 0.0, p / np.where(m > 0.0, m, 1.0), 1.0)
+        r = c[..., None] * w - zb
+        e = np.sqrt((r.real * r.real + r.imag * r.imag).sum(axis=-1))
+        d = e if d is None else np.minimum(d, e)
+    return d
 
 
 def _config_pairs(group: GroupAction, n: int, l: int, rows: np.ndarray):
@@ -200,15 +241,18 @@ def _config_pairs(group: GroupAction, n: int, l: int, rows: np.ndarray):
     return rows[:, : n * l].reshape(-1, n, l), rows[:, n * l :].reshape(-1, n, l)
 
 
-def _pair_ratios(group: GroupAction, n: int, l: int, seed: int, n_pairs: int, block: int, gaps):
-    """``gaps(A, B) / d_G(A, B)``, one row per trial, over ``n_pairs`` random
-    pairs of ``(n, l)`` configurations drawn as the module docstring says.
-    Each block of ``block`` pairs is drawn, measured by the Procrustes
-    kernel and redrawn on its own, so memory does not grow with n_pairs."""
+def _pair_ratios(
+    group: GroupAction, n: int, l: int, seed: int, n_pairs: int, block: int, distance, gaps
+):
+    """``gaps(A, B) / distance(A, B)``, one row per trial, over ``n_pairs``
+    random pairs of ``(n, l)`` configurations drawn as the module docstring
+    says; ``distance`` maps two stacks to their ``d_G``.  Each block of
+    ``block`` pairs is drawn, measured and redrawn on its own, so memory
+    does not grow with n_pairs."""
     per = 2 * n * l * (2 if group.is_complex else 1)
 
     def distances(rows: np.ndarray) -> np.ndarray:
-        return _procrustes(group, *_config_pairs(group, n, l, rows))[0]
+        return distance(*_config_pairs(group, n, l, rows))
 
     ratios = []
     for lo in range(0, n_pairs, block):
@@ -298,7 +342,7 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
     fmaps = [_TRIANGLE_FEATURES[name] for name in cfg.maps]
     ratios = _pair_ratios(
-        GroupAction.EUCLIDEAN, 2, 3, seed, cfg.n_pairs, _PAIR_BLOCK,
+        GroupAction.EUCLIDEAN, 2, 3, seed, cfg.n_pairs, _PAIR_BLOCK, _plane_distances,
         lambda a, b: np.stack([np.linalg.norm(f(a) - f(b), axis=1) for f in fmaps], axis=1),
     )
     ratio_stats, histograms = {}, {}
@@ -326,23 +370,77 @@ def _classify_rate(query_feats: np.ndarray, db_tree, labels: np.ndarray) -> floa
 
 def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray) -> float:
     """Misclassification rate of nearest-record lookup by the exact
-    euclidean orbit distance.
+    euclidean orbit distance: the argmin over every record of
+    :func:`_plane_distances`, ties broken by the lowest index.
 
-    With centred vertices as complex vectors a and b, ||A B*||_nuc =
-    max(|<a, b>|, |a^T b|): the best rotation and the best reflection.
-    Records are ranked by d^2 = ||a||^2 + ||b||^2 - 2 ||A B*||_nuc.  That
-    subtraction cancels near a coincident pair, which is why the distance
-    kernel avoids it; only the argmin is used here, and its absolute error
-    stays at round-off of ||a||^2 + ||b||^2, so only records whose squared
-    distances agree to round-off can swap.
+    Only a few records are ranked per query.  A k-d tree over the
+    triangle coordinates of the records gives the K feature-nearest ones
+    (K = ``_EXACT_CANDIDATES``, fewer when the database is smaller), at
+    feature distances up to rho_K, and ``_plane_distances`` ranks them,
+    least distance d^_min first.  Every other record j has feature
+    distance at least rho_K, so by the sqrt(2) sandwich
+    ``||f(A) - f(B)|| <= sqrt(2) d(A, B)`` (the lower-bounding lemma of
+    Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994) its distance is at
+    least rho_K / sqrt(2).  Up to round-off, when
+
+        (rho_K - delta_f) / sqrt(2) > d^_min + delta_d,
+
+    every other computed distance d^_j >= d_j - delta_d exceeds d^_min, so
+    the ranking equals the argmin over every record.  Rows that fail this
+    certificate are ranked against every record.
+
+    The slacks are absolute.  With u = 2^-53, N_q = ||q|| the Frobenius
+    norm of the (uncentred) query and N = the largest record norm, the
+    feature and orbit norms of both are at most N_q + N, and:
+
+    - delta_d bounds |d^_j - d_j|.  Centring costs at most (l + 1) u per
+      input norm, and d is 1-Lipschitz in each input.  The phase
+      c = p / |p| comes from ``p = <w, z_b>`` computed within about 5u
+      ||a|| ||b||; since the residual is stationary in c, the error of c
+      raises the squared residual by at most |p| theta^2 for a phase
+      error theta, which is at most 2.5 * 5u (||a|| + ||b||) in distance
+      whether |p| is small (then d >= (||a|| + ||b||) / 2) or not.  The
+      rounding of |c|, of the products, the differences and the norm
+      adds about 14u.  In all about 32u (N_q + N).
+    - delta_f bounds how far a true feature distance can fall below
+      rho_K for a record the tree did not return.  The triangle
+      coordinates are within 16u of their norm of the exact ones (a few
+      roundings of quantities bounded by that norm), so a feature
+      distance moves by at most 32u (N_q + N).  The tree sums three
+      squares (5u relative), and its pruning compares squared box
+      distances that it tracks with relative round-off of a few ulps per
+      level, about 30u at the depth of a ``MAX_DB_SIZE`` tree.  In all
+      about 67u (N_q + N).
+
+    Squares and products that underflow add at most 2^-530 to a distance
+    or a feature distance.  Both slacks are set to ``_SLACK`` (N_q + N)
+    with ``_SLACK`` = 2^-46 = 128u, which also covers the rounding of the
+    certificate's own arithmetic, and the underflow whenever N_q + N is
+    above 2^-480, as it is for any draw of the experiments.  The ranking runs over blocks of ``_BLOCK`` queries, and
+    the uncertified rows in blocks of about 2^16 query-record pairs, so
+    memory does not grow with the number of queries.
     """
-    zq, zb = _plane_points(queries), _plane_points(db)
-    qn, bn = ((z.real**2 + z.imag**2).sum(axis=1) for z in (zq, zb))
-    pred = np.empty(len(zq), dtype=int)
-    for lo in range(0, len(zq), 512):
-        z = zq[lo : lo + 512]
-        nuc = np.maximum(np.abs(z.conj() @ zb.T), np.abs(z @ zb.T))
-        pred[lo : lo + 512] = (qn[lo : lo + 512, None] + bn - 2.0 * nuc).argmin(axis=1)
+    from scipy.spatial import cKDTree
+
+    k = min(_EXACT_CANDIDATES, len(db))
+    tree = cKDTree(_triangle_coords(db))
+    db_norm = float(np.sqrt((db * db).sum(axis=(1, 2))).max())
+    pred = np.empty(len(queries), dtype=int)
+    uncertified = []
+    for lo in range(0, len(queries), _BLOCK):
+        q = queries[lo : lo + _BLOCK]
+        rho, idx = (x.reshape(len(q), k) for x in tree.query(_triangle_coords(q), k=k))
+        d = _plane_distances(q[:, None], db[idx])
+        best = d.min(axis=1)
+        pred[lo : lo + _BLOCK] = np.where(d == best[:, None], idx, len(db)).min(axis=1)
+        if k < len(db):
+            slack = _SLACK * (np.sqrt((q * q).sum(axis=(1, 2))) + db_norm)
+            uncertified.append(lo + np.flatnonzero((rho[:, -1] - slack) / _SQRT2 <= best + slack))
+    rows = np.concatenate(uncertified) if uncertified else np.zeros(0, dtype=int)
+    step = max(1, (1 << 16) // len(db))
+    for lo in range(0, len(rows), step):
+        r = rows[lo : lo + step]
+        pred[r] = _plane_distances(queries[r, None], db).argmin(axis=1)
     return float(np.mean(pred != labels))
 
 
@@ -423,7 +521,10 @@ def lower_constant_survey(
         fa, fb = _reduced_stack(group, a, reducer), _reduced_stack(group, b, reducer)
         return np.linalg.norm(fa - fb, axis=1, keepdims=True)
 
-    ratios = _pair_ratios(group, n, l, seed, n_pairs, block, gaps)[:, 0]
+    def distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _procrustes(group, a, b)[0]
+
+    ratios = _pair_ratios(group, n, l, seed, n_pairs, block, distance, gaps)[:, 0]
     stats = _ratio_stats(ratios)
     stats["quantiles"] = {
         str(q): float(np.quantile(ratios, q)) for q in (0.001, 0.01, 0.05, 0.25, 0.5)

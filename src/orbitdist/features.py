@@ -15,7 +15,7 @@ from .embeddings import _embed
 from .errors import FeatureMapMismatchError
 from .metrics import GroupAction, _configuration
 from .reduction import ReducerBasis, _matched_reducer, _reduced_stack
-from .triangles import _triangle_coords
+from .triangles import _finite_feature, _triangle_coords
 
 FULL = "full"
 REDUCED = "reduced"
@@ -27,13 +27,23 @@ def feature_vector(
     feature_map: str = FULL,
     reducer: ReducerBasis | None = None,
 ) -> np.ndarray:
-    """Flattened invariant feature of a configuration."""
-    m = _configuration(group, a, "A")
+    """Flattened invariant feature of a configuration.
+
+    NonFiniteError when the feature overflows float64, as for a database
+    record."""
+    return _feature(group, _configuration(group, a, "A"), feature_map, reducer, "A")
+
+
+def _feature(
+    group: GroupAction, m: np.ndarray, feature_map: str, reducer: ReducerBasis | None, name: str
+) -> np.ndarray:
+    """:func:`feature_vector` of a validated configuration; messages name
+    it ``name``."""
     if feature_map not in (FULL, REDUCED):
         raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
     if feature_map == REDUCED:
         reducer = _matched_reducer(group, *m.shape, reducer)
-    return _feature_stack(group, m, feature_map, reducer)
+    return _finite_feature(_feature_stack(group, m, feature_map, reducer), name)
 
 
 def _is_triangle(group: GroupAction, x: np.ndarray) -> bool:

@@ -29,7 +29,6 @@ from .errors import (
     DuplicateIdError,
     EmptyDatabaseError,
     FeatureMapMismatchError,
-    NonFiniteError,
     OrbitDistError,
     OutOfRangeError,
     UnknownIdError,
@@ -38,6 +37,7 @@ from .features import FULL, REDUCED, _feature_stack
 from .linalg import _as_array
 from .metrics import GroupAction, _configuration, _procrustes
 from .reduction import reducer_for
+from .triangles import _finite_feature
 
 _SQRT2 = float(np.sqrt(2.0))
 # Records per stacked kernel call in the database build and the exact
@@ -157,8 +157,8 @@ class ShapeDatabase:
         )
         finite = np.isfinite(self.features).all(axis=1)
         if not finite.all():
-            rid = self.ids[int(np.argmin(finite))]
-            raise NonFiniteError(f"record {rid!r} has a feature too large for float64")
+            i = int(np.argmin(finite))
+            _finite_feature(self.features[i], f"record {self.ids[i]!r}")
         self._scale = _pow2_scale(float(np.abs(self.features).max(initial=0.0)))
         g = self._scale * self.features
         self._sq_norms = np.add.reduce(g * g, axis=-1)
@@ -215,8 +215,7 @@ class ShapeDatabase:
                 c32 * m * hn + c64 * (m + hn) ** 2 + c_tiny * (1.0 + hn) + c_sub * (m + hn + 1.0)
             )
             return np.flatnonzero(s <= np.partition(s, k - 1)[k - 1] + 2.0 * err)
-        if not np.isfinite(qf).all():
-            raise NonFiniteError("the query's feature is too large for float64")
+        _finite_feature(qf, "query")
         return np.arange(len(self))
 
     def query_feature(self, query) -> np.ndarray:

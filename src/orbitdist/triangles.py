@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OutOfRangeError, ShapeMismatchError
+from .errors import NonFiniteError, OutOfRangeError, ShapeMismatchError
 from .linalg import as_matrix
 from .metrics import GroupAction, _configuration, dist_euclidean
 
@@ -52,16 +52,34 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x * c[..., None, None], c[..., None]
 
 
+def _unscaled(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``f / c`` for a result of the scaled triangles: an entry beyond
+    float64 becomes inf without a warning, for the callers to refuse."""
+    with np.errstate(over="ignore"):
+        return f / c
+
+
+def _finite_feature(f: np.ndarray, name: str) -> np.ndarray:
+    """``f``, the feature of the input ``name``; NonFiniteError when an
+    entry overflowed float64."""
+    if not np.isfinite(f).all():
+        raise NonFiniteError(f"{name} has a feature too large for float64")
+    return f
+
+
 def _side_lengths(x: np.ndarray) -> np.ndarray:
     """:func:`side_lengths` of every triangle in a validated ``(..., 2, 3)``
     stack."""
     x, c = _unit_scaled(x)
-    return np.linalg.norm(x[..., :, [1, 2, 0]] - x[..., :, [2, 0, 1]], axis=-2) / c
+    return _unscaled(np.linalg.norm(x[..., :, [1, 2, 0]] - x[..., :, [2, 0, 1]], axis=-2), c)
 
 
 def side_lengths(t) -> np.ndarray:
-    """Edge lengths (|a2 - a3|, |a3 - a1|, |a1 - a2|) of a triangle."""
-    return _side_lengths(_configuration(GroupAction.EUCLIDEAN, t, "triangle", (2, 3)))
+    """Edge lengths (|a2 - a3|, |a3 - a1|, |a1 - a2|) of a triangle;
+    NonFiniteError when one exceeds float64."""
+    return _finite_feature(
+        _side_lengths(_configuration(GroupAction.EUCLIDEAN, t, "triangle", (2, 3))), "triangle"
+    )
 
 
 def _triangle_coords(x: np.ndarray) -> np.ndarray:
@@ -76,7 +94,8 @@ def _triangle_coords(x: np.ndarray) -> np.ndarray:
     # t = 0 only for coincident vertices, where every numerator is 0 too
     t = np.where(t > 0.0, t, 1.0)
     r = _SQRT2 * t
-    return np.stack([(g11 - g22) / r, _SQRT2 * g12 / t, (g11 + g22 + 2.0 * s) / r], axis=-1) / c
+    coords = np.stack([(g11 - g22) / r, _SQRT2 * g12 / t, (g11 + g22 + 2.0 * s) / r], axis=-1)
+    return _unscaled(coords, c)
 
 
 def triangle_embedding(t) -> np.ndarray:
@@ -90,9 +109,12 @@ def triangle_embedding(t) -> np.ndarray:
     ``[[r1, r3/sqrt(2)], [r3/sqrt(2), r2]]`` these are
     ``((r1 - r2)/sqrt(2), r3, (r1 + r2)/sqrt(2))``; euclidean distances
     between such triples coincide with Frobenius distances between the
-    full euclidean features.
+    full euclidean features.  NonFiniteError when a coordinate exceeds
+    float64.
     """
-    return _triangle_coords(_configuration(GroupAction.EUCLIDEAN, t, "triangle", (2, 3)))
+    return _finite_feature(
+        _triangle_coords(_configuration(GroupAction.EUCLIDEAN, t, "triangle", (2, 3))), "triangle"
+    )
 
 
 def triangle_from_coords(coords) -> np.ndarray:

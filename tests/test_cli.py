@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,16 @@ class TestEmbed:
         assert main(["embed", "--group", group, "--reduced", str(path)]) == 0
         row = capsys.readouterr().out.strip().split(",")
         assert len(row) == expected
+
+    def test_overflowing_feature_single_error_line(self, tmp_path, capsys):
+        # edges of 3e308: the triangle coordinates exceed float64
+        f = write_csv(tmp_path / "huge.csv", [[-1.5e308, 1.5e308, 0.0], [0.0, 0.0, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["embed", "--group", "E", f]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {f} has a feature too large for float64"]
 
     def test_dimension_hypothesis_exit_4(self, tmp_path, capsys):
         f = write_csv(tmp_path / "m.csv", np.ones((2, 3)))

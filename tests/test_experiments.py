@@ -1,5 +1,6 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -21,7 +22,10 @@ from orbitdist import (
     triangle_embedding,
 )
 from orbitdist import experiments
-from orbitdist.experiments import _normals
+from orbitdist.experiments import _normals, _plane_distances
+from orbitdist.metrics import _procrustes
+
+from oracles import o2_grid_min
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -186,6 +190,157 @@ class TestDistortionExperiment:
     def test_invalid_configs(self, bad):
         with pytest.raises(ConfigInvalidError):
             distortion_experiment(ExperimentConfig(seed=0, **bad))
+
+
+def plane_distance_mp(a, b, digits=50):
+    """Euclidean orbit distance of two planar configurations in
+    ``digits``-digit arithmetic, from ``d^2 = |a|^2 + |b|^2 - 2 max(|<a, b>|,
+    |a^T b|)`` over the centred points as complex numbers; the cancellation
+    costs far fewer digits than it has."""
+    with mpmath.workdps(digits):
+        def points(x):
+            z = [mpmath.mpc(float(x[0, j]), float(x[1, j])) for j in range(x.shape[1])]
+            mean = mpmath.fsum(z) / len(z)
+            return [w - mean for w in z]
+
+        za, zb = points(a), points(b)
+        sq = mpmath.fsum(abs(w) ** 2 for w in za) + mpmath.fsum(abs(w) ** 2 for w in zb)
+        rot = abs(mpmath.fsum(mpmath.conj(x) * y for x, y in zip(za, zb)))
+        ref = abs(mpmath.fsum(x * y for x, y in zip(za, zb)))
+        return float(mpmath.sqrt(max(sq - 2 * max(rot, ref), 0)))
+
+
+def reflect_rotate(a, theta, mirror, shift):
+    c, s = np.cos(theta), np.sin(theta)
+    w = np.array([[c, -s], [s, c]]) @ (np.diag([1.0, -1.0]) if mirror else np.eye(2))
+    return w @ a + np.asarray(shift)[:, None]
+
+
+@st.composite
+def plane_pairs(draw):
+    """Two planar configurations of 1 to 6 points: independent, collinear,
+    nearly collinear, rigid or mirror-image copies (up to round-off), or
+    zero."""
+    l = draw(st.integers(1, 6))
+    coord = st.floats(-1e3, 1e3, allow_subnormal=False)
+    a = np.array(draw(st.lists(coord, min_size=2 * l, max_size=2 * l))).reshape(2, l)
+    kind = draw(st.sampled_from(["independent", "collinear", "rigid", "mirror", "zero"]))
+    if draw(st.booleans()):
+        # collinear, or within a relative height of 1e-16 .. 1e-4 of a line
+        height = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-4]))
+        slope = draw(st.floats(-3.0, 3.0))
+        a[1] = slope * a[0] + height * np.abs(a).max() * np.sin(np.arange(l) + 1.0)
+    if kind == "independent":
+        b = np.array(draw(st.lists(coord, min_size=2 * l, max_size=2 * l))).reshape(2, l)
+    elif kind == "zero":
+        b, a = np.zeros((2, l)), a if draw(st.booleans()) else np.zeros((2, l))
+    else:
+        theta = draw(st.floats(0.0, 2.0 * np.pi))
+        shift = draw(st.lists(coord, min_size=2, max_size=2))
+        b = reflect_rotate(a, theta, kind == "mirror", shift)
+        b += draw(st.sampled_from([0.0, 1e-9, 1e-3])) * np.cos(np.arange(2 * l) + 2.0).reshape(2, l)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+class TestPlaneDistances:
+    @settings(max_examples=300, deadline=None)
+    @given(plane_pairs())
+    def test_matches_high_precision_closed_form(self, pair):
+        # a few dozen ulps of the norms, plus 2^-530 where squares underflow
+        a, b = pair
+        scale = sum(float(mpmath.mnorm(mpmath.matrix(x.tolist()), "f")) for x in (a, b))
+        error = abs(_plane_distances(a, b) - plane_distance_mp(a, b))
+        assert error <= 1e-14 * scale + 2.0**-530
+
+    @pytest.mark.parametrize("l", [2, 3, 4, 6])
+    def test_agrees_with_procrustes_kernel(self, rng, l):
+        a, b = rng.standard_normal((2, 5000, 2, l))
+        b[:1000] = a[:1000] + 1e-6 * b[:1000]  # nearly coincident pairs
+        want = _procrustes(GroupAction.EUCLIDEAN, a, b)[0]
+        scale = np.linalg.norm(a, axis=(1, 2)) + np.linalg.norm(b, axis=(1, 2))
+        assert np.all(np.abs(_plane_distances(a, b) - want) <= 1e-14 * scale)
+
+    def test_matches_grid_oracle(self, rng):
+        for l in (2, 3, 5):
+            a, b = rng.standard_normal((2, 2, l))
+            a, b = a - a.mean(axis=1, keepdims=True), b - b.mean(axis=1, keepdims=True)
+            assert abs(_plane_distances(a, b) - o2_grid_min(a, b, n_grid=200_000)) <= 1e-3
+
+    def test_nearly_collinear_rigid_copies_are_at_zero(self, rng):
+        # here the moduli |<a, b>| and |a^T b| agree to round-off, so a branch
+        # chosen by comparing them may be off by about sqrt(u) |a|
+        for height in (1e-6, 1e-9, 1e-12):
+            a = rng.standard_normal((2, 3))
+            a[1] = 0.7 * a[0] + height * rng.standard_normal(3)
+            for mirror in (False, True):
+                b = reflect_rotate(a, rng.uniform(0.0, 2.0 * np.pi), mirror, rng.standard_normal(2))
+                assert _plane_distances(a, b) <= 1e-14 * (np.linalg.norm(a) + np.linalg.norm(b))
+
+    def test_zero_and_coincident_configurations(self):
+        a = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        assert _plane_distances(np.zeros((2, 3)), np.zeros((2, 3))) == 0.0
+        assert _plane_distances(a, a) == 0.0
+        # a configuration of one repeated point is a translation of zero
+        assert _plane_distances(np.ones((2, 3)), np.zeros((2, 3))) == 0.0
+        centred = a - a.mean(axis=1, keepdims=True)
+        want = np.linalg.norm(centred)
+        assert _plane_distances(a, np.zeros((2, 3))) == pytest.approx(want, rel=1e-15)
+
+    def test_stacked_rows_equal_single_pairs(self, rng):
+        q, db = rng.standard_normal((5, 2, 3)), rng.standard_normal((7, 2, 3))
+        table = _plane_distances(q[:, None], db)
+        for i in range(5):
+            np.testing.assert_array_equal(table[i], _plane_distances(q[i], db))
+            for j in range(7):
+                assert table[i, j] == _plane_distances(q[i], db[j])
+
+
+class TestPrunedExactRate:
+    """The pruned ranking of _exact_rate always equals the argmin of
+    _plane_distances over every record, ties to the lowest index."""
+
+    @staticmethod
+    def brute_force(queries, db):
+        return _plane_distances(queries[:, None], db).argmin(axis=1)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5])
+    def test_forced_fallback_with_duplicate_records(self, monkeypatch, rng, k, eps):
+        # with k = 1 no row can be certified: the feature-nearest record is
+        # never farther than sqrt(2) times the nearest orbit
+        monkeypatch.setattr(experiments, "_EXACT_CANDIDATES", k)
+        monkeypatch.setattr(experiments, "_BLOCK", 16)
+        db = rng.standard_normal((40, 2, 3))
+        db[10], db[20:23] = db[3], db[5]
+        labels = np.repeat(np.arange(40), 3)
+        queries = db[labels] + eps * rng.standard_normal((len(labels), 2, 3))
+        want = self.brute_force(queries, db)
+        if eps == 0.0:
+            assert want[labels == 10].tolist() == [3, 3, 3]
+        assert experiments._exact_rate(queries, db, want) == 0.0
+        assert experiments._exact_rate(queries, db, labels) == np.mean(want != labels)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_database_smaller_than_candidate_count(self, rng, size):
+        db = rng.standard_normal((size, 2, 3))
+        queries = rng.standard_normal((30, 2, 3))
+        assert experiments._exact_rate(queries, db, self.brute_force(queries, db)) == 0.0
+
+    def test_few_rows_fall_back_at_cli_defaults(self, monkeypatch):
+        calls = []
+        kernel = experiments._plane_distances
+
+        def spy(a, b):
+            if b.ndim == 3:  # a fallback block: the query rows against every record
+                calls.append(a.shape[0])
+            return kernel(a, b)
+
+        monkeypatch.setattr(experiments, "_plane_distances", spy)
+        cfg = ExperimentConfig.from_dict(
+            dict(experiments._DEFAULT_CONFIGS["classify"], seed=0, maps=[MAP_EXACT])
+        )
+        classification_experiment(cfg)
+        assert sum(calls) <= 20
 
 
 class TestClassificationExperiment:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from orbitdist import (
+    GroupAction,
     NonFiniteError,
     OutOfRangeError,
     ShapeMismatchError,
     dist_euclidean,
     euclidean_embedding,
+    feature_vector,
     side_lengths,
     side_lengths_counterexample,
     triangle_embedding,
@@ -149,6 +151,17 @@ class TestExtremeScales:
             coords, sides = triangle_embedding(1e156 * t), side_lengths(1e156 * t)
         np.testing.assert_allclose(coords, 1e156 * triangle_embedding(t), rtol=1e-14)
         np.testing.assert_allclose(sides, 1e156 * side_lengths(t), rtol=1e-14)
+
+    def test_features_beyond_float64_refused(self):
+        # edges of 3e308 give side lengths and coordinates beyond float64
+        t = 1.5e308 * np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for feature in (triangle_embedding, side_lengths):
+                with pytest.raises(NonFiniteError, match="^triangle has a feature too large"):
+                    feature(t)
+            with pytest.raises(NonFiniteError, match="^A has a feature too large"):
+                feature_vector(GroupAction.EUCLIDEAN, t)
 
     def test_stack_of_mixed_scales_matches_single_calls(self, rng):
         x = random_triangles(rng, 6) * np.array([1e-300, 1e-150, 1.0, 1e150, 1e300, 0.0])[:, None, None]
