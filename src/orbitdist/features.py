@@ -13,9 +13,10 @@ import numpy as np
 
 from .embeddings import _embed
 from .errors import FeatureMapMismatchError
+from .linalg import _finite
 from .metrics import GroupAction, _configuration
 from .reduction import ReducerBasis, _matched_reducer, _reduced_stack
-from .triangles import _finite_feature, _triangle_coords
+from .triangles import _triangle_coords
 
 FULL = "full"
 REDUCED = "reduced"
@@ -43,7 +44,7 @@ def _feature(
         raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
     if feature_map == REDUCED:
         reducer = _matched_reducer(group, *m.shape, reducer)
-    return _finite_feature(_feature_stack(group, m, feature_map, reducer), name)
+    return _finite(_feature_stack(group, m, feature_map, reducer), name)
 
 
 def _is_triangle(group: GroupAction, x: np.ndarray) -> bool:

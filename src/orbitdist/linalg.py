@@ -3,10 +3,14 @@
 Everything here works on plain numpy arrays: real or complex 2-D matrices
 whose columns are the points of a configuration.  All functions are pure
 and validate finiteness up front, so NaN/Inf never propagate silently into
-a factorization.
+a factorization.  The float64-range policy lives here too: a kernel that
+squares its input runs at a power of two (:func:`_pow2_scale`), which is
+exact, divides its result by it (:func:`_unscaled`) and refuses a result
+beyond float64 (:func:`_finite`).
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +54,28 @@ def _as_array(m, name: str, *, stacked: bool) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
     return a
+
+
+def _pow2_scale(x):
+    """The power of two that brings the magnitude ``x`` into [1/2, 1) (1 for
+    0, at most 2**1023): by ``math`` for a Python float, elementwise for a
+    numpy scalar or an array of magnitudes (one per matrix of a stack)."""
+    if type(x) is float:
+        return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
+    return np.ldexp(1.0, np.minimum(-np.frexp(x)[1], 1023))
+
+
+def _unscaled(f, c):
+    """``f / c``, an entry beyond float64 as inf (or nan) without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return f / c
+
+
+def _finite(f, name: str, what: str = "a feature"):
+    """``f``, ``what`` of ``name``; NonFiniteError if it overflowed float64."""
+    if not (math.isfinite(f) if type(f) is float else np.isfinite(f).all()):
+        raise NonFiniteError(f"{name} has {what} too large for float64")
+    return f
 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:

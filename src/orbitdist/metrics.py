@@ -12,6 +12,11 @@ group element that realizes the minimum:
 - euclidean / complex-euclidean: rotations combined with translations.
   Centering each configuration on its column mean removes the translation
   exactly, reducing to the rotation-only problem.
+
+The distance is homogeneous, d(cA, cB) = c d(A, B), and exact at every
+float64 scale: each pair is solved at a power of two, which is exact, so
+results that neither overflow nor underflow unscaled keep their bits.  A
+distance or translation beyond float64 raises NonFiniteError.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import _adjoint, _frobenius_norms, as_matrix, svd
+from .linalg import _adjoint, _finite, _frobenius_norms, _pow2_scale, _unscaled, as_matrix, svd
 
 
 class GroupAction(enum.Enum):
@@ -104,13 +109,20 @@ def _prepared(group: GroupAction, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _procrustes(group: GroupAction, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _procrustes(
+    group: GroupAction, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """Orbit distances and minimizing rotations over a leading batch axis.
 
     ``a`` and ``b`` are validated ``(..., n, l)`` stacks that broadcast
     against each other (one query against a block of records, or pairs).
-    Returns distances of the broadcast batch shape and rotations of shape
-    ``(..., n, n)``.
+    Returns distances of the broadcast batch shape, rotations of shape
+    ``(..., n, n)`` and the scales c below (a float for one pair).
+
+    Each pair is solved at c, the power of two that brings max(|A|, |B|)
+    into [1/2, 1), so no entry of A @ B* exceeds 4l; only the distance is
+    divided by c.  Power-of-two scaling is exact: results that neither
+    overflow nor underflow keep their bits.
 
     W = V @ U* from the SVD of A @ B* makes ``W A B*`` PSD Hermitian, which
     is exactly the optimality condition for min over rotations of
@@ -119,19 +131,29 @@ def _procrustes(group: GroupAction, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
     round-off, but the subtraction cancels catastrophically at orbit
     coincidence while the direct norm stays exact.
     """
-    a, b = _prepared(group, a), _prepared(group, b)
+    m = np.maximum(np.abs(a), np.abs(b)).max(axis=(-2, -1), initial=0.0)
+    pair = m.ndim == 0  # one pair: its scale and distance as Python floats
+    c = _pow2_scale(float(m) if pair else m)
+    s = c if pair else c[..., None, None]
+    a, b = _prepared(group, a * s), _prepared(group, b * s)
     u, _, v = svd(a @ _adjoint(b))
     w = v @ _adjoint(u)
-    return _frobenius_norms(w @ a - b), w
+    d = _frobenius_norms(w @ a - b)
+    # a Python float divides without a warning, an overflow giving inf
+    d = float(d) / c if pair else _unscaled(d, c)
+    return _finite(d, "the pair", "a distance"), w, c
 
 
 def _distance(group: GroupAction, a, b) -> tuple[float, Alignment]:
     ma = _configuration(group, a, "A")
     mb = _configuration(group, b, "B", ma.shape)
-    d, w = _procrustes(group, ma, mb)
+    d, w, c = _procrustes(group, ma, mb)
     if group.quotients_translations:
+        # from the means at the scale c, where |entries| <= 1: no column sum
+        # overflows, |t c| <= 1 + sqrt(n), and t overflows only if c < 2^-1000
         l = ma.shape[1]
-        t = mb.sum(axis=1) / l - w @ (ma.sum(axis=1) / l)
+        t = (c * mb).sum(axis=1) / l - w @ ((c * ma).sum(axis=1) / l)
+        t = t / c if c >= 2.0**-1000 else _finite(_unscaled(t, c), "the pair", "a translation")
     else:
         t = np.zeros(ma.shape[0], dtype=w.dtype)
     d = float(d)

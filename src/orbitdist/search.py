@@ -34,10 +34,9 @@ from .errors import (
     UnknownIdError,
 )
 from .features import FULL, REDUCED, _feature_stack
-from .linalg import _as_array
+from .linalg import _as_array, _finite, _pow2_scale
 from .metrics import GroupAction, _configuration, _procrustes
 from .reduction import reducer_for
-from .triangles import _finite_feature
 
 _SQRT2 = float(np.sqrt(2.0))
 # Records per stacked kernel call in the database build and the exact
@@ -58,12 +57,6 @@ def _gamma(n: int, u: float) -> float:
     """Higham's gamma_n: the relative error bound of n roundings at unit
     roundoff u."""
     return n * u / (1.0 - n * u)
-
-
-def _pow2_scale(x: float) -> float:
-    """The power of two that brings x into [1/2, 1); 1 for x = 0, and at
-    most 2**1023 for the subnormal x whose scale float64 cannot hold."""
-    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
 
 
 def _blocks(x: np.ndarray):
@@ -125,9 +118,9 @@ class ShapeDatabase:
     ``features`` block by block (equal to :func:`feature_vector` of each
     record).  For the screen of :func:`feature_nearest` it also keeps, for
     ``g = sigma * features`` with sigma the power of two that brings
-    ``max |features|`` into [1/2, 1), the squared row norms ``|g_i|^2`` in
-    float64 and a read-only float32 copy of ``g`` stored transposed, so
-    the screen is one matrix-vector product.  A record whose feature
+    ``max |features|`` into [1/2, 1) (:func:`linalg._pow2_scale`), the
+    squared row norms ``|g_i|^2`` in float64 and a read-only float32 copy
+    of ``g`` stored transposed, so the screen is one matrix-vector product.  A record whose feature
     overflows float64 is refused with :class:`NonFiniteError`.  Afterwards
     the database is read-only and safe to query from many threads.
     """
@@ -158,7 +151,7 @@ class ShapeDatabase:
         finite = np.isfinite(self.features).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))
-            _finite_feature(self.features[i], f"record {self.ids[i]!r}")
+            _finite(self.features[i], f"record {self.ids[i]!r}")
         self._scale = _pow2_scale(float(np.abs(self.features).max(initial=0.0)))
         g = self._scale * self.features
         self._sq_norms = np.add.reduce(g * g, axis=-1)
@@ -172,7 +165,7 @@ class ShapeDatabase:
             2.0 * _gamma(dim + 3, _U32),
             2.0 * _gamma(dim + 5, _U64),
             8.0 * dim * _TINY32,
-            math.ldexp(self._scale, -1074),
+            self._scale * 2.0**-1074,
         )
 
     def __len__(self) -> int:
@@ -194,9 +187,7 @@ class ShapeDatabase:
         Each row's distance is summed on its own, so it has the same bits
         whichever rows are asked for.  The differences are taken at the
         power of two that brings the largest entry of the records and of
-        the query below 1, so no square overflows.  Scaling by a power of
-        two is exact, so wherever the unscaled sum neither overflows nor
-        underflows the bits equal its bits.
+        the query below 1, so no square overflows (``linalg``'s policy).
         """
         scale = min(self._scale, _pow2_scale(float(np.abs(qf).max(initial=0.0))))
         d = self.features[rows] * scale - qf * scale
@@ -215,7 +206,7 @@ class ShapeDatabase:
                 c32 * m * hn + c64 * (m + hn) ** 2 + c_tiny * (1.0 + hn) + c_sub * (m + hn + 1.0)
             )
             return np.flatnonzero(s <= np.partition(s, k - 1)[k - 1] + 2.0 * err)
-        _finite_feature(qf, "query")
+        _finite(qf, "query")
         return np.arange(len(self))
 
     def query_feature(self, query) -> np.ndarray:

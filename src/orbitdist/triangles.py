@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError, OutOfRangeError, ShapeMismatchError
-from .linalg import as_matrix
+from .errors import OutOfRangeError, ShapeMismatchError
+from .linalg import _finite, _pow2_scale, _unscaled, as_matrix
 from .metrics import GroupAction, _configuration, dist_euclidean
 
 _SQRT2 = np.sqrt(2.0)
@@ -35,36 +35,16 @@ _SQRT6 = np.sqrt(6.0)
 
 
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each triangle of a validated ``(..., 2, 3)`` stack times the power of
-    two c that brings its largest |entry| into [1/2, 1) (c = 1 for the zero
-    triangle, at most 2**1023), and c with a trailing axis.
-
-    The kernels run on the scaled triangles, so no square overflows, and
-    divide their results, which scale linearly, by c.  Scaling by a power
-    of two is exact: wherever the unscaled arithmetic neither overflows nor
-    underflows the results have its bits.
-    """
+    """Each triangle of a validated ``(..., 2, 3)`` stack at the power of two
+    c (:func:`linalg._pow2_scale`) of its largest |entry|, and c with a
+    trailing axis: the kernels run on the scaled triangles and divide their
+    results, which scale linearly, by c."""
     a = np.abs(x)
     # the largest |entry| of each row, then of each triangle, by elementwise
     # maxima: a reduction over the tiny trailing axes is 5x slower on a stack
     rows = np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
-    c = np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(rows[..., 0], rows[..., 1]))[1], 1023))
+    c = _pow2_scale(np.maximum(rows[..., 0], rows[..., 1]))
     return x * c[..., None, None], c[..., None]
-
-
-def _unscaled(f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``f / c`` for a result of the scaled triangles: an entry beyond
-    float64 becomes inf without a warning, for the callers to refuse."""
-    with np.errstate(over="ignore"):
-        return f / c
-
-
-def _finite_feature(f: np.ndarray, name: str) -> np.ndarray:
-    """``f``, the feature of the input ``name``; NonFiniteError when an
-    entry overflowed float64."""
-    if not np.isfinite(f).all():
-        raise NonFiniteError(f"{name} has a feature too large for float64")
-    return f
 
 
 def _side_lengths(x: np.ndarray) -> np.ndarray:
@@ -77,7 +57,7 @@ def _side_lengths(x: np.ndarray) -> np.ndarray:
 def side_lengths(t) -> np.ndarray:
     """Edge lengths (|a2 - a3|, |a3 - a1|, |a1 - a2|) of a triangle;
     NonFiniteError when one exceeds float64."""
-    return _finite_feature(
+    return _finite(
         _side_lengths(_configuration(GroupAction.EUCLIDEAN, t, "triangle", (2, 3))), "triangle"
     )
 
@@ -112,7 +92,7 @@ def triangle_embedding(t) -> np.ndarray:
     full euclidean features.  NonFiniteError when a coordinate exceeds
     float64.
     """
-    return _finite_feature(
+    return _finite(
         _triangle_coords(_configuration(GroupAction.EUCLIDEAN, t, "triangle", (2, 3))), "triangle"
     )
 

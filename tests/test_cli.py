@@ -70,6 +70,34 @@ class TestDist:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {fc} is complex")
 
+    def test_huge_finite_pair(self, tmp_path, capsys):
+        # A B* of this 1e156 triangle overflows unless the pair is scaled
+        f = write_csv(tmp_path / "big.csv", [[1e156, 0.0, 0.0], [0.0, 0.0, 1e156]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["dist", "--group", "E", f, f]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # zero to the round-off of the file's 1.4e156 norm
+        assert float(captured.out.splitlines()[0].split()[1]) < 1e141
+
+    @pytest.mark.parametrize(
+        "group, a, b, what",
+        [
+            ("O", [[1, -1, 1], [-1, 1, -1]], [[1, 1, -1], [1, -1, -1]], "distance"),
+            ("E", [[1, 1, 1], [1, 1, 1]], [[-1, -1, -1], [-1, -1, -1]], "translation"),
+        ],
+    )
+    def test_result_beyond_float64_single_error_line(self, tmp_path, capsys, group, a, b, what):
+        fa = write_csv(tmp_path / "a.csv", 1.5e308 * np.array(a, dtype=float))
+        fb = write_csv(tmp_path / "b.csv", 1.5e308 * np.array(b, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["dist", "--group", group, fa, fb]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: the pair has a {what} too large for float64"]
+
     def test_complex_json_input(self, tmp_path, capsys):
         a = np.array([[1 + 1j, 0j], [0j, 1 - 1j]])
         pa = tmp_path / "a.json"

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitdist import (
     GroupAction,
     NonFiniteError,
+    QueryResult,
+    ShapeDatabase,
     ShapeMismatchError,
     center,
     dist_complex_euclidean,
@@ -11,7 +17,9 @@ from orbitdist import (
     dist_orthogonal,
     dist_unitary,
     frobenius_dist,
+    linear_scan_nearest,
     orbit_distance,
+    verify,
 )
 from orbitdist.metrics import _procrustes
 
@@ -299,7 +307,7 @@ class TestStackedKernel:
     def test_batch_euclidean_distance(self, rng):
         a = rng.standard_normal((64, 2, 3))
         b = rng.standard_normal((64, 2, 3))
-        batch, _ = _procrustes(GroupAction.EUCLIDEAN, a, b)
+        batch = _procrustes(GroupAction.EUCLIDEAN, a, b)[0]
         for i in range(64):
             expected, _ = dist_euclidean(a[i], b[i])
             assert batch[i] == pytest.approx(expected, rel=1e-10, abs=1e-12)
@@ -316,7 +324,7 @@ class TestStackedKernel:
             steps.append(np.linalg.norm(delta))
         a = np.stack([p[0] for p in pairs])
         b = np.stack([p[1] for p in pairs])
-        batch, rotations = _procrustes(group, a, b)
+        batch, rotations, _ = _procrustes(group, a, b)
         assert batch.shape == (40,) and rotations.shape == (40, 3, 3)
         for i, (ai, bi) in enumerate(pairs):
             expected, alignment = SCALAR_DISTANCES[group](ai, bi)
@@ -333,7 +341,7 @@ class TestStackedKernel:
     def test_query_broadcasts_against_records(self, rng, group):
         q, _ = sample_pair(rng, group, n=2, l=4)
         records = np.stack([sample_pair(rng, group, n=2, l=4)[0] for _ in range(7)])
-        batch, _ = _procrustes(group, q, records)
+        batch = _procrustes(group, q, records)[0]
         expected = [orbit_distance(group, q, m)[0] for m in records]
         np.testing.assert_allclose(batch, expected, rtol=1e-12, atol=0.0)
 
@@ -342,3 +350,118 @@ class TestStackedKernel:
         a, b = sample_pair(rng, group)
         with pytest.raises(ShapeMismatchError):
             orbit_distance(group, np.stack([a, a]), np.stack([b, b]))
+
+
+@st.composite
+def scaled_pairs(draw):
+    """A group, a query, two records and a power-of-two exponent k; the
+    first record is independent of the query, nearly in its orbit, or
+    shares a zero column with it."""
+    group = draw(st.sampled_from(ALL_GROUPS))
+    n, l = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = sample_pair(rng, group, n, l)
+    c, _ = sample_pair(rng, group, n, l)
+    kind = draw(st.sampled_from(["independent", "near", "zero"]))
+    if kind == "near":
+        b = apply_element(*random_element(rng, group, n), a) + 1e-9 * b
+    elif kind == "zero":
+        a[:, 0] = b[:, 0] = 0.0
+    return group, a, b, c, draw(st.integers(-1000, 1000))
+
+
+def scales_normally(k, *xs):
+    """Whether 2^k times every nonzero real or imaginary part of ``xs``
+    is a normal float64."""
+    parts = np.concatenate([np.concatenate([x.real.ravel(), x.imag.ravel()]) for x in xs])
+    scaled = np.abs(np.ldexp(parts[parts != 0.0], k))
+    return bool(np.all((scaled >= np.finfo(float).tiny) & np.isfinite(scaled)))
+
+
+class TestScaleContract:
+    """d(2^k A, 2^k B) = 2^k d(A, B) to the bit, with the same rotation,
+    wherever the scaled entries stay normal and the results finite."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_pairs())
+    def test_power_of_two_scale_is_exact(self, case):
+        group, a, b, c, k = case
+        s = 2.0**k
+        assume(scales_normally(k, a, b, c))
+        d, al = orbit_distance(group, a, b)
+        assume(np.isfinite(d * s) and np.isfinite(al.translation * s).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds, als = orbit_distance(group, a * s, b * s)
+            assert ds == d * s
+            np.testing.assert_array_equal(als.rotation, al.rotation)
+            np.testing.assert_array_equal(als.translation, al.translation * s)
+            # the same contract through the database: verify, and the
+            # stacked kernel of the scan
+            records = [("b", b), ("c", c)]
+            db = ShapeDatabase(group, records)
+            dbs = ShapeDatabase(group, [(rid, m * s) for rid, m in records])
+            for rid, m in records:
+                assume(np.isfinite(orbit_distance(group, a, m)[0] * s))
+                hit = QueryResult(rid, 0.0, None, 1.0)
+                want = verify(db, hit, a).exact_orbit_distance * s
+                assert verify(dbs, hit, a * s).exact_orbit_distance == want
+            scan, scans = linear_scan_nearest(db, a), linear_scan_nearest(dbs, a * s)
+            assert scans.id == scan.id
+            assert scans.exact_orbit_distance == scan.exact_orbit_distance * s
+
+    @pytest.mark.parametrize("k", [511, -530, -565, -664, 1000, -1000])
+    def test_euclidean_pair_at_extreme_scales(self, rng, k):
+        # unscaled, A B* overflows near 1e154, and squares of entries
+        # near 1e-160 are subnormal and from 1e-170 down vanish
+        a, b = rng.standard_normal((2, 2, 5))
+        d, al = dist_euclidean(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds, als = dist_euclidean(np.ldexp(a, k), np.ldexp(b, k))
+        assert ds == np.ldexp(d, k)
+        np.testing.assert_array_equal(als.rotation, al.rotation)
+        np.testing.assert_array_equal(als.translation, np.ldexp(al.translation, k))
+
+    def test_tiny_database_scan_finds_the_nearest_orbit(self, rng):
+        records = rng.standard_normal((50, 2, 5))
+        q = rng.standard_normal((2, 5))
+        unit = ShapeDatabase(GroupAction.EUCLIDEAN, [(f"r{i}", m) for i, m in enumerate(records)])
+        tiny = ShapeDatabase(GroupAction.EUCLIDEAN, [(f"r{i}", m * 1e-200) for i, m in enumerate(records)])
+        want, got = linear_scan_nearest(unit, q), linear_scan_nearest(tiny, q * 1e-200)
+        assert got.id == want.id
+        assert got.exact_orbit_distance == pytest.approx(want.exact_orbit_distance * 1e-200, rel=1e-12)
+
+
+class TestResultRange:
+    """A distance or translation beyond float64 is refused, without a
+    warning, for inputs whose entries are finite."""
+
+    def test_distance_beyond_float64(self):
+        a = 1.5e308 * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+        b = 1.5e308 * np.array([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for group in ALL_GROUPS:
+                with pytest.raises(NonFiniteError, match="^the pair has a distance too large for float64$"):
+                    orbit_distance(group, a, b)
+            with pytest.raises(NonFiniteError, match="distance too large"):
+                _procrustes(GroupAction.ORTHOGONAL, a, np.stack([a, b]))
+
+    @pytest.mark.parametrize("group", [GroupAction.EUCLIDEAN, GroupAction.COMPLEX_EUCLIDEAN])
+    def test_translation_beyond_float64(self, group):
+        # both centre to zero, at distance 0, but the means are 3e308 apart
+        a = np.full((2, 3), 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^the pair has a translation too large for float64$"):
+                orbit_distance(group, a, -a)
+
+    def test_huge_finite_results_kept(self):
+        # the means are summed at the pair's scale: no column sum overflows
+        a = np.full((2, 3), 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, al = dist_euclidean(a, a)
+        assert d == 0.0
+        np.testing.assert_array_equal(al.translation, [0.0, 0.0])
