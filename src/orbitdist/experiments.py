@@ -12,7 +12,11 @@
 Sampling is counter-based (Salmon et al., SC'11).  For a seed
 ``0 <= k < 2**64``, stream ``s`` is the 64-bit word sequence of
 ``Philox(key=k + (s << 64))`` and word ``w`` gives the standard normal
-``ndtri(((w >> 12) + 1/2) / 2**52)``.  ``Philox.advance`` reaches any word
+``ndtri(((w >> 12) + 1/2) / 2**52)``.  ``ndtri`` is Cephes's normal
+quantile, ported to numpy in :func:`_ndtri` with the same rational
+approximations and order of operations and the C library's ``log`` (through
+``math.log``), so it returns the values of SciPy's ``ndtri`` bit for bit
+without importing scipy.  ``Philox.advance`` reaches any word
 directly, so a whole block of trials is drawn with one call, and one seed
 gives one byte-identical report.  In the pair studies trial ``i`` reads
 words ``[per*i, per*(i+1))`` of stream 0, with ``per`` = 12 for two
@@ -39,14 +43,15 @@ feature map with one k-d tree per map.  Under the exact distance it ranks
 only the query's few feature-nearest records, certified by the sqrt(2)
 sandwich, and falls back to every record for the rare query that the
 certificate leaves open, so the result is the exact argmin (see
-:func:`_exact_rate`).  ``scipy.special`` (for ``ndtri``) and
-``scipy.spatial`` (for the k-d trees) are imported by the functions that
-use them, so that importing this module loads only numpy.
+:func:`_exact_rate`).  ``scipy.spatial`` (for the k-d trees) is imported
+by the functions that use it, so that importing this module loads only
+numpy, and the distortion study loads no scipy at all.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 import json
+import math
 
 import numpy as np
 
@@ -66,7 +71,8 @@ _DEGENERATE = 1e-12
 _EXACT_CANDIDATES = 4
 _SLACK = 2.0**-46
 _HIST_EDGES = np.linspace(0.0, 1.8, 61)
-# Pairs per block in the distortion study.
+# Pairs per block in the distortion study, and words per block of the
+# quantile's central branch in _ndtri.
 _PAIR_BLOCK = 1 << 14
 # Ceilings on the study sizes, so that a config cannot ask for more memory
 # than a workstation has.  The pair studies keep a few float64 ratios per
@@ -176,10 +182,9 @@ def _normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     ``Generator.random`` turns word w into (w >> 11) / 2**53; flooring to
     52 bits and adding half a step, exactly and in place, gives
     ((w >> 12) + 1/2) / 2**52, strictly inside (0, 1), so every normal is
-    finite (with 53 bits the largest word would round up to 1.0).
+    finite (with 53 bits the largest word would round up to 1.0).  The
+    quantile function is :func:`_ndtri`, applied in place.
     """
-    from scipy.special import ndtri
-
     steps, skip = divmod(int(start), 4)  # Philox.advance rejects numpy integers
     bits = np.random.Philox(key=seed + (stream << 64))
     bits.advance(steps)
@@ -188,7 +193,85 @@ def _normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     np.floor(u, out=u)
     u += 0.5
     u *= 2.0**-52
-    return ndtri(u, out=u)
+    return _ndtri(u)
+
+
+# Cephes ndtri (Moshier): rational approximations of the normal quantile on
+# |y - 1/2| <= 1/2 - exp(-2) (P0/Q0) and, with x = sqrt(-2 log y), on the
+# tails 2 <= x < 8 (P1/Q1) and x >= 8 (P2/Q2).  Highest degree first; each
+# Q leads with the 1 that Cephes's p1evl leaves implicit.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule in the order of Cephes ``polevl``; with a leading 1 it
+    is ``p1evl`` bit for bit, since x * 1 is exact."""
+    out = x * coefs[0]
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log, the one compiled Cephes calls; numpy's
+    # vectorised float64 log may differ from it in the last bits.
+    return np.fromiter(map(math.log, memoryview(x)), np.float64, x.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Cephes ``ndtri``, the standard normal quantile, of float64 values
+    strictly inside (0, 1), in place: the values of SciPy's ``ndtri`` bit
+    for bit.  The central branch, most of the draws, runs over the whole
+    array in blocks; the tails, ``u <= exp(-2)`` or ``u > 1 - exp(-2)``, are
+    gathered."""
+    tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
+    y = u[tail]
+    upper = y > 0.5
+    y[upper] = 1.0 - y[upper]  # exact for y >= 1/2
+    for lo in range(0, u.size, _PAIR_BLOCK):  # blocks small enough to stay in cache
+        c = u[lo : lo + _PAIR_BLOCK]
+        c -= 0.5
+        c2 = c * c
+        r = _polevl(c2, _P0)
+        r *= c2
+        r /= _polevl(c2, _Q0)
+        r *= c
+        c += r
+        c *= _S2PI
+    x = _log(y)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    z = 1.0 / x
+    far = np.flatnonzero(x >= 8.0)  # y < exp(-32)
+    x1 = _polevl(z, _P1)
+    x1 *= z
+    x1 /= _polevl(z, _Q1)
+    zf = z[far]
+    x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2)
+    x -= _log(x) / x
+    x -= x1
+    u[tail] = np.where(upper, x, -x)
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import math
 import mpmath
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from orbitdist import (
     triangle_embedding,
 )
 from orbitdist import experiments
-from orbitdist.experiments import _normals, _plane_distances
+from orbitdist.experiments import _ndtri, _normals, _plane_distances
 from orbitdist.metrics import _procrustes
 
 from oracles import o2_grid_min
@@ -68,6 +69,53 @@ class TestSampler:
     def test_largest_seed_is_accepted(self):
         cfg = ExperimentConfig(seed=2**64 - 1, n_pairs=10, maps=(MAP_TRIANGLE,))
         assert distortion_experiment(cfg).config["seed"] == 2**64 - 1
+
+
+class TestNdtri:
+    """The numpy port of Cephes ``ndtri`` returns scipy's values bit for bit,
+    so the sampling contract holds without scipy."""
+
+    @staticmethod
+    def assert_bitwise(u):
+        u = np.asarray(u, dtype=np.float64)
+        got = _ndtri(u.copy())
+        assert got.dtype == np.float64 and got.shape == u.shape
+        np.testing.assert_array_equal(got.view(np.int64), ndtri(u).view(np.int64))
+
+    def test_grid_ends(self):
+        k = np.arange(100_000, dtype=np.float64)
+        self.assert_bitwise((k + 0.5) * 2.0**-52)
+        self.assert_bitwise((2.0**52 - 0.5 - k) * 2.0**-52)
+
+    @pytest.mark.parametrize("point", [math.exp(-2.0), 1.0 - math.exp(-2.0), 0.5])
+    def test_branch_points_and_neighbours(self, point):
+        # consecutive positive floats have consecutive bit patterns
+        self.assert_bitwise((np.float64(point).view(np.int64) + np.arange(-64, 65)).view(np.float64))
+
+    def test_far_tail(self):
+        # y < exp(-32), where x = sqrt(-2 log y) >= 8 selects P2/Q2
+        y = np.geomspace(5e-324, math.exp(-32.0), 4000)
+        self.assert_bitwise(y)
+        self.assert_bitwise(1.0 - y[y > 2.0**-53])
+
+    def test_philox_words(self):
+        words = np.random.Philox(key=20240613).random_raw(1 << 20)
+        self.assert_bitwise(((words >> 12).astype(np.float64) + 0.5) * 2.0**-52)
+
+    def test_in_place_and_empty(self):
+        u = np.array([0.01, 0.3, 0.99])
+        assert _ndtri(u) is u
+        empty = _ndtri(np.empty(0))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
+    def test_pinned_draws(self):
+        expected = [
+            "-0x1.22cd198aad6f1p+1", "-0x1.67147405be6f1p-1", "-0x1.380f15f728ce0p+0", "0x1.4c209a0cbd7dap-3",
+            "0x1.86e90d5955c4cp-8", "-0x1.2e1078a9d8193p-1", "0x1.9cbb4059f946dp+0", "0x1.197da1df56aa3p+1",
+            "-0x1.53344b9d44df3p-1", "-0x1.b807b9b496aa2p-1", "0x1.1de4e4d3212bap-1", "-0x1.1ed4b0cf7fed6p+0",
+            "0x1.760561ab12a08p-3", "-0x1.5152a48827709p-1", "0x1.1a6e03c631886p+0", "0x1.6a2bf0eb58d02p-1",
+        ]
+        assert [float(v).hex() for v in _normals(0, 0, 0, 16)] == expected
 
 
 def _triangle_case():

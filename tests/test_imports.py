@@ -1,6 +1,6 @@
 """The import boundary: ``import orbitdist`` loads numpy but no scipy,
-full-feature databases load none either, and each scipy module loads in the
-function that uses it.
+full-feature databases and the distortion study load none either, and each
+scipy module loads in the function that uses it, and only there.
 
 Every case runs in a fresh interpreter, since the test session itself has
 scipy loaded.  The interpreters start together, so the file costs about as
@@ -30,15 +30,17 @@ import orbitdist.cli
 assert not scipy_modules(), scipy_modules()
 """
 
-# case -> (code run after the prelude, scipy subpackage the case must load)
+# case -> (code run after the prelude, scipy subpackage the case must load
+# or None for no scipy at all, scipy subpackages the case must not load)
 CASES = {
-    "import": ("", None),
+    "import": ("", None, ()),
     "dist-and-embed": (
         """
 assert orbitdist.cli.main(["dist", "--group", "E", *sys.argv[1:]]) == 0
 assert orbitdist.cli.main(["embed", "--group", "O", sys.argv[1]]) == 0
 """,
         None,
+        (),
     ),
     "ShapeDatabase": (
         """
@@ -47,6 +49,7 @@ db = od.ShapeDatabase(od.GroupAction.EUCLIDEAN, [(str(i), rng.standard_normal((2
 assert od.feature_nearest(db, db.matrices[5])[0].id == "5"
 """,
         None,
+        (),
     ),
     "db-build-and-query": (
         """
@@ -54,6 +57,7 @@ assert orbitdist.cli.main(["db-build", "--group", "E", "--out", "db.jsonl", *sys
 assert orbitdist.cli.main(["db-query", "db.jsonl", sys.argv[1], "-k", "1", "--verify"]) == 0
 """,
         None,
+        (),
     ),
     "reduced_embedding": (
         """
@@ -61,13 +65,23 @@ f = od.reduced_embedding(od.GroupAction.ORTHOGONAL, np.arange(4.0)[None])
 assert f.shape == (7,) and np.isfinite(f).all()
 """,
         "scipy.sparse",
+        (),
+    ),
+    "distortion_experiment": (
+        """
+rep = od.distortion_experiment(od.ExperimentConfig(n_pairs=100, maps=("side_lengths", "triangle_embedding")))
+assert 0.0 < rep.ratio_stats["side_lengths"]["min"] <= rep.ratio_stats["side_lengths"]["max"]
+""",
+        None,
+        (),
     ),
     "lower_constant_survey": (
         """
 rep = od.lower_constant_survey(od.GroupAction.ORTHOGONAL, 1, 4, 20, seed=0)
 assert rep.ratio_stats["reduced"]["min"] > 0.0
 """,
-        "scipy.special",
+        "scipy.sparse",
+        ("scipy.special",),
     ),
     "classification_experiment": (
         """
@@ -77,6 +91,7 @@ rates = od.classification_experiment(cfg).rates["misclassification"]
 assert all(r[0] == 0.0 for r in rates.values()), rates
 """,
         "scipy.spatial",
+        (),
     ),
 }
 
@@ -90,7 +105,7 @@ def runs(tmp_path_factory):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     procs = {}
     try:
-        for name, (code, _) in CASES.items():
+        for name, (code, _, _) in CASES.items():
             script = PRELUDE + code + "\nprint(json.dumps(scipy_modules()))\n"
             procs[name] = subprocess.Popen(
                 [sys.executable, "-c", script, str(a), str(b)],
@@ -111,8 +126,9 @@ def test_fresh_process(runs, case):
     out, err, code = runs[case]
     assert code == 0, err
     loaded = json.loads(out.splitlines()[-1])
-    expected = CASES[case][1]
+    _, expected, forbidden = CASES[case]
     if expected is None:
         assert loaded == []
     else:
         assert expected in loaded
+    assert not set(forbidden) & set(loaded), loaded
