@@ -5,7 +5,8 @@ of its Gram matrix of pairwise inner products.  The Gram matrix is a
 complete invariant of the rotation orbit, and taking its PSD square root
 restores Lipschitz behaviour: euclidean distances between features
 sandwich the orbit distance within a factor of sqrt(2).  The euclidean
-variants center the configuration first, which quotients translations.
+variants read the centred configuration in Helmert coordinates of the
+sum-zero subspace (:func:`mean_last_basis`), where E and F become O and U.
 
 Matrix-valued features are flattened to real coordinate vectors by an
 isometry (off-diagonal entries picking up a sqrt(2) weight), so vector
@@ -17,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import OutOfRangeError
 from .linalg import _adjoint, as_matrix, svd
 from .metrics import GroupAction, _configuration, _prepared
 
@@ -75,52 +77,50 @@ def herm_flatten(m) -> np.ndarray:
     return _flatten(as_matrix(m), hermitian=True)
 
 
-@lru_cache(maxsize=None)
 def mean_last_basis(l: int) -> np.ndarray:
     """Fixed orthogonal l-by-l matrix whose last column is the normalized
-    all-ones vector.
+    all-ones vector (OutOfRangeError unless l is an integer >= 1).
 
-    Built by orthonormalizing (ones/sqrt(l), e_1, ..., e_{l-1}) and moving
-    the ones-column to the end, so the choice is deterministic and features
-    are reproducible across runs.
+    The reverse Helmert basis in closed form: column k < l - 1 is
+    ``sqrt((l-k)/(l-k-1)) * (e_k - 1_{k:}/(l-k))``, ``1_{k:}`` having ones
+    from entry k on.  That is the Gram-Schmidt orthonormalization of
+    (ones/sqrt(l), e_0, ..., e_{l-2}) with the ones-column moved last.
     """
-    ones = np.full(l, 1.0 / np.sqrt(l))
-    cols = [ones]
-    for k in range(l - 1):
-        v = np.zeros(l)
-        v[k] = 1.0
-        for c in cols:
-            v -= (c @ v) * c
-        v /= np.linalg.norm(v)
-        cols.append(v)
-    w = np.column_stack(cols[1:] + [ones])
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
+        raise OutOfRangeError(f"l must be an integer >= 1, got {l!r}")
+    return np.column_stack([_helmert(int(l)), np.full(l, 1.0 / np.sqrt(l))])
+
+
+@lru_cache(maxsize=None)
+def _helmert(l: int) -> np.ndarray:
+    """The first l - 1 columns W' of :func:`mean_last_basis`, read-only."""
+    m = l - np.arange(l - 1.0)  # the entries of column k from k on
+    w = np.tril(np.broadcast_to(-1.0 / np.sqrt(m * (m - 1.0)), (l, l - 1)), -1)
+    np.fill_diagonal(w, np.sqrt((m - 1.0) / m))
     w.setflags(write=False)
     return w
 
 
-def _centered_block(a: np.ndarray) -> np.ndarray:
-    """Compress each matrix of a stack annihilating the all-ones vector to
-    its (l-1)-by-(l-1) block in the :func:`mean_last_basis` coordinates."""
-    w = mean_last_basis(a.shape[-1])
-    return (w.T @ a @ w)[..., :-1, :-1]
-
-
-def _root_and_block(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix feature of each configuration in a validated ``(..., n, l)``
-    stack, and the block of it that the flattened features read: the whole
-    root, or its (l-1)-by-(l-1) block when translations are quotiented."""
-    s = _gram_root(_prepared(group, x))
-    return s, _centered_block(s) if group.quotients_translations else s
-
-
-def _embed(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s, block = _root_and_block(group, x)
-    return s, _flatten(block, hermitian=group.is_complex)
+def _block(group: GroupAction, x: np.ndarray) -> np.ndarray:
+    """Matrix feature that the flattened features read, of each
+    configuration in a validated ``(..., n, l)`` stack: its Gram root, or
+    under a translation quotient the root of the centred configuration
+    read in W', the l - 1 coordinates of the sum-zero subspace."""
+    x = _prepared(group, x)
+    if group.quotients_translations:
+        x = x @ _helmert(x.shape[-1])
+    return _gram_root(x)
 
 
 def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix feature and flattened coordinates for ``group``."""
-    return _embed(group, _configuration(group, a, "A"))
+    """Matrix feature and flattened coordinates for ``group``; under a
+    translation quotient the matrix is the block B as ``W' B W'^T``."""
+    x = _configuration(group, a, "A")
+    m = b = _block(group, x)
+    if group.quotients_translations:
+        w = _helmert(x.shape[-1])
+        m = w @ b @ w.T
+    return m, _flatten(b, hermitian=group.is_complex)
 
 
 def orthogonal_embedding(a) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +135,8 @@ def orthogonal_embedding(a) -> tuple[np.ndarray, np.ndarray]:
 def euclidean_embedding(a) -> tuple[np.ndarray, np.ndarray]:
     """Feature under the euclidean action: embed the centered configuration.
 
-    The matrix annihilates the all-ones vector, so the flattening keeps
-    only the (l-1)-by-(l-1) block (length l(l-1)/2).
+    The flattening is the orthogonal feature of the centred configuration in
+    the first l - 1 columns of :func:`mean_last_basis` (length l(l-1)/2).
     """
     return embedding_for(GroupAction.EUCLIDEAN, a)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import _embed
+from .embeddings import _block, _flatten
 from .errors import FeatureMapMismatchError
 from .linalg import _finite
 from .metrics import GroupAction, _configuration
@@ -61,4 +61,4 @@ def _feature_stack(
         return _reduced_stack(group, x, reducer)
     if _is_triangle(group, x):
         return _triangle_coords(x)
-    return _embed(group, x)[1]
+    return _flatten(_block(group, x), hermitian=group.is_complex)

@@ -262,7 +262,7 @@ def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None
 def _reduced_stack(group: GroupAction, x: np.ndarray, reducer: ReducerBasis) -> np.ndarray:
     """:func:`reduced_embedding` of each configuration in a validated
     ``(..., n, l)`` stack, one row each, with ``reducer`` already matched."""
-    return _project(reducer, embeddings._root_and_block(group, x)[1])
+    return _project(reducer, embeddings._block(group, x))
 
 
 def _project(reducer: ReducerBasis, mats: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ each group element explicitly; translations are searched coordinate by
 coordinate (the objective separates).  Nothing here touches the SVD-based
 distance formulas under test.
 """
+from functools import lru_cache
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -130,3 +132,22 @@ def random_unitary(rng, n: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+@lru_cache(maxsize=None)
+def gram_schmidt_mean_last_basis(l: int) -> np.ndarray:
+    """Orthogonal l-by-l matrix whose last column is the normalized
+    all-ones vector, by orthonormalizing (ones/sqrt(l), e_0, ..., e_{l-2})
+    one column at a time and moving the ones-column to the end."""
+    ones = np.full(l, 1.0 / np.sqrt(l))
+    cols = [ones]
+    for k in range(l - 1):
+        v = np.zeros(l)
+        v[k] = 1.0
+        for c in cols:
+            v -= (c @ v) * c
+        v /= np.linalg.norm(v)
+        cols.append(v)
+    w = np.column_stack(cols[1:] + [ones])
+    w.setflags(write=False)
+    return w

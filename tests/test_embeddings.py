@@ -3,21 +3,25 @@ import pytest
 
 from orbitdist import (
     GroupAction,
+    OutOfRangeError,
     center,
     complex_euclidean_embedding,
     embedding_for,
     euclidean_embedding,
     feature_dim,
+    feature_vector,
     herm_flatten,
     mean_last_basis,
     orbit_distance,
     orthogonal_embedding,
     psd_sqrt,
+    reduced_embedding,
+    reducer_for,
     sym_flatten,
     unitary_embedding,
 )
 
-from oracles import random_orthogonal, random_unitary
+from oracles import gram_schmidt_mean_last_basis, random_orthogonal, random_unitary
 
 SQRT2 = np.sqrt(2.0)
 
@@ -64,6 +68,20 @@ class TestFlattening:
         w = mean_last_basis(l)
         np.testing.assert_allclose(w.T @ w, np.eye(l), atol=1e-12)
         np.testing.assert_allclose(w[:, -1], np.full(l, 1 / np.sqrt(l)), atol=1e-12)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 5, 50, 257])
+    def test_mean_last_basis_is_gram_schmidt(self, l):
+        expected = gram_schmidt_mean_last_basis(l)
+        np.testing.assert_allclose(mean_last_basis(l), expected, rtol=0.0, atol=1e-14)
+
+    def test_mean_last_basis_of_one_point(self):
+        assert mean_last_basis(1).tolist() == [[1.0]]
+        assert mean_last_basis(np.int64(1)).tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("l", [0, -2, 2.5, 3.0, True, "3", None, [3]])
+    def test_mean_last_basis_refuses_non_integers_below_one(self, l):
+        with pytest.raises(OutOfRangeError, match="l must be an integer >= 1"):
+            mean_last_basis(l)
 
 
 class TestOrthogonalEmbedding:
@@ -132,6 +150,43 @@ class TestEuclideanEmbedding:
             assert np.linalg.norm(v1 - v2) == pytest.approx(
                 np.linalg.norm(m1 - m2), rel=1e-10, abs=1e-12
             )
+
+
+def centred_root_in_oracle_basis(group, a):
+    """The translation-quotiented matrix feature by the textbook route: the
+    l-by-l Gram root of the centred configuration, and its (l-1)-by-(l-1)
+    block ``W^T R W`` in the Gram-Schmidt basis."""
+    root = (unitary_embedding if group.is_complex else orthogonal_embedding)(center(a))[0]
+    w = gram_schmidt_mean_last_basis(a.shape[1])
+    return root, (w.T @ root @ w)[:-1, :-1]
+
+
+class TestHelmertCoordinates:
+    """E/F features read the centred configuration in the closed-form
+    Helmert coordinates; they agree with the centred root compressed in
+    the Gram-Schmidt basis to round-off, up to l = 1024."""
+
+    @pytest.mark.parametrize("group", [GroupAction.EUCLIDEAN, GroupAction.COMPLEX_EUCLIDEAN])
+    @pytest.mark.parametrize("n,l", [(1, 3), (1, 8), (1, 64), (2, 3), (2, 8), (2, 64), (1, 1024)])
+    def test_full_and_reduced_features_match_oracle(self, rng, group, n, l):
+        a = sample(rng, group, n, l)
+        root, block = centred_root_in_oracle_basis(group, a)
+        mat, f = embedding_for(group, a)
+        expected = (herm_flatten if group.is_complex else sym_flatten)(block)
+        assert np.linalg.norm(f - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert np.linalg.norm(mat - root) <= 1e-13 * np.linalg.norm(root)
+        if l - 1 >= 2 * n:
+            r = reduced_embedding(group, a)
+            expected = reducer_for(group, n, l).project(block)
+            assert np.linalg.norm(r - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("group", [GroupAction.EUCLIDEAN, GroupAction.COMPLEX_EUCLIDEAN])
+    def test_one_point_feature_is_empty(self, rng, group):
+        a, b = sample(rng, group, 2, 1), sample(rng, group, 2, 1)
+        assert feature_vector(group, a).shape == (0,)
+        mat, f = embedding_for(group, a)
+        assert f.shape == (0,) and mat.tolist() == [[0.0]]
+        assert orbit_distance(group, a, b)[0] == 0.0
 
 
 class TestUnitaryEmbedding:
