@@ -101,15 +101,22 @@ def _helmert(l: int) -> np.ndarray:
     return w
 
 
-def _block(group: GroupAction, x: np.ndarray) -> np.ndarray:
-    """Matrix feature that the flattened features read, of each
-    configuration in a validated ``(..., n, l)`` stack: its Gram root, or
-    under a translation quotient the root of the centred configuration
-    read in W', the l - 1 coordinates of the sum-zero subspace."""
+def _coordinates(group: GroupAction, x: np.ndarray) -> np.ndarray:
+    """Each configuration of a validated ``(..., n, l)`` stack as the
+    feature maps read it: as ``group`` acts on it, and under a translation
+    quotient centred and read in W', the l - 1 coordinates of the sum-zero
+    subspace."""
     x = _prepared(group, x)
     if group.quotients_translations:
         x = x @ _helmert(x.shape[-1])
-    return _gram_root(x)
+    return x
+
+
+def _block(group: GroupAction, x: np.ndarray) -> np.ndarray:
+    """Matrix feature that the flattened features read, of each
+    configuration in a validated ``(..., n, l)`` stack: the Gram root of
+    its :func:`_coordinates`."""
+    return _gram_root(_coordinates(group, x))
 
 
 def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:

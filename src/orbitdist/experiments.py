@@ -36,16 +36,18 @@ number raises ConfigInvalidError before anything is drawn or built.
 The arithmetic is stacked over blocks of trials.  Triangle orbit
 distances come from a closed-form planar kernel (:func:`_plane_distances`,
 no SVD), the survey's orbit distances from the Procrustes kernel of
-:mod:`orbitdist.metrics`, reduced features from the sparse projection of
-:mod:`orbitdist.reduction`, and triangle features from the kernels of
-:mod:`orbitdist.triangles`.  The classification ranks each query under a
-feature map with one k-d tree per map.  Under the exact distance it ranks
+:mod:`orbitdist.metrics`, reduced features from :mod:`orbitdist.reduction`
+(by FFT at n = 1, by the sparse projection of the Gram roots at n >= 2),
+and triangle features from the kernels of :mod:`orbitdist.triangles`.
+The classification ranks each query under a feature map with one k-d
+tree per map.  Under the exact distance it ranks
 only the query's few feature-nearest records, certified by the sqrt(2)
 sandwich, and falls back to every record for the rare query that the
 certificate leaves open, so the result is the exact argmin (see
 :func:`_exact_rate`).  ``scipy.spatial`` (for the k-d trees) is imported
 by the functions that use it, so that importing this module loads only
-numpy, and the distortion study loads no scipy at all.
+numpy.  The distortion study loads no scipy at all, nor does the survey
+at n = 1; at n >= 2 it loads ``scipy.sparse`` for the reducer.
 """
 from __future__ import annotations
 
@@ -78,10 +80,11 @@ _PAIR_BLOCK = 1 << 14
 # than a workstation has.  The pair studies keep a few float64 ratios per
 # pair (about 0.3 GB at MAX_PAIRS); the classification study keeps a few
 # hundred bytes per noisy query, db_size * n_draws of them (about 0.3 GB
-# at both ceilings).  Each pair of the lower-constant survey holds l x l
-# Gram roots, 16 MB for a complex one at MAX_L, and shares a reducer of at
-# most n * size**2 non-zeros (twice that Hermitian), 16 bytes each: the
-# ceiling, 64 MB, admits every group at n <= 2 and l <= MAX_L.
+# at both ceilings).  At n >= 2 each pair of the lower-constant survey
+# holds l x l Gram roots, 16 MB for a complex one at MAX_L, and shares a
+# reducer of at most n * size**2 non-zeros (twice that Hermitian), 16 bytes
+# each: the ceiling, 64 MB, admits every group at n <= 2 and l <= MAX_L.
+# At n = 1 a pair holds O(l) entries and no reducer is built.
 MAX_PAIRS = 10**7
 MAX_DB_SIZE = 10**4
 MAX_DRAWS = 100
@@ -582,8 +585,11 @@ def lower_constant_survey(
     No closed-form lower constant is available for the projection, so the
     survey reports the observed minimum and quantiles; the minimum must be
     strictly positive.  Pairs run in blocks of at most ``search._BLOCK``
-    and at most 2**14 entries per l x l feature stack, so the memory of
-    the feature step grows with neither ``n_pairs`` nor l.
+    whose feature step holds at most about 2**14 entries per stack: l x l
+    Gram roots at n >= 2, one row of l per configuration at n = 1, where
+    the reduced features are self-correlations with no root
+    (:func:`reduction._rank_one_stack`).  So the memory of the feature
+    step grows with neither ``n_pairs`` nor l.
     """
     seed = _seed(seed)
     n_pairs = _require_count(n_pairs, "n_pairs", MAX_PAIRS)
@@ -598,7 +604,7 @@ def lower_constant_survey(
         f"more than {MAX_REDUCER_NNZ}",
     )
     reducer = reducer_for(group, n, l)
-    block = min(_BLOCK, max(1, (1 << 14) // (l * l)))
+    block = min(_BLOCK, max(1, (1 << 14) // (l if n == 1 else l * l)))
 
     def gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         fa, fb = _reduced_stack(group, a, reducer), _reduced_stack(group, b, reducer)

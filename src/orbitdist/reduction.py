@@ -24,17 +24,26 @@ Each output coordinate reads one antidiagonal, so the reducer is a sparse
 (CSR) operator on the real coordinates of the matrix (its size^2 entries,
 then the size^2 imaginary parts in the Hermitian ambient) that holds about
 n * size^2 non-zeros (2n * size^2 Hermitian).  Projecting is one sparse
-product and is non-expansive.  The CSR container comes from
-``scipy.sparse``, imported when a reducer is built, so that importing this
-module loads only numpy.
+product and is non-expansive.
+
+At n = 1 no operator is needed.  The root of a single row y is rank one,
+``R = y* y / ||y||``, and the reducer keeps the degree-0 moment of each
+antidiagonal (plus the degree-1 moment of ``Im R`` when Hermitian), so a
+reduced coordinate is a self-correlation of y, computed for a whole stack
+by FFT in O(l log l) without the l-by-l root (:func:`_rank_one_stack`).
+
+The CSR container comes from ``scipy.sparse``, imported the first time a
+reducer's ``basis`` is used: by ``project``, or by a feature at n >= 2.
+Importing this module, building a reducer and every n = 1 feature load
+only numpy.
 """
 from __future__ import annotations
 
 import enum
 import json
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,7 +54,7 @@ from .errors import (
     InvalidRankError,
     ShapeMismatchError,
 )
-from .linalg import HERM_TOL, as_matrix
+from .linalg import HERM_TOL, _pow2_scale, _unscaled, as_matrix
 from .metrics import GroupAction, _configuration
 from . import embeddings
 
@@ -80,24 +89,40 @@ def separating_subspace_basis(size: int, rank: int) -> list[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReducerBasis:
     """Orthonormal basis of the reduced feature space.
 
     ``basis`` is a sparse operator, one row per output coordinate, on the
-    ambient's real coordinates (see the module docstring); ``dim`` counts
-    its rows and ``intersection_dim`` the ambient dimensions removed.
+    ambient's real coordinates (see the module docstring), built on first
+    use unless one is given; ``dim`` counts its rows and
+    ``intersection_dim`` the ambient dimensions removed.
     ``(rank, size, ambient)`` determine it, and alone decide equality.
     """
 
     rank: int
     size: int
     ambient: Ambient
-    basis: csr_array = field(compare=False, repr=False)
+
+    def __init__(
+        self, rank: int, size: int, ambient: Ambient, basis: csr_array | None = None
+    ):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "ambient", ambient)
+        if basis is not None:
+            self.__dict__["basis"] = basis
+
+    @cached_property
+    def basis(self) -> csr_array:
+        return _operator(self.rank, self.size, self.ambient)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        r, size = self.rank, self.size
+        if self.ambient is Ambient.SYMMETRIC:
+            return r * (2 * size - r + 1) // 2
+        return r * (2 * size - r)
 
     @property
     def intersection_dim(self) -> int:
@@ -166,17 +191,23 @@ def build_reducer(n: int, size: int, ambient: Ambient) -> ReducerBasis:
     """Orthonormal reducer for rank parameter 2n on size-by-size matrices.
 
     Requires size >= 2n.  The output dimension is n(2*size - 2n + 1) for
-    the symmetric ambient and 4n(size - n) for the Hermitian one.
+    the symmetric ambient and 4n(size - n) for the Hermitian one.  The
+    sparse operator is built on the first use of ``basis``.
     """
-    from scipy.sparse import csr_array
-
     if n <= 0:
         raise InvalidRankError(f"point dimension must be positive, got {n}")
     if size < 2 * n:
         raise DimensionHypothesisError(
             f"need size >= 2n for rank-2n separation, got size={size}, n={n}"
         )
-    rank = 2 * n
+    return ReducerBasis(rank=2 * n, size=size, ambient=ambient)
+
+
+def _operator(rank: int, size: int, ambient: Ambient) -> csr_array:
+    """The read-only CSR operator of :class:`ReducerBasis`, assembled from
+    the orthonormal polynomials of each antidiagonal."""
+    from scipy.sparse import csr_array
+
     hermitian = ambient is Ambient.HERMITIAN
     cells, values = [], []  # of each output coordinate, in row order
     for s in range(2 * size - 1):
@@ -195,7 +226,7 @@ def build_reducer(n: int, size: int, ambient: Ambient) -> ReducerBasis:
     )
     for part in (basis.data, basis.indices, basis.indptr):
         part.flags.writeable = False
-    return ReducerBasis(rank=rank, size=size, ambient=ambient, basis=basis)
+    return basis
 
 
 _AMBIENTS = {
@@ -222,11 +253,9 @@ def reducer_for(group: GroupAction, n: int, l: int) -> ReducerBasis:
 
 
 def reduced_feature_dim(group: GroupAction, n: int, l: int) -> int:
-    """Output length of :func:`reduced_embedding` for each group action."""
-    size = _block_size(group, l)
-    if _AMBIENTS[group] is Ambient.SYMMETRIC:
-        return n * (2 * size - 2 * n + 1)
-    return 4 * n * (size - n)
+    """Output length of :func:`reduced_embedding` for each group action;
+    raises as :func:`reducer_for` does for a shape that admits no reducer."""
+    return reducer_for(group, n, l).dim
 
 
 def _matched_reducer(group: GroupAction, n: int, l: int, reducer: ReducerBasis | None) -> ReducerBasis:
@@ -262,7 +291,50 @@ def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None
 def _reduced_stack(group: GroupAction, x: np.ndarray, reducer: ReducerBasis) -> np.ndarray:
     """:func:`reduced_embedding` of each configuration in a validated
     ``(..., n, l)`` stack, one row each, with ``reducer`` already matched."""
+    if x.shape[-2] == 1:
+        return _rank_one_stack(group, x)
     return _project(reducer, embeddings._block(group, x))
+
+
+def _rank_one_stack(group: GroupAction, x: np.ndarray) -> np.ndarray:
+    """:func:`_reduced_stack` of a stack of 1-by-l configurations, by FFT.
+
+    With y a row of :func:`embeddings._coordinates` (size m) and
+    ``R = y* y / ||y||``, antidiagonal s holds ``conj(y_{s-c}) y_c / ||y||``
+    at column c, over ``len_s`` cells.  Its degree-0 coordinate is
+    ``sum_c conj(y_{s-c}) y_c / (||y|| sqrt(len_s))``.  The Hermitian
+    degree-1 coordinate weighs ``Im`` of the same terms by ``c - s/2``, over
+    ``||y|| ||t_s||`` with ``||t_s||^2 = len_s (len_s^2 - 1) / 12``; since
+    ``sum_c Im(conj(y_{s-c}) y_c) = 0``, the weight may be ``c - o`` for
+    any origin o, and o = (m - 1)/2 keeps the weighted row smallest.  Each
+    row runs at the power of two of its largest entry, so no product over-
+    or underflows.  A zero row gives zeros; FFTs transform each row alone,
+    so a row has the same bits alone or in any batch.
+    """
+    y = embeddings._coordinates(group, x)[..., 0, :]
+    c = _pow2_scale(np.abs(y).max(axis=-1, keepdims=True, initial=0.0))
+    y = y * c
+    m = y.shape[-1]
+    s = np.arange(2 * m - 1)
+    cells = np.minimum(s, 2 * m - 2 - s) + 1.0
+    norm = np.linalg.norm(y, axis=-1, keepdims=True)
+    norm[norm == 0.0] = 1.0
+    if not group.is_complex:
+        p = np.fft.irfft(np.fft.rfft(y, 2 * m) ** 2, 2 * m)[..., :-1]
+        return _unscaled(p / (norm * np.sqrt(cells)), c)
+    # named, not temporary: numpy reuses a large temporary operand as the
+    # output and swaps the operands of the product, whose complex rounding
+    # depends on their order, so a large batch would lose the bits of a row
+    fc, fy = np.fft.fft(y.conj(), 2 * m), np.fft.fft(y, 2 * m)
+    fw = np.fft.fft((np.arange(m) - (m - 1) / 2) * y, 2 * m)
+    p = np.fft.ifft(fc * fy)[..., :-1].real / (norm * np.sqrt(cells))
+    t = np.fft.ifft(fc * fw)[..., 1:-2].imag
+    inner = cells[1:-1]
+    out = np.empty(y.shape[:-1] + (4 * m - 4,))
+    out[..., 0] = p[..., 0]  # the corner antidiagonals have no degree-1 row
+    out[..., 1::2] = p[..., 1:]
+    out[..., 2::2] = t / (norm * np.sqrt(inner * (inner * inner - 1.0) / 12.0))
+    return _unscaled(out, c)
 
 
 def _project(reducer: ReducerBasis, mats: np.ndarray) -> np.ndarray:

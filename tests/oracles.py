@@ -151,3 +151,13 @@ def gram_schmidt_mean_last_basis(l: int) -> np.ndarray:
     w = np.column_stack(cols[1:] + [ones])
     w.setflags(write=False)
     return w
+
+
+def csr_reduced_features(group, x) -> np.ndarray:
+    """Reduced features of a validated ``(..., n, l)`` stack by the general
+    route: the sparse reducer applied to each Gram root.  At n = 1 the
+    library computes them as self-correlations instead, with no root."""
+    from orbitdist import embeddings
+    from orbitdist.reduction import _project, reducer_for
+
+    return _project(reducer_for(group, *x.shape[-2:]), embeddings._block(group, x))

@@ -1,5 +1,6 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import json
 import math
 import mpmath
 import numpy as np
@@ -553,6 +554,39 @@ class TestLowerConstantSurvey:
         for key, value in (("min", min(ratios)), ("max", max(ratios)), ("mean", np.mean(ratios))):
             assert s[key] == pytest.approx(value, rel=1e-12)
         assert s["quantiles"]["0.5"] == pytest.approx(np.quantile(ratios, 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "group, l",
+        [
+            (GroupAction.ORTHOGONAL, 4),
+            (GroupAction.EUCLIDEAN, 5),
+            (GroupAction.UNITARY, 3),
+            (GroupAction.COMPLEX_EUCLIDEAN, 4),
+        ],
+    )
+    def test_report_bytes_do_not_depend_on_the_block(self, monkeypatch, tmp_path, group, l):
+        from orbitdist.cli import main
+
+        # at n = 1 and small l the block is search._BLOCK; 1 runs each pair alone
+        default = experiments._BLOCK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"group": group.value, "n": 1, "l": l, "n_pairs": default + 100}))
+        blocks, reports = [], []
+        pair_ratios = experiments._pair_ratios
+
+        def spy(*args):
+            blocks.append(args[5])
+            return pair_ratios(*args)
+
+        monkeypatch.setattr(experiments, "_pair_ratios", spy)
+        for block in (default, 1):
+            monkeypatch.setattr(experiments, "_BLOCK", block)
+            out = tmp_path / str(block)
+            argv = ["experiment", "lower-constant", "--seed", "4", "--config", str(cfg), "--out", str(out)]
+            assert main(argv) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert blocks == [default, 1]
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("bad", [None, 0, experiments.MAX_PAIRS + 1])
     def test_invalid_n_pairs(self, bad):

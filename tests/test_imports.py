@@ -1,6 +1,7 @@
 """The import boundary: ``import orbitdist`` loads numpy but no scipy,
-full-feature databases and the distortion study load none either, and each
-scipy module loads in the function that uses it, and only there.
+full-feature databases, n = 1 reduced features, the distortion study and
+the n = 1 survey load none either, and each scipy module loads in the
+function that uses it, and only there.
 
 Every case runs in a fresh interpreter, since the test session itself has
 scipy loaded.  The interpreters start together, so the file costs about as
@@ -64,6 +65,14 @@ assert orbitdist.cli.main(["db-query", "db.jsonl", sys.argv[1], "-k", "1", "--ve
 f = od.reduced_embedding(od.GroupAction.ORTHOGONAL, np.arange(4.0)[None])
 assert f.shape == (7,) and np.isfinite(f).all()
 """,
+        None,
+        (),
+    ),
+    "reduced_embedding-n2": (
+        """
+f = od.reduced_embedding(od.GroupAction.ORTHOGONAL, np.arange(8.0).reshape(2, 4) ** 2)
+assert f.shape == (10,) and np.isfinite(f).all()
+""",
         "scipy.sparse",
         (),
     ),
@@ -80,8 +89,8 @@ assert 0.0 < rep.ratio_stats["side_lengths"]["min"] <= rep.ratio_stats["side_len
 rep = od.lower_constant_survey(od.GroupAction.ORTHOGONAL, 1, 4, 20, seed=0)
 assert rep.ratio_stats["reduced"]["min"] > 0.0
 """,
-        "scipy.sparse",
-        ("scipy.special",),
+        None,
+        (),
     ),
     "classification_experiment": (
         """

@@ -9,7 +9,9 @@ from orbitdist import (
     DimensionHypothesisError,
     GroupAction,
     InvalidRankError,
+    REDUCED,
     ReducerBasis,
+    ShapeDatabase,
     build_reducer,
     feature_vector,
     orbit_distance,
@@ -18,6 +20,10 @@ from orbitdist import (
     reducer_for,
     separating_subspace_basis,
 )
+from orbitdist import search
+from orbitdist.reduction import _reduced_stack
+
+from oracles import csr_reduced_features
 
 SQRT2 = np.sqrt(2.0)
 
@@ -320,3 +326,90 @@ class TestLeastSquaresOracle:
     def test_large_size_dimensions(self):
         assert build_reducer(1, 64, Ambient.SYMMETRIC).dim == 2 * 64 - 1
         assert build_reducer(1, 64, Ambient.HERMITIAN).dim == 4 * (64 - 1)
+
+
+def _rows(rng, group, shape):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if group.is_complex else x
+
+
+class TestRankOneRoute:
+    """At n = 1 the reduced features are self-correlations of the row (by
+    FFT, with no Gram root and no sparse operator); the sparse product over
+    the Gram roots is the oracle."""
+
+    @pytest.mark.parametrize("l", ["minimal", 4, 5, 31, 32, 33, 256, 1024])
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_matches_the_sparse_route(self, rng, group, l):
+        if l == "minimal":
+            l = 3 if group.quotients_translations else 2
+        x = _rows(rng, group, (2 if l >= 256 else 8, 1, l))
+        f = _reduced_stack(group, x, reducer_for(group, 1, l))
+        expected = csr_reduced_features(group, x)
+        assert f.shape == expected.shape == (len(x), reduced_feature_dim(group, 1, l))
+        tol = 1e-12 if group.is_complex else 1e-14
+        err = np.linalg.norm(f - expected, axis=-1)
+        assert (err <= tol * np.linalg.norm(expected, axis=-1)).all(), err
+
+    @pytest.mark.parametrize("l", [5, 33])
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_scalar_equals_database_row(self, rng, group, l):
+        # one record more than a block, so the rows come from two batches
+        records = [(str(i), x) for i, x in enumerate(_rows(rng, group, (search._BLOCK + 1, 1, l)))]
+        db = ShapeDatabase(group, records, REDUCED)
+        for i, (_, x) in enumerate(records):
+            np.testing.assert_array_equal(reduced_embedding(group, x), db.features[i])
+
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_zero_configuration_gives_zeros(self, group):
+        f = reduced_embedding(group, np.zeros((1, 6)))
+        np.testing.assert_array_equal(f, np.zeros(reduced_feature_dim(group, 1, 6)))
+
+    @pytest.mark.parametrize("k", [-500, 500, 1000])
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_power_of_two_scaling_is_exact(self, rng, group, k):
+        a, scale = _rows(rng, group, (1, 7)), 2.0**k
+        np.testing.assert_array_equal(
+            reduced_embedding(group, scale * a), scale * reduced_embedding(group, a)
+        )
+
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_huge_row_has_a_finite_feature(self, rng, group):
+        a = _rows(rng, group, (1, 9))
+        f = reduced_embedding(group, 1e156 * a)
+        assert np.isfinite(f).all()
+        np.testing.assert_allclose(f, 1e156 * reduced_embedding(group, a), rtol=1e-12)
+
+    def test_loads_no_operator(self, rng):
+        rb = ReducerBasis(rank=2, size=6, ambient=Ambient.HERMITIAN)
+        f = _reduced_stack(GroupAction.UNITARY, _rows(rng, GroupAction.UNITARY, (3, 1, 6)), rb)
+        assert f.shape == (3, rb.dim) and "basis" not in vars(rb)
+
+
+class TestDimension:
+    @pytest.mark.parametrize(
+        "group,n,l",
+        [
+            (GroupAction.UNITARY, 3, 2),
+            (GroupAction.ORTHOGONAL, 2, 3),
+            (GroupAction.EUCLIDEAN, 1, 2),
+            (GroupAction.COMPLEX_EUCLIDEAN, 2, 4),
+        ],
+    )
+    def test_refused_shapes_raise_as_the_reducer_does(self, rng, group, n, l):
+        with pytest.raises(DimensionHypothesisError) as dim_error:
+            reduced_feature_dim(group, n, l)
+        with pytest.raises(DimensionHypothesisError) as embed_error:
+            reduced_embedding(group, _rows(rng, group, (n, l)))
+        with pytest.raises(DimensionHypothesisError) as reducer_error:
+            reducer_for(group, n, l)
+        assert str(dim_error.value) == str(embed_error.value) == str(reducer_error.value)
+
+    @pytest.mark.parametrize("ambient", list(Ambient))
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_closed_form_dim_counts_the_operator_rows(self, ambient, n):
+        for size in range(2 * n, 2 * n + 4):
+            rb = ReducerBasis(rank=2 * n, size=size, ambient=ambient)
+            dim = rb.dim
+            assert "basis" not in vars(rb)  # the closed form builds nothing
+            assert rb.basis.shape[0] == dim
