@@ -5,7 +5,7 @@ of its Gram matrix of pairwise inner products.  The Gram matrix is a
 complete invariant of the rotation orbit, and taking its PSD square root
 restores Lipschitz behaviour: euclidean distances between features
 sandwich the orbit distance within a factor of sqrt(2).  The euclidean
-variants read the centred configuration in Helmert coordinates of the
+variants read the centred configuration in O(l) Helmert coordinates of the
 sum-zero subspace (:func:`mean_last_basis`), where E and F become O and U.
 
 Matrix-valued features are flattened to real coordinate vectors by an
@@ -81,24 +81,32 @@ def mean_last_basis(l: int) -> np.ndarray:
     """Fixed orthogonal l-by-l matrix whose last column is the normalized
     all-ones vector (OutOfRangeError unless l is an integer >= 1).
 
-    The reverse Helmert basis in closed form: column k < l - 1 is
-    ``sqrt((l-k)/(l-k-1)) * (e_k - 1_{k:}/(l-k))``, ``1_{k:}`` having ones
-    from entry k on.  That is the Gram-Schmidt orthonormalization of
-    (ones/sqrt(l), e_0, ..., e_{l-2}) with the ones-column moved last.
+    The reverse Helmert basis: the Gram-Schmidt orthonormalization of
+    (ones/sqrt(l), e_0, ..., e_{l-2}) with the ones-column moved last.  Its
+    first l - 1 columns W' are those that :func:`_helmert` applies.
     """
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
         raise OutOfRangeError(f"l must be an integer >= 1, got {l!r}")
-    return np.column_stack([_helmert(int(l)), np.full(l, 1.0 / np.sqrt(l))])
+    return np.column_stack([_helmert(np.eye(l)), np.full(l, 1.0 / np.sqrt(l))])
 
 
 @lru_cache(maxsize=None)
-def _helmert(l: int) -> np.ndarray:
-    """The first l - 1 columns W' of :func:`mean_last_basis`, read-only."""
-    m = l - np.arange(l - 1.0)  # the entries of column k from k on
-    w = np.tril(np.broadcast_to(-1.0 / np.sqrt(m * (m - 1.0)), (l, l - 1)), -1)
-    np.fill_diagonal(w, np.sqrt((m - 1.0) / m))
-    w.setflags(write=False)
-    return w
+def _helmert_weights(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """``l - k - 1`` and ``a_k`` of :func:`_helmert` for k < l - 1."""
+    m = l - 1.0 - np.arange(l - 1.0)
+    return m, np.sqrt(m / (m + 1.0))
+
+
+def _helmert(x: np.ndarray) -> np.ndarray:
+    """``x W'`` for each row of a ``(..., l)`` stack, in O(l) per row.
+
+    Entry k is ``a_k (x_k - T_k/(l-k-1))`` with ``a_k = sqrt((l-k-1)/(l-k))``
+    and ``T_k = sum_{j>k} x_j`` from one reverse cumulative sum, which is
+    elementwise and sequential: no BLAS thread count or batch changes it.
+    """
+    m, a = _helmert_weights(x.shape[-1])
+    t = np.add.accumulate(x[..., :0:-1], axis=-1)[..., ::-1]
+    return a * (x[..., :-1] - t / m)
 
 
 def _coordinates(group: GroupAction, x: np.ndarray) -> np.ndarray:
@@ -107,9 +115,7 @@ def _coordinates(group: GroupAction, x: np.ndarray) -> np.ndarray:
     quotient centred and read in W', the l - 1 coordinates of the sum-zero
     subspace."""
     x = _prepared(group, x)
-    if group.quotients_translations:
-        x = x @ _helmert(x.shape[-1])
-    return x
+    return _helmert(x) if group.quotients_translations else x
 
 
 def _block(group: GroupAction, x: np.ndarray) -> np.ndarray:
@@ -121,12 +127,12 @@ def _block(group: GroupAction, x: np.ndarray) -> np.ndarray:
 
 def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
     """Matrix feature and flattened coordinates for ``group``; under a
-    translation quotient the matrix is the block B as ``W' B W'^T``."""
+    translation quotient the matrix is the Gram root of the centred
+    configuration X_c, which is ``W' B W'^T`` for the flattened block B
+    (as ``X_c = X_c W' W'^T``), to the bit the O/U matrix of ``center(a)``."""
     x = _configuration(group, a, "A")
-    m = b = _block(group, x)
-    if group.quotients_translations:
-        w = _helmert(x.shape[-1])
-        m = w @ b @ w.T
+    b = _block(group, x)
+    m = _gram_root(_prepared(group, x)) if group.quotients_translations else b
     return m, _flatten(b, hermitian=group.is_complex)
 
 
@@ -142,8 +148,8 @@ def orthogonal_embedding(a) -> tuple[np.ndarray, np.ndarray]:
 def euclidean_embedding(a) -> tuple[np.ndarray, np.ndarray]:
     """Feature under the euclidean action: embed the centered configuration.
 
-    The flattening is the orthogonal feature of the centred configuration in
-    the first l - 1 columns of :func:`mean_last_basis` (length l(l-1)/2).
+    The matrix is the Gram root of the centred configuration, the flattening
+    that of its l - 1 Helmert coordinates (:func:`_helmert`; length l(l-1)/2).
     """
     return embedding_for(GroupAction.EUCLIDEAN, a)
 

@@ -83,12 +83,14 @@ def _configuration(group: GroupAction, a, name: str, shape: tuple[int, int] | No
 
     The one input check of every entry point: NonFiniteError on NaN/Inf
     entries, ShapeMismatchError when ``a`` is not 2-D, is not of ``shape``
-    (when given), or is complex under a real group.  Messages name the
-    input ``name``.
+    (when given), has no column under a translation quotient, or is complex
+    under a real group.  Messages name the input ``name``.
     """
     m = as_matrix(a, name=name)
     if shape is not None and m.shape != shape:
         raise ShapeMismatchError(f"{name} has shape {m.shape}, expected {shape}")
+    if m.shape[1] < 1 and group.quotients_translations:
+        raise ShapeMismatchError(f"{name} has shape {m.shape}; a configuration needs at least one column")
     if np.iscomplexobj(m) and not group.is_complex:
         raise ShapeMismatchError(
             f"{name} is complex; group {group.value} acts on real configurations"

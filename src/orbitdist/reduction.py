@@ -54,7 +54,7 @@ from .errors import (
     InvalidRankError,
     ShapeMismatchError,
 )
-from .linalg import HERM_TOL, _pow2_scale, _unscaled, as_matrix
+from .linalg import HERM_TOL, _finite, _pow2_scale, _unscaled, as_matrix
 from .metrics import GroupAction, _configuration
 from . import embeddings
 
@@ -282,10 +282,11 @@ def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None
     ``group`` onto the separating complement.
 
     Output length is n(2l-2n+1) / n(2l-2n-1) / 4n(l-n) / 4n(l-n-1) for the
-    orthogonal / euclidean / unitary / complex-euclidean actions.
+    orthogonal / euclidean / unitary / complex-euclidean actions;
+    NonFiniteError when the feature overflows float64.
     """
     m = _configuration(group, a, "A")
-    return _reduced_stack(group, m, _matched_reducer(group, *m.shape, reducer))
+    return _finite(_reduced_stack(group, m, _matched_reducer(group, *m.shape, reducer)), "A")
 
 
 def _reduced_stack(group: GroupAction, x: np.ndarray, reducer: ReducerBasis) -> np.ndarray:

@@ -81,7 +81,8 @@ def _stack_records(group: GroupAction, records) -> tuple[list[str], dict[str, in
         except (OrbitDistError, ValueError, TypeError):
             pass
         else:
-            if x.ndim == 3 and (group.is_complex or not np.iscomplexobj(x)):
+            field_ok = group.is_complex or not np.iscomplexobj(x)
+            if x.ndim == 3 and field_ok and (x.shape[2] or not group.quotients_translations):
                 return ids, rows, x
     rows, mats = {}, []
     for rid, (_, m) in zip(ids, records):

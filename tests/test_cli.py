@@ -110,6 +110,25 @@ class TestDist:
         assert float(out.splitlines()[0].split()[1]) == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("command", ["embed", "db-build", "dist"])
+def test_zero_points_under_a_translation_quotient(tmp_path, capsys, command):
+    f = tmp_path / "z.json"
+    f.write_text('{"re": [[]], "im": [[]]}\n')
+    argv = {
+        "embed": ["embed", "--group", "F", str(f)],
+        "db-build": ["db-build", "--group", "F", "--out", str(tmp_path / "db.jsonl"), str(f)],
+        "dist": ["dist", "--group", "F", str(f), str(f)],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert err[0].endswith("has shape (1, 0); a configuration needs at least one column")
+
+
 class TestEmbed:
     def test_zero_matrix_zero_row(self, tmp_path, capsys):
         f = write_csv(tmp_path / "z.csv", np.zeros((2, 3)))

@@ -181,6 +181,17 @@ class TestHelmertCoordinates:
             assert np.linalg.norm(r - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("group", [GroupAction.EUCLIDEAN, GroupAction.COMPLEX_EUCLIDEAN])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("l", [2, 3, 8, 64, 257, 1024])
+    def test_matrix_is_the_root_of_the_centred_configuration(self, rng, group, n, l):
+        a = sample(rng, group, n, l)
+        plain = GroupAction.UNITARY if group.is_complex else GroupAction.ORTHOGONAL
+        mat, _ = embedding_for(group, a)
+        expected, _ = embedding_for(plain, center(a))
+        assert mat.dtype == expected.dtype and mat.shape == (l, l)
+        assert np.array_equal(mat, expected)
+
+    @pytest.mark.parametrize("group", [GroupAction.EUCLIDEAN, GroupAction.COMPLEX_EUCLIDEAN])
     def test_one_point_feature_is_empty(self, rng, group):
         a, b = sample(rng, group, 2, 1), sample(rng, group, 2, 1)
         assert feature_vector(group, a).shape == (0,)

@@ -7,6 +7,7 @@ OrbitDistError subclass at every entry.  (Full features and distances are
 checked against the stacked kernels in test_search.py and test_metrics.py.)
 """
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,30 @@ class TestErrorContract:
         reducer = build_reducer(N, size, Ambient.HERMITIAN)
         with pytest.raises(AmbientMismatchError):
             reduced_embedding(group, good(rng, group), reducer)
+
+    @pytest.mark.parametrize("group, n", [(G.EUCLIDEAN, 2), (G.COMPLEX_EUCLIDEAN, 1)])
+    def test_translation_quotient_refuses_zero_points(self, group, n):
+        # the mean of no points is undefined: one ShapeMismatchError, no warning
+        a = np.zeros((n, 0), dtype=complex if group.is_complex else float)
+        entries = scalar_entries(group) + [
+            (f"ShapeDatabase {m}", lambda x, m=m: ShapeDatabase(group, [("x", x)], m))
+            for m in ("full", "reduced")
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, call in entries:
+                with pytest.raises(ShapeMismatchError, match="a configuration needs at least one column"):
+                    call(a)
+                    pytest.fail(f"{name} accepted {n} x 0 points")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reduced_feature_beyond_float64(self, n):
+        # finite entries whose centring sum overflows
+        a = np.full((n, 6), 1.5e308)
+        with pytest.raises(NonFiniteError):
+            reduced_embedding(G.EUCLIDEAN, a)
+        with pytest.raises(NonFiniteError):
+            feature_vector(G.EUCLIDEAN, a, "reduced")
 
     @pytest.mark.parametrize("call", [triangle_embedding, side_lengths])
     def test_triangle_entries(self, rng, call):
