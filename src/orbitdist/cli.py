@@ -69,7 +69,7 @@ def _cmd_embed(args) -> int:
     group = GroupAction(args.group)
     m = _configuration(group, read_matrix(args.file), args.file)
     feature_map = REDUCED if args.reduced else FULL
-    coords = _feature(group, m, feature_map, None, args.file)
+    coords = _feature(group, m, feature_map, args.file)
     row = ",".join(fmt17(x) for x in coords)
     if args.out:
         atomic_write_text(args.out, row + "\n")

@@ -29,9 +29,11 @@ query ``q`` from words ``[6q, 6q+6)`` of stream 1.
 Study sizes have ceilings: ``n_pairs`` at most ``MAX_PAIRS`` (10**7),
 ``db_size`` at most ``MAX_DB_SIZE`` (10**4), ``n_draws`` at most
 ``MAX_DRAWS`` (100), the survey's ``l`` at most ``MAX_L`` (1024) and its
-reducer at most ``MAX_REDUCER_NNZ`` (2**22) non-zeros.  A size outside
-``[1, ceiling]``, an ``n`` below 1, or an integer field that is not a whole
-number raises ConfigInvalidError before anything is drawn or built.
+reducer at most ``MAX_REDUCER_NNZ`` (2**22) non-zeros, and each noise level
+is finite and at most ``MAX_NOISE`` (1e100).  A size outside
+``[1, ceiling]``, an ``n`` below 1, an integer field that is not a whole
+number, or a map list that is empty or holds a repeated or unknown name
+raises ConfigInvalidError before anything is drawn or built.
 
 The arithmetic is stacked over blocks of trials.  Triangle orbit
 distances come from a closed-form planar kernel (:func:`_plane_distances`,
@@ -40,14 +42,14 @@ no SVD), the survey's orbit distances from the Procrustes kernel of
 (by FFT at n = 1, by the sparse projection of the Gram roots at n >= 2),
 and triangle features from the kernels of :mod:`orbitdist.triangles`.
 The classification ranks each query under a feature map with one k-d
-tree per map.  Under the exact distance it ranks
-only the query's few feature-nearest records, certified by the sqrt(2)
-sandwich, and falls back to every record for the rare query that the
-certificate leaves open, so the result is the exact argmin (see
-:func:`_exact_rate`).  ``scipy.spatial`` (for the k-d trees) is imported
-by the functions that use it, so that importing this module loads only
-numpy.  The distortion study loads no scipy at all, nor does the survey
-at n = 1; at n >= 2 it loads ``scipy.sparse`` for the reducer.
+tree per map, built once per study.  Under the exact distance it ranks
+only the query's few feature-nearest records in the triangle map's tree,
+certified by the sqrt(2) sandwich, and falls back to every record for the
+rare query that the certificate leaves open, so the result is the exact
+argmin (see :func:`_exact_rate`).  Only this study imports
+``scipy.spatial`` (for the k-d trees), so that importing this module loads
+only numpy.  The distortion study loads no scipy at all, nor does the
+survey at n = 1; at n >= 2 it loads ``scipy.sparse`` for the reducer.
 """
 from __future__ import annotations
 
@@ -90,6 +92,7 @@ MAX_DB_SIZE = 10**4
 MAX_DRAWS = 100
 MAX_L = 1024
 MAX_REDUCER_NNZ = 2**22
+MAX_NOISE = 1e100  # far below the float64 range: no square of a query overflows
 
 
 @dataclass(frozen=True)
@@ -405,10 +408,21 @@ def _require_count(value, name: str, ceiling: int) -> int:
 
 def _validate_noise_grid(grid) -> None:
     _require(len(grid) >= 1, "noise_grid must be nonempty")
-    _require(all(e >= 0.0 for e in grid), "noise levels must be >= 0")
+    _require(
+        all(0.0 <= e <= MAX_NOISE for e in grid),
+        f"noise levels must be finite and in [0, {MAX_NOISE:g}], got {list(grid)}",
+    )
     _require(
         all(a < b for a, b in zip(grid, grid[1:])),
         "noise levels must be strictly increasing",
+    )
+
+
+def _validate_maps(maps, allowed: tuple[str, ...]) -> None:
+    _require(len(maps) >= 1, "at least one map is required")
+    _require(
+        all(isinstance(m, str) and m in allowed for m in maps) and len(set(maps)) == len(maps),
+        f"maps must be distinct names from {list(allowed)}, got {list(maps)!r}",
     )
 
 
@@ -421,11 +435,7 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     seed = _seed(cfg.seed)
     _require_count(cfg.n_pairs, "n_pairs", MAX_PAIRS)
-    _require(len(cfg.maps) >= 1, "at least one map is required")
-    _require(
-        set(cfg.maps) <= {MAP_SIDE_LENGTHS, MAP_TRIANGLE},
-        f"maps must be a subset of [{MAP_SIDE_LENGTHS}, {MAP_TRIANGLE}]",
-    )
+    _validate_maps(cfg.maps, (MAP_SIDE_LENGTHS, MAP_TRIANGLE))
     fmaps = [_TRIANGLE_FEATURES[name] for name in cfg.maps]
     ratios = _pair_ratios(
         GroupAction.EUCLIDEAN, 2, 3, seed, cfg.n_pairs, _PAIR_BLOCK, _plane_distances,
@@ -454,18 +464,23 @@ def _classify_rate(query_feats: np.ndarray, db_tree, labels: np.ndarray) -> floa
     return float(np.mean(db_tree.query(query_feats)[1] != labels))
 
 
-def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray) -> float:
+def _kdtree(points: np.ndarray):
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
+
+
+def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray, tree=None) -> float:
     """Misclassification rate of nearest-record lookup by the exact
     euclidean orbit distance: the argmin over every record of
     :func:`_plane_distances`, ties broken by the lowest index.
 
-    Only a few records are ranked per query.  A k-d tree over the
-    triangle coordinates of the records gives the K feature-nearest ones
-    (K = ``_EXACT_CANDIDATES``, fewer when the database is smaller), at
-    feature distances up to rho_K, and ``_plane_distances`` ranks them,
-    least distance d^_min first.  Every other record j has feature
-    distance at least rho_K, so by the sqrt(2) sandwich
-    ``||f(A) - f(B)|| <= sqrt(2) d(A, B)`` (the lower-bounding lemma of
+    Only a few records are ranked per query.  ``tree``, a k-d tree over
+    the triangle coordinates of the records (built here when None), gives
+    the K feature-nearest ones (K = ``_EXACT_CANDIDATES``, fewer when the
+    database is smaller), at feature distances up to rho_K, and
+    ``_plane_distances`` ranks them, least distance d^_min first.  Every
+    other record j has feature distance at least rho_K, so by the sqrt(2)
+    sandwich ``||f(A) - f(B)|| <= sqrt(2) d(A, B)`` (the lower-bounding lemma of
     Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994) its distance is at
     least rho_K / sqrt(2).  Up to round-off, when
 
@@ -506,10 +521,8 @@ def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray) -> floa
     the uncertified rows in blocks of about 2^16 query-record pairs, so
     memory does not grow with the number of queries.
     """
-    from scipy.spatial import cKDTree
-
     k = min(_EXACT_CANDIDATES, len(db))
-    tree = cKDTree(_triangle_coords(db))
+    tree = _kdtree(_triangle_coords(db)) if tree is None else tree
     db_norm = float(np.sqrt((db * db).sum(axis=(1, 2))).max())
     pred = np.empty(len(queries), dtype=int)
     uncertified = []
@@ -538,32 +551,26 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     gaussian noise of standard deviation eps on every coordinate, and
     classified by its nearest database record under each map's distance.
     """
-    from scipy.spatial import cKDTree
-
     seed = _seed(cfg.seed)
     _require_count(cfg.db_size, "db_size", MAX_DB_SIZE)
     _require_count(cfg.n_draws, "n_draws", MAX_DRAWS)
     _validate_noise_grid(cfg.noise_grid)
-    _require(len(cfg.maps) >= 1, "at least one map is required")
-    allowed = {MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE}
-    _require(set(cfg.maps) <= allowed, f"maps must be a subset of {sorted(allowed)}")
+    _validate_maps(cfg.maps, (MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE))
     db = _normals(seed, 0, 0, 6 * cfg.db_size).reshape(cfg.db_size, 2, 3)
     noise = _normals(seed, 1, 0, 6 * cfg.db_size * cfg.n_draws).reshape(-1, 2, 3)
     labels = np.repeat(np.arange(cfg.db_size), cfg.n_draws)
     base = np.repeat(db, cfg.n_draws, axis=0)
-    db_trees = {
-        name: cKDTree(_TRIANGLE_FEATURES[name](db)) for name in cfg.maps if name != MAP_EXACT
-    }
+    # the exact ranking shortlists records in the triangle map's tree
+    wanted = set(cfg.maps) | ({MAP_TRIANGLE} if MAP_EXACT in cfg.maps else set())
+    trees = {name: _kdtree(f(db)) for name, f in _TRIANGLE_FEATURES.items() if name in wanted}
     rates = {name: [] for name in cfg.maps}
     for eps in cfg.noise_grid:
         queries = base + eps * noise
         for name in cfg.maps:
             if name == MAP_EXACT:
-                rate = _exact_rate(queries, db, labels)
+                rate = _exact_rate(queries, db, labels, trees[MAP_TRIANGLE])
             else:
-                rate = _classify_rate(
-                    _TRIANGLE_FEATURES[name](queries), db_trees[name], labels
-                )
+                rate = _classify_rate(_TRIANGLE_FEATURES[name](queries), trees[name], labels)
             rates[name].append(rate)
     return ExperimentReport(
         kind="classification",
@@ -603,12 +610,12 @@ def lower_constant_survey(
         f"the reducer for n={n}, l={l} would hold about {nnz} non-zeros, "
         f"more than {MAX_REDUCER_NNZ}",
     )
-    reducer = reducer_for(group, n, l)
+    reducer_for(group, n, l)
     block = min(_BLOCK, max(1, (1 << 14) // (l if n == 1 else l * l)))
 
     def gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        fa, fb = _reduced_stack(group, a, reducer), _reduced_stack(group, b, reducer)
-        return np.linalg.norm(fa - fb, axis=1, keepdims=True)
+        gap = _reduced_stack(group, a) - _reduced_stack(group, b)
+        return np.linalg.norm(gap, axis=1, keepdims=True)
 
     def distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _procrustes(group, a, b)[0]

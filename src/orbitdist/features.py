@@ -15,7 +15,7 @@ from .embeddings import _block, _flatten
 from .errors import FeatureMapMismatchError
 from .linalg import _finite
 from .metrics import GroupAction, _configuration
-from .reduction import ReducerBasis, _matched_reducer, _reduced_stack
+from .reduction import ReducerBasis, _check_reducer, _reduced_stack
 from .triangles import _triangle_coords
 
 FULL = "full"
@@ -30,35 +30,33 @@ def feature_vector(
 ) -> np.ndarray:
     """Flattened invariant feature of a configuration.
 
-    NonFiniteError when the feature overflows float64, as for a database
-    record."""
-    return _feature(group, _configuration(group, a, "A"), feature_map, reducer, "A")
+    A ``reducer``, if given with the reduced map, must be
+    :func:`reducer_for` the group and shape.  NonFiniteError when the
+    feature overflows float64, as for a database record."""
+    m = _configuration(group, a, "A")
+    if feature_map == REDUCED:
+        _check_reducer(group, *m.shape, reducer)
+    return _feature(group, m, feature_map, "A")
 
 
-def _feature(
-    group: GroupAction, m: np.ndarray, feature_map: str, reducer: ReducerBasis | None, name: str
-) -> np.ndarray:
+def _feature(group: GroupAction, m: np.ndarray, feature_map: str, name: str) -> np.ndarray:
     """:func:`feature_vector` of a validated configuration; messages name
     it ``name``."""
     if feature_map not in (FULL, REDUCED):
         raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
-    if feature_map == REDUCED:
-        reducer = _matched_reducer(group, *m.shape, reducer)
-    return _finite(_feature_stack(group, m, feature_map, reducer), name)
+    return _finite(_feature_stack(group, m, feature_map), name)
 
 
 def _is_triangle(group: GroupAction, x: np.ndarray) -> bool:
     return group is GroupAction.EUCLIDEAN and x.shape[-2:] == (2, 3) and not np.iscomplexobj(x)
 
 
-def _feature_stack(
-    group: GroupAction, x: np.ndarray, feature_map: str, reducer: ReducerBasis | None
-) -> np.ndarray:
+def _feature_stack(group: GroupAction, x: np.ndarray, feature_map: str) -> np.ndarray:
     """:func:`feature_vector` of each configuration in a validated
     ``(..., n, l)`` stack, one row each (a single ``(n, l)`` configuration
-    gives one vector); ``reducer`` is already matched to the stack."""
+    gives one vector)."""
     if feature_map == REDUCED:
-        return _reduced_stack(group, x, reducer)
+        return _reduced_stack(group, x)
     if _is_triangle(group, x):
         return _triangle_coords(x)
     return _flatten(_block(group, x), hermitian=group.is_complex)

@@ -32,6 +32,9 @@ antidiagonal (plus the degree-1 moment of ``Im R`` when Hermitian), so a
 reduced coordinate is a self-correlation of y, computed for a whole stack
 by FFT in O(l log l) without the l-by-l root (:func:`_rank_one_stack`).
 
+A reducer is the value ``(rank, size, ambient)``, checked once when made;
+the feature stacks look it up by shape with the memoized :func:`reducer_for`.
+
 The CSR container comes from ``scipy.sparse``, imported the first time a
 reducer's ``basis`` is used: by ``project``, or by a feature at n >= 2.
 Importing this module, building a reducer and every n = 1 feature load
@@ -42,6 +45,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
@@ -89,29 +93,30 @@ def separating_subspace_basis(size: int, rank: int) -> list[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ReducerBasis:
     """Orthonormal basis of the reduced feature space.
 
-    ``basis`` is a sparse operator, one row per output coordinate, on the
-    ambient's real coordinates (see the module docstring), built on first
-    use unless one is given; ``dim`` counts its rows and
+    ``(rank, size, ambient)`` determine it and alone decide equality.
+    Construction refuses a rank that is not an even integer >= 2
+    (InvalidRankError) and a size that is not an integer >= rank
+    (DimensionHypothesisError): the reduced map is injective only for
+    size >= rank = 2n.  ``basis`` is a sparse operator, one row per output
+    coordinate, on the ambient's real coordinates (see the module
+    docstring), built on first use; ``dim`` counts its rows and
     ``intersection_dim`` the ambient dimensions removed.
-    ``(rank, size, ambient)`` determine it, and alone decide equality.
     """
 
     rank: int
     size: int
     ambient: Ambient
 
-    def __init__(
-        self, rank: int, size: int, ambient: Ambient, basis: csr_array | None = None
-    ):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "ambient", ambient)
-        if basis is not None:
-            self.__dict__["basis"] = basis
+    def __post_init__(self):
+        r, size = self.rank, self.size  # a bool is below 2 or odd: refused too
+        if not isinstance(r, numbers.Integral) or r < 2 or r % 2:
+            raise InvalidRankError(f"reducer rank must be an even integer >= 2, got {r!r}")
+        if not isinstance(size, numbers.Integral) or size < r:
+            raise DimensionHypothesisError(f"need an integer size >= rank {r}, got {size!r}")
 
     @cached_property
     def basis(self) -> csr_array:
@@ -161,10 +166,7 @@ class ReducerBasis:
     def from_json(text: str) -> "ReducerBasis":
         """Rebuild the reducer from its parameters; a stored ``basis`` is ignored."""
         d = json.loads(text)
-        rank = int(d["rank"])
-        if rank % 2:
-            raise InvalidRankError(f"reducer rank must be even (2n), got {rank}")
-        return build_reducer(rank // 2, int(d["size"]), Ambient(d["ambient"]))
+        return ReducerBasis(d["rank"], d["size"], Ambient(d["ambient"]))
 
 
 def _orthonormal_polynomials(t: np.ndarray, degree: int) -> np.ndarray:
@@ -186,7 +188,7 @@ def _orthonormal_polynomials(t: np.ndarray, degree: int) -> np.ndarray:
     return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_reducer(n: int, size: int, ambient: Ambient) -> ReducerBasis:
     """Orthonormal reducer for rank parameter 2n on size-by-size matrices.
 
@@ -194,13 +196,7 @@ def build_reducer(n: int, size: int, ambient: Ambient) -> ReducerBasis:
     the symmetric ambient and 4n(size - n) for the Hermitian one.  The
     sparse operator is built on the first use of ``basis``.
     """
-    if n <= 0:
-        raise InvalidRankError(f"point dimension must be positive, got {n}")
-    if size < 2 * n:
-        raise DimensionHypothesisError(
-            f"need size >= 2n for rank-2n separation, got size={size}, n={n}"
-        )
-    return ReducerBasis(rank=2 * n, size=size, ambient=ambient)
+    return ReducerBasis(2 * n, size, ambient)
 
 
 def _operator(rank: int, size: int, ambient: Ambient) -> csr_array:
@@ -241,6 +237,7 @@ def _block_size(group: GroupAction, l: int) -> int:
     return l - 1 if group.quotients_translations else l
 
 
+@lru_cache(maxsize=None, typed=True)
 def reducer_for(group: GroupAction, n: int, l: int) -> ReducerBasis:
     """Reducer matching the feature map of ``group`` on n-by-l inputs."""
     size = _block_size(group, l)
@@ -258,23 +255,21 @@ def reduced_feature_dim(group: GroupAction, n: int, l: int) -> int:
     return reducer_for(group, n, l).dim
 
 
-def _matched_reducer(group: GroupAction, n: int, l: int, reducer: ReducerBasis | None) -> ReducerBasis:
-    """``reducer`` once checked against ``group`` on n-by-l inputs, or the
-    cached reducer for them when it is None."""
-    if reducer is None:
-        return reducer_for(group, n, l)
-    if reducer.size != _block_size(group, l) or reducer.rank != 2 * n:
+def _check_reducer(group: GroupAction, n: int, l: int, reducer: ReducerBasis | None) -> None:
+    """Raise as :func:`reducer_for` does, and unless ``reducer`` is None
+    or the reducer it returns for ``group`` on n-by-l inputs."""
+    expected = reducer_for(group, n, l)
+    if reducer is not None and reducer.ambient is not expected.ambient:
+        # a symmetric reducer would silently drop the imaginary part
+        raise AmbientMismatchError(
+            f"group {group.value} needs a {expected.ambient.value} reducer, "
+            f"got a {reducer.ambient.value} one"
+        )
+    if reducer is not None and reducer != expected:
         raise ShapeMismatchError(
             f"reducer built for rank {reducer.rank}, size {reducer.size} does not match "
             f"a {n}x{l} input under group {group.value}"
         )
-    if reducer.ambient is not _AMBIENTS[group]:
-        # a symmetric reducer would silently drop the imaginary part
-        raise AmbientMismatchError(
-            f"group {group.value} needs a {_AMBIENTS[group].value} reducer, "
-            f"got a {reducer.ambient.value} one"
-        )
-    return reducer
 
 
 def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None) -> np.ndarray:
@@ -283,15 +278,19 @@ def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None
 
     Output length is n(2l-2n+1) / n(2l-2n-1) / 4n(l-n) / 4n(l-n-1) for the
     orthogonal / euclidean / unitary / complex-euclidean actions;
-    NonFiniteError when the feature overflows float64.
+    NonFiniteError when the feature overflows float64.  A ``reducer``, if
+    given, must be :func:`reducer_for` the group and shape.
     """
     m = _configuration(group, a, "A")
-    return _finite(_reduced_stack(group, m, _matched_reducer(group, *m.shape, reducer)), "A")
+    _check_reducer(group, *m.shape, reducer)
+    return _finite(_reduced_stack(group, m), "A")
 
 
-def _reduced_stack(group: GroupAction, x: np.ndarray, reducer: ReducerBasis) -> np.ndarray:
+def _reduced_stack(group: GroupAction, x: np.ndarray) -> np.ndarray:
     """:func:`reduced_embedding` of each configuration in a validated
-    ``(..., n, l)`` stack, one row each, with ``reducer`` already matched."""
+    ``(..., n, l)`` stack, one row each; raises as :func:`reducer_for`
+    does for a shape that admits no reducer."""
+    reducer = reducer_for(group, *x.shape[-2:])
     if x.shape[-2] == 1:
         return _rank_one_stack(group, x)
     return _project(reducer, embeddings._block(group, x))

@@ -36,7 +36,6 @@ from .errors import (
 from .features import FULL, REDUCED, _feature_stack
 from .linalg import _as_array, _finite, _pow2_scale
 from .metrics import GroupAction, _configuration, _procrustes
-from .reduction import reducer_for
 
 _SQRT2 = float(np.sqrt(2.0))
 # Records per stacked kernel call in the database build and the exact
@@ -139,13 +138,8 @@ class ShapeDatabase:
         self.ids, self._rows, self.matrices = _stack_records(group, records)
         self.matrices.flags.writeable = False
         self.n, self.l = self.matrices.shape[1:]
-        self._reducer = (
-            reducer_for(group, self.n, self.l) if self.ids and feature_map == REDUCED else None
-        )
         self.features = (
-            np.concatenate(
-                [_feature_stack(group, x, feature_map, self._reducer) for x in _blocks(self.matrices)]
-            )
+            np.concatenate([_feature_stack(group, x, feature_map) for x in _blocks(self.matrices)])
             if self.ids
             else np.zeros((0, 0))
         )
@@ -179,7 +173,7 @@ class ShapeDatabase:
 
     def _feature(self, q: np.ndarray) -> np.ndarray:
         """Feature of a query that :meth:`_check_query` returned."""
-        return _feature_stack(self.group, q, self.feature_map, self._reducer)
+        return _feature_stack(self.group, q, self.feature_map)
 
     def _distances(self, qf: np.ndarray, rows) -> np.ndarray:
         """Float64 feature distances from the query feature ``qf`` to the

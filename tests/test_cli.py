@@ -198,6 +198,18 @@ class TestEmbed:
         assert main(["embed", "--group", "O", "--reduced", f]) == 4
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group", ["E", "U"])
+    def test_dimension_hypothesis_exit_4_at_one_row(self, tmp_path, capsys, group):
+        # one row: two points under E leave one centred coordinate, one point
+        # under U a block of size 1, and a reducer needs size >= 2n = 2
+        f = write_csv(tmp_path / "m.csv", [[1.0, 2.0]] if group == "E" else [[1.0]])
+        out = str(tmp_path / "db.jsonl")
+        for argv in (["embed", "--group", group, "--reduced", f],
+                     ["db-build", "--group", group, "--reduced", "--out", out, f]):
+            assert main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+
 
 class TestDatabaseCommands:
     def make_inputs(self, tmp_path, count=8):
@@ -407,6 +419,31 @@ class TestExperimentCommand:
         cfg.write_text(json.dumps(config))
         argv = ["experiment", kind, "--seed", seed, "--config", str(cfg), "--out", str(tmp_path)]
         assert main(argv) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            ("classify", '{"noise_grid": [0.0, 1e160]}'),
+            ("classify", '{"noise_grid": [0.0, 1e308]}'),
+            ("classify", '{"noise_grid": [0.0, Infinity]}'),
+            ("classify", '{"noise_grid": [0.0, NaN]}'),
+            ("classify", '{"maps": [["exact"]]}'),
+            ("classify", '{"maps": ["exact", "exact"]}'),
+            ("classify", '{"maps": []}'),
+            ("distortion", '{"n_pairs": 10, "maps": [["side_lengths"]]}'),
+            ("distortion", '{"n_pairs": 10, "maps": ["side_lengths", "side_lengths"]}'),
+        ],
+    )
+    def test_bad_noise_or_maps_single_error_line(self, tmp_path, capsys, kind, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = ["experiment", kind, "--config", str(cfg), "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 6
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (tmp_path / "report.json").exists()

@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 import json
 import math
 import mpmath
+import warnings
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -483,6 +484,79 @@ class TestClassificationExperiment:
     def test_invalid_configs(self, bad):
         with pytest.raises(ConfigInvalidError):
             classification_experiment(ExperimentConfig(seed=0, **bad))
+
+
+class TestConfigChecks:
+    """Noise levels and map names are refused before anything is drawn."""
+
+    @pytest.mark.parametrize(
+        "grid", [(0.0, 1e160), (0.0, 1e308), (0.0, math.inf), (0.0, math.nan), (math.inf,)]
+    )
+    def test_noise_beyond_the_ceiling(self, grid):
+        cfg = ExperimentConfig(seed=0, db_size=5, n_draws=2, noise_grid=grid, maps=(MAP_EXACT,))
+        with pytest.raises(ConfigInvalidError, match="finite"):
+            classification_experiment(cfg)
+
+    def test_noise_at_the_ceiling_gives_rates(self):
+        grid = (0.0, 1.0, experiments.MAX_NOISE)
+        cfg = ExperimentConfig(
+            seed=3, db_size=20, n_draws=2, noise_grid=grid,
+            maps=(MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = classification_experiment(cfg)
+        for rates in rep.rates["misclassification"].values():
+            assert len(rates) == 3 and all(0.0 <= r <= 1.0 for r in rates)
+
+    @pytest.mark.parametrize(
+        "maps",
+        [(), ([MAP_EXACT],), (MAP_TRIANGLE, MAP_TRIANGLE), (1,), (None,)],
+        ids=["empty", "nested", "repeated", "number", "null"],
+    )
+    def test_map_names(self, maps):
+        with pytest.raises(ConfigInvalidError):
+            classification_experiment(
+                ExperimentConfig(seed=0, db_size=5, n_draws=2, noise_grid=(0.0,), maps=maps)
+            )
+        with pytest.raises(ConfigInvalidError):
+            distortion_experiment(ExperimentConfig(seed=0, n_pairs=10, maps=maps))
+
+
+class TestTreesPerStudy:
+    @pytest.mark.parametrize(
+        "maps, built",
+        [
+            ((MAP_EXACT,), [MAP_TRIANGLE]),
+            ((MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE), [MAP_SIDE_LENGTHS, MAP_TRIANGLE]),
+            ((MAP_SIDE_LENGTHS,), [MAP_SIDE_LENGTHS]),
+        ],
+    )
+    def test_one_tree_per_map_per_study(self, monkeypatch, maps, built):
+        calls = []
+        kdtree = experiments._kdtree
+
+        def spy(points):
+            calls.append(points)
+            return kdtree(points)
+
+        monkeypatch.setattr(experiments, "_kdtree", spy)
+        cfg = ExperimentConfig(
+            seed=4, db_size=30, n_draws=2, noise_grid=(0.0, 0.01, 0.02, 0.05), maps=maps
+        )
+        rep = classification_experiment(cfg)
+        db = _normals(4, 0, 0, 180).reshape(30, 2, 3)
+        assert len(calls) == len(built)
+        for points, name in zip(calls, built):
+            np.testing.assert_array_equal(points, experiments._TRIANGLE_FEATURES[name](db))
+        if MAP_EXACT in maps:
+            labels = np.repeat(np.arange(30), 2)
+            noise = _normals(4, 1, 0, 360).reshape(-1, 2, 3)
+            want = [
+                experiments._exact_rate(np.repeat(db, 2, axis=0) + eps * noise, db, labels)
+                for eps in cfg.noise_grid
+            ]
+            assert rep.rates["misclassification"][MAP_EXACT] == want
 
 
 class TestLowerConstantSurvey:

@@ -20,7 +20,7 @@ from orbitdist import (
     reducer_for,
     separating_subspace_basis,
 )
-from orbitdist import search
+from orbitdist import reduction, search
 from orbitdist.reduction import _reduced_stack
 
 from oracles import csr_reduced_features
@@ -246,7 +246,7 @@ class TestSparseOperator:
 
     def test_identity_is_the_parameters(self):
         rb = build_reducer(1, 5, Ambient.HERMITIAN)
-        same = ReducerBasis(rank=2, size=5, ambient=Ambient.HERMITIAN, basis=None)
+        same = ReducerBasis(rank=2, size=5, ambient=Ambient.HERMITIAN)
         assert rb == same and hash(rb) == hash(same)
         assert rb != build_reducer(1, 5, Ambient.SYMMETRIC)
         assert "basis" not in repr(rb)
@@ -344,7 +344,7 @@ class TestRankOneRoute:
         if l == "minimal":
             l = 3 if group.quotients_translations else 2
         x = _rows(rng, group, (2 if l >= 256 else 8, 1, l))
-        f = _reduced_stack(group, x, reducer_for(group, 1, l))
+        f = _reduced_stack(group, x)
         expected = csr_reduced_features(group, x)
         assert f.shape == expected.shape == (len(x), reduced_feature_dim(group, 1, l))
         tol = 1e-12 if group.is_complex else 1e-14
@@ -380,10 +380,15 @@ class TestRankOneRoute:
         assert np.isfinite(f).all()
         np.testing.assert_allclose(f, 1e156 * reduced_embedding(group, a), rtol=1e-12)
 
-    def test_loads_no_operator(self, rng):
-        rb = ReducerBasis(rank=2, size=6, ambient=Ambient.HERMITIAN)
-        f = _reduced_stack(GroupAction.UNITARY, _rows(rng, GroupAction.UNITARY, (3, 1, 6)), rb)
-        assert f.shape == (3, rb.dim) and "basis" not in vars(rb)
+    def test_loads_no_operator(self, rng, monkeypatch):
+        def _operator(*args):
+            raise AssertionError("operator built")
+
+        monkeypatch.setattr(reduction, "_operator", _operator)
+        reduction.reducer_for.cache_clear()  # no reducer whose operator is built
+        reduction.build_reducer.cache_clear()
+        f = _reduced_stack(GroupAction.UNITARY, _rows(rng, GroupAction.UNITARY, (3, 1, 6)))
+        assert f.shape == (3, reduced_feature_dim(GroupAction.UNITARY, 1, 6))
 
 
 class TestDimension:
@@ -413,3 +418,91 @@ class TestDimension:
             dim = rb.dim
             assert "basis" not in vars(rb)  # the closed form builds nothing
             assert rb.basis.shape[0] == dim
+
+
+class TestReducerValue:
+    """A reducer is the value (rank, size, ambient), checked once when it is
+    made; the feature code looks it up by shape."""
+
+    @pytest.mark.parametrize(
+        "rank, size, ambient, error",
+        [
+            (3, 5, Ambient.SYMMETRIC, InvalidRankError),
+            (0, 4, Ambient.HERMITIAN, InvalidRankError),
+            (-2, 4, Ambient.SYMMETRIC, InvalidRankError),
+            (4, 3, Ambient.SYMMETRIC, DimensionHypothesisError),
+            (True, 4, Ambient.SYMMETRIC, InvalidRankError),
+            (2.5, 4, Ambient.SYMMETRIC, InvalidRankError),
+            (2.0, 4, Ambient.HERMITIAN, InvalidRankError),
+            (2, 4.5, Ambient.SYMMETRIC, DimensionHypothesisError),
+            (2, "5", Ambient.HERMITIAN, DimensionHypothesisError),
+        ],
+    )
+    def test_construction_refuses(self, rank, size, ambient, error):
+        with pytest.raises(error):
+            ReducerBasis(rank, size, ambient)
+        payload = {"rank": rank, "size": size, "ambient": ambient.value}
+        with pytest.raises(error):
+            ReducerBasis.from_json(json.dumps(payload))
+
+    def test_build_reducer_refuses_as_the_value_does(self):
+        for n in (0, 1.0):
+            with pytest.raises(InvalidRankError):
+                build_reducer(n, 4, Ambient.SYMMETRIC)
+
+    @pytest.mark.parametrize("ambient", list(Ambient))
+    def test_dim_counts_rows_and_json_round_trips(self, ambient):
+        for rank in (2, 4, 6):
+            for size in range(rank, rank + 5):
+                rb = ReducerBasis(rank, size, ambient)
+                assert rb.dim == rb.basis.shape[0]
+                assert rb.dim + rb.intersection_dim == (
+                    size * (size + 1) // 2 if ambient is Ambient.SYMMETRIC else size * size
+                )
+                restored = ReducerBasis.from_json(rb.to_json())
+                assert restored == rb
+                np.testing.assert_array_equal(restored.basis.toarray(), rb.basis.toarray())
+
+    def test_hand_built_reducer_returns_no_feature_for_a_refused_shape(self, rng):
+        a = rng.standard_normal((2, 3))
+        group = GroupAction.ORTHOGONAL
+        with pytest.raises(DimensionHypothesisError):
+            reduced_embedding(group, a, ReducerBasis(4, 3, Ambient.SYMMETRIC))
+        # a valid reducer of another shape cannot stand in for the refused one
+        for call in (
+            lambda: reduced_embedding(group, a, ReducerBasis(4, 4, Ambient.SYMMETRIC)),
+            lambda: feature_vector(group, a, REDUCED, ReducerBasis(4, 4, Ambient.SYMMETRIC)),
+            lambda: reduced_embedding(group, a),
+        ):
+            with pytest.raises(DimensionHypothesisError):
+                call()
+
+    def test_equal_value_is_accepted(self, rng):
+        group = GroupAction.UNITARY
+        a = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        same = ReducerBasis(4, 6, Ambient.HERMITIAN)
+        assert same is not reducer_for(group, 2, 6)
+        np.testing.assert_array_equal(reduced_embedding(group, a, same), reduced_embedding(group, a))
+
+    @pytest.mark.parametrize(
+        "group, n, l",
+        [(GroupAction.EUCLIDEAN, 1, 2), (GroupAction.UNITARY, 1, 1), (GroupAction.ORTHOGONAL, 2, 3)],
+    )
+    def test_stacks_refuse_shapes_without_a_reducer(self, rng, group, n, l):
+        x = _rows(rng, group, (3, n, l))
+        with pytest.raises(DimensionHypothesisError):
+            _reduced_stack(group, x)
+        with pytest.raises(DimensionHypothesisError):
+            ShapeDatabase(group, [(str(i), m) for i, m in enumerate(x)], REDUCED)
+
+    def test_reducer_for_is_memoized_and_refusals_are_not(self):
+        group = GroupAction.EUCLIDEAN
+        assert reducer_for(group, 2, 7) is reducer_for(group, 2, 7)
+        for _ in range(2):
+            with pytest.raises(DimensionHypothesisError):
+                reducer_for(group, 2, 4)
+        # the memo tells 2 from 2.0, so a cached reducer never admits a float n
+        with pytest.raises(InvalidRankError):
+            reducer_for(group, 2.0, 7)
+        with pytest.raises(InvalidRankError):
+            build_reducer(2.0, 6, Ambient.SYMMETRIC)

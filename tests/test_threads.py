@@ -21,7 +21,7 @@ SURVEY = '{"group": "F", "n": 1, "l": 300, "n_pairs": 200}'
 SCRIPT = """
 import hashlib, sys
 import numpy as np
-from orbitdist import GroupAction, reducer_for
+from orbitdist import GroupAction
 from orbitdist.cli import main
 from orbitdist.features import FULL, REDUCED, _feature_stack
 from orbitdist.metrics import _procrustes
@@ -35,8 +35,8 @@ for group in GroupAction:
         if group.is_complex:
             x = x + 1j * rng.standard_normal((16, n, l))
         results = {
-            "full": _feature_stack(group, x, FULL, None),
-            "reduced": _feature_stack(group, x, REDUCED, reducer_for(group, n, l)),
+            "full": _feature_stack(group, x, FULL),
+            "reduced": _feature_stack(group, x, REDUCED),
             "distances": _procrustes(group, x[:8], x[8:])[0],
         }
         for name, r in results.items():
