@@ -1,4 +1,8 @@
+import pickle
+import sys
+import threading
 import warnings
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from orbitdist import (
     GroupAction,
     NonFiniteError,
     OutOfRangeError,
+    QueryResult,
     ShapeDatabase,
     ShapeMismatchError,
     UnknownIdError,
@@ -473,3 +478,207 @@ class TestVerify:
         res = feature_nearest(db, db.matrices[0])[0]
         with pytest.raises(EmptyDatabaseError):
             verify(ShapeDatabase(GroupAction.EUCLIDEAN, []), res, db.matrices[0])
+
+
+# every group under both maps: (group, n, l, feature_map)
+MEMO_CASES = [(group, 2, 4, "full") for group in GroupAction] + [
+    (group, 1, 5, "reduced") for group in GroupAction
+]
+
+
+def memo_case(rng, group, n, l, feature_map, size=60):
+    db = group_db(rng, group, size, n, l, feature_map)
+
+    def query():
+        m = rng.standard_normal((n, l))
+        return m + 1j * rng.standard_normal((n, l)) if group.is_complex else m
+
+    return db, query
+
+
+def assert_verified_exactly(db, result, query):
+    """``verify`` fills in the bits of ``orbit_distance`` and changes
+    nothing else."""
+    got = verify(db, result, query)
+    want = orbit_distance(db.group, query, db.matrices[db.index_of(result.id)])[0]
+    assert got.exact_orbit_distance.hex() == want.hex()
+    assert replace(got, exact_orbit_distance=result.exact_orbit_distance) == result
+
+
+def count_kernel_calls(monkeypatch):
+    """The record-stack shapes of every ``_procrustes`` call in search."""
+    shapes = []
+    kernel = search._procrustes
+
+    def counted(group, a, b):
+        shapes.append(b.shape)
+        return kernel(group, a, b)
+
+    monkeypatch.setattr(search, "_procrustes", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("group, n, l, feature_map", MEMO_CASES)
+class TestVerifyMemo:
+    def test_hits_of_the_last_query(self, rng, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        for q in (query(), query().real, db.matrices[7] + 0.01 * query()):
+            for res in feature_nearest(db, q, k=5):
+                assert_verified_exactly(db, res, q)
+
+    def test_query_mutated_in_place(self, rng, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        q = query()
+        hits = feature_nearest(db, q, k=5)
+        q[0, 0] += 0.25
+        for res in hits:
+            assert_verified_exactly(db, res, q)
+
+    def test_another_query_in_between(self, rng, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        q1, q2 = query(), query()
+        first = feature_nearest(db, q1, k=5)
+        second = feature_nearest(db, q2, k=5)
+        for res in first:
+            assert_verified_exactly(db, res, q1)
+        for res in second:
+            assert_verified_exactly(db, res, q2)
+
+    def test_hand_built_and_replaced_results(self, rng, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        q = query()
+        hits = feature_nearest(db, q, k=5)
+        other = next(rid for rid in db.ids if rid not in {h.id for h in hits})
+        for rid in (hits[2].id, other):
+            assert_verified_exactly(db, QueryResult(rid, 0.0, None, 1.0), q)
+            assert_verified_exactly(db, replace(hits[0], id=rid), q)
+        with pytest.raises(UnknownIdError):
+            verify(db, replace(hits[0], id="missing"), q)
+
+    def test_result_of_another_database(self, rng, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        twin = group_db(rng, group, len(db), n, l, feature_map)
+        assert twin.ids == db.ids
+        q = query()
+        hits = feature_nearest(db, q, k=5)
+        for res in hits:
+            assert_verified_exactly(twin, res, q)
+        feature_nearest(twin, q, k=5)  # the twin's own memo, same query and ids
+        for res in hits:
+            assert_verified_exactly(twin, res, q)
+            assert_verified_exactly(db, res, q)
+
+    def test_threads_interleaving_queries(self, rng, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        queries = [[query() for _ in range(6)] for _ in range(4)]
+        barrier = threading.Barrier(len(queries))
+        failures = []
+
+        def work(mine):
+            barrier.wait()
+            for _ in range(4):
+                for q in mine:
+                    for res in feature_nearest(db, q, k=5):
+                        try:
+                            assert_verified_exactly(db, res, q)
+                        except AssertionError as exc:
+                            failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(mine,)) for mine in queries]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+
+
+class TestVerifyKernelCalls:
+    def test_one_stacked_call_verifies_k_hits(self, rng, monkeypatch):
+        db = group_db(rng, GroupAction.EUCLIDEAN, 60, 2, 6)
+        q = rng.standard_normal((2, 6))
+        shapes = count_kernel_calls(monkeypatch)
+        hits = [verify(db, res, q) for res in feature_nearest(db, q, k=5)]
+        assert shapes == [(5, 2, 6)]
+        assert all(res.exact_orbit_distance is not None for res in hits)
+
+    def test_first_verify_solves_one_group(self, rng, monkeypatch):
+        db = group_db(rng, GroupAction.EUCLIDEAN, 60, 2, 6)
+        q = rng.standard_normal((2, 6))
+        hits = feature_nearest(db, q, k=3 * search._GROUP)
+        shapes = count_kernel_calls(monkeypatch)
+        verify(db, hits[0], q)
+        assert shapes == [(search._GROUP, 2, 6)]
+        for res in hits:
+            assert_verified_exactly(db, res, q)
+        assert shapes == [(search._GROUP, 2, 6)] * 3
+
+    def test_non_hit_is_one_pair(self, rng, monkeypatch):
+        db = group_db(rng, GroupAction.EUCLIDEAN, 60, 2, 6)
+        q = rng.standard_normal((2, 6))
+        hits = feature_nearest(db, q, k=5)
+        other = next(rid for rid in db.ids if rid not in {h.id for h in hits})
+        shapes = count_kernel_calls(monkeypatch)
+        verify(db, replace(hits[0], id=other), q)
+        assert shapes == [(2, 6)]
+
+    def test_group_beyond_float64_solves_each_hit(self, rng, monkeypatch):
+        # one record is so far from the query that its distance overflows,
+        # while its feature does not: the other hits still verify
+        q = 8e307 * np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        far = 8e307 * np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 1.0, -1.0]])
+        records = [("far", far), ("near", q * 0.5), ("nearer", q * 0.75)]
+        db = ShapeDatabase(GroupAction.ORTHOGONAL, records)
+        with np.errstate(over="ignore"):  # the far feature distance is inf too
+            hits = feature_nearest(db, q, k=3)
+        assert [h.id for h in hits] == ["nearer", "near", "far"]
+        shapes = count_kernel_calls(monkeypatch)
+        for res in hits[:2]:
+            assert_verified_exactly(db, res, q)
+        with pytest.raises(NonFiniteError):
+            verify(db, hits[2], q)
+        assert shapes == [(3, 2, 4), (2, 4)] * 3
+
+
+class TestQueryResultValue:
+    def test_verified_result_is_a_plain_value(self, rng):
+        db = triangle_db(rng, 30)
+        q = rng.standard_normal((2, 3))
+        res = verify(db, feature_nearest(db, q, k=3)[1], q)
+        same = QueryResult(res.id, res.embedded_distance, res.exact_orbit_distance, res.approximation_bound)
+        assert res == same and hash(res) == hash(same) and repr(res) == repr(same)
+        assert [f.name for f in fields(QueryResult)] == [
+            "id", "embedded_distance", "exact_orbit_distance", "approximation_bound"
+        ]
+        assert asdict(res) == {
+            "id": res.id,
+            "embedded_distance": res.embedded_distance,
+            "exact_orbit_distance": res.exact_orbit_distance,
+            "approximation_bound": res.approximation_bound,
+        }
+        assert repr(res) == (
+            f"QueryResult(id={res.id!r}, embedded_distance={res.embedded_distance!r}, "
+            f"exact_orbit_distance={res.exact_orbit_distance!r}, "
+            f"approximation_bound={res.approximation_bound!r})"
+        )
+        data = pickle.dumps(res)
+        assert pickle.loads(data) == res
+        assert data == pickle.dumps(same)
+
+
+class TestKValidation:
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, "3", True, np.bool_(True), None])
+    def test_non_integer_or_small_k_refused(self, rng, k):
+        db = triangle_db(rng, 5)
+        with pytest.raises(OutOfRangeError, match="k must be an integer >= 1"):
+            feature_nearest(db, rng.standard_normal((2, 3)), k=k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integers_accepted(self, rng, k):
+        db = triangle_db(rng, 5)
+        q = rng.standard_normal((2, 3))
+        assert feature_nearest(db, q, k=k) == feature_nearest(db, q, k=2)
