@@ -469,13 +469,13 @@ def _kdtree(points: np.ndarray):
     return cKDTree(points)
 
 
-def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray, tree=None) -> float:
+def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray, tree) -> float:
     """Misclassification rate of nearest-record lookup by the exact
     euclidean orbit distance: the argmin over every record of
     :func:`_plane_distances`, ties broken by the lowest index.
 
-    Only a few records are ranked per query.  ``tree``, a k-d tree over
-    the triangle coordinates of the records (built here when None), gives
+    Only a few records are ranked per query.  ``tree``, the k-d tree
+    :func:`_kdtree` over :func:`_triangle_coords` of the records, gives
     the K feature-nearest ones (K = ``_EXACT_CANDIDATES``, fewer when the
     database is smaller), at feature distances up to rho_K, and
     ``_plane_distances`` ranks them, least distance d^_min first.  Every
@@ -522,7 +522,6 @@ def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray, tree=No
     memory does not grow with the number of queries.
     """
     k = min(_EXACT_CANDIDATES, len(db))
-    tree = _kdtree(_triangle_coords(db)) if tree is None else tree
     db_norm = float(np.sqrt((db * db).sum(axis=(1, 2))).max())
     pred = np.empty(len(queries), dtype=int)
     uncertified = []

@@ -143,14 +143,13 @@ def _check_hermitian(a: np.ndarray) -> None:
         )
 
 
-def psd_sqrt(m, tol_neg: float | None = None) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Unique positive semi-definite square root of a Hermitian PSD matrix.
 
-    Eigenvalues in ``[-tol_neg, 0)`` are clamped to zero: Gram matrices of
-    nearly rank-deficient configurations routinely produce tiny negative
-    eigenvalues in floating point.  ``tol_neg`` defaults to 1e-9 times the
-    Frobenius norm of the input.  A stack ``(..., l, l)`` gets one root per
-    matrix, each with its own default ``tol_neg``.
+    Eigenvalues in ``[-1e-9 ||M||_F, 0)`` are clamped to zero: Gram
+    matrices of nearly rank-deficient configurations routinely produce
+    tiny negative eigenvalues in floating point.  A stack ``(..., l, l)``
+    gets one root per matrix, each clamped at its own Frobenius norm.
 
     Raises NotHermitianError/NotPSDError when the input is not a
     numerically PSD Hermitian matrix (checked to tolerance),
@@ -165,16 +164,14 @@ def psd_sqrt(m, tol_neg: float | None = None) -> np.ndarray:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
-    if tol_neg is None:
-        tol_neg = 1e-9 * _frobenius_norms(a)
     if w.size:
         lowest = w[..., 0]  # eigenvalues ascend
-        bad = lowest < -tol_neg
+        tol = 1e-9 * _frobenius_norms(a)
+        bad = lowest < -tol
         if bad.any():
             k = np.argmax(bad)
-            tol = np.broadcast_to(tol_neg, lowest.shape)
             raise NotPSDError(
-                f"eigenvalue {np.ravel(lowest)[k]:.3e} below -tol_neg = {-np.ravel(tol)[k]:.3e}"
+                f"eigenvalue {np.ravel(lowest)[k]:.3e} below -1e-9 ||M||_F = {-np.ravel(tol)[k]:.3e}"
             )
     r = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _adjoint(q)
     if not np.iscomplexobj(a):

@@ -19,7 +19,7 @@ which has to visit nearly every leaf there (Weber, Schek & Blott, VLDB
 
 A feature query is usually followed by :func:`verify` on each of its hits.
 The database remembers its last feature query, so those calls share one
-stacked Procrustes solve per group of eight hits instead of one solve each;
+stacked Procrustes solve over all of its hits instead of one solve each;
 the memo is a cache only, and every other call is solved as one pair.
 """
 from __future__ import annotations
@@ -40,17 +40,13 @@ from .errors import (
     UnknownIdError,
 )
 from .features import FULL, REDUCED, _feature_stack
-from .linalg import _as_array, _finite, _pow2_scale
+from .linalg import _as_array, _finite, _pow2_scale, _unscaled
 from .metrics import GroupAction, _configuration, _procrustes
 
 _SQRT2 = float(np.sqrt(2.0))
 # Records per stacked kernel call in the database build and the exact
 # scan, so that their working memory does not grow with the database.
 _BLOCK = 1024
-# Hits of one feature query that verify solves in one stacked Procrustes
-# call: at 2x6 a stack of 8 costs about 1.7 single pairs, so a first
-# verify stays cheap and a query with k <= 8 is verified in one call.
-_GROUP = 8
 # Unit roundoffs of float32 and float64, and a bound on the absolute error
 # of one float32 rounding or product near underflow (with gradual underflow
 # or flush-to-zero alike).
@@ -112,14 +108,13 @@ class _LastQuery(NamedTuple):
     """The hits of a database's last :func:`feature_nearest` call.
 
     ``positions`` maps the hits' row numbers, in rank order, to their
-    ranks; ``distances`` holds, for each run of ``_GROUP`` consecutive
-    hits, their exact orbit distances once :func:`verify` has computed
-    them, or None.
+    ranks; ``distances`` holds the hits' exact orbit distances in rank
+    order once :func:`verify` has computed them, or None.
     """
 
     key: tuple[str, bytes]
     positions: dict[int, int]
-    distances: tuple[np.ndarray | None, ...]
+    distances: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -215,11 +210,12 @@ class ShapeDatabase:
         Each row's distance is summed on its own, so it has the same bits
         whichever rows are asked for.  The differences are taken at the
         power of two that brings the largest entry of the records and of
-        the query below 1, so no square overflows (``linalg``'s policy).
+        the query below 1, so no square overflows (``linalg``'s policy); a
+        distance beyond float64 reads inf, with no warning.
         """
         scale = min(self._scale, _pow2_scale(float(np.abs(qf).max(initial=0.0))))
         d = self.features[rows] * scale - qf * scale
-        return np.sqrt(np.add.reduce(d * d, axis=-1)) / scale
+        return _unscaled(np.sqrt(np.add.reduce(d * d, axis=-1)), scale)
 
     def _screen(self, qf: np.ndarray, k: int) -> np.ndarray:
         """Rows the float32 screen cannot rule out of the k feature-nearest
@@ -345,7 +341,7 @@ def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:
     rows = rows.tolist()
     best = sorted(zip(d.tolist(), [db.ids[i] for i in rows], rows))[:k]
     positions = {i: p for p, (_, _, i) in enumerate(best)}
-    db._memo = _LastQuery(_key(q), positions, (None,) * math.ceil(len(best) / _GROUP))
+    db._memo = _LastQuery(_key(q), positions, None)
     return [
         QueryResult(
             id=rid,
@@ -361,24 +357,22 @@ def _memo_distance(db: ShapeDatabase, q: np.ndarray, i: int) -> float | None:
     """The exact orbit distance from ``q`` to row i, taken from the memo of
     the last feature query, or None when the memo does not hold it.
 
-    The first hit of a group asked for solves the whole group in one
-    stacked call and stores its distances in a new memo.  A group with a
-    distance beyond float64 is not stored, so each of its hits is solved
-    on its own.
+    The first hit asked for solves every hit in one stacked call and
+    stores their distances in a new memo.  A hit list with a distance
+    beyond float64 is not stored, so each of its hits is solved on its
+    own.
     """
     memo = db._memo
     if memo is None or i not in memo.positions or memo.key != _key(q):
         return None
-    g, j = divmod(memo.positions[i], _GROUP)
-    d = memo.distances[g]
+    d = memo.distances
     if d is None:
-        rows = list(memo.positions)[g * _GROUP : (g + 1) * _GROUP]
         try:
-            d = _procrustes(db.group, q, db.matrices[rows])[0]
+            d = _procrustes(db.group, q, db.matrices[list(memo.positions)])[0]
         except NonFiniteError:
             return None
-        db._memo = memo._replace(distances=memo.distances[:g] + (d,) + memo.distances[g + 1 :])
-    return float(d[j])
+        db._memo = memo._replace(distances=d)
+    return float(d[memo.positions[i]])
 
 
 def verify(db: ShapeDatabase, result: QueryResult, query) -> QueryResult:
@@ -390,12 +384,11 @@ def verify(db: ShapeDatabase, result: QueryResult, query) -> QueryResult:
 
     When ``query`` has the dtype and values of the database's last
     :func:`feature_nearest` query and ``result.id`` is one of its hits,
-    the distance comes from that query's memo.  The hits are taken in
-    groups of eight by rank; the first verify of a hit in a group solves
-    the whole group in one stacked Procrustes call (about 1.7 times the
-    cost of a single pair at 2x6), and its other hits then cost no kernel
-    call.  Stacked rows have the bits of single pairs.  Any other query or
-    result is solved as one pair.
+    the distance comes from that query's memo.  The first verify of any
+    hit solves all k hits, in rank order, in one stacked Procrustes call,
+    and the other hits then cost no kernel call.  Stacked rows have the
+    bits of single pairs.  Any other query or result is solved as one
+    pair.
     """
     q = db._check_query(query)
     i = db.index_of(result.id)

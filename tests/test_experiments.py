@@ -34,6 +34,12 @@ SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
 
 
+def exact_rate(queries, db, labels):
+    """_exact_rate over the tree the classification study builds for db."""
+    tree = experiments._kdtree(experiments._triangle_coords(db))
+    return experiments._exact_rate(queries, db, labels, tree)
+
+
 class TestSampler:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -367,14 +373,14 @@ class TestPrunedExactRate:
         want = self.brute_force(queries, db)
         if eps == 0.0:
             assert want[labels == 10].tolist() == [3, 3, 3]
-        assert experiments._exact_rate(queries, db, want) == 0.0
-        assert experiments._exact_rate(queries, db, labels) == np.mean(want != labels)
+        assert exact_rate(queries, db, want) == 0.0
+        assert exact_rate(queries, db, labels) == np.mean(want != labels)
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_database_smaller_than_candidate_count(self, rng, size):
         db = rng.standard_normal((size, 2, 3))
         queries = rng.standard_normal((30, 2, 3))
-        assert experiments._exact_rate(queries, db, self.brute_force(queries, db)) == 0.0
+        assert exact_rate(queries, db, self.brute_force(queries, db)) == 0.0
 
     def test_few_rows_fall_back_at_cli_defaults(self, monkeypatch):
         calls = []
@@ -454,7 +460,7 @@ class TestClassificationExperiment:
             int(np.argmin([dist_euclidean(q, b)[0] for b in db]) != i)
             for q, i in zip(queries, labels)
         )
-        rate = experiments._exact_rate(queries, db, labels)
+        rate = exact_rate(queries, db, labels)
         assert rate == wrong / len(labels)
         if eps == 0.0:
             assert rate == 0.0
@@ -553,7 +559,7 @@ class TestTreesPerStudy:
             labels = np.repeat(np.arange(30), 2)
             noise = _normals(4, 1, 0, 360).reshape(-1, 2, 3)
             want = [
-                experiments._exact_rate(np.repeat(db, 2, axis=0) + eps * noise, db, labels)
+                exact_rate(np.repeat(db, 2, axis=0) + eps * noise, db, labels)
                 for eps in cfg.noise_grid
             ]
             assert rep.rates["misclassification"][MAP_EXACT] == want

@@ -32,7 +32,7 @@ from oracles import (
     u2_grid_min,
 )
 
-ALL_GROUPS = list(GroupAction)
+GROUPS = list(GroupAction)
 
 
 def sample_pair(rng, group, n=2, l=3):
@@ -232,7 +232,7 @@ class TestComplexEuclideanDistance:
 
 
 class TestMetricProperties:
-    @pytest.mark.parametrize("group", ALL_GROUPS)
+    @pytest.mark.parametrize("group", GROUPS)
     def test_symmetry(self, rng, group):
         for _ in range(20):
             a, b = sample_pair(rng, group)
@@ -240,7 +240,7 @@ class TestMetricProperties:
             d_ba, _ = orbit_distance(group, b, a)
             assert d_ab == pytest.approx(d_ba, abs=1e-10)
 
-    @pytest.mark.parametrize("group", ALL_GROUPS)
+    @pytest.mark.parametrize("group", GROUPS)
     def test_triangle_inequality(self, rng, group):
         for _ in range(20):
             a, b = sample_pair(rng, group)
@@ -250,7 +250,7 @@ class TestMetricProperties:
             d_bc, _ = orbit_distance(group, b, c)
             assert d_ac <= d_ab + d_bc + 1e-9
 
-    @pytest.mark.parametrize("group", ALL_GROUPS)
+    @pytest.mark.parametrize("group", GROUPS)
     def test_zero_iff_same_orbit(self, rng, group):
         for _ in range(10):
             a, _ = sample_pair(rng, group, n=2, l=4)
@@ -261,7 +261,7 @@ class TestMetricProperties:
             assert d <= 1e-9 * scale
             assert frobenius_dist(al.apply(a), b) <= 1e-8 * scale
 
-    @pytest.mark.parametrize("group", ALL_GROUPS)
+    @pytest.mark.parametrize("group", GROUPS)
     def test_bi_invariance(self, rng, group):
         for _ in range(10):
             a, b = sample_pair(rng, group, n=3, l=4)
@@ -273,7 +273,7 @@ class TestMetricProperties:
             )
             assert d_moved == pytest.approx(d, rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("group", ALL_GROUPS)
+    @pytest.mark.parametrize("group", GROUPS)
     def test_bounded_by_frobenius(self, rng, group):
         for _ in range(20):
             a, b = sample_pair(rng, group)
@@ -312,7 +312,7 @@ class TestStackedKernel:
             expected, _ = dist_euclidean(a[i], b[i])
             assert batch[i] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
-    @pytest.mark.parametrize("group", ALL_GROUPS)
+    @pytest.mark.parametrize("group", GROUPS)
     def test_stack_matches_scalar_including_near_coincident(self, rng, group):
         pairs = [sample_pair(rng, group, n=3, l=5) for _ in range(20)]
         steps = []
@@ -337,7 +337,7 @@ class TestStackedKernel:
         assert np.all(near > 0.0)
         assert np.all(near <= np.array(steps) * (1.0 + 1e-6))
 
-    @pytest.mark.parametrize("group", ALL_GROUPS)
+    @pytest.mark.parametrize("group", GROUPS)
     def test_query_broadcasts_against_records(self, rng, group):
         q, _ = sample_pair(rng, group, n=2, l=4)
         records = np.stack([sample_pair(rng, group, n=2, l=4)[0] for _ in range(7)])
@@ -345,7 +345,7 @@ class TestStackedKernel:
         expected = [orbit_distance(group, q, m)[0] for m in records]
         np.testing.assert_allclose(batch, expected, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("group", ALL_GROUPS)
+    @pytest.mark.parametrize("group", GROUPS)
     def test_scalar_api_rejects_stacks(self, rng, group):
         a, b = sample_pair(rng, group)
         with pytest.raises(ShapeMismatchError):
@@ -357,7 +357,7 @@ def scaled_pairs(draw):
     """A group, a query, two records and a power-of-two exponent k; the
     first record is independent of the query, nearly in its orbit, or
     shares a zero column with it."""
-    group = draw(st.sampled_from(ALL_GROUPS))
+    group = draw(st.sampled_from(GROUPS))
     n, l = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = sample_pair(rng, group, n, l)
@@ -442,7 +442,7 @@ class TestResultRange:
         b = 1.5e308 * np.array([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for group in ALL_GROUPS:
+            for group in GROUPS:
                 with pytest.raises(NonFiniteError, match="^the pair has a distance too large for float64$"):
                     orbit_distance(group, a, b)
             with pytest.raises(NonFiniteError, match="distance too large"):

@@ -43,7 +43,7 @@ from orbitdist.search import _BLOCK
 
 G = GroupAction
 GROUPS = list(GroupAction)
-REAL_GROUPS = [G.ORTHOGONAL, G.EUCLIDEAN]
+REAL_ACTIONS = [G.ORTHOGONAL, G.EUCLIDEAN]
 DISTANCES = {
     G.ORTHOGONAL: dist_orthogonal,
     G.EUCLIDEAN: dist_euclidean,
@@ -161,7 +161,7 @@ class TestErrorContract:
         with pytest.raises(AmbientMismatchError):
             feature_vector(group, a, "reduced", reducer)
 
-    @pytest.mark.parametrize("group", REAL_GROUPS)
+    @pytest.mark.parametrize("group", REAL_ACTIONS)
     def test_hermitian_reducer_rejected_under_real_groups(self, rng, group):
         size = reducer_for(group, N, L).size
         reducer = build_reducer(N, size, Ambient.HERMITIAN)

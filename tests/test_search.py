@@ -393,6 +393,16 @@ class TestExactScreen:
         assert got == top_k_oracle(db, query, 3)
         assert all(np.isfinite(d) for d, _ in got)
 
+    def test_feature_distance_beyond_float64_is_inf_without_warning(self):
+        # both features are finite, but their distance is not
+        q = 8e307 * np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        far = 8e307 * np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 1.0, -1.0]])
+        db = ShapeDatabase(GroupAction.ORTHOGONAL, [("far", far), ("near", q * 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [(r.id, r.embedded_distance) for r in feature_nearest(db, q, k=2)]
+        assert got == [("near", 8e307), ("far", float("inf"))]
+
     def test_overflowing_features_refused(self, rng):
         # edges of length 3e308 give triangle coordinates beyond float64;
         # the map's own overflow warning is not under test here
@@ -526,6 +536,17 @@ class TestVerifyMemo:
             for res in feature_nearest(db, q, k=5):
                 assert_verified_exactly(db, res, q)
 
+    def test_first_verify_solves_every_hit(self, rng, monkeypatch, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        q = query()
+        hits = feature_nearest(db, q, k=24)
+        shapes = count_kernel_calls(monkeypatch)
+        verify(db, hits[17], q)
+        assert shapes == [(24, n, l)]
+        for res in hits:
+            assert_verified_exactly(db, res, q)
+        assert shapes == [(24, n, l)]
+
     def test_query_mutated_in_place(self, rng, group, n, l, feature_map):
         db, query = memo_case(rng, group, n, l, feature_map)
         q = query()
@@ -606,17 +627,6 @@ class TestVerifyKernelCalls:
         assert shapes == [(5, 2, 6)]
         assert all(res.exact_orbit_distance is not None for res in hits)
 
-    def test_first_verify_solves_one_group(self, rng, monkeypatch):
-        db = group_db(rng, GroupAction.EUCLIDEAN, 60, 2, 6)
-        q = rng.standard_normal((2, 6))
-        hits = feature_nearest(db, q, k=3 * search._GROUP)
-        shapes = count_kernel_calls(monkeypatch)
-        verify(db, hits[0], q)
-        assert shapes == [(search._GROUP, 2, 6)]
-        for res in hits:
-            assert_verified_exactly(db, res, q)
-        assert shapes == [(search._GROUP, 2, 6)] * 3
-
     def test_non_hit_is_one_pair(self, rng, monkeypatch):
         db = group_db(rng, GroupAction.EUCLIDEAN, 60, 2, 6)
         q = rng.standard_normal((2, 6))
@@ -633,8 +643,7 @@ class TestVerifyKernelCalls:
         far = 8e307 * np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 1.0, -1.0]])
         records = [("far", far), ("near", q * 0.5), ("nearer", q * 0.75)]
         db = ShapeDatabase(GroupAction.ORTHOGONAL, records)
-        with np.errstate(over="ignore"):  # the far feature distance is inf too
-            hits = feature_nearest(db, q, k=3)
+        hits = feature_nearest(db, q, k=3)
         assert [h.id for h in hits] == ["nearer", "near", "far"]
         shapes = count_kernel_calls(monkeypatch)
         for res in hits[:2]:
