@@ -10,22 +10,24 @@ orbit distance within a factor of sqrt(2), the feature-nearest record is
 certified to be within sqrt(2) of the true nearest orbit.
 
 The feature ranking is exact.  One float32 matrix-vector product screens
-every record, and only the records the screen cannot rule out get their
-feature distance computed in float64 (see :func:`feature_nearest` for the
-screen and the bound that makes it exact).  At the feature dimensions of
-real databases (tens of coordinates and up) this scan beats a k-d tree,
-which has to visit nearly every leaf there (Weber, Schek & Blott, VLDB
-1998).  Searching loads only numpy.
+every record, its squared norm folded into the product, and only the
+records the screen cannot rule out get their feature distance computed in
+float64 (see :func:`feature_nearest` for the screen and the bound that
+makes it exact).  At the feature dimensions of real databases (tens of
+coordinates and up) this scan beats a k-d tree, which has to visit nearly
+every leaf there (Weber, Schek & Blott, VLDB 1998).  Searching loads only
+numpy.
 
 A feature query is usually followed by :func:`verify` on each of its hits.
-The database remembers its last feature query, so those calls share one
-stacked Procrustes solve over all of its hits instead of one solve each;
-the memo is a cache only, and every other call is solved as one pair.
+The database remembers its last feature query, so those calls skip the
+query check that the feature query made, and share one stacked Procrustes
+solve over all of its hits instead of one solve each; the memo is a cache
+only, and every other call is checked and solved as one pair.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,12 +58,26 @@ _TINY32 = 2.0**-126
 # The screen runs for scaled query features below this in every entry,
 # which keeps every float32 value it computes finite.
 _SCREEN_MAX = 2.0**100
+# The largest finite float32.
+_F32_MAX = (2.0 - 2.0**-23) * 2.0**127
+# The screen's first threshold is the k-th value of every
+# max(1, N // 256)-th row: of 256 to 511 rows, or of all rows when N < 512.
+_SUBSAMPLE = 256
 
 
 def _gamma(n: int, u: float) -> float:
     """Higham's gamma_n: the relative error bound of n roundings at unit
     roundoff u."""
     return n * u / (1.0 - n * u)
+
+
+def _up32(x: float) -> np.float32:
+    """The least float32 >= x (inf beyond float32), so that a float32 value
+    compares with it as with x."""
+    if x > _F32_MAX:
+        return np.float32(np.inf)
+    t = np.float32(x)
+    return t if float(t) >= x else np.nextafter(t, np.float32(np.inf))
 
 
 def _blocks(x: np.ndarray):
@@ -142,13 +158,14 @@ class ShapeDatabase:
     ``features`` block by block (equal to :func:`feature_vector` of each
     record).  For the screen of :func:`feature_nearest` it also keeps, for
     ``g = sigma * features`` with sigma the power of two that brings
-    ``max |features|`` into [1/2, 1) (:func:`linalg._pow2_scale`), the
-    squared row norms ``|g_i|^2`` in float64 and a read-only float32 copy
-    of ``g`` stored transposed, so the screen is one matrix-vector product.  A record whose feature
-    overflows float64 is refused with :class:`NonFiniteError`.  Afterwards
-    the records and features are read-only, and the database keeps one
-    memo of its last feature query (see :func:`verify`); it is safe to
-    query from many threads.
+    ``max |features|`` into [1/2, 1) (:func:`linalg._pow2_scale`), one
+    read-only float32 array of shape ``(D + 1, N)``: the rows of ``g.T``,
+    then the squared row norms ``|g_i|^2`` (summed in float64) as the last
+    row, so the screen is one matrix-vector product.  A record whose
+    feature overflows float64 is refused with :class:`NonFiniteError`.
+    Afterwards the records and features are read-only, and the database
+    keeps one memo of its last feature query (see :func:`verify`); it is
+    safe to query from many threads.
     """
 
     def __init__(
@@ -175,17 +192,18 @@ class ShapeDatabase:
             _finite(self.features[i], f"record {self.ids[i]!r}")
         self._scale = _pow2_scale(float(np.abs(self.features).max(initial=0.0)))
         g = self._scale * self.features
-        self._sq_norms = np.add.reduce(g * g, axis=-1)
-        self._sq_norms.flags.writeable = False
-        self._g32t = np.ascontiguousarray(g.T, dtype=np.float32)
-        self._g32t.flags.writeable = False
-        self._max_norm = math.sqrt(self._sq_norms.max(initial=0.0))
+        sq_norms = np.add.reduce(g * g, axis=-1)
         dim = self.features.shape[1]
+        self._screen32 = np.empty((dim + 1, len(self)), dtype=np.float32)
+        self._screen32[:dim] = g.T
+        self._screen32[dim] = sq_norms
+        self._screen32.flags.writeable = False
+        self._max_norm = math.sqrt(sq_norms.max(initial=0.0))
         # the terms of the screen's error bound, see feature_nearest
         self._error_terms = (
-            2.0 * _gamma(dim + 3, _U32),
+            _gamma(dim + 3, _U32),
             2.0 * _gamma(dim + 5, _U64),
-            8.0 * dim * _TINY32,
+            8.0 * (dim + 1) * _TINY32,
             self._scale * 2.0**-1074,
         )
         # the last feature query, replaced whole by one attribute assignment
@@ -217,19 +235,38 @@ class ShapeDatabase:
         d = self.features[rows] * scale - qf * scale
         return _unscaled(np.sqrt(np.add.reduce(d * d, axis=-1)), scale)
 
+    def _screened(self, qf: np.ndarray) -> tuple[np.ndarray, float]:
+        """The float32 screened values ``s~`` of every row for the query
+        feature ``qf``, and the float64 slack ``2 E'`` (see
+        :func:`feature_nearest`); the caller checks that the screen can
+        run."""
+        h = self._scale * qf
+        v = np.ones(len(h) + 1, dtype=np.float32)
+        v[:-1] = -2.0 * h
+        hn, m = math.sqrt(h @ h), self._max_norm
+        c32, c64, c_tiny, c_sub = self._error_terms
+        slack = 2.0 * (1.0 + 2.0**-20) * (
+            c32 * m * (m + 2.0 * hn)
+            + c64 * (m + hn) ** 2
+            + c_tiny * (1.0 + hn)
+            + c_sub * (m + hn + 1.0)
+        )
+        return v @ self._screen32, slack
+
     def _screen(self, qf: np.ndarray, k: int) -> np.ndarray:
         """Rows the float32 screen cannot rule out of the k feature-nearest
         (every row when ``k >= N`` or when the screen cannot run)."""
         if k < len(self) and float(np.abs(qf).max(initial=0.0)) * self._scale < _SCREEN_MAX:
-            h = self._scale * qf
-            s = ((-2.0 * h).astype(np.float32) @ self._g32t).astype(np.float64)
-            s += self._sq_norms
-            hn, m = math.sqrt(h @ h), self._max_norm
-            c32, c64, c_tiny, c_sub = self._error_terms
-            err = (1.0 + 2.0**-20) * (
-                c32 * m * hn + c64 * (m + hn) ** 2 + c_tiny * (1.0 + hn) + c_sub * (m + hn + 1.0)
+            s, slack = self._screened(qf)
+            # the k-th of a subsample bounds the k-th of all rows from above
+            sub = s[:: max(1, len(s) // _SUBSAMPLE)]
+            rows = (
+                np.flatnonzero(s <= _up32(float(np.partition(sub, k - 1)[k - 1]) + slack))
+                if k <= len(sub)
+                else np.arange(len(s))
             )
-            return np.flatnonzero(s <= np.partition(s, k - 1)[k - 1] + 2.0 * err)
+            near = s[rows]
+            return rows[near <= _up32(float(np.partition(near, k - 1)[k - 1]) + slack)]
         _finite(qf, "query")
         return np.arange(len(self))
 
@@ -286,48 +323,65 @@ def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:
     ``|g_i - h|^2 = s_i + |h|^2`` with ``s_i = |g_i|^2 - 2 g_i.h``, and the
     screen computes
 
-        s~_i = |g_i|^2 - 2 fl32(g_i).fl32(h),
+        s~_i = fl32(g_i).fl32(-2h) + fl32(G_i) * 1,
 
-    the dot products as one float32 matrix-vector product, the stored
-    ``|g_i|^2`` and the subtraction in float64.  The float64 distances
-    correspond to ``s^_i = sigma^2 d^_i^2 - |h|^2``.  With D the feature
-    dimension, ``M = max |g_i|``, ``H = |h|``, ``gamma_n(u) = n u/(1 - n u)``,
-    float32 and float64 unit roundoffs ``u = 2^-24`` and ``v = 2^-53``, and
-    ``eta = 2^-126``, every row satisfies ``|s~_i - s^_i| <= E`` with
+    one float32 dot product of D + 1 terms per row, with ``G_i`` the
+    ``|g_i|^2`` summed in float64: every row at once is one float32
+    matrix-vector product of the stored ``(D + 1, N)`` array with
+    ``[fl32(-2h), 1]``.  The float64 distances correspond to
+    ``s^_i = sigma^2 d^_i^2 - |h|^2``.  With D the feature dimension,
+    ``M = max |g_i|``, ``H = |h|``, ``gamma_n(u) = n u/(1 - n u)``, float32
+    and float64 unit roundoffs ``u = 2^-24`` and ``v = 2^-53``, and
+    ``eta = 2^-126``, every row satisfies ``|s~_i - s^_i| <= E'`` with
 
-        E = (1 + 2^-20) (2 gamma_{D+3}(u) M H + 2 gamma_{D+5}(v) (M + H)^2
-                         + 8 D eta (1 + H) + sigma 2^-1074 (M + H + 1)).
+        E' = (1 + 2^-20) (gamma_{D+3}(u) (M^2 + 2 M H)
+                          + 2 gamma_{D+5}(v) (M + H)^2
+                          + 8 (D + 1) eta (1 + H) + sigma 2^-1074 (M + H + 1)).
 
     The terms, each bounding a part of ``|s~_i - s_i|`` or ``|s_i - s^_i|``:
 
-    - float32 rounding of g and h and the D-term float32 dot product:
-      each product of the dot carries two input roundings and at most D
-      roundings of the sum, whatever its order, so the dot is off by at
-      most ``gamma_{D+2}(u) sum_j |g_ij h_j| <= gamma_{D+2}(u) M H``; this
-      dominant term is doubled by the factor 2 on the dot product;
+    - float32 rounding of g, of -2h and of ``G_i``, and the (D + 1)-term
+      float32 dot product: each term of the dot carries at most two input
+      roundings, one product rounding and D roundings of the sum, whatever
+      its order, so the dot is off by at most ``gamma_{D+3}(u)`` times the
+      sum of its terms' magnitudes, ``2 sum_j |g_ij h_j| + G_i``, which is
+      at most ``2 M H + M^2``.  The ``M^2`` part is the rounding of the
+      folded norm: it dominates for a query near the origin;
     - float32 subnormals: each rounding of an entry and each product may
       be off by up to eta in absolute terms (gradual underflow or flush
-      to zero), which with ``|g_ij| < 1`` adds at most ``3 D eta (1 + H)``;
-      the float64 underflows, far smaller, fit in the rest of
-      ``8 D eta (1 + H)``;
-    - float64 rounding of ``|g_i|^2`` (``gamma_D(v) M^2``) and of the
-      subtraction (``v |s~_i|``);
+      to zero), which with ``|g_ij| < 1`` adds at most ``3 D eta (1 + H)``
+      over the D products of g and h and ``eta`` for ``fl32(G_i)``; the
+      float64 underflows, far smaller, fit in the rest of
+      ``8 (D + 1) eta (1 + H)``;
+    - float64 rounding of ``G_i`` (``gamma_D(v) M^2``);
     - the float64 distances: ``|s^_i - s_i| <= gamma_{D+4}(v) (M + H)^2``,
       plus ``sigma 2^-1074 (M + H + 1)`` for a distance that lands among
       float64 subnormals;
-    - the float64 rounding of the threshold below, of at most
-      ``v (M^2 + 2 M H + 2 E)``; the factor ``1 + 2^-20`` covers the
-      rounding of M, H and E themselves.
+    - the float64 rounding of each threshold below, of at most
+      ``v (M^2 + 2 M H + 2 E')``; the factor ``1 + 2^-20`` covers the
+      rounding of M, H and E' themselves.
 
-    The candidates are the rows with ``s~_i <= s~_(k) + 2E``, where
+    The candidates are the rows with ``s~_i <= s~_(k) + 2E'``, where
     ``s~_(k)`` is the k-th smallest screened value.  Order statistics move
-    by at most E, so ``s^_(k) <= s~_(k) + E``, and every row with
-    ``d^_i <= d^_(k)`` has ``s~_i <= s^_i + E <= s~_(k) + 2E``: every true
-    k-nearest record, and every record tied with the k-th, is a candidate,
-    and ranking the candidates by ``(d^_i, id)`` gives the exact answer.
-    The screen runs when every entry of h is below 2^100 in magnitude,
-    which keeps every float32 value finite for ``D < 2^26``; otherwise, and
-    when k is at least the number of records, every row is scored exactly.
+    by at most E', so ``s^_(k) <= s~_(k) + E'``, and every row with
+    ``d^_i <= d^_(k)`` has ``s~_i <= s^_i + E' <= s~_(k) + 2E'``: every
+    true k-nearest record, and every record tied with the k-th, is a
+    candidate, and ranking the candidates by ``(d^_i, id)`` gives the
+    exact answer.
+
+    ``s~_(k)`` is found without a partition of all N values.  The k-th
+    smallest value t of the strided subsample ``s~[::max(1, N // 256)]``
+    is at least ``s~_(k)``, so the rows with ``s~_i <= t + 2E'`` hold the
+    k smallest values and every candidate; ``s~_(k)`` is the k-th smallest
+    value of those rows, and the candidates are the rows among them under
+    its threshold.  When the subsample has fewer than k values, every row
+    takes that second step.  Each threshold is rounded up to float32, so
+    no value at or below it is lost to the rounding, and as every rounding
+    is monotone the first threshold is never below the second.  The screen
+    runs when every entry of h is below 2^100 in magnitude, which keeps
+    every float32 product and sum finite for ``D < 2^26`` (a threshold
+    beyond float32 keeps every row); otherwise, and when k is at least the
+    number of records, every row is scored exactly.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise OutOfRangeError(f"k must be an integer >= 1, got {k!r}")
@@ -353,17 +407,35 @@ def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:
     ]
 
 
-def _memo_distance(db: ShapeDatabase, q: np.ndarray, i: int) -> float | None:
-    """The exact orbit distance from ``q`` to row i, taken from the memo of
-    the last feature query, or None when the memo does not hold it.
+def _query_and_memo(db: ShapeDatabase, query) -> tuple[np.ndarray, _LastQuery | None]:
+    """The validated query, and the database's memo of its last feature
+    query when that query had the same values (else None).
+
+    A query that ``np.asarray`` turns into an array with the dtype, the
+    shape and the bytes of the memo's key is not checked again: the
+    :func:`feature_nearest` call that wrote the memo validated those
+    values.  The shape is compared because the bytes alone cannot tell a
+    2×6 query from a 3×4 one.
+    """
+    memo = db._memo
+    if memo is not None:
+        q = np.asarray(query)
+        if q.shape == (db.n, db.l) and _key(q) == memo.key:
+            return q, memo
+    q = db._check_query(query)
+    return q, memo if memo is not None and _key(q) == memo.key else None
+
+
+def _memo_distance(db: ShapeDatabase, memo: _LastQuery | None, q: np.ndarray, i: int) -> float | None:
+    """The exact orbit distance from ``q`` to row i, taken from ``memo``,
+    the memo of ``q``, or None when the memo does not hold it.
 
     The first hit asked for solves every hit in one stacked call and
     stores their distances in a new memo.  A hit list with a distance
     beyond float64 is not stored, so each of its hits is solved on its
     own.
     """
-    memo = db._memo
-    if memo is None or i not in memo.positions or memo.key != _key(q):
+    if memo is None or i not in memo.positions:
         return None
     d = memo.distances
     if d is None:
@@ -378,21 +450,22 @@ def _memo_distance(db: ShapeDatabase, q: np.ndarray, i: int) -> float | None:
 def verify(db: ShapeDatabase, result: QueryResult, query) -> QueryResult:
     """Fill in the exact orbit distance for a query result.
 
-    The query is validated on every call, against the database; the
-    record was validated when the database was built, so the kernel runs
-    on it directly and the distance equals :func:`orbit_distance`.
+    The query is validated against the database, unless it has the
+    values of the database's last :func:`feature_nearest` query, which
+    that call validated; the record was validated when the database was
+    built.  So the kernel runs on both directly and the distance equals
+    :func:`orbit_distance`.  ``result.id`` is looked up on every call.
 
-    When ``query`` has the dtype and values of the database's last
-    :func:`feature_nearest` query and ``result.id`` is one of its hits,
-    the distance comes from that query's memo.  The first verify of any
-    hit solves all k hits, in rank order, in one stacked Procrustes call,
-    and the other hits then cost no kernel call.  Stacked rows have the
-    bits of single pairs.  Any other query or result is solved as one
-    pair.
+    When the query is the last feature query and ``result.id`` is one of
+    its hits, the distance comes from that query's memo.  The first
+    verify of any hit solves all k hits, in rank order, in one stacked
+    Procrustes call, and the other hits then cost no kernel call.
+    Stacked rows have the bits of single pairs.  Any other query or
+    result is solved as one pair.
     """
-    q = db._check_query(query)
+    q, memo = _query_and_memo(db, query)
     i = db.index_of(result.id)
-    d = _memo_distance(db, q, i)
+    d = _memo_distance(db, memo, q, i)
     if d is None:
         d = float(_procrustes(db.group, q, db.matrices[i])[0])
-    return replace(result, exact_orbit_distance=d)
+    return QueryResult(result.id, result.embedded_distance, d, result.approximation_bound)

@@ -3,6 +3,7 @@ import sys
 import threading
 import warnings
 from dataclasses import asdict, fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -423,11 +424,108 @@ class TestExactScreen:
 
     def test_screen_arrays_are_read_only(self, rng):
         db = triangle_db(rng, 4)
-        assert db._g32t.dtype == np.float32 and db._g32t.shape == (3, 4)
+        # the rows of g.T, then |g_i|^2 as the last row: (D + 1, N)
+        assert db._screen32.dtype == np.float32 and db._screen32.shape == (4, 4)
+        g = db._scale * db.features
+        assert np.array_equal(db._screen32[:3], g.T.astype(np.float32))
+        assert np.array_equal(db._screen32[3], np.add.reduce(g * g, axis=-1).astype(np.float32))
         with pytest.raises(ValueError):
-            db._g32t[0, 0] = 1.0
+            db._screen32[0, 0] = 1.0
         with pytest.raises(ValueError):
-            db._sq_norms[0] = 1.0
+            db._screen32[3, 0] = 1.0
+
+
+def thin_shell_db(rng, size, scale, copies=8):
+    """An O 2×4 database whose records all have feature norms in
+    ``scale * [1, 1 + 2^-22)``, a few float32 ulps wide (under O the
+    feature norm is the Frobenius norm), so that a query near the origin
+    leaves the float32 screen with many near ties.  Rows 1 .. ``copies``
+    of the subsample (``rows[::max(1, N // 256)]``) hold copies of row 0,
+    and so do three rows off it; the ids are shuffled, so ties break at
+    any position."""
+    x = rng.standard_normal((size, 2, 4))
+    radius = 1.0 + 2.0**-22 * rng.random(size)
+    x *= (radius / np.linalg.norm(x, axis=(1, 2)))[:, None, None]
+    stride = max(1, size // 256)
+    x[stride : stride * (copies + 1) : stride] = x[0]
+    x[[size - 1, size - 2, size - 3]] = x[0]
+    ids = [f"r{i:04d}" for i in rng.permutation(size)]
+    return ShapeDatabase(GroupAction.ORTHOGONAL, list(zip(ids, scale * x)))
+
+
+def assert_screen_exact(db, query, k):
+    """``feature_nearest`` is the exact top k, and the screen keeps every
+    row whose float64 distance is at most the k-th."""
+    got = [(r.embedded_distance, r.id) for r in feature_nearest(db, query, k)]
+    assert got == top_k_oracle(db, query, k)
+    qf = db.query_feature(query)
+    d = db._distances(qf, np.arange(len(db)))
+    kth = np.partition(d, k - 1)[k - 1]
+    assert set(np.flatnonzero(d <= kth)) <= set(db._screen(qf, k).tolist())
+
+
+class TestSubsampledScreen:
+    """The screen's strided subsample at N > 256: duplicates on the
+    subsample, float32 near ties, k at and beyond the subsample's size,
+    and queries at the edge of the screen's range."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("size", [257, 512, 2000])
+    def test_equals_exact_sort_over_all_rows(self, rng, size, scale):
+        db = thin_shell_db(rng, size, scale)
+        subsample = len(range(0, size, max(1, size // 256)))
+        ks = [1, 5, 9, 12, subsample - 1]
+        if subsample < size:
+            ks += [subsample, subsample + 3]  # beyond the subsample: every row
+        unit = rng.standard_normal((4, 2, 4))
+        unit /= np.linalg.norm(unit, axis=(1, 2))[:, None, None]
+        queries = [
+            db.matrices[0] * (1.0 + 1e-9),  # at the copies of row 0
+            scale * 2.0**-24 * unit[0],  # near the origin: near ties
+            scale * 2.0**-20 * unit[1],
+            scale * unit[2],
+        ]
+        for query in queries:
+            for k in ks:
+                assert_screen_exact(db, query, k)
+
+    @pytest.mark.parametrize("spread", [0.0, 44.0])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_screened_values_within_the_bound(self, rng, scale, spread):
+        # |s~_i - s^_i| <= E' on every row, with s^_i = (sigma d^_i)^2 - |h|^2
+        # in exact arithmetic; a spread of 44 decades puts some entries of
+        # g among the float32 subnormals
+        db = thin_shell_db(rng, 600, scale)
+        x = db.matrices * 10.0 ** -rng.uniform(0.0, spread, (len(db), 1, 1))
+        x[0] = db.matrices[0]
+        db = ShapeDatabase(GroupAction.ORTHOGONAL, list(zip(db.ids, x)))
+        unit = rng.standard_normal((2, 4))
+        unit /= np.linalg.norm(unit)
+        for query in (scale * 2.0**-24 * unit, x[0] * (1.0 + 1e-9), scale * unit, scale * 1e20 * unit):
+            qf = db.query_feature(query)
+            s, slack = db._screened(qf)
+            d = db._distances(qf, np.arange(len(db)))
+            sigma = Fraction(db._scale)
+            hh = sum(Fraction(v) ** 2 for v in (db._scale * qf).tolist())
+            worst = max(
+                abs(Fraction(si) - (sigma * Fraction(di)) ** 2 + hh)
+                for si, di in zip(s.tolist(), d.tolist())
+            )
+            assert worst <= Fraction(slack) / 2
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("edge", [0.5, 0.99, 1.01])
+    def test_queries_near_the_screen_limit(self, rng, scale, edge):
+        db = thin_shell_db(rng, 2000, scale)
+        for _ in range(3):
+            q = rng.standard_normal((2, 4))
+            # the feature is homogeneous: max |sigma q_f| lands at edge * 2^100,
+            # so the screen runs below 1 and every row is scored above it
+            q *= edge * search._SCREEN_MAX / (db._scale * np.abs(db.query_feature(q)).max())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for k in (1, 5, 300):
+                    assert_screen_exact(db, q, k)
 
 
 class TestVerify:
@@ -616,6 +714,70 @@ class TestVerifyMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not failures
+
+
+def count_query_checks(monkeypatch):
+    """The queries of every ``ShapeDatabase._check_query`` call."""
+    calls = []
+    check = ShapeDatabase._check_query
+
+    def counted(db, query):
+        calls.append(query)
+        return check(db, query)
+
+    monkeypatch.setattr(ShapeDatabase, "_check_query", counted)
+    return calls
+
+
+@pytest.mark.parametrize("group, n, l, feature_map", MEMO_CASES)
+class TestVerifyMemoHitsSkipTheCheck:
+    def test_feature_query_and_its_verifies_check_once(self, rng, monkeypatch, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        q = query()
+        calls = count_query_checks(monkeypatch)
+        for res in feature_nearest(db, q, k=5):
+            assert_verified_exactly(db, res, q)
+        assert len(calls) == 1
+
+    def test_same_values_in_other_forms(self, rng, monkeypatch, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        # float32-exact values with one zero: a float32 copy and a signed
+        # zero change the bytes, and the float32 copy checks to q itself
+        single = np.complex64 if group.is_complex else np.float32
+        q = query()
+        q = q.astype(single).astype(q.dtype)
+        q[0, 1] = 0.0
+        signed = q.copy()
+        signed[0, 1] = -0.0
+        forms = [
+            (q.tolist(), 0),
+            (np.ascontiguousarray(q.T).T, 0),  # a non-contiguous view
+            (q.astype(single), 1),  # checked
+            (signed, 1),  # checked
+        ]
+        if not group.is_complex:
+            forms.append((q.view(np.int64), 1))  # the bytes of q as other values
+        for form, checks in forms:
+            hits = feature_nearest(db, q, k=5)
+            calls = count_query_checks(monkeypatch)
+            for res in hits:
+                assert_verified_exactly(db, res, form)
+            assert len(calls) == checks * len(hits)
+            monkeypatch.undo()
+
+    def test_errors_right_after_a_feature_query(self, rng, group, n, l, feature_map):
+        db, query = memo_case(rng, group, n, l, feature_map)
+        q = query()
+        hits = feature_nearest(db, q, k=5)
+        bad = q.copy()
+        bad[-1, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            verify(db, hits[0], bad)
+        with pytest.raises(ShapeMismatchError):
+            verify(db, hits[0], q.reshape(l, n))  # the bytes of q, another shape
+        with pytest.raises(UnknownIdError):
+            verify(db, replace(hits[0], id="missing"), q)
+        assert_verified_exactly(db, hits[0], q)
 
 
 class TestVerifyKernelCalls:
