@@ -41,21 +41,41 @@ def _gram_root(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _upper(l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of an l-by-l matrix."""
+def _gather(l: int, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices and weights of :func:`_flatten` for l-by-l matrices.
+
+    The indices pick, from a matrix's row-major entries, the diagonal and
+    then the strict upper triangle; in the Hermitian case they index the
+    float64 view of the complex entries (real part at ``2k``, imaginary at
+    ``2k + 1``): the real diagonal, then the real and then the imaginary
+    parts of the upper triangle.  The weights are 1 on the diagonal and
+    sqrt(2) off it.
+    """
     i, j = np.triu_indices(l, k=1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
+    diag = np.arange(l) * (l + 1)
+    upper = i * l + j
+    if hermitian:
+        index = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+    else:
+        index = np.concatenate([diag, upper])
+    weight = np.full(index.size, _SQRT2)
+    weight[:l] = 1.0
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
 
 
 def _flatten(a: np.ndarray, hermitian: bool) -> np.ndarray:
-    i, j = _upper(a.shape[-1])
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    off = a[..., i, j]
+    """Isometric coordinates of each matrix in a ``(..., l, l)`` stack
+    (complex128 when ``hermitian``), by one gather and one multiply: the
+    diagonal times 1.0, which is exact, then the upper triangle times
+    sqrt(2)."""
+    index, weight = _gather(a.shape[-1], hermitian)
+    flat = np.ascontiguousarray(a)
     if hermitian:
-        return np.concatenate([diag.real, _SQRT2 * off.real, _SQRT2 * off.imag], axis=-1)
-    return np.concatenate([diag, _SQRT2 * off], axis=-1)
+        flat = flat.view(np.float64)
+    flat = flat.reshape(flat.shape[:-2] + (flat.shape[-2] * flat.shape[-1],))
+    return np.take(flat, index, axis=-1) * weight
 
 
 def sym_flatten(m) -> np.ndarray:
@@ -72,9 +92,9 @@ def herm_flatten(m) -> np.ndarray:
     """Isometric real coordinates of a Hermitian matrix.
 
     Real diagonal, then sqrt(2)-scaled real and imaginary parts of the
-    strict upper triangle; length l^2.
+    strict upper triangle; length l^2.  A real matrix reads as complex.
     """
-    return _flatten(as_matrix(m), hermitian=True)
+    return _flatten(as_matrix(m).astype(np.complex128, copy=False), hermitian=True)
 
 
 def mean_last_basis(l: int) -> np.ndarray:

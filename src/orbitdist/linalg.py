@@ -7,6 +7,11 @@ a factorization.  The float64-range policy lives here too: a kernel that
 squares its input runs at a power of two (:func:`_pow2_scale`), which is
 exact, divides its result by it (:func:`_unscaled`) and refuses a result
 beyond float64 (:func:`_finite`).
+
+:func:`svd` is the one SVD entry point.  It calls numpy 2's thin-SVD
+gufunc ``_umath_linalg.svd_s`` itself, as ``np.linalg.svd`` does: the
+distances and features make several SVDs of 2-by-5-sized blocks per call,
+where numpy's wrapper costs about as much as LAPACK.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     ConvergenceFailureError,
@@ -66,7 +72,14 @@ def _pow2_scale(x):
 
 
 def _unscaled(f, c):
-    """``f / c``, an entry beyond float64 as inf (or nan) without a warning."""
+    """``f / c``, an entry beyond float64 as inf (or nan) without a warning.
+
+    A Python float ``c >= 2**-1000`` is divided plainly: every caller that
+    passes one divides a value at scale, with entries below 2**23, which
+    such a ``c`` cannot take beyond float64.
+    """
+    if type(c) is float and c >= 2.0**-1000:
+        return f / c
     with np.errstate(over="ignore", invalid="ignore"):
         return f / c
 
@@ -104,6 +117,10 @@ def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
     return _as_array(m, name, stacked=False)
 
 
+def _raise_nonconvergence(err, flag):
+    raise ConvergenceFailureError("SVD did not converge")
+
+
 def svd(m) -> SvdFactors:
     """Thin SVD with r = min(n, l) factors.
 
@@ -111,12 +128,20 @@ def svd(m) -> SvdFactors:
     factors stacked the same way.  Real input yields real factors.  Raises
     NonFiniteError on NaN/Inf entries and ConvergenceFailureError if the
     backend does not converge on any matrix of the stack.
+
+    The validated float64/complex128 array goes straight to LAPACK's
+    thin SVD (``_umath_linalg.svd_s``, gesdd) under the floating-point
+    error state that ``np.linalg.svd`` sets: the gufunc flags
+    nonconvergence as "invalid", which raises, and LAPACK's harmless
+    overflow, divide and underflow flags are ignored.  The factors are
+    those of ``np.linalg.svd(m, full_matrices=False)`` to the bit.
     """
     a = _as_array(m, "matrix", stacked=True)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
+    signature = "D->DdD" if a.dtype == np.complex128 else "d->ddd"
+    with np.errstate(
+        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        u, s, vh = _umath_linalg.svd_s(a, signature=signature)
     return SvdFactors(u, s, _adjoint(vh))
 
 

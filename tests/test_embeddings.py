@@ -21,6 +21,8 @@ from orbitdist import (
     unitary_embedding,
 )
 
+from orbitdist.embeddings import _flatten, _gather
+
 from oracles import gram_schmidt_mean_last_basis, random_orthogonal, random_unitary
 
 SQRT2 = np.sqrt(2.0)
@@ -62,6 +64,60 @@ class TestFlattening:
             lhs = np.linalg.norm(herm_flatten(m1) - herm_flatten(m2))
             rhs = np.linalg.norm(m1 - m2)
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @staticmethod
+    def flatten_oracle(a, hermitian):
+        """Diagonal, then the sqrt(2)-weighted upper triangle, by indexing."""
+        i, j = np.triu_indices(a.shape[-1], k=1)
+        diag = np.diagonal(a, axis1=-2, axis2=-1)
+        off = a[..., i, j]
+        if hermitian:
+            return np.concatenate([diag.real, SQRT2 * off.real, SQRT2 * off.imag], axis=-1)
+        return np.concatenate([diag, SQRT2 * off], axis=-1)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (5, 5), (3, 4, 4), (2, 3, 6, 6), (0, 3, 3)])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_gather_is_the_indexing_formula(self, rng, shape, hermitian):
+        a = rng.standard_normal(shape)
+        if hermitian:
+            a = a + 1j * rng.standard_normal(shape)
+        self.assert_same_bits(_flatten(a, hermitian), self.flatten_oracle(a, hermitian))
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_gather_reads_non_contiguous_input(self, rng, hermitian):
+        a = rng.standard_normal((6, 7, 14))
+        if hermitian:
+            a = a + 1j * rng.standard_normal(a.shape)
+        for view in [a[::2, :, ::2], a[:, :, 1::2].swapaxes(-1, -2), a[1::2, :, :7]]:
+            self.assert_same_bits(_flatten(view, hermitian), self.flatten_oracle(view, hermitian))
+        f = np.asfortranarray(a[0, :, :7])
+        self.assert_same_bits(_flatten(f, hermitian), self.flatten_oracle(f, hermitian))
+
+    def test_public_flattenings_are_the_indexing_formula(self, rng):
+        g = rng.standard_normal((5, 5))
+        h = g + 1j * rng.standard_normal((5, 5))
+        self.assert_same_bits(sym_flatten(g + g.T), self.flatten_oracle(g + g.T, False))
+        self.assert_same_bits(herm_flatten(h), self.flatten_oracle(h, True))
+        # a real matrix reads as complex, with zero imaginary coordinates
+        self.assert_same_bits(herm_flatten(g), self.flatten_oracle(g.astype(complex), True))
+        assert not herm_flatten(g)[15:].any()
+        self.assert_same_bits(sym_flatten([[2.0]]), np.array([2.0]))
+        self.assert_same_bits(herm_flatten([[2.0 + 0.0j]]), np.array([2.0]))
+        self.assert_same_bits(sym_flatten(np.asfortranarray(g)), self.flatten_oracle(g, False))
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_gather_arrays_are_cached_and_read_only(self, hermitian):
+        index, weight = _gather(4, hermitian)
+        assert _gather(4, hermitian)[0] is index
+        assert not index.flags.writeable and not weight.flags.writeable
+        with pytest.raises(ValueError):
+            weight[0] = 2.0
+        assert weight.tolist() == [1.0] * 4 + [SQRT2] * (index.size - 4)
 
     @pytest.mark.parametrize("l", [2, 3, 5, 8])
     def test_mean_last_basis(self, l):

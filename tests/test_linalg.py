@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitdist import (
+    ConvergenceFailureError,
     NonFiniteError,
     NotHermitianError,
     NotPSDError,
@@ -13,7 +16,8 @@ from orbitdist import (
     psd_sqrt,
     svd,
 )
-from orbitdist.linalg import ORTH_TOL, RECON_TOL
+from orbitdist import linalg
+from orbitdist.linalg import ORTH_TOL, RECON_TOL, _unscaled
 
 from oracles import nuclear_norm_by_gram
 
@@ -74,6 +78,114 @@ class TestSvd:
     def test_rejects_vector(self):
         with pytest.raises(ShapeMismatchError):
             svd(np.ones(3))
+
+
+def _svd_inputs():
+    rng = np.random.default_rng(7)
+    real = {
+        f"{n}x{l}": rng.standard_normal((n, l)) for n, l in [(2, 5), (5, 2), (3, 3), (1, 1)]
+    }
+    cases = dict(real)
+    cases.update({k + " complex": v + 1j * rng.standard_normal(v.shape) for k, v in real.items()})
+    cases["stack"] = rng.standard_normal((4, 3, 2, 6))
+    cases["complex stack"] = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+    cases["empty 0x3"] = np.zeros((0, 3))
+    cases["empty 2x0"] = np.zeros((2, 0))
+    cases["empty stack"] = np.zeros((0, 2, 3))
+    cases["fortran"] = np.asfortranarray(rng.standard_normal((4, 7)))
+    cases["strided view"] = rng.standard_normal((9, 12))[::2, 1::3]
+    cases["transposed complex"] = cases["2x5 complex"].T
+    cases["integers"] = np.arange(12).reshape(3, 4)
+    cases["list"] = [[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]]
+    cases["float32"] = rng.standard_normal((3, 5)).astype(np.float32)
+    return cases
+
+
+SVD_INPUTS = _svd_inputs()
+
+
+class TestSvdIsNumpySvd:
+    """``svd`` calls LAPACK's thin SVD itself; its factors are those of
+    ``np.linalg.svd(m, full_matrices=False)`` to the bit."""
+
+    @pytest.mark.parametrize("name", sorted(SVD_INPUTS))
+    def test_bit_identical_to_numpy(self, name):
+        m = SVD_INPUTS[name]
+        u, s, v = svd(m)
+        want_u, want_s, want_vh = np.linalg.svd(np.asarray(m, dtype=u.dtype), full_matrices=False)
+        for got, want in [(u, want_u), (s, want_s), (v.conj().swapaxes(-1, -2), want_vh)]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_factor_dtypes(self):
+        assert svd(SVD_INPUTS["integers"]).u.dtype == np.float64
+        f = svd(SVD_INPUTS["2x5 complex"])
+        assert f.u.dtype == f.v.dtype == np.complex128
+        assert f.singular_values.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_refused_before_lapack(self, monkeypatch, bad):
+        # LAPACK never sees the entry: validation raises first
+        monkeypatch.setattr(linalg, "_umath_linalg", None)
+        m = np.ones((2, 3), dtype=type(bad) if isinstance(bad, complex) else float)
+        m[1, 2] = bad
+        with pytest.raises(NonFiniteError):
+            svd(m)
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        class NotConverging:
+            # the gufunc reports nonconvergence by the "invalid" FP flag
+            @staticmethod
+            def svd_s(a, signature):
+                np.zeros(1) / np.zeros(1)
+                return np.linalg.svd(a, full_matrices=False)
+
+        monkeypatch.setattr(linalg, "_umath_linalg", NotConverging)
+        with pytest.raises(ConvergenceFailureError, match="did not converge"):
+            svd(np.eye(2))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.zeros((2, 5)),
+            np.zeros((3, 4), dtype=complex),
+            np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5, 2.0]),
+            1e300 * np.random.default_rng(3).standard_normal((3, 6)),
+            1e-300 * np.random.default_rng(4).standard_normal((3, 6)),
+            1e300 * np.random.default_rng(5).standard_normal((2, 3, 3)) * (1 + 1j),
+            1e-300 * np.random.default_rng(6).standard_normal((2, 3, 3)) * (1 - 1j),
+        ],
+        ids=["zero", "zero complex", "rank one", "1e300", "1e-300", "1e300 complex", "1e-300 complex"],
+    )
+    def test_lapack_flags_are_silent(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, s, v = svd(m)
+        assert np.isfinite(s).all() and np.isfinite(u).all() and np.isfinite(v).all()
+
+
+class TestUnscaled:
+    def test_array_scale_overflow_is_silent_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _unscaled(np.array([1e308, 1.0]), np.array([2.0**-1000, 2.0**-1000]))
+        assert got[0] == np.inf and got[1] == 2.0**1000
+
+    def test_tiny_float_scale_overflow_is_silent_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _unscaled(np.array([1e308, 0.5]), 2.0**-1023)
+        assert got[0] == np.inf and got[1] == 2.0**1022
+
+    def test_float_scale_divides_plainly(self):
+        # a Python float scale >= 2^-1000 enters no error state of its own:
+        # it divides in the caller's, which here raises on overflow
+        f = np.array([3.0, 2.0**-20])
+        with np.errstate(all="raise"):
+            assert _unscaled(f, 2.0**-1000).tolist() == [3.0 * 2.0**1000, 2.0**980]
+            assert _unscaled(f, 0.5).tolist() == [6.0, 2.0**-19]
+            with pytest.raises(FloatingPointError):
+                _unscaled(np.array([2.0**1023]), 0.5)
 
 
 class TestNuclearNorm:

@@ -404,6 +404,22 @@ class TestExactScreen:
             got = [(r.id, r.embedded_distance) for r in feature_nearest(db, q, k=2)]
         assert got == [("near", 8e307), ("far", float("inf"))]
 
+    def test_feature_distances_at_an_ordinary_scale_divide_plainly(self, rng, monkeypatch):
+        # the scale is a Python float >= 2^-1000: the distances are divided
+        # with a plain "/", entering no floating-point error state
+        db = group_db(rng, GroupAction.EUCLIDEAN, 50, 2, 6)
+        qf = db.query_feature(db.matrices[3] + 0.1)
+        rows = np.arange(len(db))
+        want = db._distances(qf, rows)
+
+        def refuse(**kwargs):
+            raise AssertionError("np.errstate entered")
+
+        monkeypatch.setattr(np, "errstate", refuse)
+        assert db._distances(qf, rows).tobytes() == want.tobytes()
+        monkeypatch.undo()
+        assert np.isfinite(want).all() and want[3] > 0.0
+
     def test_overflowing_features_refused(self, rng):
         # edges of length 3e308 give triangle coordinates beyond float64;
         # the map's own overflow warning is not under test here
