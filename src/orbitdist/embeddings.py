@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError
-from .linalg import _adjoint, as_matrix, svd
+from .linalg import _adjoint, _pow2_scale, _unscaled, as_matrix, svd
 from .metrics import GroupAction, _configuration, _prepared
 
 _SQRT2 = np.sqrt(2.0)
@@ -129,20 +129,40 @@ def _helmert(x: np.ndarray) -> np.ndarray:
     return a * (x[..., :-1] - t / m)
 
 
-def _coordinates(group: GroupAction, x: np.ndarray) -> np.ndarray:
+def _coordinates(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Each configuration of a validated ``(..., n, l)`` stack as the
     feature maps read it: as ``group`` acts on it, and under a translation
     quotient centred and read in W', the l - 1 coordinates of the sum-zero
-    subspace."""
+    subspace.  Returns them with the power of two they are at: 1.0, or,
+    when a translation quotient's sums could overflow, each configuration's
+    :func:`_pow2_scale`, of shape ``(..., 1, 1)`` (see :func:`_at_scale`).
+
+    The centring sum and the reverse cumulative sum of :func:`_helmert`
+    add at most l entries of magnitude at most ``2 max|x|``, so they cannot
+    overflow while ``2 l max|x|`` stays within 2**1023; one max-magnitude
+    reduction checks it, and only a stack beyond it runs scaled.
+    """
+    c = 1.0
+    if group.quotients_translations and np.abs(x).max(initial=0.0) > 2.0**1022 / x.shape[-1]:
+        c = _pow2_scale(np.abs(x).max(axis=(-2, -1), keepdims=True))
+        x = x * c
     x = _prepared(group, x)
-    return _helmert(x) if group.quotients_translations else x
+    return (_helmert(x) if group.quotients_translations else x), c
 
 
-def _block(group: GroupAction, x: np.ndarray) -> np.ndarray:
+def _at_scale(f: np.ndarray, c: np.ndarray | float) -> np.ndarray:
+    """``f``, one row of features per configuration computed from
+    :func:`_coordinates` at scale ``c``, unscaled: an entry beyond float64
+    as inf, without a warning."""
+    return f if type(c) is float else _unscaled(f, c[..., 0])
+
+
+def _block(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Matrix feature that the flattened features read, of each
     configuration in a validated ``(..., n, l)`` stack: the Gram root of
-    its :func:`_coordinates`."""
-    return _gram_root(_coordinates(group, x))
+    its :func:`_coordinates`, at their scale, which it returns too."""
+    y, c = _coordinates(group, x)
+    return _gram_root(y), c
 
 
 def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
@@ -151,9 +171,14 @@ def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
     configuration X_c, which is ``W' B W'^T`` for the flattened block B
     (as ``X_c = X_c W' W'^T``), to the bit the O/U matrix of ``center(a)``."""
     x = _configuration(group, a, "A")
-    b = _block(group, x)
-    m = _gram_root(_prepared(group, x)) if group.quotients_translations else b
-    return m, _flatten(b, hermitian=group.is_complex)
+    b, c = _block(group, x)
+    m = b
+    if group.quotients_translations:
+        m = _gram_root(_prepared(group, x * c))
+        # unscaled in its float64 view: a complex division by a subnormal c
+        # forms 1/c, which overflows
+        m = _unscaled(m.view(np.float64), c).view(m.dtype)
+    return m, _at_scale(_flatten(b, hermitian=group.is_complex), c)
 
 
 def orthogonal_embedding(a) -> tuple[np.ndarray, np.ndarray]:

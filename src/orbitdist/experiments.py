@@ -49,7 +49,8 @@ rare query that the certificate leaves open, so the result is the exact
 argmin (see :func:`_exact_rate`).  Only this study imports
 ``scipy.spatial`` (for the k-d trees), so that importing this module loads
 only numpy.  The distortion study loads no scipy at all, nor does the
-survey at n = 1; at n >= 2 it loads ``scipy.sparse`` for the reducer.
+survey at n = 1; at n >= 2 it loads ``scipy.sparse`` for the reducer's
+product over its stacks of roots.
 """
 from __future__ import annotations
 
@@ -85,7 +86,8 @@ _PAIR_BLOCK = 1 << 14
 # at both ceilings).  At n >= 2 each pair of the lower-constant survey
 # holds l x l Gram roots, 16 MB for a complex one at MAX_L, and shares a
 # reducer of at most n * size**2 non-zeros (twice that Hermitian), 16 bytes
-# each: the ceiling, 64 MB, admits every group at n <= 2 and l <= MAX_L.
+# each (a float64 value and an int64 column, which its CSR container shares):
+# the ceiling, 64 MB, admits every group at n <= 2 and l <= MAX_L.
 # At n = 1 a pair holds O(l) entries and no reducer is built.
 MAX_PAIRS = 10**7
 MAX_DB_SIZE = 10**4

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import _block, _flatten
+from .embeddings import _at_scale, _block, _flatten
 from .errors import FeatureMapMismatchError
 from .linalg import _finite
 from .metrics import GroupAction, _configuration
@@ -59,4 +59,5 @@ def _feature_stack(group: GroupAction, x: np.ndarray, feature_map: str) -> np.nd
         return _reduced_stack(group, x)
     if _is_triangle(group, x):
         return _triangle_coords(x)
-    return _flatten(_block(group, x), hermitian=group.is_complex)
+    b, c = _block(group, x)
+    return _at_scale(_flatten(b, hermitian=group.is_complex), c)

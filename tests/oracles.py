@@ -155,9 +155,16 @@ def gram_schmidt_mean_last_basis(l: int) -> np.ndarray:
 
 def csr_reduced_features(group, x) -> np.ndarray:
     """Reduced features of a validated ``(..., n, l)`` stack by the general
-    route: the sparse reducer applied to each Gram root.  At n = 1 the
+    route: the CSR operator ``reducer.basis`` applied to each Gram root,
+    whatever the size of the product.  At n = 1 the
     library computes them as self-correlations instead, with no root."""
     from orbitdist import embeddings
-    from orbitdist.reduction import _project, reducer_for
+    from orbitdist.reduction import Ambient, reducer_for
 
-    return _project(reducer_for(group, *x.shape[-2:]), embeddings._block(group, x))
+    reducer = reducer_for(group, *x.shape[-2:])
+    roots, c = embeddings._block(group, x)
+    flat = roots.reshape(-1, reducer.size * reducer.size)
+    if reducer.ambient is Ambient.HERMITIAN:
+        flat = np.concatenate([flat.real, flat.imag], axis=1)
+    f = (reducer.basis @ flat.real.T).T.reshape(x.shape[:-2] + (reducer.dim,))
+    return embeddings._at_scale(f, c)

@@ -193,6 +193,20 @@ class TestEmbed:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {f} has a feature too large for float64"]
 
+    def test_coincident_extreme_points_embed_to_zero(self, tmp_path, capsys):
+        # the centring sum of six points at 1.5e308 would overflow float64;
+        # every point coincides, so the feature is zero
+        f = write_csv(tmp_path / "same.csv", np.full((2, 6), 1.5e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["embed", "--group", "E", f]) == 0
+            assert main(["embed", "--group", "E", "--reduced", f]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split(",") for line in captured.out.split()]
+        assert [len(r) for r in rows] == [15, 14]
+        assert all(float(v) == 0.0 for r in rows for v in r)
+
     def test_dimension_hypothesis_exit_4(self, tmp_path, capsys):
         f = write_csv(tmp_path / "m.csv", np.ones((2, 3)))
         assert main(["embed", "--group", "O", "--reduced", f]) == 4

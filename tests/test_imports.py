@@ -1,7 +1,9 @@
 """The import boundary: ``import orbitdist`` loads numpy but no scipy,
-full-feature databases, n = 1 reduced features, the distortion study and
-the n = 1 survey load none either, and each scipy module loads in the
-function that uses it, and only there.
+full-feature databases, the reduced features of one small configuration
+(numpy applies the operator up to ``reduction._NUMPY_PRODUCTS`` products),
+the distortion study and the n = 1 survey load none either, and each scipy
+module loads in the function that uses it, and only there: a product above
+that size loads ``scipy.sparse``.
 
 Every case runs in a fresh interpreter, since the test session itself has
 scipy loaded.  The interpreters start together, so the file costs about as
@@ -73,6 +75,40 @@ assert f.shape == (7,) and np.isfinite(f).all()
 f = od.reduced_embedding(od.GroupAction.ORTHOGONAL, np.arange(8.0).reshape(2, 4) ** 2)
 assert f.shape == (10,) and np.isfinite(f).all()
 """,
+        None,
+        (),
+    ),
+    "reduced_embedding-small-shapes": (
+        """
+rng = np.random.default_rng(0)
+for n, l, cx in [(2, 5, False), (3, 8, False), (2, 6, True)]:
+    for g in od.GroupAction:
+        if cx and not g.is_complex:
+            continue
+        x = rng.standard_normal((n, l)) + (1j * rng.standard_normal((n, l)) if cx else 0)
+        assert np.isfinite(od.reduced_embedding(g, x, od.reducer_for(g, n, l))).all()
+""",
+        None,
+        (),
+    ),
+    "embed-reduced-F": (
+        """
+rng = np.random.default_rng(0)
+z = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+with open("f26.json", "w") as fh:
+    json.dump({"re": z.real.tolist(), "im": z.imag.tolist()}, fh)
+assert orbitdist.cli.main(["embed", "--reduced", "--group", "F", "f26.json"]) == 0
+""",
+        None,
+        (),
+    ),
+    "reduced_embedding-above-threshold": (
+        """
+from orbitdist.reduction import _NUMPY_PRODUCTS, reducer_for
+assert reducer_for(od.GroupAction.ORTHOGONAL, 2, 32)._arrays.value.size > _NUMPY_PRODUCTS
+f = od.reduced_embedding(od.GroupAction.ORTHOGONAL, np.random.default_rng(0).standard_normal((2, 32)))
+assert f.shape == (122,) and np.isfinite(f).all()
+""",
         "scipy.sparse",
         (),
     ),
@@ -90,6 +126,14 @@ rep = od.lower_constant_survey(od.GroupAction.ORTHOGONAL, 1, 4, 20, seed=0)
 assert rep.ratio_stats["reduced"]["min"] > 0.0
 """,
         None,
+        (),
+    ),
+    "lower_constant_survey-n2": (
+        """
+rep = od.lower_constant_survey(od.GroupAction.ORTHOGONAL, 2, 5, 20, seed=0)
+assert rep.ratio_stats["reduced"]["min"] > 0.0
+""",
+        "scipy.sparse",
         (),
     ),
     "classification_experiment": (

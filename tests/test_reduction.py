@@ -261,6 +261,95 @@ class TestSparseOperator:
         assert 0.0 < gap <= full * (1 + 1e-12)
 
 
+class TestProductRoutes:
+    """``_project`` applies the operator in numpy up to ``_NUMPY_PRODUCTS``
+    products (one gather, one multiply, one ``np.bincount``) and as scipy's
+    CSR product above.  Both give each matrix the bits of ``basis @ x`` for
+    that matrix alone, so a matrix has the same bits alone or in any batch,
+    by either route."""
+
+    @staticmethod
+    def basis_products(reducer, mats):
+        """The oracle: ``reducer.basis`` times the real coordinates of each
+        matrix, one CSR matvec per matrix."""
+        flat = mats.reshape(-1, reducer.size * reducer.size)
+        if reducer.ambient is Ambient.HERMITIAN:
+            flat = np.concatenate([flat.real, np.imag(flat)], axis=1)
+        rows = [reducer.basis @ np.ascontiguousarray(x.real) for x in flat]
+        return np.array(rows).reshape(mats.shape[:-2] + (reducer.dim,))
+
+    @staticmethod
+    def layouts(mats):
+        """The stack as given, Fortran-ordered, and as a strided view."""
+        wide = np.zeros(mats.shape[:-1] + (2 * mats.shape[-1],), dtype=mats.dtype)
+        wide[..., ::2] = mats
+        return {"C": mats, "F": np.asfortranarray(mats), "strided": wide[..., ::2]}
+
+    def assert_routes_equal(self, monkeypatch, reducer, mats):
+        expected = self.basis_products(reducer, mats).tobytes()
+        for label, x in self.layouts(mats).items():
+            for threshold in (0, 10**12):
+                monkeypatch.setattr(reduction, "_NUMPY_PRODUCTS", threshold)
+                got = reduction._project(reducer, x)
+                assert got.shape == mats.shape[:-2] + (reducer.dim,)
+                assert got.tobytes() == expected, (label, threshold)
+
+    @pytest.mark.parametrize("batch", [(), (1,), (3,), (2, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_gram_roots(self, rng, monkeypatch, group, n, batch):
+        minimal = 2 * n + (1 if group.quotients_translations else 0)
+        # from the smallest shape up to operators well above the threshold
+        for l in (minimal, minimal + 1, minimal + 3, 2 * n + 14):
+            reducer = reducer_for(group, n, l)
+            roots, _ = reduction.embeddings._block(group, _rows(rng, group, batch + (n, l)))
+            self.assert_routes_equal(monkeypatch, reducer, roots)
+
+    @pytest.mark.parametrize("size", [4, 5, 16])
+    @pytest.mark.parametrize("ambient", list(Ambient))
+    def test_zero_matrices_give_positive_zeros(self, monkeypatch, ambient, size):
+        reducer = build_reducer(2, size, ambient)
+        dtype = complex if ambient is Ambient.HERMITIAN else float
+        for mats in (np.zeros((size, size), dtype), -np.zeros((3, size, size), dtype)):
+            self.assert_routes_equal(monkeypatch, reducer, mats)
+            for threshold in (0, 10**12):
+                monkeypatch.setattr(reduction, "_NUMPY_PRODUCTS", threshold)
+                got = reduction._project(reducer, mats)
+                assert not got.any() and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("size", [4, 5, 16])
+    def test_real_and_complex_storage(self, rng, monkeypatch, size):
+        # project() admits a real matrix in the Hermitian ambient and a
+        # complex one with zero imaginary part in the symmetric ambient
+        m = random_low_rank_symmetric(rng, size, 4)
+        self.assert_routes_equal(monkeypatch, build_reducer(2, size, Ambient.HERMITIAN), m)
+        self.assert_routes_equal(monkeypatch, build_reducer(2, size, Ambient.SYMMETRIC), m + 0j)
+
+    @pytest.mark.parametrize("ambient", list(Ambient))
+    def test_threshold_picks_the_route(self, ambient):
+        small, large = ReducerBasis(4, 5, ambient), ReducerBasis(4, 32, ambient)
+        assert small._arrays.value.size <= reduction._NUMPY_PRODUCTS < large._arrays.value.size
+        small.project(np.eye(5))
+        assert "basis" not in vars(small)
+        large.project(np.eye(32))
+        # a large operator keeps no rows of its own and no second index copy
+        assert "_gather" not in vars(large)
+        op, csr = large._arrays, large.basis
+        for mine, scipys in [(op.value, csr.data), (op.column, csr.indices), (op.indptr, csr.indptr)]:
+            assert np.shares_memory(mine, scipys) and not scipys.flags.writeable
+
+    def test_stack_of_small_matrices_takes_the_sparse_route(self, rng):
+        # 32 roots of O 2 x 5 make 32 * 44 products, above the threshold; each
+        # keeps the bits it has alone, which the numpy route computes
+        group = GroupAction.ORTHOGONAL
+        reducer = reducer_for(group, 2, 5)
+        assert reducer._arrays.value.size <= reduction._NUMPY_PRODUCTS < 32 * reducer._arrays.value.size
+        x = rng.standard_normal((32, 2, 5))
+        stack = _reduced_stack(group, x)
+        for i in range(32):
+            assert stack[i].tobytes() == reduced_embedding(group, x[i]).tobytes()
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         rb = build_reducer(1, 4, Ambient.HERMITIAN)

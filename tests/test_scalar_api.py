@@ -39,6 +39,7 @@ from orbitdist import (
     unitary_embedding,
     verify,
 )
+from orbitdist.features import _feature_stack
 from orbitdist.search import _BLOCK
 
 G = GroupAction
@@ -184,13 +185,53 @@ class TestErrorContract:
                     pytest.fail(f"{name} accepted {n} x 0 points")
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_reduced_feature_beyond_float64(self, n):
-        # finite entries whose centring sum overflows
+    def test_coincident_extreme_points_have_the_zero_feature(self, n):
+        # finite entries whose centring sum would overflow: every point
+        # coincides, so each feature is zero, with no warning on the way
         a = np.full((n, 6), 1.5e308)
-        with pytest.raises(NonFiniteError):
-            reduced_embedding(G.EUCLIDEAN, a)
-        with pytest.raises(NonFiniteError):
-            feature_vector(G.EUCLIDEAN, a, "reduced")
+        for group in (G.EUCLIDEAN, G.COMPLEX_EUCLIDEAN):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                features = [
+                    reduced_embedding(group, a),
+                    feature_vector(group, a, "reduced"),
+                    feature_vector(group, a),
+                    *embedding_for(group, a),
+                ]
+            for f in features:
+                assert np.isfinite(f).all() and not f.any()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reduced_feature_beyond_float64(self, n):
+        # one point at +1.5e308, five at -1.5e308: the centred first point
+        # is 2.5e308, and the feature truly exceeds float64
+        a = np.full((n, 6), -1.5e308)
+        a[:, 0] = 1.5e308
+        too_large = "^A has a feature too large for float64$"
+        for group in (G.EUCLIDEAN, G.COMPLEX_EUCLIDEAN):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError, match=too_large):
+                    reduced_embedding(group, a)
+                for feature_map in ("reduced", "full"):
+                    with pytest.raises(NonFiniteError, match=too_large):
+                        feature_vector(group, a, feature_map)
+
+    def test_extreme_configuration_in_a_stack_keeps_the_others_bits(self, rng):
+        # a stack that holds one configuration beyond the overflow guard runs
+        # each configuration at its own power of two; the others keep the
+        # bits they have alone
+        for group in (G.EUCLIDEAN, G.COMPLEX_EUCLIDEAN):
+            for n, l in [(1, 6), (2, 6), (3, 8)]:
+                x = rng.standard_normal((4, n, l)) * np.exp(rng.uniform(-30.0, 30.0, (4, 1, 1)))
+                if group.is_complex:
+                    x = x + 1j * rng.standard_normal((4, n, l))
+                x[1] = 1.5e308
+                for feature_map in ("full", "reduced"):
+                    stack = _feature_stack(group, x, feature_map)
+                    assert not stack[1].any()
+                    for i in (0, 2, 3):
+                        assert stack[i].tobytes() == _feature_stack(group, x[i], feature_map).tobytes()
 
     @pytest.mark.parametrize("call", [triangle_embedding, side_lengths])
     def test_triangle_entries(self, rng, call):
