@@ -16,21 +16,20 @@ from orbitdist import (
     embedding_for,
     feature_dim,
     orbit_distance,
-    orthogonal_embedding,
 )
 
 rng = np.random.default_rng(1)
 
 # --- the feature of one configuration -----------------------------------
 A = rng.standard_normal((2, 4))
-mat, vec = orthogonal_embedding(A)
+mat, vec = embedding_for(GroupAction.ORTHOGONAL, A)
 print("feature matrix (PSD root of the 4x4 Gram):\n", np.round(mat, 4))
 print("flattened coordinates:", np.round(vec, 4))
 print("vector length l(l+1)/2 =", vec.shape[0])
 
 # rotations do not move the feature
 Q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-_, vec_rot = orthogonal_embedding(Q @ A)
+_, vec_rot = embedding_for(GroupAction.ORTHOGONAL, Q @ A)
 print("feature shift under a rotation:", np.linalg.norm(vec - vec_rot))
 
 # --- the sandwich over random pairs, per group ---------------------------

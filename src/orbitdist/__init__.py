@@ -19,13 +19,7 @@ from .errors import (
     ShapeMismatchError,
     UnknownIdError,
 )
-from .linalg import (
-    SvdFactors,
-    frobenius_dist,
-    nuclear_norm,
-    psd_sqrt,
-    svd,
-)
+from .linalg import psd_sqrt
 from .metrics import (
     Alignment,
     GroupAction,
@@ -36,17 +30,7 @@ from .metrics import (
     dist_unitary,
     orbit_distance,
 )
-from .embeddings import (
-    complex_euclidean_embedding,
-    embedding_for,
-    euclidean_embedding,
-    feature_dim,
-    herm_flatten,
-    mean_last_basis,
-    orthogonal_embedding,
-    sym_flatten,
-    unitary_embedding,
-)
+from .embeddings import embedding_for, feature_dim
 from .reduction import (
     Ambient,
     ReducerBasis,
@@ -105,30 +89,22 @@ __all__ = [
     "ReducerBasis",
     "ShapeDatabase",
     "ShapeMismatchError",
-    "SvdFactors",
     "UnknownIdError",
     "build_reducer",
     "center",
     "classification_experiment",
-    "complex_euclidean_embedding",
     "dist_complex_euclidean",
     "dist_euclidean",
     "dist_orthogonal",
     "dist_unitary",
     "distortion_experiment",
     "embedding_for",
-    "euclidean_embedding",
     "feature_dim",
     "feature_nearest",
     "feature_vector",
-    "frobenius_dist",
-    "herm_flatten",
     "linear_scan_nearest",
     "lower_constant_survey",
-    "mean_last_basis",
-    "nuclear_norm",
     "orbit_distance",
-    "orthogonal_embedding",
     "psd_sqrt",
     "reduced_embedding",
     "reduced_feature_dim",
@@ -136,10 +112,7 @@ __all__ = [
     "separating_subspace_basis",
     "side_lengths",
     "side_lengths_counterexample",
-    "svd",
-    "sym_flatten",
     "triangle_embedding",
     "triangle_from_coords",
-    "unitary_embedding",
     "verify",
 ]

@@ -6,7 +6,7 @@ complete invariant of the rotation orbit, and taking its PSD square root
 restores Lipschitz behaviour: euclidean distances between features
 sandwich the orbit distance within a factor of sqrt(2).  The euclidean
 variants read the centred configuration in O(l) Helmert coordinates of the
-sum-zero subspace (:func:`mean_last_basis`), where E and F become O and U.
+sum-zero subspace (:func:`_helmert`), where E and F become O and U.
 
 Matrix-valued features are flattened to real coordinate vectors by an
 isometry (off-diagonal entries picking up a sqrt(2) weight), so vector
@@ -18,8 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfRangeError
-from .linalg import _adjoint, _pow2_scale, _unscaled, as_matrix, svd
+from .linalg import _adjoint, _finite, _pow2_scale, _unscaled, svd
 from .metrics import GroupAction, _configuration, _prepared
 
 _SQRT2 = np.sqrt(2.0)
@@ -76,38 +75,6 @@ def _flatten(a: np.ndarray, hermitian: bool) -> np.ndarray:
         flat = flat.view(np.float64)
     flat = flat.reshape(flat.shape[:-2] + (flat.shape[-2] * flat.shape[-1],))
     return np.take(flat, index, axis=-1) * weight
-
-
-def sym_flatten(m) -> np.ndarray:
-    """Isometric coordinates of a real symmetric matrix.
-
-    Diagonal entries as-is, strict upper triangle scaled by sqrt(2);
-    length l(l+1)/2.  Euclidean distance between two flattenings equals
-    the Frobenius distance between the matrices.
-    """
-    return _flatten(as_matrix(m), hermitian=False)
-
-
-def herm_flatten(m) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix.
-
-    Real diagonal, then sqrt(2)-scaled real and imaginary parts of the
-    strict upper triangle; length l^2.  A real matrix reads as complex.
-    """
-    return _flatten(as_matrix(m).astype(np.complex128, copy=False), hermitian=True)
-
-
-def mean_last_basis(l: int) -> np.ndarray:
-    """Fixed orthogonal l-by-l matrix whose last column is the normalized
-    all-ones vector (OutOfRangeError unless l is an integer >= 1).
-
-    The reverse Helmert basis: the Gram-Schmidt orthonormalization of
-    (ones/sqrt(l), e_0, ..., e_{l-2}) with the ones-column moved last.  Its
-    first l - 1 columns W' are those that :func:`_helmert` applies.
-    """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
-        raise OutOfRangeError(f"l must be an integer >= 1, got {l!r}")
-    return np.column_stack([_helmert(np.eye(l)), np.full(l, 1.0 / np.sqrt(l))])
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +136,9 @@ def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
     """Matrix feature and flattened coordinates for ``group``; under a
     translation quotient the matrix is the Gram root of the centred
     configuration X_c, which is ``W' B W'^T`` for the flattened block B
-    (as ``X_c = X_c W' W'^T``), to the bit the O/U matrix of ``center(a)``."""
+    (as ``X_c = X_c W' W'^T``), to the bit the O/U matrix of ``center(a)``.
+    NonFiniteError when either output overflows float64, as for
+    :func:`feature_vector`."""
     x = _configuration(group, a, "A")
     b, c = _block(group, x)
     m = b
@@ -178,39 +147,8 @@ def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
         # unscaled in its float64 view: a complex division by a subnormal c
         # forms 1/c, which overflows
         m = _unscaled(m.view(np.float64), c).view(m.dtype)
-    return m, _at_scale(_flatten(b, hermitian=group.is_complex), c)
-
-
-def orthogonal_embedding(a) -> tuple[np.ndarray, np.ndarray]:
-    """Feature of a real configuration under the orthogonal action.
-
-    Returns the PSD square root of the l-by-l Gram matrix together with
-    its isometric flattening (length l(l+1)/2).
-    """
-    return embedding_for(GroupAction.ORTHOGONAL, a)
-
-
-def euclidean_embedding(a) -> tuple[np.ndarray, np.ndarray]:
-    """Feature under the euclidean action: embed the centered configuration.
-
-    The matrix is the Gram root of the centred configuration, the flattening
-    that of its l - 1 Helmert coordinates (:func:`_helmert`; length l(l-1)/2).
-    """
-    return embedding_for(GroupAction.EUCLIDEAN, a)
-
-
-def unitary_embedding(a) -> tuple[np.ndarray, np.ndarray]:
-    """Feature of a complex configuration under the unitary action.
-
-    Returns the Hermitian PSD square root of the Gram matrix ``A* A`` and
-    its real isometric flattening (length l^2).
-    """
-    return embedding_for(GroupAction.UNITARY, a)
-
-
-def complex_euclidean_embedding(a) -> tuple[np.ndarray, np.ndarray]:
-    """Feature under the complex-euclidean action (length (l-1)^2)."""
-    return embedding_for(GroupAction.COMPLEX_EUCLIDEAN, a)
+    f = _at_scale(_flatten(b, hermitian=group.is_complex), c)
+    return _finite(m, "A"), _finite(f, "A")
 
 
 def feature_dim(group: GroupAction, l: int) -> int:

@@ -16,7 +16,6 @@ where numpy's wrapper costs about as much as LAPACK.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -29,23 +28,8 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# Factor orthonormality / hermiticity tolerance (absolute, unit-scale factors)
-ORTH_TOL = 1e-8
+# Hermiticity tolerance (absolute, unit-scale matrices)
 HERM_TOL = 1e-8
-# Relative reconstruction tolerance for factorizations
-RECON_TOL = 1e-10
-
-
-class SvdFactors(NamedTuple):
-    """Thin singular value decomposition ``M = u @ diag(s) @ v.conj().T``.
-
-    ``u`` is n-by-r and ``v`` is l-by-r with orthonormal columns,
-    r = min(n, l); singular values are nonincreasing and nonnegative.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
 
 
 def _as_array(m, name: str, *, stacked: bool) -> np.ndarray:
@@ -121,8 +105,10 @@ def _raise_nonconvergence(err, flag):
     raise ConvergenceFailureError("SVD did not converge")
 
 
-def svd(m) -> SvdFactors:
-    """Thin SVD with r = min(n, l) factors.
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(u, s, v)`` with ``M = u @ diag(s) @ v.conj().T``: ``u``
+    is n-by-r and ``v`` l-by-r with orthonormal columns, r = min(n, l), and
+    the singular values ``s`` are nonincreasing and nonnegative.
 
     Also factors a stack ``(..., n, l)`` of matrices at once, with the
     factors stacked the same way.  Real input yields real factors.  Raises
@@ -135,6 +121,12 @@ def svd(m) -> SvdFactors:
     nonconvergence as "invalid", which raises, and LAPACK's harmless
     overflow, divide and underflow flags are ignored.  The factors are
     those of ``np.linalg.svd(m, full_matrices=False)`` to the bit.
+
+    It does not refuse a singular value beyond float64: a finite matrix
+    such as ``np.full((2, 3), 1.7e308)`` gives ``s[0] = inf``.  Its callers
+    keep to float64's range themselves: the Procrustes kernel runs at a
+    power of two, and the feature paths refuse an overflowed feature with
+    :func:`_finite`.
     """
     a = _as_array(m, "matrix", stacked=True)
     signature = "D->DdD" if a.dtype == np.complex128 else "d->ddd"
@@ -142,21 +134,7 @@ def svd(m) -> SvdFactors:
         call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
         u, s, vh = _umath_linalg.svd_s(a, signature=signature)
-    return SvdFactors(u, s, _adjoint(vh))
-
-
-def nuclear_norm(m) -> float:
-    """Sum of the singular values of ``m``."""
-    return float(svd(m).singular_values.sum())
-
-
-def frobenius_dist(m1, m2) -> float:
-    """Frobenius distance between two same-shape matrices."""
-    a = as_matrix(m1, name="m1")
-    b = as_matrix(m2, name="m2")
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return u, s, _adjoint(vh)
 
 
 def _check_hermitian(a: np.ndarray) -> None:

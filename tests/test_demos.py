@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script, and the README quick start, runs to completion against
+the library in ``src``."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,10 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_quick_start_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md#quick-start", "exec"), {})

@@ -3,25 +3,17 @@ import pytest
 
 from orbitdist import (
     GroupAction,
-    OutOfRangeError,
     center,
-    complex_euclidean_embedding,
     embedding_for,
-    euclidean_embedding,
     feature_dim,
     feature_vector,
-    herm_flatten,
-    mean_last_basis,
     orbit_distance,
-    orthogonal_embedding,
     psd_sqrt,
     reduced_embedding,
     reducer_for,
-    sym_flatten,
-    unitary_embedding,
 )
 
-from orbitdist.embeddings import _flatten, _gather
+from orbitdist.embeddings import _flatten, _gather, _helmert
 
 from oracles import gram_schmidt_mean_last_basis, random_orthogonal, random_unitary
 
@@ -51,7 +43,7 @@ class TestFlattening:
             m1 = g + g.T
             g = rng.standard_normal((4, 4))
             m2 = g + g.T
-            lhs = np.linalg.norm(sym_flatten(m1) - sym_flatten(m2))
+            lhs = np.linalg.norm(_flatten(m1, False) - _flatten(m2, False))
             rhs = np.linalg.norm(m1 - m2)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -61,7 +53,7 @@ class TestFlattening:
             m1 = g + g.conj().T
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             m2 = g + g.conj().T
-            lhs = np.linalg.norm(herm_flatten(m1) - herm_flatten(m2))
+            lhs = np.linalg.norm(_flatten(m1, True) - _flatten(m2, True))
             rhs = np.linalg.norm(m1 - m2)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -98,18 +90,6 @@ class TestFlattening:
         f = np.asfortranarray(a[0, :, :7])
         self.assert_same_bits(_flatten(f, hermitian), self.flatten_oracle(f, hermitian))
 
-    def test_public_flattenings_are_the_indexing_formula(self, rng):
-        g = rng.standard_normal((5, 5))
-        h = g + 1j * rng.standard_normal((5, 5))
-        self.assert_same_bits(sym_flatten(g + g.T), self.flatten_oracle(g + g.T, False))
-        self.assert_same_bits(herm_flatten(h), self.flatten_oracle(h, True))
-        # a real matrix reads as complex, with zero imaginary coordinates
-        self.assert_same_bits(herm_flatten(g), self.flatten_oracle(g.astype(complex), True))
-        assert not herm_flatten(g)[15:].any()
-        self.assert_same_bits(sym_flatten([[2.0]]), np.array([2.0]))
-        self.assert_same_bits(herm_flatten([[2.0 + 0.0j]]), np.array([2.0]))
-        self.assert_same_bits(sym_flatten(np.asfortranarray(g)), self.flatten_oracle(g, False))
-
     @pytest.mark.parametrize("hermitian", [False, True])
     def test_gather_arrays_are_cached_and_read_only(self, hermitian):
         index, weight = _gather(4, hermitian)
@@ -120,49 +100,40 @@ class TestFlattening:
         assert weight.tolist() == [1.0] * 4 + [SQRT2] * (index.size - 4)
 
     @pytest.mark.parametrize("l", [2, 3, 5, 8])
-    def test_mean_last_basis(self, l):
-        w = mean_last_basis(l)
-        np.testing.assert_allclose(w.T @ w, np.eye(l), atol=1e-12)
-        np.testing.assert_allclose(w[:, -1], np.full(l, 1 / np.sqrt(l)), atol=1e-12)
+    def test_helmert_columns_are_orthonormal_and_sum_zero(self, l):
+        w = _helmert(np.eye(l))
+        np.testing.assert_allclose(w.T @ w, np.eye(l - 1), atol=1e-12)
+        np.testing.assert_allclose(np.ones(l) @ w, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 5, 50, 257])
-    def test_mean_last_basis_is_gram_schmidt(self, l):
-        expected = gram_schmidt_mean_last_basis(l)
-        np.testing.assert_allclose(mean_last_basis(l), expected, rtol=0.0, atol=1e-14)
-
-    def test_mean_last_basis_of_one_point(self):
-        assert mean_last_basis(1).tolist() == [[1.0]]
-        assert mean_last_basis(np.int64(1)).tolist() == [[1.0]]
-
-    @pytest.mark.parametrize("l", [0, -2, 2.5, 3.0, True, "3", None, [3]])
-    def test_mean_last_basis_refuses_non_integers_below_one(self, l):
-        with pytest.raises(OutOfRangeError, match="l must be an integer >= 1"):
-            mean_last_basis(l)
+    def test_helmert_is_gram_schmidt(self, l):
+        expected = gram_schmidt_mean_last_basis(l)[:, :-1]
+        np.testing.assert_allclose(_helmert(np.eye(l)), expected, rtol=0.0, atol=1e-14)
 
 
 class TestOrthogonalEmbedding:
     def test_orthonormal_columns_give_identity(self, rng):
         a = np.linalg.qr(rng.standard_normal((5, 3)))[0]
-        mat, _ = orthogonal_embedding(a)
+        mat, _ = embedding_for(GroupAction.ORTHOGONAL, a)
         np.testing.assert_allclose(mat, np.eye(3), atol=1e-10)
 
     def test_forced_diagonal(self):
         a = np.array([[3.0, 0.0], [4.0, 0.0]])
-        mat, _ = orthogonal_embedding(a)
+        mat, _ = embedding_for(GroupAction.ORTHOGONAL, a)
         np.testing.assert_allclose(mat, np.diag([5.0, 0.0]), atol=1e-12)
 
     def test_matrix_is_gram_root_full_rank(self, rng):
         a = rng.standard_normal((4, 2))
-        mat, vec = orthogonal_embedding(a)
+        mat, vec = embedding_for(GroupAction.ORTHOGONAL, a)
         np.testing.assert_allclose(mat, psd_sqrt(a.T @ a), atol=1e-10)
         assert vec.shape == (feature_dim(GroupAction.ORTHOGONAL, 2),)
-        np.testing.assert_allclose(vec, sym_flatten(mat), atol=1e-15)
+        np.testing.assert_allclose(vec, _flatten(mat, False), atol=1e-15)
 
     def test_matrix_is_gram_root_rank_deficient(self, rng):
         # eigendecomposing the formed Gram only reaches sqrt(eps) accuracy
         # on its null space, hence the loose tolerance for the cross-check
         a = rng.standard_normal((2, 4))
-        mat, _ = orthogonal_embedding(a)
+        mat, _ = embedding_for(GroupAction.ORTHOGONAL, a)
         np.testing.assert_allclose(mat, psd_sqrt(a.T @ a), atol=1e-7)
         np.testing.assert_allclose(mat @ mat, a.T @ a, atol=1e-12)
 
@@ -171,28 +142,28 @@ class TestEuclideanEmbedding:
     def test_coincident_points_map_to_zero(self, rng):
         q = rng.standard_normal(2)
         a = np.tile(q[:, None], (1, 4))
-        mat, vec = euclidean_embedding(a)
+        mat, vec = embedding_for(GroupAction.EUCLIDEAN, a)
         np.testing.assert_allclose(mat, 0.0, atol=1e-12)
         np.testing.assert_allclose(vec, 0.0, atol=1e-12)
 
     def test_translation_invariance_exact(self, rng):
         a = rng.standard_normal((2, 5))
         q = rng.standard_normal(2)
-        m1, v1 = euclidean_embedding(a)
-        m2, v2 = euclidean_embedding(a + q[:, None])
+        m1, v1 = embedding_for(GroupAction.EUCLIDEAN, a)
+        m2, v2 = embedding_for(GroupAction.EUCLIDEAN, a + q[:, None])
         np.testing.assert_allclose(m1, m2, atol=1e-12)
         np.testing.assert_allclose(v1, v2, atol=1e-12)
 
     def test_matrix_annihilates_ones(self, rng):
         a = rng.standard_normal((3, 5))
-        mat, _ = euclidean_embedding(a)
+        mat, _ = embedding_for(GroupAction.EUCLIDEAN, a)
         ones = np.ones(5)
         assert np.abs(mat @ ones).max() < 1e-10
         assert np.abs(ones @ mat).max() < 1e-10
 
     def test_matrix_squares_to_centered_gram(self, rng):
         a = rng.standard_normal((2, 4))
-        mat, _ = euclidean_embedding(a)
+        mat, _ = embedding_for(GroupAction.EUCLIDEAN, a)
         c = center(a)
         np.testing.assert_allclose(mat @ mat, c.T @ c, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(mat)) > -1e-12
@@ -201,8 +172,8 @@ class TestEuclideanEmbedding:
         # the (l-1)-block flattening preserves distances of the full matrices
         for _ in range(20):
             a, b = rng.standard_normal((2, 3, 6))
-            m1, v1 = euclidean_embedding(a)
-            m2, v2 = euclidean_embedding(b)
+            m1, v1 = embedding_for(GroupAction.EUCLIDEAN, a)
+            m2, v2 = embedding_for(GroupAction.EUCLIDEAN, b)
             assert np.linalg.norm(v1 - v2) == pytest.approx(
                 np.linalg.norm(m1 - m2), rel=1e-10, abs=1e-12
             )
@@ -212,7 +183,8 @@ def centred_root_in_oracle_basis(group, a):
     """The translation-quotiented matrix feature by the textbook route: the
     l-by-l Gram root of the centred configuration, and its (l-1)-by-(l-1)
     block ``W^T R W`` in the Gram-Schmidt basis."""
-    root = (unitary_embedding if group.is_complex else orthogonal_embedding)(center(a))[0]
+    plain = GroupAction.UNITARY if group.is_complex else GroupAction.ORTHOGONAL
+    root = embedding_for(plain, center(a))[0]
     w = gram_schmidt_mean_last_basis(a.shape[1])
     return root, (w.T @ root @ w)[:-1, :-1]
 
@@ -228,7 +200,7 @@ class TestHelmertCoordinates:
         a = sample(rng, group, n, l)
         root, block = centred_root_in_oracle_basis(group, a)
         mat, f = embedding_for(group, a)
-        expected = (herm_flatten if group.is_complex else sym_flatten)(block)
+        expected = _flatten(block, group.is_complex)
         assert np.linalg.norm(f - expected) <= 1e-13 * np.linalg.norm(expected)
         assert np.linalg.norm(mat - root) <= 1e-13 * np.linalg.norm(root)
         if l - 1 >= 2 * n:
@@ -259,19 +231,19 @@ class TestHelmertCoordinates:
 class TestUnitaryEmbedding:
     def test_unitary_columns_give_identity(self, rng):
         a = random_unitary(rng, 4)[:, :3]
-        mat, _ = unitary_embedding(a)
+        mat, _ = embedding_for(GroupAction.UNITARY, a)
         np.testing.assert_allclose(mat, np.eye(3), atol=1e-10)
 
     def test_phase_invariance(self, rng):
         a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        m1, v1 = unitary_embedding(a)
-        m2, v2 = unitary_embedding(np.exp(1j * 1.3) * a)
+        m1, v1 = embedding_for(GroupAction.UNITARY, a)
+        m2, v2 = embedding_for(GroupAction.UNITARY, np.exp(1j * 1.3) * a)
         np.testing.assert_allclose(m1, m2, atol=1e-12)
         np.testing.assert_allclose(v1, v2, atol=1e-12)
 
     def test_feature_is_real(self, rng):
         a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        _, vec = unitary_embedding(a)
+        _, vec = embedding_for(GroupAction.UNITARY, a)
         assert not np.iscomplexobj(vec)
         assert vec.shape == (9,)
 
@@ -280,15 +252,15 @@ class TestComplexEuclideanEmbedding:
     def test_coincident_points(self, rng):
         q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a = np.tile(q[:, None], (1, 4))
-        mat, vec = complex_euclidean_embedding(a)
+        mat, vec = embedding_for(GroupAction.COMPLEX_EUCLIDEAN, a)
         np.testing.assert_allclose(mat, 0.0, atol=1e-12)
         np.testing.assert_allclose(vec, np.zeros(9), atol=1e-12)
 
     def test_translation_and_phase_invariance(self, rng):
         a = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        _, v1 = complex_euclidean_embedding(a)
-        _, v2 = complex_euclidean_embedding(np.exp(0.4j) * a + q[:, None])
+        _, v1 = embedding_for(GroupAction.COMPLEX_EUCLIDEAN, a)
+        _, v2 = embedding_for(GroupAction.COMPLEX_EUCLIDEAN, np.exp(0.4j) * a + q[:, None])
         np.testing.assert_allclose(v1, v2, atol=1e-10)
 
 

@@ -20,23 +20,19 @@ from orbitdist import (
     ShapeDatabase,
     ShapeMismatchError,
     build_reducer,
-    complex_euclidean_embedding,
     dist_complex_euclidean,
     dist_euclidean,
     dist_orthogonal,
     dist_unitary,
     embedding_for,
-    euclidean_embedding,
     feature_nearest,
     feature_vector,
     linear_scan_nearest,
     orbit_distance,
-    orthogonal_embedding,
     reduced_embedding,
     reducer_for,
     side_lengths,
     triangle_embedding,
-    unitary_embedding,
     verify,
 )
 from orbitdist.features import _feature_stack
@@ -50,12 +46,6 @@ DISTANCES = {
     G.EUCLIDEAN: dist_euclidean,
     G.UNITARY: dist_unitary,
     G.COMPLEX_EUCLIDEAN: dist_complex_euclidean,
-}
-EMBEDDINGS = {
-    G.ORTHOGONAL: orthogonal_embedding,
-    G.EUCLIDEAN: euclidean_embedding,
-    G.UNITARY: unitary_embedding,
-    G.COMPLEX_EUCLIDEAN: complex_euclidean_embedding,
 }
 # n x l shapes that every group can reduce
 N, L = 1, 5
@@ -92,7 +82,6 @@ def scalar_entries(group):
         ("orbit_distance", lambda a: orbit_distance(group, a, a)),
         ("dist_*", lambda a: DISTANCES[group](a, a)),
         ("embedding_for", lambda a: embedding_for(group, a)),
-        ("*_embedding", lambda a: EMBEDDINGS[group](a)),
         ("feature_vector", lambda a: feature_vector(group, a)),
         ("feature_vector reduced", lambda a: feature_vector(group, a, "reduced", reducer)),
         ("reduced_embedding", lambda a: reduced_embedding(group, a, reducer)),
@@ -213,6 +202,8 @@ class TestErrorContract:
                 warnings.simplefilter("error")
                 with pytest.raises(NonFiniteError, match=too_large):
                     reduced_embedding(group, a)
+                with pytest.raises(NonFiniteError, match=too_large):
+                    embedding_for(group, a)
                 for feature_map in ("reduced", "full"):
                     with pytest.raises(NonFiniteError, match=too_large):
                         feature_vector(group, a, feature_map)

@@ -10,7 +10,7 @@ from orbitdist import (
     OutOfRangeError,
     ShapeMismatchError,
     dist_euclidean,
-    euclidean_embedding,
+    embedding_for,
     feature_vector,
     side_lengths,
     side_lengths_counterexample,
@@ -93,8 +93,8 @@ class TestTriangleEmbedding:
         for _ in range(200):
             a, b = random_triangles(rng, 2)
             lhs = np.linalg.norm(triangle_embedding(a) - triangle_embedding(b))
-            _, va = euclidean_embedding(a)
-            _, vb = euclidean_embedding(b)
+            _, va = embedding_for(GroupAction.EUCLIDEAN, a)
+            _, vb = embedding_for(GroupAction.EUCLIDEAN, b)
             assert lhs == pytest.approx(np.linalg.norm(va - vb), abs=1e-10)
 
     def test_sandwich(self, rng):
