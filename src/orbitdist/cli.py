@@ -121,6 +121,14 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigInvalidError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigInvalidError("config file must hold a JSON object")
+        # a key the study does not read (a typo, another study's key, or the
+        # seed, which comes from --seed) would otherwise be dropped silently
+        unread = sorted(set(loaded) - set(data))
+        if unread:
+            raise ConfigInvalidError(f"experiment {args.kind} reads no key {unread}; it reads {sorted(data)}")
+        for key in ("maps", "noise_grid"):
+            if key in loaded and not isinstance(loaded[key], list):
+                raise ConfigInvalidError(f"{key} must be a JSON list, got {loaded[key]!r}")
         data.update(loaded)
     data["seed"] = args.seed
     try:

@@ -101,16 +101,18 @@ def _coordinates(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     feature maps read it: as ``group`` acts on it, and under a translation
     quotient centred and read in W', the l - 1 coordinates of the sum-zero
     subspace.  Returns them with the power of two they are at: 1.0, or,
-    when a translation quotient's sums could overflow, each configuration's
-    :func:`_pow2_scale`, of shape ``(..., 1, 1)`` (see :func:`_at_scale`).
+    near the float64 limit, each configuration's :func:`_pow2_scale`, of
+    shape ``(..., 1, 1)`` (see :func:`_at_scale`).
 
-    The centring sum and the reverse cumulative sum of :func:`_helmert`
-    add at most l entries of magnitude at most ``2 max|x|``, so they cannot
-    overflow while ``2 l max|x|`` stays within 2**1023; one max-magnitude
-    reduction checks it, and only a stack beyond it runs scaled.
+    One max-magnitude reduction keeps every group within float64: the Gram
+    root's entries are at most ``sqrt(n l) max|x|``, and the centring sum
+    and the reverse cumulative sum of :func:`_helmert` add at most l
+    entries of magnitude at most ``2 max|x|``.  Both stay within 2**1023
+    while ``max|x| <= 2**1022 / max(n, l)``; only a stack beyond it runs
+    scaled.
     """
     c = 1.0
-    if group.quotients_translations and np.abs(x).max(initial=0.0) > 2.0**1022 / x.shape[-1]:
+    if np.abs(x).max(initial=0.0) > 2.0**1022 / max(*x.shape[-2:], 1):
         c = _pow2_scale(np.abs(x).max(axis=(-2, -1), keepdims=True))
         x = x * c
     x = _prepared(group, x)
@@ -141,12 +143,10 @@ def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
     :func:`feature_vector`."""
     x = _configuration(group, a, "A")
     b, c = _block(group, x)
-    m = b
-    if group.quotients_translations:
-        m = _gram_root(_prepared(group, x * c))
-        # unscaled in its float64 view: a complex division by a subnormal c
-        # forms 1/c, which overflows
-        m = _unscaled(m.view(np.float64), c).view(m.dtype)
+    m = _gram_root(_prepared(group, x * c)) if group.quotients_translations else b
+    # unscaled in its float64 view: a complex division by a subnormal c
+    # forms 1/c, which overflows
+    m = _unscaled(m.view(np.float64), c).view(m.dtype)
     f = _at_scale(_flatten(b, hermitian=group.is_complex), c)
     return _finite(m, "A"), _finite(f, "A")
 

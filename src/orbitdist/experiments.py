@@ -143,7 +143,8 @@ class ExperimentConfig:
         )
 
 
-# Defaults of each ``orbitdist experiment`` kind; a config file overrides keys.
+# Defaults of each ``orbitdist experiment`` kind, and the keys it reads: a
+# config file overrides them and may hold no other.
 _DEFAULT_CONFIGS = {
     "distortion": {"n_pairs": 100_000, "maps": [MAP_SIDE_LENGTHS, MAP_TRIANGLE]},
     "classify": {

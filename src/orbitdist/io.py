@@ -159,12 +159,11 @@ def load_database(path) -> ShapeDatabase:
         group = GroupAction(header["group"])
     except ValueError:
         raise ParseError(f"{path}: header has unknown group {header['group']!r}") from None
-    try:
-        shape = (int(header["n"]), int(header["l"]))
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(
-            f"{path}: header n and l must be integers, got {header['n']!r} and {header['l']!r}"
-        ) from None
+    shape = (header["n"], header["l"])
+    # whole numbers only: int() would truncate 2.7 and parse the string "2"
+    if not all(type(v) is int or (type(v) is float and v.is_integer()) for v in shape):
+        raise ParseError(f"{path}: header n and l must be integers, got {shape[0]!r} and {shape[1]!r}")
+    shape = (int(shape[0]), int(shape[1]))
     records = []
     for i, line in enumerate(lines[1:], start=2):
         try:

@@ -1,12 +1,15 @@
 """Dense linear-algebra kernel used by the distance and embedding formulas.
 
 Everything here works on plain numpy arrays: real or complex 2-D matrices
-whose columns are the points of a configuration.  All functions are pure
-and validate finiteness up front, so NaN/Inf never propagate silently into
-a factorization.  The float64-range policy lives here too: a kernel that
-squares its input runs at a power of two (:func:`_pow2_scale`), which is
-exact, divides its result by it (:func:`_unscaled`) and refuses a result
-beyond float64 (:func:`_finite`).
+whose columns are the points of a configuration.  All functions are pure.
+An array is checked once, where it enters: the entry points
+(:func:`as_matrix`, :func:`psd_sqrt`) refuse NaN/Inf up front, so NaN/Inf
+never propagate silently into a factorization, and the kernels such as
+:func:`svd` take the validated arrays their callers build.  The
+float64-range policy lives here too: a kernel that squares its input runs
+at a power of two (:func:`_pow2_scale`), which is exact, divides its result
+by it (:func:`_unscaled`) and refuses a result beyond float64
+(:func:`_finite`).
 
 :func:`svd` is the one SVD entry point.  It calls numpy 2's thin-SVD
 gufunc ``_umath_linalg.svd_s`` itself, as ``np.linalg.svd`` does: the
@@ -105,30 +108,29 @@ def _raise_nonconvergence(err, flag):
     raise ConvergenceFailureError("SVD did not converge")
 
 
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``(u, s, v)`` with ``M = u @ diag(s) @ v.conj().T``: ``u``
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(u, s, v)`` with ``A = u @ diag(s) @ v.conj().T``: ``u``
     is n-by-r and ``v`` l-by-r with orthonormal columns, r = min(n, l), and
     the singular values ``s`` are nonincreasing and nonnegative.
 
-    Also factors a stack ``(..., n, l)`` of matrices at once, with the
-    factors stacked the same way.  Real input yields real factors.  Raises
-    NonFiniteError on NaN/Inf entries and ConvergenceFailureError if the
+    ``a`` is a finite float64/complex128 array, or a stack ``(..., n, l)``
+    of them, that the caller built from validated input; it is not checked
+    again.  A stack is factored at once, with the factors stacked the same
+    way.  Real input yields real factors.  ConvergenceFailureError if the
     backend does not converge on any matrix of the stack.
 
-    The validated float64/complex128 array goes straight to LAPACK's
-    thin SVD (``_umath_linalg.svd_s``, gesdd) under the floating-point
-    error state that ``np.linalg.svd`` sets: the gufunc flags
-    nonconvergence as "invalid", which raises, and LAPACK's harmless
-    overflow, divide and underflow flags are ignored.  The factors are
-    those of ``np.linalg.svd(m, full_matrices=False)`` to the bit.
+    The array goes straight to LAPACK's thin SVD (``_umath_linalg.svd_s``,
+    gesdd) under the floating-point error state that ``np.linalg.svd``
+    sets: the gufunc flags nonconvergence as "invalid", which raises, and
+    LAPACK's harmless overflow, divide and underflow flags are ignored.
+    The factors are those of ``np.linalg.svd(a, full_matrices=False)`` to
+    the bit.
 
     It does not refuse a singular value beyond float64: a finite matrix
     such as ``np.full((2, 3), 1.7e308)`` gives ``s[0] = inf``.  Its callers
-    keep to float64's range themselves: the Procrustes kernel runs at a
-    power of two, and the feature paths refuse an overflowed feature with
-    :func:`_finite`.
+    keep to float64's range themselves: the Procrustes kernel and the
+    Gram roots near the float64 limit run at a power of two.
     """
-    a = _as_array(m, "matrix", stacked=True)
     signature = "D->DdD" if a.dtype == np.complex128 else "d->ddd"
     with np.errstate(
         call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"

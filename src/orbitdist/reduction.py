@@ -21,10 +21,12 @@ which only the even-degree polynomials see; the imaginary part of a
 Hermitian matrix is anti-palindromic and only the odd-degree ones see it.
 
 Each output coordinate reads one antidiagonal, so the reducer is a sparse
-operator on the real coordinates of the matrix (its size^2 entries, then
-the size^2 imaginary parts in the Hermitian ambient) that holds about
-n * size^2 non-zeros (2n * size^2 Hermitian).  Projecting is one sparse
-product and is non-expansive.
+operator on the real coordinates of the matrix that holds about
+n * size^2 non-zeros (2n * size^2 Hermitian).  Its columns index the
+matrix's row-major float64 view: entry k is column k when symmetric, and
+when Hermitian the real part of entry k is column 2k and its imaginary
+part 2k + 1, the layout :func:`embeddings._flatten` reads too.  Projecting
+is one sparse product and is non-expansive.
 
 At n = 1 no operator is needed.  The root of a single row y is rank one,
 ``R = y* y / ||y||``, and the reducer keeps the degree-0 moment of each
@@ -113,8 +115,9 @@ class ReducerBasis:
     (InvalidRankError) and a size that is not an integer >= rank
     (DimensionHypothesisError): the reduced map is injective only for
     size >= rank = 2n.  ``basis`` is the sparse operator as a read-only
-    scipy ``csr_array``, one row per output coordinate, on the ambient's
-    real coordinates (see the module docstring); it wraps the numpy
+    scipy ``csr_array``, one row per output coordinate, whose columns
+    index the float64 view of a matrix (interleaved real and imaginary
+    parts when Hermitian; see the module docstring); it wraps the numpy
     arrays that the projection itself reads, without a copy, and both are
     built on first use.  ``dim`` counts its rows and ``intersection_dim``
     the ambient dimensions removed.
@@ -144,21 +147,12 @@ class ReducerBasis:
         return csr_array((op.value, op.column, op.indptr), shape=(self.dim, width), copy=False)
 
     @cached_property
-    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only output rows and input positions of each non-zero, for
-        the numpy product of :func:`_project`; only small operators build
-        them.  The positions index a matrix's row-major float64 view: entry
-        k is ``k`` when symmetric, and the real part of entry k is ``2k``
-        and its imaginary part ``2k + 1`` when Hermitian."""
-        op = self._arrays
-        rows = np.repeat(np.arange(self.dim), np.diff(op.indptr))
-        cells = self.size * self.size
-        index = op.column
-        if self.ambient is Ambient.HERMITIAN:
-            index = np.where(index < cells, 2 * index, 2 * (index - cells) + 1)
+    def _rows(self) -> np.ndarray:
+        """Read-only output row of each non-zero, for the numpy product of
+        :func:`_project`; only small operators build it."""
+        rows = np.repeat(np.arange(self.dim), np.diff(self._arrays.indptr))
         rows.flags.writeable = False
-        index.flags.writeable = False
-        return rows, index
+        return rows
 
     @property
     def dim(self) -> int:
@@ -258,7 +252,8 @@ def _operator(rank: int, size: int, ambient: Ambient) -> _Operator:
         # so that each row's column indices are sorted
         flat = ((s - cols) * size + cols)[::-1]
         for k in range(0, q.shape[1], 1 if hermitian else 2):
-            cells.append(flat + size * size if k % 2 else flat)
+            # a Hermitian row reads the real (even k) or imaginary parts
+            cells.append(2 * flat + k % 2 if hermitian else flat)
             values.append(q[::-1, k])
     op = _Operator(
         np.concatenate(cells),
@@ -387,33 +382,27 @@ def _rank_one_stack(group: GroupAction, x: np.ndarray) -> np.ndarray:
 def _project(reducer: ReducerBasis, mats: np.ndarray) -> np.ndarray:
     """Reducer coordinates of each matrix in a ``(..., size, size)`` stack.
 
-    One sparse product over the stack, whose columns are the real
-    coordinates of the matrices.  Up to ``_NUMPY_PRODUCTS`` products it
-    runs in numpy: a gather of the coordinates each non-zero reads, one
-    multiply by the values, and one ``np.bincount`` that adds each output
-    entry's products.  Above it runs as scipy's CSR product.  Both start
-    each entry at +0.0 and add its row's products in stored order, whatever
-    the number of matrices, so a matrix gets the same bits from either
-    route, alone or in any batch.
+    One sparse product over the stack's float64 views, one row per matrix.
+    Up to ``_NUMPY_PRODUCTS`` products it runs in numpy: a gather of the
+    coordinates each non-zero reads, one multiply by the values, and one
+    ``np.bincount`` that adds each output entry's products.  Above it runs
+    as scipy's CSR product.  Both start each entry at +0.0 and add its
+    row's products in stored order, whatever the number of matrices, so a
+    matrix gets the same bits from either route, alone or in any batch.
     """
-    value = reducer._arrays.value
-    hermitian = reducer.ambient is Ambient.HERMITIAN
+    op = reducer._arrays
     batch = math.prod(mats.shape[:-2])
-    if batch * value.size <= _NUMPY_PRODUCTS:
-        rows, index = reducer._gather
-        if hermitian:
-            x = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64).ravel()
-        else:
-            x = mats.real.ravel()
-        if batch > 1:
-            shift = np.arange(batch)[:, None]
-            index = index + x.size // batch * shift
-            rows = rows + reducer.dim * shift
-        products = x[index] * value
+    if reducer.ambient is Ambient.HERMITIAN:
+        x = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
+    else:
+        x = mats.real
+    x = x.reshape(batch, x.shape[-2] * x.shape[-1])
+    if batch * op.value.size <= _NUMPY_PRODUCTS:
+        rows = reducer._rows
+        if batch != 1:
+            rows = rows + reducer.dim * np.arange(batch)[:, None]
+        products = x[:, op.column] * op.value
         out = np.bincount(rows.ravel(), products.ravel(), batch * reducer.dim)
     else:
-        flat = mats.reshape(-1, reducer.size * reducer.size)
-        if hermitian:
-            flat = np.concatenate([flat.real, flat.imag], axis=1)
-        out = (reducer.basis @ flat.real.T).T
+        out = (reducer.basis @ x.T).T
     return out.reshape(mats.shape[:-2] + (reducer.dim,))

@@ -165,6 +165,6 @@ def csr_reduced_features(group, x) -> np.ndarray:
     roots, c = embeddings._block(group, x)
     flat = roots.reshape(-1, reducer.size * reducer.size)
     if reducer.ambient is Ambient.HERMITIAN:
-        flat = np.concatenate([flat.real, flat.imag], axis=1)
-    f = (reducer.basis @ flat.real.T).T.reshape(x.shape[:-2] + (reducer.dim,))
+        flat = flat.view(np.float64)
+    f = (reducer.basis @ flat.T).T.reshape(x.shape[:-2] + (reducer.dim,))
     return embeddings._at_scale(f, c)

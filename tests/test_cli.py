@@ -278,6 +278,9 @@ class TestDatabaseCommands:
             ("unknown-group", 2),
             ("non-object-record", 2),
             ("non-integer-header", 2),
+            ("fractional-header", 2),
+            ("string-header", 2),
+            ("bool-header", 2),
         ],
     )
     def test_malformed_input_single_error_line(self, tmp_path, capsys, case, code):
@@ -289,6 +292,13 @@ class TestDatabaseCommands:
             lines = ["5"]
         if case == "non-integer-header":
             header["n"] = "x"
+        # int() would read these as 2 and answer the query
+        if case == "fractional-header":
+            header["n"] = 2.7
+        if case == "string-header":
+            header["n"] = "2"
+        if case == "bool-header":
+            header["l"] = True
         db_file = tmp_path / "db.jsonl"
         db_file.write_text("\n".join([json.dumps(header)] + lines) + "\n")
         query = write_csv(tmp_path / "q.csv", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -421,12 +431,18 @@ class TestExperimentCommand:
             ("lower-constant", "0", {"l": MAX_L + 1}),
             ("lower-constant", "0", {"n_pairs": 10.5}),
             ("classify", "0", {"db_size": 5, "n_draws": "many", "noise_grid": [0.0]}),
+            # keys the study does not read: another study's, a typo, the seed
+            ("distortion", "0", {"n_pairs": 100, "group": "O", "n": 3, "l": 9}),
+            ("distortion", "0", {"n_pair": 100}),
+            ("classify", "0", {"db_size": 5, "n_pairs": 10}),
+            ("lower-constant", "0", {"n_pairs": 10, "seed": 3}),
         ],
         ids=["seed-negative", "seed-2**64", "classify-seed-negative", "lower-constant-seed-2**64",
              "lower-constant-n_pairs-null", "classify-db_size-10**15", "classify-n_draws-10**12",
              "distortion-n_pairs-10**15", "lower-constant-n_pairs-10**15", "lower-constant-n-0",
              "lower-constant-n-1.5", "lower-constant-l-3.7", "lower-constant-l-MAX_L+1",
-             "lower-constant-n_pairs-10.5", "classify-n_draws-string"],
+             "lower-constant-n_pairs-10.5", "classify-n_draws-string", "distortion-other-study",
+             "distortion-typo", "classify-n_pairs", "lower-constant-seed-key"],
     )
     def test_out_of_range_config_single_error_line(self, tmp_path, capsys, kind, seed, config):
         cfg = tmp_path / "cfg.json"
@@ -449,6 +465,10 @@ class TestExperimentCommand:
             ("classify", '{"maps": []}'),
             ("distortion", '{"n_pairs": 10, "maps": [["side_lengths"]]}'),
             ("distortion", '{"n_pairs": 10, "maps": ["side_lengths", "side_lengths"]}'),
+            # not a list: a string would be read one character per entry,
+            # so "0" would run the grid [0.0]
+            ("classify", '{"maps": "exact"}'),
+            ("classify", '{"noise_grid": "0"}'),
         ],
     )
     def test_bad_noise_or_maps_single_error_line(self, tmp_path, capsys, kind, config):

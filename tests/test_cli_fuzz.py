@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from orbitdist.cli import main
-from orbitdist.experiments import MAX_DB_SIZE, MAX_L, MAX_PAIRS
+from orbitdist.experiments import _DEFAULT_CONFIGS, MAX_DB_SIZE, MAX_L, MAX_PAIRS
 
 FUZZ = settings(
     max_examples=40,
@@ -163,13 +163,29 @@ def test_matrix_files(command, group, texts):
     + "\n" + json.dumps({"id": "a", "matrix": [[10**400, 1]]}),
     query="1,2\n", k=1, verify=False,
 )
+# header sizes that int() once read as 2: a parse error, exit 2
+@example(
+    db=json.dumps({"group": "E", "n": 2.7, "l": 3, "feature_map": "full"})
+    + "\n" + json.dumps({"id": "a", "matrix": [[1, 2, 3], [4, 5, 6]]}),
+    query="1,2,3\n4,5,6\n", k=1, verify=True,
+)
+@example(
+    db=json.dumps({"group": "E", "n": "2", "l": 3, "feature_map": "full"})
+    + "\n" + json.dumps({"id": "a", "matrix": [[1, 2, 3], [4, 5, 6]]}),
+    query="1,2,3\n4,5,6\n", k=1, verify=True,
+)
 def test_database_files(db, query, k, verify):
     with tempfile.TemporaryDirectory() as tmp:
         db_path, query_path = Path(tmp) / "db.jsonl", Path(tmp) / "q.txt"
         db_path.write_text(db)
         query_path.write_text(query)
         argv = ["db-query", str(db_path), str(query_path), "-k", str(k)]
-        check_contract(*run(argv + (["--verify"] if verify else [])))
+        code, err = run(argv + (["--verify"] if verify else []))
+        check_contract(code, err)
+        header = json.loads(db.splitlines()[0])
+        sizes = [header.get(key) for key in ("n", "l")]
+        if any(isinstance(v, (str, bool)) or (isinstance(v, float) and not v.is_integer()) for v in sizes):
+            assert code == 2, (sizes, err)
 
 
 @FUZZ
@@ -177,8 +193,14 @@ def test_database_files(db, query, k, verify):
     kind=st.sampled_from(["distortion", "classify", "lower-constant"]),
     seed=st.sampled_from([0, 7, -1, 2**64]),
     config=configs,
+    unread=st.booleans(),
 )
-def test_experiment_configs(kind, seed, config):
+def test_experiment_configs(kind, seed, config, unread):
+    # half the configs hold only keys the study reads, so that their values
+    # reach its checks; a key it does not read is refused, exit 6
+    read = set(_DEFAULT_CONFIGS[kind])
+    if not unread:
+        config = {key: value for key, value in config.items() if key in read}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -186,3 +208,5 @@ def test_experiment_configs(kind, seed, config):
         code, err = run(argv)
         check_contract(code, err)
         assert (Path(tmp) / "report.json").exists() == (code == 0)
+        if set(config) - read:
+            assert code == 6, err

@@ -126,6 +126,10 @@ class TestDatabaseFiles:
             ('{"group": "E", "n": 2, "l": 3, "feature_map": "full"}\n5\n', "line 2"),
             ('{"group": "E", "n": "x", "l": 3, "feature_map": "full"}\n', "must be integers"),
             ('{"group": "E", "n": 2, "l": null, "feature_map": "full"}\n', "must be integers"),
+            ('{"group": "E", "n": 2.7, "l": 3, "feature_map": "full"}\n', "must be integers"),
+            ('{"group": "E", "n": "2", "l": 3, "feature_map": "full"}\n', "must be integers"),
+            ('{"group": "E", "n": 2, "l": true, "feature_map": "full"}\n', "must be integers"),
+            ('{"group": "E", "n": Infinity, "l": 3, "feature_map": "full"}\n', "must be integers"),
         ],
     )
     def test_malformed_lines_are_parse_errors(self, tmp_path, text, match):
@@ -133,6 +137,13 @@ class TestDatabaseFiles:
         path.write_text(text)
         with pytest.raises(ParseError, match=match):
             load_database(path)
+
+    def test_whole_float_header_sizes_load(self, tmp_path):
+        header = '{"group": "E", "n": 2.0, "l": 3, "feature_map": "full"}'
+        rec = json.dumps({"id": "a", "matrix": [[1, 2, 3], [4, 5, 6]]})
+        path = tmp_path / "db.jsonl"
+        path.write_text(f"{header}\n{rec}\n")
+        assert (load_database(path).n, load_database(path).l) == (2, 3)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         header = '{"group": "E", "n": 2, "l": 3, "feature_map": "full"}'

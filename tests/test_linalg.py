@@ -5,10 +5,8 @@ import pytest
 
 from orbitdist import (
     ConvergenceFailureError,
-    NonFiniteError,
     NotHermitianError,
     NotPSDError,
-    ShapeMismatchError,
     psd_sqrt,
 )
 from orbitdist import linalg
@@ -56,14 +54,6 @@ class TestSvd:
         u, s, v = svd(rng.standard_normal((3, 5)))
         assert not np.iscomplexobj(u) and not np.iscomplexobj(v)
 
-    def test_rejects_nan(self):
-        with pytest.raises(NonFiniteError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_rejects_inf(self):
-        with pytest.raises(NonFiniteError):
-            svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
-
     def test_stack_matches_each_matrix(self, rng):
         m = rng.standard_normal((5, 3, 4))
         u, s, v = svd(m)
@@ -72,16 +62,6 @@ class TestSvd:
             ui, si, vi = svd(m[i])
             np.testing.assert_allclose(s[i], si, rtol=1e-14)
             np.testing.assert_allclose((u[i] * s[i]) @ v[i].T, m[i], atol=1e-12)
-
-    def test_stack_rejects_one_nan_matrix(self, rng):
-        m = rng.standard_normal((4, 2, 2))
-        m[2, 1, 0] = np.nan
-        with pytest.raises(NonFiniteError):
-            svd(m)
-
-    def test_rejects_vector(self):
-        with pytest.raises(ShapeMismatchError):
-            svd(np.ones(3))
 
 
 def _svd_inputs():
@@ -100,7 +80,6 @@ def _svd_inputs():
     cases["strided view"] = rng.standard_normal((9, 12))[::2, 1::3]
     cases["transposed complex"] = cases["2x5 complex"].T
     cases["integers"] = np.arange(12).reshape(3, 4)
-    cases["list"] = [[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]]
     cases["float32"] = rng.standard_normal((3, 5)).astype(np.float32)
     return cases
 
@@ -110,7 +89,9 @@ SVD_INPUTS = _svd_inputs()
 
 class TestSvdIsNumpySvd:
     """``svd`` calls LAPACK's thin SVD itself; its factors are those of
-    ``np.linalg.svd(m, full_matrices=False)`` to the bit."""
+    ``np.linalg.svd(m, full_matrices=False)`` to the bit.  It is a kernel:
+    its callers pass arrays validated where the input entered, and
+    test_scalar_api.py checks that no NaN/Inf reaches it."""
 
     @pytest.mark.parametrize("name", sorted(SVD_INPUTS))
     def test_bit_identical_to_numpy(self, name):
@@ -126,15 +107,6 @@ class TestSvdIsNumpySvd:
         u, s, v = svd(SVD_INPUTS["2x5 complex"])
         assert u.dtype == v.dtype == np.complex128
         assert s.dtype == np.float64
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
-    def test_non_finite_refused_before_lapack(self, monkeypatch, bad):
-        # LAPACK never sees the entry: validation raises first
-        monkeypatch.setattr(linalg, "_umath_linalg", None)
-        m = np.ones((2, 3), dtype=type(bad) if isinstance(bad, complex) else float)
-        m[1, 2] = bad
-        with pytest.raises(NonFiniteError):
-            svd(m)
 
     def test_nonconvergence_raises(self, monkeypatch):
         class NotConverging:

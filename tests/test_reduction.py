@@ -270,11 +270,12 @@ class TestProductRoutes:
 
     @staticmethod
     def basis_products(reducer, mats):
-        """The oracle: ``reducer.basis`` times the real coordinates of each
-        matrix, one CSR matvec per matrix."""
+        """The oracle: ``reducer.basis`` times the float64 view of each
+        matrix (interleaved real and imaginary parts when Hermitian), one
+        CSR matvec per matrix."""
         flat = mats.reshape(-1, reducer.size * reducer.size)
         if reducer.ambient is Ambient.HERMITIAN:
-            flat = np.concatenate([flat.real, np.imag(flat)], axis=1)
+            flat = flat.astype(np.complex128).view(np.float64)
         rows = [reducer.basis @ np.ascontiguousarray(x.real) for x in flat]
         return np.array(rows).reshape(mats.shape[:-2] + (reducer.dim,))
 
@@ -332,8 +333,8 @@ class TestProductRoutes:
         small.project(np.eye(5))
         assert "basis" not in vars(small)
         large.project(np.eye(32))
-        # a large operator keeps no rows of its own and no second index copy
-        assert "_gather" not in vars(large)
+        # a large operator keeps no rows of its own
+        assert "_rows" not in vars(large)
         op, csr = large._arrays, large.basis
         for mine, scipys in [(op.value, csr.data), (op.column, csr.indices), (op.indptr, csr.indptr)]:
             assert np.shares_memory(mine, scipys) and not scipys.flags.writeable

@@ -35,7 +35,10 @@ from orbitdist import (
     triangle_embedding,
     verify,
 )
+from orbitdist import embeddings, metrics
+from orbitdist.experiments import lower_constant_survey
 from orbitdist.features import _feature_stack
+from orbitdist.linalg import svd
 from orbitdist.search import _BLOCK
 
 G = GroupAction
@@ -208,6 +211,33 @@ class TestErrorContract:
                     with pytest.raises(NonFiniteError, match=too_large):
                         feature_vector(group, a, feature_map)
 
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_root_near_the_limit_runs_at_scale(self, group):
+        # the Gram root's largest singular value, up to sqrt(n l) max|x|,
+        # would leave float64 unscaled: every group's root runs at a power
+        # of two past max|x| = 2**1022 / max(n, l), so a feature within
+        # float64 is computed and one beyond it refused, with no warning
+        if group.quotients_translations:
+            # n > 4l: the rows centre to norm 1.63 c, so the root's largest
+            # singular value is 2.3e308 (4.6e308 beyond)
+            x, c = np.tile([1.0, -1.0, 1.0], (200, 1)), 1e307
+            too_large, feature_map = 1.4e307 * np.tile([1.0, -1.0, 1.0], (400, 1)), "full"
+        else:
+            # the full feature's largest entry is 1.22e308, a reduced one 2.1e308
+            x, c = np.ones((2, 6)), 1.5e308
+            too_large, feature_map = c * x, "reduced"
+        a = c * x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = feature_vector(group, a)
+            m, v = embedding_for(group, a)
+            with pytest.raises(NonFiniteError, match="^A has a feature too large for float64$"):
+                feature_vector(group, too_large, feature_map)
+        want = c * feature_vector(group, x)
+        np.testing.assert_allclose(f, want, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(v, f)
+        np.testing.assert_allclose(m, c * embedding_for(group, x)[0], rtol=1e-14, atol=1e-14 * c)
+
     def test_extreme_configuration_in_a_stack_keeps_the_others_bits(self, rng):
         # a stack that holds one configuration beyond the overflow guard runs
         # each configuration at its own power of two; the others keep the
@@ -304,3 +334,106 @@ class TestScalarMatchesStacked:
         for m, row in zip(db.matrices, db.features):
             np.testing.assert_array_equal(feature_vector(group, m, "reduced", reducer), row)
             np.testing.assert_array_equal(reduced_embedding(group, m), row)
+
+
+def extreme_configurations(rng, group, n, l):
+    """(label, configuration) of valid inputs at the edges of float64."""
+    x = good(rng, group, n, l)
+    spread = np.full((n, l), -1.5e308)
+    spread[:, 0] = 1.5e308
+    return [
+        ("random", x),
+        ("zero", np.zeros_like(x)),
+        ("rank one", np.outer(np.arange(1.0, n + 1.0), x[0])),
+        ("1e300", 1e300 * x),
+        ("1e-300", 1e-300 * x),
+        ("1.5e308", np.full((n, l), 1.5e308)),
+        ("+-1.5e308", spread),
+    ]
+
+
+class TestSvdSeesValidatedArrays:
+    """``linalg.svd`` does not check its input: every caller passes a
+    finite float64/complex128 array built from input that was validated
+    where it entered.  Each module that calls it is given a copy that
+    checks this invariant, and every entry point runs on valid inputs at
+    the edges of float64 and on NaN/Inf ones."""
+
+    @pytest.fixture
+    def svd_inputs(self, monkeypatch):
+        seen = []
+
+        def checked_svd(a):
+            assert type(a) is np.ndarray and a.dtype in (np.float64, np.complex128), a
+            assert a.ndim >= 2 and np.isfinite(a).all(), a
+            seen.append(a.shape)
+            return svd(a)
+
+        for module in (metrics, embeddings):
+            monkeypatch.setattr(module, "svd", checked_svd)
+        return seen
+
+    @staticmethod
+    def entries(group, n, l, records):
+        """(name, call taking one configuration) for every entry point, the
+        database ones over ``records``; None for a database beyond float64."""
+        reducer = reducer_for(group, n, l)
+        calls = [
+            ("orbit_distance", lambda a: orbit_distance(group, a, a)),
+            ("orbit_distance reversed", lambda a: orbit_distance(group, a, a[:, ::-1])),
+            ("dist_*", lambda a: DISTANCES[group](records[0][1], a)),
+            ("embedding_for", lambda a: embedding_for(group, a)),
+            ("feature_vector", lambda a: feature_vector(group, a)),
+            ("feature_vector reduced", lambda a: feature_vector(group, a, "reduced", reducer)),
+            ("reduced_embedding", lambda a: reduced_embedding(group, a)),
+        ]
+        for feature_map in ("full", "reduced"):
+            try:
+                db = ShapeDatabase(group, records, feature_map)
+            except NonFiniteError:
+                continue
+            hit = feature_nearest(db, records[0][1])[0]
+            calls += [
+                (f"ShapeDatabase {feature_map}", lambda a, m=feature_map: ShapeDatabase(group, [("a", a)], m)),
+                (f"feature_nearest {feature_map}", lambda a, db=db: feature_nearest(db, a, k=2)),
+                (f"verify {feature_map}", lambda a, db=db, hit=hit: verify(db, hit, a)),
+                (f"linear_scan_nearest {feature_map}", lambda a, db=db: linear_scan_nearest(db, a)),
+            ]
+        return calls
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("n, l", [(1, 5), (2, 6)])
+    def test_edges_of_float64(self, rng, svd_inputs, group, n, l):
+        configs = extreme_configurations(rng, group, n, l)
+        # records whose distances to one another stay within float64
+        records = [(label, a) for label, a in configs if not label.endswith("e308")]
+        entries = self.entries(group, n, l, records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for label, a in configs:
+                for name, call in entries:
+                    try:
+                        call(a)
+                    except NonFiniteError:
+                        # a result beyond float64, refused without a warning
+                        assert label.endswith("e308"), (name, label)
+        assert svd_inputs
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_lower_constant_survey(self, svd_inputs, group):
+        lower_constant_survey(group, 2, 6, 8, 0)
+        assert svd_inputs
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_non_finite_input_never_reaches_svd(self, rng, svd_inputs, group):
+        configs = [("random", good(rng, group, 2, 6))]
+        entries = self.entries(group, 2, 6, configs)
+        del svd_inputs[:]  # the database builds above
+        bad = [np.nan, np.inf, -np.inf] + ([complex(0.0, np.nan)] if group.is_complex else [])
+        for value in bad:
+            a = configs[0][1].astype(type(value) if isinstance(value, complex) else configs[0][1].dtype)
+            for name, call in entries:
+                with pytest.raises(NonFiniteError):
+                    call(with_entry(a, value))
+                    pytest.fail(f"{name} accepted {value}")
+        assert not svd_inputs
