@@ -126,9 +126,6 @@ def _load_config(args) -> ExperimentConfig:
         unread = sorted(set(loaded) - set(data))
         if unread:
             raise ConfigInvalidError(f"experiment {args.kind} reads no key {unread}; it reads {sorted(data)}")
-        for key in ("maps", "noise_grid"):
-            if key in loaded and not isinstance(loaded[key], list):
-                raise ConfigInvalidError(f"{key} must be a JSON list, got {loaded[key]!r}")
         data.update(loaded)
     data["seed"] = args.seed
     try:

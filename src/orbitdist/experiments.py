@@ -41,16 +41,14 @@ no SVD), the survey's orbit distances from the Procrustes kernel of
 :mod:`orbitdist.metrics`, reduced features from :mod:`orbitdist.reduction`
 (by FFT at n = 1, by the sparse projection of the Gram roots at n >= 2),
 and triangle features from the kernels of :mod:`orbitdist.triangles`.
-The classification ranks each query under a feature map with one k-d
-tree per map, built once per study.  Under the exact distance it ranks
-only the query's few feature-nearest records in the triangle map's tree,
-certified by the sqrt(2) sandwich, and falls back to every record for the
-rare query that the certificate leaves open, so the result is the exact
-argmin (see :func:`_exact_rate`).  Only this study imports
-``scipy.spatial`` (for the k-d trees), so that importing this module loads
-only numpy.  The distortion study loads no scipy at all, nor does the
-survey at n = 1; at n >= 2 it loads ``scipy.sparse`` for the reducer's
-product over its stacks of roots.
+The classification ranks the queries of each map with one nearest-record
+kernel (:func:`_nearest_records`) whose table of distances between the
+records is built once per study: a query's own record certifies the
+nearest one by the triangle inequality, so only the few records near it
+are ranked, and the result is the exact argmin of the map's distance.
+Neither the distortion nor the classification study loads scipy, nor does
+the survey at n = 1; at n >= 2 it loads ``scipy.sparse`` for the
+reducer's product over its stacks of roots.
 """
 from __future__ import annotations
 
@@ -63,7 +61,7 @@ import numpy as np
 from .errors import ConfigInvalidError
 from .metrics import GroupAction, _procrustes
 from .reduction import _block_size, _reduced_stack, reducer_for
-from .search import _BLOCK, _SQRT2
+from .search import _BLOCK
 from .triangles import _side_lengths, _triangle_coords
 
 MAP_SIDE_LENGTHS = "side_lengths"
@@ -71,10 +69,11 @@ MAP_TRIANGLE = "triangle_embedding"
 MAP_EXACT = "exact"
 
 _DEGENERATE = 1e-12
-# Feature-nearest records ranked exactly per query, and the round-off
-# slack of the certificate that makes the ranking exact (see _exact_rate).
-_EXACT_CANDIDATES = 4
+# The round-off slack of the nearest-record certificate, pairs per block of
+# its kernel, and entries kept per record table (see _nearest_records).
 _SLACK = 2.0**-46
+_PAIRS = 1 << 16
+_TABLE = 1 << 20
 _HIST_EDGES = np.linspace(0.0, 1.8, 61)
 # Pairs per block in the distortion study, and words per block of the
 # quantile's central branch in _ndtri.
@@ -83,7 +82,8 @@ _PAIR_BLOCK = 1 << 14
 # than a workstation has.  The pair studies keep a few float64 ratios per
 # pair (about 0.3 GB at MAX_PAIRS); the classification study keeps a few
 # hundred bytes per noisy query, db_size * n_draws of them (about 0.3 GB
-# at both ceilings).  At n >= 2 each pair of the lower-constant survey
+# at both ceilings), and per map a table of at most _TABLE distances and
+# indices (16 MB).  At n >= 2 each pair of the lower-constant survey
 # holds l x l Gram roots, 16 MB for a complex one at MAX_L, and shares a
 # reducer of at most n * size**2 non-zeros (twice that Hermitian), 16 bytes
 # each (a float64 value and an int64 column, which its CSR container shares):
@@ -127,9 +127,14 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         """Config from JSON values.  ConfigInvalidError when an integer field
-        is not a whole number or ``n`` is below 1."""
+        is not a whole number, ``n`` is below 1, or ``maps`` or
+        ``noise_grid`` is not a list (a string would be read one character
+        per entry)."""
         n = _whole(d, "n", 2)
         _require(n is not None and n >= 1, f"n must be >= 1, got {n}")
+        for key in ("maps", "noise_grid"):
+            value = d.get(key, ())
+            _require(isinstance(value, (list, tuple)), f"{key} must be a list, got {value!r}")
         return ExperimentConfig(
             seed=_seed(_whole(d, "seed", 0)),
             n_pairs=_whole(d, "n_pairs", None),
@@ -308,7 +313,7 @@ def _plane_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     triangle against a rigid copy of itself the two moduli agree to
     round-off, and the wrong branch is off by up to about sqrt(u) ||a||.
     Each residual errs by at most a few dozen ulps of ``||a|| + ||b||``
-    (see :func:`_exact_rate`), because the residual is stationary in the
+    (see :func:`_nearest_records`), because the residual is stationary in the
     phase, plus at most 2^-530 where squares and products underflow.  The
     inputs must be small enough that no square overflows, as the
     experiments' normal draws are.
@@ -359,9 +364,16 @@ def _pair_ratios(
     return np.concatenate(ratios)
 
 
-_TRIANGLE_FEATURES = {
-    MAP_SIDE_LENGTHS: _side_lengths,
-    MAP_TRIANGLE: _triangle_coords,
+def _feature_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(a - b, axis=-1)
+
+
+# each map's points (the triangles or their features) and the metric
+# between them
+_MAPS = {
+    MAP_EXACT: (lambda x: x, _plane_distances),
+    MAP_SIDE_LENGTHS: (_side_lengths, _feature_distances),
+    MAP_TRIANGLE: (_triangle_coords, _feature_distances),
 }
 
 
@@ -439,7 +451,7 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     seed = _seed(cfg.seed)
     _require_count(cfg.n_pairs, "n_pairs", MAX_PAIRS)
     _validate_maps(cfg.maps, (MAP_SIDE_LENGTHS, MAP_TRIANGLE))
-    fmaps = [_TRIANGLE_FEATURES[name] for name in cfg.maps]
+    fmaps = [_MAPS[name][0] for name in cfg.maps]
     ratios = _pair_ratios(
         GroupAction.EUCLIDEAN, 2, 3, seed, cfg.n_pairs, _PAIR_BLOCK, _plane_distances,
         lambda a, b: np.stack([np.linalg.norm(f(a) - f(b), axis=1) for f in fmaps], axis=1),
@@ -461,88 +473,81 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _classify_rate(query_feats: np.ndarray, db_tree, labels: np.ndarray) -> float:
-    """Misclassification rate of nearest-record lookup in a k-d tree over
-    the database's features."""
-    return float(np.mean(db_tree.query(query_feats)[1] != labels))
+def _blocks(rows: np.ndarray, width: int) -> list[np.ndarray]:
+    """``rows`` split into blocks of about ``_PAIRS`` pairs, ``width`` per row."""
+    return np.array_split(rows, max(1, -(-len(rows) * width // _PAIRS)))
 
 
-def _kdtree(points: np.ndarray):
-    from scipy.spatial import cKDTree
-    return cKDTree(points)
+def _nearest_records(points, metric, db: np.ndarray):
+    """``nearest(queries, labels)``: per query, the lowest-index argmin of
+    ``metric`` (between broadcast stacks of the ``points`` of triangles)
+    over every record of ``db``, with its own record ``labels[i]`` as the
+    first candidate.
 
+    The table, built once, holds for each record L the records sorted
+    stably by their computed distance D^(L, j), and those distances: all
+    N, or the first ``_TABLE`` // N when N^2 do not fit.  By the triangle
+    inequality (Orchard, ICASSP 1991; the lower-bounding lemma of
+    Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994) record j is no
+    farther than L from a query q only if D(L, j) <= 2 d(q, L).  So only
+    the prefix of L's row within ``2 d^(q, L) + 3 delta`` is ranked: none
+    when it is L alone (D^(L, L) is below the slack), every record when it
+    reaches past a truncated row.
 
-def _exact_rate(queries: np.ndarray, db: np.ndarray, labels: np.ndarray, tree) -> float:
-    """Misclassification rate of nearest-record lookup by the exact
-    euclidean orbit distance: the argmin over every record of
-    :func:`_plane_distances`, ties broken by the lowest index.
+    The slack delta = ``_SLACK`` (N_q + N) is absolute, with ``_SLACK`` =
+    2^-46 = 128u for u = 2^-53, N_q the norm of the query's points (the
+    uncentred triangle or its feature) and N the largest record norm:
 
-    Only a few records are ranked per query.  ``tree``, the k-d tree
-    :func:`_kdtree` over :func:`_triangle_coords` of the records, gives
-    the K feature-nearest ones (K = ``_EXACT_CANDIDATES``, fewer when the
-    database is smaller), at feature distances up to rho_K, and
-    ``_plane_distances`` ranks them, least distance d^_min first.  Every
-    other record j has feature distance at least rho_K, so by the sqrt(2)
-    sandwich ``||f(A) - f(B)|| <= sqrt(2) d(A, B)`` (the lower-bounding lemma of
-    Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994) its distance is at
-    least rho_K / sqrt(2).  Up to round-off, when
+    - A computed distance errs by at most 32u (||a|| + ||b||).  In
+      :func:`_plane_distances`, centring costs at most (l + 1) u per input
+      norm, and d is 1-Lipschitz in each input.  The phase c = p / |p|
+      comes from ``p = <w, z_b>`` computed within about 5u ||a|| ||b||;
+      since the residual is stationary in c, a phase error theta raises
+      the squared residual by at most |p| theta^2, at most 2.5 * 5u
+      (||a|| + ||b||) in distance whether |p| is small (then d >=
+      (||a|| + ||b||) / 2) or not.  The rounding of |c|, of the products,
+      the differences and the norm adds about 14u.  A feature distance
+      errs by at most about 4u (||a|| + ||b||).
+    - So if d^(q, j) <= d^(q, L), then D^(L, j) <= D(L, j) + 64u N <=
+      d(q, j) + d(q, L) + 64u N <= 2 d^(q, L) + delta.  The radius reads
+      d^(q, L) from another evaluation, at most 64u (N_q + N) away: one
+      more delta.  The third covers the radius's own rounding, and the at
+      most 2^-530 that underflowing squares and products add to a distance
+      when N_q + N > 2^-480, as for any draw of the experiments.
 
-        (rho_K - delta_f) / sqrt(2) > d^_min + delta_d,
-
-    every other computed distance d^_j >= d_j - delta_d exceeds d^_min, so
-    the ranking equals the argmin over every record.  Rows that fail this
-    certificate are ranked against every record.
-
-    The slacks are absolute.  With u = 2^-53, N_q = ||q|| the Frobenius
-    norm of the (uncentred) query and N = the largest record norm, the
-    feature and orbit norms of both are at most N_q + N, and:
-
-    - delta_d bounds |d^_j - d_j|.  Centring costs at most (l + 1) u per
-      input norm, and d is 1-Lipschitz in each input.  The phase
-      c = p / |p| comes from ``p = <w, z_b>`` computed within about 5u
-      ||a|| ||b||; since the residual is stationary in c, the error of c
-      raises the squared residual by at most |p| theta^2 for a phase
-      error theta, which is at most 2.5 * 5u (||a|| + ||b||) in distance
-      whether |p| is small (then d >= (||a|| + ||b||) / 2) or not.  The
-      rounding of |c|, of the products, the differences and the norm
-      adds about 14u.  In all about 32u (N_q + N).
-    - delta_f bounds how far a true feature distance can fall below
-      rho_K for a record the tree did not return.  The triangle
-      coordinates are within 16u of their norm of the exact ones (a few
-      roundings of quantities bounded by that norm), so a feature
-      distance moves by at most 32u (N_q + N).  The tree sums three
-      squares (5u relative), and its pruning compares squared box
-      distances that it tracks with relative round-off of a few ulps per
-      level, about 30u at the depth of a ``MAX_DB_SIZE`` tree.  In all
-      about 67u (N_q + N).
-
-    Squares and products that underflow add at most 2^-530 to a distance
-    or a feature distance.  Both slacks are set to ``_SLACK`` (N_q + N)
-    with ``_SLACK`` = 2^-46 = 128u, which also covers the rounding of the
-    certificate's own arithmetic, and the underflow whenever N_q + N is
-    above 2^-480, as it is for any draw of the experiments.  The ranking runs over blocks of ``_BLOCK`` queries, and
-    the uncertified rows in blocks of about 2^16 query-record pairs, so
-    memory does not grow with the number of queries.
+    So every record that ties or beats L is ranked.  The table is built,
+    and open queries are ranked by prefix width, in ``_PAIRS``-pair blocks.
     """
-    k = min(_EXACT_CANDIDATES, len(db))
-    db_norm = float(np.sqrt((db * db).sum(axis=(1, 2))).max())
-    pred = np.empty(len(queries), dtype=int)
-    uncertified = []
-    for lo in range(0, len(queries), _BLOCK):
-        q = queries[lo : lo + _BLOCK]
-        rho, idx = (x.reshape(len(q), k) for x in tree.query(_triangle_coords(q), k=k))
-        d = _plane_distances(q[:, None], db[idx])
-        best = d.min(axis=1)
-        pred[lo : lo + _BLOCK] = np.where(d == best[:, None], idx, len(db)).min(axis=1)
-        if k < len(db):
-            slack = _SLACK * (np.sqrt((q * q).sum(axis=(1, 2))) + db_norm)
-            uncertified.append(lo + np.flatnonzero((rho[:, -1] - slack) / _SQRT2 <= best + slack))
-    rows = np.concatenate(uncertified) if uncertified else np.zeros(0, dtype=int)
-    step = max(1, (1 << 16) // len(db))
-    for lo in range(0, len(rows), step):
-        r = rows[lo : lo + step]
-        pred[r] = _plane_distances(queries[r, None], db).argmin(axis=1)
-    return float(np.mean(pred != labels))
+    records = points(db)
+    n = len(records)
+    k = min(n, max(2, _TABLE // n))
+    order = np.empty((n, k), dtype=np.intp)
+    table = np.full((n, k + 1), np.inf)  # a last column beyond every radius
+    for r in _blocks(np.arange(n), n):
+        d = metric(records[r, None], records)
+        order[r] = np.argsort(d, axis=1, kind="stable")[:, :k]
+        table[r, :k] = np.take_along_axis(d, order[r], axis=1)
+    norm = np.linalg.norm(records.reshape(n, -1), axis=1).max()
+
+    def nearest(queries: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        q = points(queries)
+        blocks = _blocks(np.arange(len(q)), 1)
+        own = np.concatenate([metric(q[r], records[labels[r]]) for r in blocks])
+        radius = 2.0 * own + 3.0 * _SLACK * (np.linalg.norm(q.reshape(len(q), -1), axis=1) + norm)
+        rows = np.flatnonzero(table[labels, 1] <= radius)
+        width = np.concatenate(
+            [(table[labels[r], :k] <= radius[r, None]).sum(axis=1) for r in _blocks(rows, k)]
+        )
+        width[(width == k) & (k < n)] = n  # past a truncated row: every record
+        pred = labels.copy()
+        for w in np.unique(width):
+            for r in _blocks(rows[width == w], w):
+                ids = order[labels[r], :w] if w <= k else np.arange(n)[None]
+                d = metric(q[r, None], records[ids])
+                pred[r] = np.where(d == d.min(axis=1, keepdims=True), ids, n).min(axis=1)
+        return pred
+
+    return nearest
 
 
 def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -562,18 +567,12 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     noise = _normals(seed, 1, 0, 6 * cfg.db_size * cfg.n_draws).reshape(-1, 2, 3)
     labels = np.repeat(np.arange(cfg.db_size), cfg.n_draws)
     base = np.repeat(db, cfg.n_draws, axis=0)
-    # the exact ranking shortlists records in the triangle map's tree
-    wanted = set(cfg.maps) | ({MAP_TRIANGLE} if MAP_EXACT in cfg.maps else set())
-    trees = {name: _kdtree(f(db)) for name, f in _TRIANGLE_FEATURES.items() if name in wanted}
+    nearest = {name: _nearest_records(*_MAPS[name], db) for name in cfg.maps}
     rates = {name: [] for name in cfg.maps}
     for eps in cfg.noise_grid:
         queries = base + eps * noise
         for name in cfg.maps:
-            if name == MAP_EXACT:
-                rate = _exact_rate(queries, db, labels, trees[MAP_TRIANGLE])
-            else:
-                rate = _classify_rate(_TRIANGLE_FEATURES[name](queries), trees[name], labels)
-            rates[name].append(rate)
+            rates[name].append(float(np.mean(nearest[name](queries, labels) != labels)))
     return ExperimentReport(
         kind="classification",
         seed=cfg.seed,

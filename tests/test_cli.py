@@ -469,6 +469,7 @@ class TestExperimentCommand:
             # so "0" would run the grid [0.0]
             ("classify", '{"maps": "exact"}'),
             ("classify", '{"noise_grid": "0"}'),
+            ("distortion", '{"n_pairs": 10, "maps": "side_lengths"}'),
         ],
     )
     def test_bad_noise_or_maps_single_error_line(self, tmp_path, capsys, kind, config):

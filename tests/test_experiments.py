@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 import json
 import math
 import mpmath
+import tracemalloc
 import warnings
 import numpy as np
 import pytest
@@ -34,10 +35,34 @@ SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
 
 
+def nearest(queries, db, labels, name=MAP_EXACT):
+    """The records that the classification study's kernel for map ``name``
+    finds nearest to the queries, each labelled with its own record."""
+    return experiments._nearest_records(*experiments._MAPS[name], db)(queries, labels)
+
+
 def exact_rate(queries, db, labels):
-    """_exact_rate over the tree the classification study builds for db."""
-    tree = experiments._kdtree(experiments._triangle_coords(db))
-    return experiments._exact_rate(queries, db, labels, tree)
+    return np.mean(nearest(queries, db, labels) != labels)
+
+
+def brute_force(queries, db, name=MAP_EXACT):
+    """The argmin over every record, ties to the lowest index."""
+    points, metric = experiments._MAPS[name]
+    return metric(points(queries)[:, None], points(db)).argmin(axis=1)
+
+
+def counting(ranked):
+    """``_plane_distances`` that appends to ``ranked`` the (queries,
+    candidates) shape of each call that ranks queries against candidate
+    lists, the only calls with a ``(m, w, 2, 3)`` second argument: the
+    table's are ``(N, 2, 3)`` records, the own distances' ``(m, 2, 3)``."""
+
+    def spy(a, b):
+        if b.ndim == 4:
+            ranked.append(np.broadcast_shapes(a.shape, b.shape)[:2])
+        return _plane_distances(a, b)
+
+    return spy
 
 
 class TestSampler:
@@ -351,52 +376,89 @@ class TestPlaneDistances:
                 assert table[i, j] == _plane_distances(q[i], db[j])
 
 
-class TestPrunedExactRate:
-    """The pruned ranking of _exact_rate always equals the argmin of
-    _plane_distances over every record, ties to the lowest index."""
+class TestNearestRecords:
+    """The nearest-record kernel always returns the argmin of the map's
+    distance over every record, ties to the lowest index."""
 
-    @staticmethod
-    def brute_force(queries, db):
-        return _plane_distances(queries[:, None], db).argmin(axis=1)
-
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5])
-    def test_forced_fallback_with_duplicate_records(self, monkeypatch, rng, k, eps):
-        # with k = 1 no row can be certified: the feature-nearest record is
-        # never farther than sqrt(2) times the nearest orbit
-        monkeypatch.setattr(experiments, "_EXACT_CANDIDATES", k)
-        monkeypatch.setattr(experiments, "_BLOCK", 16)
+    @pytest.mark.parametrize("entries", [1, 200, None], ids=["k=2", "k=5", "full"])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5, 2.0])
+    def test_open_rows_with_duplicate_records(self, monkeypatch, rng, entries, eps):
+        # a truncated table (K records per row) ranks the rows whose radius
+        # reaches past it against every record; small blocks split the rest
+        if entries is not None:
+            monkeypatch.setattr(experiments, "_TABLE", entries)
+        monkeypatch.setattr(experiments, "_PAIRS", 16)
         db = rng.standard_normal((40, 2, 3))
         db[10], db[20:23] = db[3], db[5]
         labels = np.repeat(np.arange(40), 3)
         queries = db[labels] + eps * rng.standard_normal((len(labels), 2, 3))
-        want = self.brute_force(queries, db)
+        want = brute_force(queries, db)
         if eps == 0.0:
             assert want[labels == 10].tolist() == [3, 3, 3]
+        ranked = []
+        monkeypatch.setitem(experiments._MAPS, MAP_EXACT, (lambda x: x, counting(ranked)))
+        np.testing.assert_array_equal(nearest(queries, db, labels), want)
+        # the 18 rows of duplicated records are open at every noise level,
+        # and at 2.0 most rows are
+        open_rows = sum(m for m, _ in ranked)
+        assert open_rows >= 18 and (eps < 2.0 or open_rows > len(labels) / 2)
         assert exact_rate(queries, db, want) == 0.0
         assert exact_rate(queries, db, labels) == np.mean(want != labels)
 
+    @pytest.mark.parametrize("name", [MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE])
     @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_database_smaller_than_candidate_count(self, rng, size):
+    def test_tiny_databases(self, rng, name, size):
         db = rng.standard_normal((size, 2, 3))
         queries = rng.standard_normal((30, 2, 3))
-        assert exact_rate(queries, db, self.brute_force(queries, db)) == 0.0
+        labels = np.arange(30) % size
+        want = brute_force(queries, db, name)
+        np.testing.assert_array_equal(nearest(queries, db, labels, name), want)
 
-    def test_few_rows_fall_back_at_cli_defaults(self, monkeypatch):
-        calls = []
-        kernel = experiments._plane_distances
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from([MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE]),
+        size=st.integers(1, 40),
+        draws=st.integers(1, 3),
+        eps=st.sampled_from([0.0, 1e-9, 0.01, 0.05, 0.5, 2.0]),
+        duplicates=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(name=MAP_EXACT, size=1, draws=1, eps=0.0, duplicates=0, seed=0)
+    @example(name=MAP_SIDE_LENGTHS, size=39, draws=2, eps=2.0, duplicates=3, seed=1)
+    def test_rate_equals_brute_force(self, name, size, draws, eps, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        db = rng.standard_normal((size, 2, 3))
+        for _ in range(duplicates):  # an exact copy: ties go to the lower index
+            db[rng.integers(size)] = db[rng.integers(size)]
+        labels = np.repeat(np.arange(size), draws)
+        queries = db[labels] + eps * rng.standard_normal((len(labels), 2, 3))
+        want = brute_force(queries, db, name)
+        got = nearest(queries, db, labels, name)
+        np.testing.assert_array_equal(got, want)
+        assert np.mean(got != labels) == np.mean(want != labels)
 
-        def spy(a, b):
-            if b.ndim == 3:  # a fallback block: the query rows against every record
-                calls.append(a.shape[0])
-            return kernel(a, b)
-
-        monkeypatch.setattr(experiments, "_plane_distances", spy)
+    def test_ranking_work_at_cli_defaults(self, monkeypatch):
+        # beyond the table and one own distance per query, the exact map
+        # ranks few pairs: the shortlist it replaced ranked 280 000
+        ranked = []
+        monkeypatch.setitem(experiments._MAPS, MAP_EXACT, (lambda x: x, counting(ranked)))
         cfg = ExperimentConfig.from_dict(
             dict(experiments._DEFAULT_CONFIGS["classify"], seed=0, maps=[MAP_EXACT])
         )
         classification_experiment(cfg)
-        assert sum(calls) <= 20
+        assert 0 < sum(m * w for m, w in ranked) <= 40_000
+
+    def test_traced_peak_at_cli_defaults(self):
+        # the tables are built in row blocks: in one 500 x 500 broadcast of
+        # _plane_distances the study traces about 50 MB
+        cfg = ExperimentConfig.from_dict(dict(experiments._DEFAULT_CONFIGS["classify"], seed=0))
+        tracemalloc.start()
+        try:
+            classification_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20
 
 
 class TestClassificationExperiment:
@@ -516,6 +578,19 @@ class TestConfigChecks:
             assert len(rates) == 3 and all(0.0 <= r <= 1.0 for r in rates)
 
     @pytest.mark.parametrize(
+        "key, value", [("maps", "exact"), ("noise_grid", "0"), ("maps", None), ("noise_grid", 0.0)]
+    )
+    def test_from_dict_refuses_a_value_that_is_not_a_list(self, key, value):
+        # a string would be read one character per entry: "exact" as the
+        # maps ('e', 'x', 'a', 'c', 't'), "0" as the grid (0.0,)
+        with pytest.raises(ConfigInvalidError, match=f"{key} must be a list"):
+            ExperimentConfig.from_dict({key: value})
+
+    def test_from_dict_reads_lists_and_tuples(self):
+        cfg = ExperimentConfig.from_dict({"maps": [MAP_EXACT], "noise_grid": (0, 0.5)})
+        assert cfg.maps == (MAP_EXACT,) and cfg.noise_grid == (0.0, 0.5)
+
+    @pytest.mark.parametrize(
         "maps",
         [(), ([MAP_EXACT],), (MAP_TRIANGLE, MAP_TRIANGLE), (1,), (None,)],
         ids=["empty", "nested", "repeated", "number", "null"],
@@ -529,40 +604,37 @@ class TestConfigChecks:
             distortion_experiment(ExperimentConfig(seed=0, n_pairs=10, maps=maps))
 
 
-class TestTreesPerStudy:
+class TestTablesPerStudy:
     @pytest.mark.parametrize(
-        "maps, built",
-        [
-            ((MAP_EXACT,), [MAP_TRIANGLE]),
-            ((MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE), [MAP_SIDE_LENGTHS, MAP_TRIANGLE]),
-            ((MAP_SIDE_LENGTHS,), [MAP_SIDE_LENGTHS]),
-        ],
+        "maps",
+        [(MAP_EXACT,), (MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE), (MAP_SIDE_LENGTHS,)],
     )
-    def test_one_tree_per_map_per_study(self, monkeypatch, maps, built):
+    def test_one_table_per_map_per_study(self, monkeypatch, maps):
         calls = []
-        kdtree = experiments._kdtree
+        kernel = experiments._nearest_records
 
-        def spy(points):
-            calls.append(points)
-            return kdtree(points)
+        def spy(points, metric, db):
+            calls.append((points, metric, db))
+            return kernel(points, metric, db)
 
-        monkeypatch.setattr(experiments, "_kdtree", spy)
+        monkeypatch.setattr(experiments, "_nearest_records", spy)
         cfg = ExperimentConfig(
             seed=4, db_size=30, n_draws=2, noise_grid=(0.0, 0.01, 0.02, 0.05), maps=maps
         )
         rep = classification_experiment(cfg)
         db = _normals(4, 0, 0, 180).reshape(30, 2, 3)
-        assert len(calls) == len(built)
-        for points, name in zip(calls, built):
-            np.testing.assert_array_equal(points, experiments._TRIANGLE_FEATURES[name](db))
-        if MAP_EXACT in maps:
-            labels = np.repeat(np.arange(30), 2)
-            noise = _normals(4, 1, 0, 360).reshape(-1, 2, 3)
+        assert len(calls) == len(maps)
+        for (points, metric, records), name in zip(calls, maps):
+            assert (points, metric) == experiments._MAPS[name]
+            np.testing.assert_array_equal(records, db)
+        labels = np.repeat(np.arange(30), 2)
+        noise = _normals(4, 1, 0, 360).reshape(-1, 2, 3)
+        for name in maps:
             want = [
-                exact_rate(np.repeat(db, 2, axis=0) + eps * noise, db, labels)
+                np.mean(brute_force(np.repeat(db, 2, axis=0) + eps * noise, db, name) != labels)
                 for eps in cfg.noise_grid
             ]
-            assert rep.rates["misclassification"][MAP_EXACT] == want
+            assert rep.rates["misclassification"][name] == want
 
 
 class TestLowerConstantSurvey:

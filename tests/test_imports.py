@@ -1,9 +1,9 @@
 """The import boundary: ``import orbitdist`` loads numpy but no scipy,
 full-feature databases, the reduced features of one small configuration
 (numpy applies the operator up to ``reduction._NUMPY_PRODUCTS`` products),
-the distortion study and the n = 1 survey load none either, and each scipy
-module loads in the function that uses it, and only there: a product above
-that size loads ``scipy.sparse``.
+the distortion and classification studies and the n = 1 survey load none
+either, and each scipy module loads in the function that uses it, and only
+there: a product above that size loads ``scipy.sparse``.
 
 Every case runs in a fresh interpreter, since the test session itself has
 scipy loaded.  The interpreters start together, so the file costs about as
@@ -143,7 +143,7 @@ cfg = od.ExperimentConfig(db_size=20, n_draws=2, noise_grid=(0.0, 0.1),
 rates = od.classification_experiment(cfg).rates["misclassification"]
 assert all(r[0] == 0.0 for r in rates.values()), rates
 """,
-        "scipy.spatial",
+        None,
         (),
     ),
 }
