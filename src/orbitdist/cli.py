@@ -115,9 +115,11 @@ def _cmd_db_query(args) -> int:
 def _load_config(args) -> ExperimentConfig:
     data = dict(_DEFAULT_CONFIGS[args.kind])
     if args.config:
+        # ValueError: a JSON syntax error, a file that is not UTF-8, or an
+        # integer too long for Python to convert
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigInvalidError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigInvalidError("config file must hold a JSON object")
@@ -128,10 +130,7 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigInvalidError(f"experiment {args.kind} reads no key {unread}; it reads {sorted(data)}")
         data.update(loaded)
     data["seed"] = args.seed
-    try:
-        return ExperimentConfig.from_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise ConfigInvalidError(f"bad config value: {exc}") from None
+    return ExperimentConfig.from_dict(data)
 
 
 def _distortion_csv(report) -> str:

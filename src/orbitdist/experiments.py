@@ -32,8 +32,9 @@ Study sizes have ceilings: ``n_pairs`` at most ``MAX_PAIRS`` (10**7),
 reducer at most ``MAX_REDUCER_NNZ`` (2**22) non-zeros, and each noise level
 is finite and at most ``MAX_NOISE`` (1e100).  A size outside
 ``[1, ceiling]``, an ``n`` below 1, an integer field that is not a whole
-number, or a map list that is empty or holds a repeated or unknown name
-raises ConfigInvalidError before anything is drawn or built.
+number, a map list that is empty or holds a repeated or unknown name, or a
+field the study does not read set to other than its default raises
+ConfigInvalidError before anything is drawn or built.
 
 The arithmetic is stacked over blocks of trials.  Triangle orbit
 distances come from a closed-form planar kernel (:func:`_plane_distances`,
@@ -52,9 +53,10 @@ reducer's product over its stacks of roots.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -99,7 +101,8 @@ MAX_NOISE = 1e100  # far below the float64 range: no square of a query overflows
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs shared by the experiment drivers; unused fields may stay None."""
+    """Inputs shared by the experiment drivers.  A study refuses a field
+    it does not read unless that field keeps its default."""
 
     seed: int = 0
     n_pairs: int | None = None
@@ -126,10 +129,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """Config from JSON values.  ConfigInvalidError when an integer field
-        is not a whole number, ``n`` is below 1, or ``maps`` or
-        ``noise_grid`` is not a list (a string would be read one character
-        per entry)."""
+        """Config from JSON values.  ConfigInvalidError, and no other
+        error, when an integer field is not a whole number, ``n`` is below
+        1, ``maps`` or ``noise_grid`` is not a list (a string would be read
+        one character per entry), a noise level is not a number or is an
+        integer beyond float64, or ``group`` names no GroupAction."""
         n = _whole(d, "n", 2)
         _require(n is not None and n >= 1, f"n must be >= 1, got {n}")
         for key in ("maps", "noise_grid"):
@@ -139,10 +143,10 @@ class ExperimentConfig:
             seed=_seed(_whole(d, "seed", 0)),
             n_pairs=_whole(d, "n_pairs", None),
             db_size=_whole(d, "db_size", None),
-            noise_grid=tuple(float(e) for e in d.get("noise_grid", ())),
+            noise_grid=tuple(_noise_level(e) for e in d.get("noise_grid", ())),
             n_draws=_whole(d, "n_draws", 20),
             maps=tuple(d.get("maps", ())),
-            group=GroupAction(d.get("group", "E")),
+            group=_group(d.get("group", "E")),
             n=n,
             l=_whole(d, "l", 3),
         )
@@ -323,6 +327,10 @@ def _plane_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for w in (za, za.conj()):
         p = (w.conj() * zb).sum(axis=-1)
         m = np.abs(p)
+        tiny = m < 2.0**-1000  # the division's 1/|p| would overflow
+        if tiny.any():
+            p = np.where(tiny, p * 2.0**600, p)  # exact: a power of two
+            m = np.abs(p)
         c = np.where(m > 0.0, p / np.where(m > 0.0, m, 1.0), 1.0)
         r = c[..., None] * w - zb
         e = np.sqrt((r.real * r.real + r.imag * r.imag).sum(axis=-1))
@@ -413,6 +421,47 @@ def _whole(d: dict, key: str, default) -> int | None:
     return None if value is None else int(value)
 
 
+def _noise_level(value) -> float:
+    """A noise level read as a float: any real number but a bool; the
+    studies check its range."""
+    _require(
+        isinstance(value, numbers.Real) and not isinstance(value, bool),
+        f"noise levels must be numbers, got {value!r}",
+    )
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float64, maybe too long to print
+        raise ConfigInvalidError(
+            f"noise levels must be finite and in [0, {MAX_NOISE:g}], got an integer beyond float64"
+        ) from None
+
+
+def _group(value) -> GroupAction:
+    names = [g.value for g in GroupAction]
+    _require(
+        isinstance(value, GroupAction) or (isinstance(value, str) and value in names),
+        f"group must be one of {names}, got {value!r}",
+    )
+    return GroupAction(value)
+
+
+def _require_read(cfg: ExperimentConfig, kind: str) -> None:
+    """ConfigInvalidError when a field that experiment ``kind`` does not
+    read (any but the seed and the keys of ``_DEFAULT_CONFIGS[kind]``)
+    differs from its default, so a report states only what ran."""
+    unread = [
+        f.name
+        for f in fields(cfg)
+        if f.name != "seed"
+        and f.name not in _DEFAULT_CONFIGS[kind]
+        and getattr(cfg, f.name) != f.default
+    ]
+    _require(
+        not unread,
+        f"experiment {kind} reads no field {unread}; it reads {sorted(_DEFAULT_CONFIGS[kind])}",
+    )
+
+
 def _require_count(value, name: str, ceiling: int) -> int:
     _require(
         _is_whole(value) and 1 <= value <= ceiling,
@@ -449,6 +498,7 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     stream at the same words, so the ratio is always well defined.
     """
     seed = _seed(cfg.seed)
+    _require_read(cfg, "distortion")
     _require_count(cfg.n_pairs, "n_pairs", MAX_PAIRS)
     _validate_maps(cfg.maps, (MAP_SIDE_LENGTHS, MAP_TRIANGLE))
     fmaps = [_MAPS[name][0] for name in cfg.maps]
@@ -466,7 +516,7 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         }
     return ExperimentReport(
         kind="distortion",
-        seed=cfg.seed,
+        seed=seed,
         config=cfg.to_dict(),
         ratio_stats=ratio_stats,
         histograms=histograms,
@@ -525,7 +575,15 @@ def _nearest_records(points, metric, db: np.ndarray):
     table = np.full((n, k + 1), np.inf)  # a last column beyond every radius
     for r in _blocks(np.arange(n), n):
         d = metric(records[r, None], records)
-        order[r] = np.argsort(d, axis=1, kind="stable")[:, :k]
+        if k < n:
+            # the first k by (distance, index) without sorting whole rows;
+            # where ties at the k-th distance fall changes no prefix
+            # narrower than k, the only prefixes ranked
+            part = np.argpartition(d, k - 1, axis=1)[:, :k]
+            rank = np.lexsort((part, np.take_along_axis(d, part, axis=1)), axis=1)
+            order[r] = np.take_along_axis(part, rank, axis=1)
+        else:
+            order[r] = np.argsort(d, axis=1, kind="stable")
         table[r, :k] = np.take_along_axis(d, order[r], axis=1)
     norm = np.linalg.norm(records.reshape(n, -1), axis=1).max()
 
@@ -559,6 +617,7 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     classified by its nearest database record under each map's distance.
     """
     seed = _seed(cfg.seed)
+    _require_read(cfg, "classify")
     _require_count(cfg.db_size, "db_size", MAX_DB_SIZE)
     _require_count(cfg.n_draws, "n_draws", MAX_DRAWS)
     _validate_noise_grid(cfg.noise_grid)
@@ -575,7 +634,7 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             rates[name].append(float(np.mean(nearest[name](queries, labels) != labels)))
     return ExperimentReport(
         kind="classification",
-        seed=cfg.seed,
+        seed=seed,
         config=cfg.to_dict(),
         rates={
             "noise_grid": [float(e) for e in cfg.noise_grid],

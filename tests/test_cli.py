@@ -5,10 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from orbitdist import GroupAction, feature_vector, orbit_distance, triangle_embedding
+from orbitdist import (
+    GroupAction,
+    ShapeDatabase,
+    feature_vector,
+    orbit_distance,
+    reducer_for,
+    triangle_embedding,
+)
+from orbitdist import embeddings
 from orbitdist.cli import main
 from orbitdist.experiments import MAX_L
-from orbitdist.io import read_matrix, write_matrix
+from orbitdist.io import load_database, read_matrix, save_database, write_matrix
 
 SQRT2 = np.sqrt(2.0)
 SQRT6 = np.sqrt(6.0)
@@ -183,6 +191,21 @@ class TestEmbed:
         row = capsys.readouterr().out.strip().split(",")
         assert len(row) == expected
 
+    @pytest.mark.parametrize("group, l", [("O", 5), ("F", 6)])
+    def test_reduced_coordinates_have_the_operator_bits(self, tmp_path, capsys, group, l):
+        # the printed coordinates, read back from their 17 digits, have the
+        # bits of the sparse operator applied to the float64 view of the
+        # Gram root (real and imaginary parts interleaved under F)
+        g, rng = GroupAction(group), np.random.default_rng(4)
+        x = rng.standard_normal((2, l)) + (1j * rng.standard_normal((2, l)) if g.is_complex else 0)
+        path = tmp_path / ("m.json" if g.is_complex else "m.csv")
+        write_matrix(path, x)
+        assert main(["embed", "--reduced", "--group", group, str(path)]) == 0
+        got = np.array([float(v) for v in capsys.readouterr().out.split(",")])
+        root = embeddings._block(g, x)[0]
+        want = reducer_for(g, 2, l).basis @ root.view(np.float64).ravel()
+        assert got.tobytes() == want.tobytes()
+
     def test_overflowing_feature_single_error_line(self, tmp_path, capsys):
         # edges of 3e308: the triangle coordinates exceed float64
         f = write_csv(tmp_path / "huge.csv", [[-1.5e308, 1.5e308, 0.0], [0.0, 0.0, 1.5e308]])
@@ -255,6 +278,58 @@ class TestDatabaseCommands:
         for _, embedded, exact in rows:
             assert float(exact) <= float(embedded) + 1e-9
             assert float(embedded) <= SQRT2 * float(exact) + 1e-9
+
+    @pytest.mark.parametrize("size", [2, 12])
+    def test_verified_columns_have_the_bits_of_orbit_distance(self, tmp_path, capsys, size):
+        # every hit verified in one stacked solve: each exact column, read
+        # back from its 17 printed digits, is orbit_distance's float
+        rng = np.random.default_rng(5)
+        files = [write_csv(tmp_path / f"r{i:02d}.csv", rng.standard_normal((2, 6))) for i in range(size)]
+        db_file = str(tmp_path / "db.jsonl")
+        assert main(["db-build", "--group", "E", "--out", db_file] + files) == 0
+        capsys.readouterr()
+        query = files[size // 4]
+        assert main(["db-query", db_file, query, "-k", str(size), "--verify"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.split()]
+        db, q = load_database(db_file), read_matrix(query)
+        assert sorted(rid for rid, _, _ in rows) == sorted(db.ids)
+        for rid, _, exact in rows:
+            assert float(exact) == orbit_distance(GroupAction.EUCLIDEAN, q, db.matrices[db.index_of(rid)])[0]
+
+    def test_screen_near_ties_keep_the_float64_order(self, tmp_path, capsys):
+        # 600 records of 2x6, so the screen's first step runs on a strided
+        # subsample (every second row): copies of record 0 sit on the
+        # subsample and records about 1e-6 from it between them, so the
+        # float32 screen meets near ties around the query
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((600, 2, 6))
+        x[2:42:2] = x[0]
+        x[1:41:2] = x[0] + 1e-6 * rng.standard_normal((20, 2, 6))
+        db_file = tmp_path / "db.jsonl"
+        save_database(db_file, ShapeDatabase(GroupAction.EUCLIDEAN, [(f"s{i:03d}", m) for i, m in enumerate(x)]))
+        query = write_csv(tmp_path / "q.csv", x[0] + 1e-5 * rng.standard_normal((2, 6)))
+        assert main(["db-query", str(db_file), query, "-k", "5"]) == 0
+        got = [(float(d), rid) for rid, d in (line.split(",") for line in capsys.readouterr().out.split())]
+        # the first 5 of a float64 (distance, id) sort of every row
+        db = load_database(db_file)
+        d = db._distances(db.query_feature(read_matrix(query)), np.arange(len(db)))
+        assert got == sorted(zip(d.tolist(), db.ids))[:5]
+
+    def test_distance_beyond_float64_reads_inf(self, tmp_path, capsys):
+        # two finite O features whose distance from the query's is beyond
+        # float64 for one of them: inf, with no warning
+        query = write_csv(tmp_path / "query.csv", [[8e307] * 4, [0.0] * 4])
+        far = write_csv(tmp_path / "far.csv", [[0.0] * 4, [8e307, -8e307, 8e307, -8e307]])
+        near = write_csv(tmp_path / "near.csv", [[4e307] * 4, [0.0] * 4])
+        db_file = str(tmp_path / "db.jsonl")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["db-build", "--group", "O", "--out", db_file, far, near]) == 0
+            capsys.readouterr()
+            assert main(["db-query", db_file, query, "-k", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "far,inf" in captured.out.splitlines()
+        assert captured.err == ""
 
     def test_k_exceeding_size_returns_all(self, tmp_path, capsys):
         files = self.make_inputs(tmp_path, 4)
@@ -359,24 +434,25 @@ class TestExperimentCommand:
         assert report["config"]["n_pairs"] == 400
         assert (out / "distortion.csv").read_text().startswith("map,bin_left,bin_right,count")
 
-    def test_same_seed_byte_identical_reports(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            ("distortion", {"n_pairs": 300}),
+            # the E features at l = 1024 read the centred configuration in
+            # closed-form Helmert coordinates; the n = 1 U ones are
+            # self-correlations by FFT
+            ("lower-constant", {"group": "E", "n": 1, "l": 1024, "n_pairs": 4}),
+            ("lower-constant", {"group": "U", "n": 1, "l": 1024, "n_pairs": 16}),
+        ],
+        ids=["distortion", "lower-constant-E-1024", "lower-constant-U-1024"],
+    )
+    def test_same_seed_byte_identical_reports(self, tmp_path, capsys, kind, config):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_pairs": 300}))
+        cfg.write_text(json.dumps(config))
         outs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            main(
-                [
-                    "experiment",
-                    "distortion",
-                    "--seed",
-                    "77",
-                    "--config",
-                    str(cfg),
-                    "--out",
-                    str(out),
-                ]
-            )
+            assert main(["experiment", kind, "--seed", "77", "--config", str(cfg), "--out", str(out)]) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
@@ -408,10 +484,19 @@ class TestExperimentCommand:
         assert main(["experiment", "distortion", "--config", str(cfg)]) == 6
         assert "error" in capsys.readouterr().err
 
-    def test_malformed_config_exit_6(self, tmp_path, capsys):
+    # a JSON syntax error, a file that is not UTF-8, and an integer longer
+    # than Python converts (json raises a plain ValueError for the last two)
+    @pytest.mark.parametrize(
+        "text",
+        [b"{broken", b"\xff\xfe{}", b'{"n_pairs": 1' + b"0" * 5000 + b"}"],
+        ids=["syntax", "not-utf-8", "int-of-5001-digits"],
+    )
+    def test_malformed_config_exit_6(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{broken")
+        cfg.write_bytes(text)
         assert main(["experiment", "distortion", "--config", str(cfg)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read config {cfg}")
 
     @pytest.mark.parametrize(
         "kind, seed, config",
@@ -470,6 +555,11 @@ class TestExperimentCommand:
             ("classify", '{"maps": "exact"}'),
             ("classify", '{"noise_grid": "0"}'),
             ("distortion", '{"n_pairs": 10, "maps": "side_lengths"}'),
+            # an integer beyond float64, and levels that are not numbers
+            pytest.param("classify", '{"noise_grid": [1' + "0" * 400 + "]}", id="noise-int-beyond-float64"),
+            ("classify", '{"noise_grid": [0.0, "a"]}'),
+            ("classify", '{"noise_grid": [null]}'),
+            ("lower-constant", '{"group": "Z"}'),
         ],
     )
     def test_bad_noise_or_maps_single_error_line(self, tmp_path, capsys, kind, config):

@@ -4,6 +4,7 @@ import json
 import math
 import mpmath
 import tracemalloc
+from unittest import mock
 import warnings
 import numpy as np
 import pytest
@@ -98,6 +99,18 @@ class TestSampler:
             lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, 10, seed=seed)
         with pytest.raises(ConfigInvalidError):
             ExperimentConfig.from_dict({"seed": seed})
+
+    def test_report_carries_the_validated_seed(self):
+        # an integral float or a numpy integer gives the report of the int
+        studies = [
+            lambda s: distortion_experiment(ExperimentConfig(seed=s, n_pairs=10, maps=(MAP_TRIANGLE,))),
+            lambda s: classification_experiment(
+                ExperimentConfig(seed=s, db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,))
+            ),
+            lambda s: lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, 10, seed=s),
+        ]
+        for study in studies:
+            assert len({study(s).to_json() for s in (1, np.int64(1), 1.0)}) == 1
 
     def test_largest_seed_is_accepted(self):
         cfg = ExperimentConfig(seed=2**64 - 1, n_pairs=10, maps=(MAP_TRIANGLE,))
@@ -326,6 +339,8 @@ def plane_pairs(draw):
 class TestPlaneDistances:
     @settings(max_examples=300, deadline=None)
     @given(plane_pairs())
+    # |<a, a>| = 4.3e-320, whose reciprocal is beyond float64
+    @example(pair=(np.array([[0.0, 0.0], [0.0, 2.93354731e-160]]),) * 2)
     def test_matches_high_precision_closed_form(self, pair):
         # a few dozen ulps of the norms, plus 2^-530 where squares underflow
         a, b = pair
@@ -422,10 +437,12 @@ class TestNearestRecords:
         eps=st.sampled_from([0.0, 1e-9, 0.01, 0.05, 0.5, 2.0]),
         duplicates=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
+        # entries per table: rows truncated to 2 or 64 // size records, or whole
+        entries=st.sampled_from([1, 64, experiments._TABLE]),
     )
-    @example(name=MAP_EXACT, size=1, draws=1, eps=0.0, duplicates=0, seed=0)
-    @example(name=MAP_SIDE_LENGTHS, size=39, draws=2, eps=2.0, duplicates=3, seed=1)
-    def test_rate_equals_brute_force(self, name, size, draws, eps, duplicates, seed):
+    @example(name=MAP_EXACT, size=1, draws=1, eps=0.0, duplicates=0, seed=0, entries=experiments._TABLE)
+    @example(name=MAP_SIDE_LENGTHS, size=39, draws=2, eps=2.0, duplicates=3, seed=1, entries=64)
+    def test_rate_equals_brute_force(self, name, size, draws, eps, duplicates, seed, entries):
         rng = np.random.default_rng(seed)
         db = rng.standard_normal((size, 2, 3))
         for _ in range(duplicates):  # an exact copy: ties go to the lower index
@@ -433,7 +450,8 @@ class TestNearestRecords:
         labels = np.repeat(np.arange(size), draws)
         queries = db[labels] + eps * rng.standard_normal((len(labels), 2, 3))
         want = brute_force(queries, db, name)
-        got = nearest(queries, db, labels, name)
+        with mock.patch.object(experiments, "_TABLE", entries):
+            got = nearest(queries, db, labels, name)
         np.testing.assert_array_equal(got, want)
         assert np.mean(got != labels) == np.mean(want != labels)
 
@@ -585,6 +603,48 @@ class TestConfigChecks:
         # maps ('e', 'x', 'a', 'c', 't'), "0" as the grid (0.0,)
         with pytest.raises(ConfigInvalidError, match=f"{key} must be a list"):
             ExperimentConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"group": "Z"},
+            {"group": None},
+            {"group": ["E"]},
+            {"noise_grid": ["a"]},
+            {"noise_grid": [None]},
+            {"noise_grid": [True]},
+            {"noise_grid": [0.0, 10**400]},
+        ],
+        ids=["group-Z", "group-null", "group-list", "noise-string", "noise-null", "noise-bool",
+             "noise-int-beyond-float64"],
+    )
+    def test_from_dict_raises_only_config_invalid(self, d):
+        with pytest.raises(ConfigInvalidError):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("distortion", "group", GroupAction.ORTHOGONAL),
+            ("distortion", "n", 5),
+            ("distortion", "l", 9),
+            ("distortion", "db_size", 5),
+            ("distortion", "noise_grid", (0.0,)),
+            ("distortion", "n_draws", 3),
+            ("classify", "n_pairs", 10),
+            ("classify", "group", GroupAction.UNITARY),
+            ("classify", "n", 5),
+            ("classify", "l", 9),
+        ],
+    )
+    def test_a_field_the_study_does_not_read(self, kind, key, value):
+        # the report would state a value that did not run
+        study, read = {
+            "distortion": (distortion_experiment, dict(n_pairs=10, maps=(MAP_TRIANGLE,))),
+            "classify": (classification_experiment, dict(db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,))),
+        }[kind]
+        with pytest.raises(ConfigInvalidError, match=rf"^experiment {kind} reads no field \['{key}'\]"):
+            study(ExperimentConfig(seed=0, **read, **{key: value}))
 
     def test_from_dict_reads_lists_and_tuples(self):
         cfg = ExperimentConfig.from_dict({"maps": [MAP_EXACT], "noise_grid": (0, 0.5)})

@@ -122,7 +122,7 @@ assert 0.0 < rep.ratio_stats["side_lengths"]["min"] <= rep.ratio_stats["side_len
     ),
     "lower_constant_survey": (
         """
-rep = od.lower_constant_survey(od.GroupAction.ORTHOGONAL, 1, 4, 20, seed=0)
+rep = od.lower_constant_survey(od.GroupAction.ORTHOGONAL, 1, 32, 2000, seed=0)
 assert rep.ratio_stats["reduced"]["min"] > 0.0
 """,
         None,
