@@ -7,7 +7,8 @@
   triangles against a random database under the exact orbit distance and
   both invariant maps, across a noise grid.
 - ``lower_constant_survey``: empirical lower Lipschitz ratio of the
-  reduced (projected) embedding, for which no closed-form constant exists.
+  reduced (projected) embedding, for which no closed-form constant exists;
+  its minimum over random pairs is an upper bound on that constant.
 
 Sampling is counter-based (Salmon et al., SC'11).  For a seed
 ``0 <= k < 2**64``, stream ``s`` is the 64-bit word sequence of
@@ -43,10 +44,13 @@ no SVD), the survey's orbit distances from the Procrustes kernel of
 (by FFT at n = 1, by the sparse projection of the Gram roots at n >= 2),
 and triangle features from the kernels of :mod:`orbitdist.triangles`.
 The classification ranks the queries of each map with one nearest-record
-kernel (:func:`_nearest_records`) whose table of distances between the
-records is built once per study: a query's own record certifies the
-nearest one by the triangle inequality, so only the few records near it
-are ranked, and the result is the exact argmin of the map's distance.
+kernel (:func:`_nearest_records`): a query's own record certifies the
+nearest one by the triangle inequality, so only the records near it in a
+table of feature distances between the records are ranked, and the result
+is the exact argmin of the map's distance.  Each table is built once per
+study: the exact map reads the triangle embedding's through the sqrt(2)
+sandwich, so no exact distance between two records is computed, and the
+side lengths, which have no lower bound, keep their own.
 Neither the distortion nor the classification study loads scipy, nor does
 the survey at n = 1; at n >= 2 it loads ``scipy.sparse`` for the
 reducer's product over its stacks of roots.
@@ -64,7 +68,7 @@ from .errors import ConfigInvalidError
 from .metrics import GroupAction, _procrustes
 from .reduction import _block_size, _reduced_stack, reducer_for
 from .search import _BLOCK
-from .triangles import _side_lengths, _triangle_coords
+from .triangles import _SQRT2, _side_lengths, _triangle_coords
 
 MAP_SIDE_LENGTHS = "side_lengths"
 MAP_TRIANGLE = "triangle_embedding"
@@ -84,12 +88,13 @@ _PAIR_BLOCK = 1 << 14
 # than a workstation has.  The pair studies keep a few float64 ratios per
 # pair (about 0.3 GB at MAX_PAIRS); the classification study keeps a few
 # hundred bytes per noisy query, db_size * n_draws of them (about 0.3 GB
-# at both ceilings), and per map a table of at most _TABLE distances and
-# indices (16 MB).  At n >= 2 each pair of the lower-constant survey
-# holds l x l Gram roots, 16 MB for a complex one at MAX_L, and shares a
-# reducer of at most n * size**2 non-zeros (twice that Hermitian), 16 bytes
-# each (a float64 value and an int64 column, which its CSR container shares):
-# the ceiling, 64 MB, admits every group at n <= 2 and l <= MAX_L.
+# at both ceilings), and at most two record tables (one per index, see
+# _MAPS) of at most _TABLE distances and indices each (16 MB).  At n >= 2
+# each pair of the lower-constant survey holds l x l Gram roots, 16 MB for
+# a complex one at MAX_L, and shares a reducer of at most n * size**2
+# non-zeros (twice that Hermitian), 16 bytes each (a float64 value and an
+# int64 column, which its CSR container shares): the ceiling, 64 MB, admits
+# every group at n <= 2 and l <= MAX_L.
 # At n = 1 a pair holds O(l) entries and no reducer is built.
 MAX_PAIRS = 10**7
 MAX_DB_SIZE = 10**4
@@ -376,12 +381,16 @@ def _feature_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a - b, axis=-1)
 
 
-# each map's points (the triangles or their features) and the metric
-# between them
+# each map's points (the triangles or their features), the metric between
+# them, and its index: the map whose record table the classification reads,
+# and a stretch s with index distance <= s * map distance.  The exact map
+# reads the triangle embedding's table through the sqrt(2) sandwich (the
+# float64 sqrt(2) is above the real one); side lengths have no lower bound,
+# so they keep their own.
 _MAPS = {
-    MAP_EXACT: (lambda x: x, _plane_distances),
-    MAP_SIDE_LENGTHS: (_side_lengths, _feature_distances),
-    MAP_TRIANGLE: (_triangle_coords, _feature_distances),
+    MAP_EXACT: (lambda x: x, _plane_distances, MAP_TRIANGLE, _SQRT2),
+    MAP_SIDE_LENGTHS: (_side_lengths, _feature_distances, MAP_SIDE_LENGTHS, 1.0),
+    MAP_TRIANGLE: (_triangle_coords, _feature_distances, MAP_TRIANGLE, 1.0),
 }
 
 
@@ -528,21 +537,48 @@ def _blocks(rows: np.ndarray, width: int) -> list[np.ndarray]:
     return np.array_split(rows, max(1, -(-len(rows) * width // _PAIRS)))
 
 
-def _nearest_records(points, metric, db: np.ndarray):
-    """``nearest(queries, labels)``: per query, the lowest-index argmin of
-    ``metric`` (between broadcast stacks of the ``points`` of triangles)
-    over every record of ``db``, with its own record ``labels[i]`` as the
-    first candidate.
+def _record_table(points, metric, db: np.ndarray):
+    """``(order, table)``: for each record L of ``db``, the records sorted
+    stably by their computed distance F^(L, j) under ``metric`` between
+    their ``points``, and those distances, then a last column of inf beyond
+    every radius.  A row holds all N records, or the first ``_TABLE`` // N
+    when N^2 do not fit.  Built in ``_PAIRS``-pair blocks."""
+    records = points(db)
+    n = len(records)
+    k = min(n, max(2, _TABLE // n))
+    order = np.empty((n, k), dtype=np.intp)
+    table = np.full((n, k + 1), np.inf)
+    for r in _blocks(np.arange(n), n):
+        d = metric(records[r, None], records)
+        if k < n:
+            # the first k by (distance, index) without sorting whole rows;
+            # where ties at the k-th distance fall changes no prefix
+            # narrower than k, the only prefixes ranked
+            part = np.argpartition(d, k - 1, axis=1)[:, :k]
+            rank = np.lexsort((part, np.take_along_axis(d, part, axis=1)), axis=1)
+            order[r] = np.take_along_axis(part, rank, axis=1)
+        else:
+            order[r] = np.argsort(d, axis=1, kind="stable")
+        table[r, :k] = np.take_along_axis(d, order[r], axis=1)
+    return order, table
 
-    The table, built once, holds for each record L the records sorted
-    stably by their computed distance D^(L, j), and those distances: all
-    N, or the first ``_TABLE`` // N when N^2 do not fit.  By the triangle
-    inequality (Orchard, ICASSP 1991; the lower-bounding lemma of
-    Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994) record j is no
-    farther than L from a query q only if D(L, j) <= 2 d(q, L).  So only
-    the prefix of L's row within ``2 d^(q, L) + 3 delta`` is ranked: none
-    when it is L alone (D^(L, L) is below the slack), every record when it
-    reaches past a truncated row.
+
+def _nearest_records(name: str, index, db: np.ndarray):
+    """``nearest(queries, labels)``: per query, the lowest-index argmin of
+    map ``name``'s distance d over every record of ``db``, with its own
+    record ``labels[i]`` as the first candidate.  ``index`` is the
+    :func:`_record_table` of the map's index (``_MAPS``), whose distance F
+    satisfies F <= s d: the map itself (s = 1), or for the exact map the
+    triangle embedding (s = sqrt(2), the upper end of the sandwich), so
+    that no table of exact distances is built.
+
+    By the triangle inequality (Orchard, ICASSP 1991; the lower-bounding
+    lemma of Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994) record j
+    is no farther than L from a query q only if d(L, j) <= 2 d(q, L), and
+    then F(L, j) <= 2s d(q, L).  So only the prefix of L's row within
+    ``s (2 d^(q, L) + 3 delta) + delta_F`` is ranked under d: none when it
+    is L alone (F^(L, L) = 0), every record when it reaches past a
+    truncated row.
 
     The slack delta = ``_SLACK`` (N_q + N) is absolute, with ``_SLACK`` =
     2^-46 = 128u for u = 2^-53, N_q the norm of the query's points (the
@@ -558,40 +594,41 @@ def _nearest_records(points, metric, db: np.ndarray):
       (||a|| + ||b||) / 2) or not.  The rounding of |c|, of the products,
       the differences and the norm adds about 14u.  A feature distance
       errs by at most about 4u (||a|| + ||b||).
-    - So if d^(q, j) <= d^(q, L), then D^(L, j) <= D(L, j) + 64u N <=
-      d(q, j) + d(q, L) + 64u N <= 2 d^(q, L) + delta.  The radius reads
+    - So if d^(q, j) <= d^(q, L), then d(L, j) <= d(q, j) + d(q, L) <=
+      2 d^(q, L) + 64u (N_q + N), half a delta.  The radius reads
       d^(q, L) from another evaluation, at most 64u (N_q + N) away: one
-      more delta.  The third covers the radius's own rounding, and the at
+      more delta.  The rest covers the radius's own rounding, and the at
       most 2^-530 that underflowing squares and products add to a distance
       when N_q + N > 2^-480, as for any draw of the experiments.
 
-    So every record that ties or beats L is ranked.  The table is built,
-    and open queries are ranked by prefix width, in ``_PAIRS``-pair blocks.
+    The table's slack delta_F = ``_SLACK`` (N_q + N) / 2 = 64u (N_q + N)
+    bounds F^(L, j) - F(L, j).  For a feature map that is its own index it
+    need only cover the 4u of a feature distance.  For the exact map it
+    also covers the rounding of :func:`triangles._triangle_coords` for both
+    records, whose features have the norm of the centred triangle, at most
+    the triangle's.  Its power-of-two scaling is exact; the edge matrix E is
+    computed within 3u ||x|| (Cauchy-Schwarz bounds the three terms of v),
+    which the root, sqrt(2)-Lipschitz in E, turns into 4.3u ||x||; the
+    closed form's products and sums err by a few u ||E||^2 over a
+    denominator t >= ||E||, under 18u ||x|| for the three coordinates.
+    With the 4u of the feature distance, |F^(L, j) - F(L, j)| <= 27u
+    (||L|| + ||j||) <= 54u N.
+
+    So every record that ties or beats L is ranked.  Open queries are
+    ranked by prefix width in ``_PAIRS``-pair blocks.
     """
+    points, metric, _, stretch = _MAPS[name]
+    order, table = index
     records = points(db)
-    n = len(records)
-    k = min(n, max(2, _TABLE // n))
-    order = np.empty((n, k), dtype=np.intp)
-    table = np.full((n, k + 1), np.inf)  # a last column beyond every radius
-    for r in _blocks(np.arange(n), n):
-        d = metric(records[r, None], records)
-        if k < n:
-            # the first k by (distance, index) without sorting whole rows;
-            # where ties at the k-th distance fall changes no prefix
-            # narrower than k, the only prefixes ranked
-            part = np.argpartition(d, k - 1, axis=1)[:, :k]
-            rank = np.lexsort((part, np.take_along_axis(d, part, axis=1)), axis=1)
-            order[r] = np.take_along_axis(part, rank, axis=1)
-        else:
-            order[r] = np.argsort(d, axis=1, kind="stable")
-        table[r, :k] = np.take_along_axis(d, order[r], axis=1)
+    n, k = order.shape
     norm = np.linalg.norm(records.reshape(n, -1), axis=1).max()
 
     def nearest(queries: np.ndarray, labels: np.ndarray) -> np.ndarray:
         q = points(queries)
         blocks = _blocks(np.arange(len(q)), 1)
         own = np.concatenate([metric(q[r], records[labels[r]]) for r in blocks])
-        radius = 2.0 * own + 3.0 * _SLACK * (np.linalg.norm(q.reshape(len(q), -1), axis=1) + norm)
+        slack = _SLACK * (np.linalg.norm(q.reshape(len(q), -1), axis=1) + norm)
+        radius = stretch * (2.0 * own + 3.0 * slack) + 0.5 * slack
         rows = np.flatnonzero(table[labels, 1] <= radius)
         width = np.concatenate(
             [(table[labels[r], :k] <= radius[r, None]).sum(axis=1) for r in _blocks(rows, k)]
@@ -606,6 +643,15 @@ def _nearest_records(points, metric, db: np.ndarray):
         return pred
 
     return nearest
+
+
+def _classifiers(maps, db: np.ndarray) -> dict:
+    """The :func:`_nearest_records` kernel of each map in ``maps`` over
+    ``db``, with one record table per index, shared by the maps it
+    serves."""
+    indexes = dict.fromkeys(_MAPS[name][2] for name in maps)
+    tables = {index: _record_table(*_MAPS[index][:2], db) for index in indexes}
+    return {name: _nearest_records(name, tables[_MAPS[name][2]], db) for name in maps}
 
 
 def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -626,7 +672,7 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     noise = _normals(seed, 1, 0, 6 * cfg.db_size * cfg.n_draws).reshape(-1, 2, 3)
     labels = np.repeat(np.arange(cfg.db_size), cfg.n_draws)
     base = np.repeat(db, cfg.n_draws, axis=0)
-    nearest = {name: _nearest_records(*_MAPS[name], db) for name in cfg.maps}
+    nearest = _classifiers(cfg.maps, db)
     rates = {name: [] for name in cfg.maps}
     for eps in cfg.noise_grid:
         queries = base + eps * noise
@@ -651,10 +697,12 @@ def lower_constant_survey(
 
     No closed-form lower constant is available for the projection, so the
     survey reports the observed minimum and quantiles; the minimum must be
-    strictly positive.  Pairs run in blocks of at most ``search._BLOCK``
-    whose feature step holds at most about 2**14 entries per stack: l x l
-    Gram roots at n >= 2, one row of l per configuration at n = 1, where
-    the reduced features are self-correlations with no root
+    strictly positive.  That minimum is an upper bound on the lower
+    constant, taken from random pairs, which miss the worst directions; it
+    is not an estimate of the constant.  Pairs run in blocks of at most
+    ``search._BLOCK`` whose feature step holds at most about 2**14 entries
+    per stack: l x l Gram roots at n >= 2, one row of l per configuration
+    at n = 1, where the reduced features are self-correlations with no root
     (:func:`reduction._rank_one_stack`).  So the memory of the feature
     step grows with neither ``n_pairs`` nor l.
     """

@@ -38,8 +38,9 @@ SQRT3 = np.sqrt(3.0)
 
 def nearest(queries, db, labels, name=MAP_EXACT):
     """The records that the classification study's kernel for map ``name``
-    finds nearest to the queries, each labelled with its own record."""
-    return experiments._nearest_records(*experiments._MAPS[name], db)(queries, labels)
+    finds nearest to the queries, each labelled with its own record: built
+    as the study builds it, the exact map over the triangle table."""
+    return experiments._classifiers((name,), db)[name](queries, labels)
 
 
 def exact_rate(queries, db, labels):
@@ -48,22 +49,29 @@ def exact_rate(queries, db, labels):
 
 def brute_force(queries, db, name=MAP_EXACT):
     """The argmin over every record, ties to the lowest index."""
-    points, metric = experiments._MAPS[name]
+    points, metric = experiments._MAPS[name][:2]
     return metric(points(queries)[:, None], points(db)).argmin(axis=1)
 
 
-def counting(ranked):
-    """``_plane_distances`` that appends to ``ranked`` the (queries,
-    candidates) shape of each call that ranks queries against candidate
-    lists, the only calls with a ``(m, w, 2, 3)`` second argument: the
-    table's are ``(N, 2, 3)`` records, the own distances' ``(m, 2, 3)``."""
+def counting(monkeypatch, ranked, own=None):
+    """Make the exact map's metric a ``_plane_distances`` that appends to
+    ``ranked`` the (queries, candidates) shape of each call that ranks
+    queries against candidate lists, the calls with a ``(m, w, 2, 3)``
+    second argument, and to ``own`` the length of each call that pairs
+    queries with their own records, ``(m, 2, 3)`` against ``(m, 2, 3)``.
+    With ``own`` given, any other call, such as one pairing records with
+    records, fails."""
 
     def spy(a, b):
         if b.ndim == 4:
             ranked.append(np.broadcast_shapes(a.shape, b.shape)[:2])
+        elif own is not None:
+            assert a.ndim == 3 and a.shape == b.shape, (a.shape, b.shape)
+            own.append(len(a))
         return _plane_distances(a, b)
 
-    return spy
+    points, _, *index = experiments._MAPS[MAP_EXACT]
+    monkeypatch.setitem(experiments._MAPS, MAP_EXACT, (points, spy, *index))
 
 
 class TestSampler:
@@ -411,7 +419,7 @@ class TestNearestRecords:
         if eps == 0.0:
             assert want[labels == 10].tolist() == [3, 3, 3]
         ranked = []
-        monkeypatch.setitem(experiments._MAPS, MAP_EXACT, (lambda x: x, counting(ranked)))
+        counting(monkeypatch, ranked)
         np.testing.assert_array_equal(nearest(queries, db, labels), want)
         # the 18 rows of duplicated records are open at every noise level,
         # and at 2.0 most rows are
@@ -455,20 +463,79 @@ class TestNearestRecords:
         np.testing.assert_array_equal(got, want)
         assert np.mean(got != labels) == np.mean(want != labels)
 
-    def test_ranking_work_at_cli_defaults(self, monkeypatch):
-        # beyond the table and one own distance per query, the exact map
-        # ranks few pairs: the shortlist it replaced ranked 280 000
+    @staticmethod
+    def exact_work_at_cli_defaults(monkeypatch, own=None):
         ranked = []
-        monkeypatch.setitem(experiments._MAPS, MAP_EXACT, (lambda x: x, counting(ranked)))
+        counting(monkeypatch, ranked, own)
         cfg = ExperimentConfig.from_dict(
             dict(experiments._DEFAULT_CONFIGS["classify"], seed=0, maps=[MAP_EXACT])
         )
         classification_experiment(cfg)
-        assert 0 < sum(m * w for m, w in ranked) <= 40_000
+        return sum(m * w for m, w in ranked)
+
+    def test_ranking_work_at_cli_defaults(self, monkeypatch):
+        # beyond one own distance per query, the exact map ranks few pairs:
+        # about 21 000 through the triangle table's sqrt(2)-wider radius
+        # (9337 through a table of exact distances), where the shortlist
+        # before both ranked 280 000
+        assert 0 < self.exact_work_at_cli_defaults(monkeypatch) <= 40_000
+
+    def test_no_exact_distance_between_records(self, monkeypatch):
+        # the exact map reads the triangle table: every exact distance the
+        # study takes pairs a query with its own record or ranks it, where
+        # a table of exact distances would take 500^2 more
+        own = []
+        ranked = self.exact_work_at_cli_defaults(monkeypatch, own)
+        assert sum(own) <= 70_000 and ranked <= 40_000
+
+    def test_nearer_record_beyond_twice_the_own_distance(self, rng):
+        # a query 55% of the way from its record L to a record j that the
+        # triangle features stretch by more than 1.2: j is nearer, yet
+        # F(L, j) > 1.2 d(L, j) > 2 d(q, L), so only the sqrt(2) of the
+        # feature radius lets the exact map rank j
+        a, b = rng.standard_normal((2, 400, 2, 3))
+        stretch = np.linalg.norm(
+            experiments._triangle_coords(a) - experiments._triangle_coords(b), axis=1
+        ) / _plane_distances(a, b)
+        pairs = np.flatnonzero(stretch > 1.2)[:8]
+        assert pairs.size
+        for i in pairs:
+            _, to_b = dist_euclidean(a[i], b[i])
+            query = b[i] + 0.55 * (to_b.apply(a[i]) - b[i])
+            db = np.stack([a[i], b[i]])
+            assert brute_force(query[None], db).tolist() == [0]
+            assert nearest(query[None], db, np.array([1])).tolist() == [0]
+
+    @pytest.mark.parametrize("entries", [1, None], ids=["k=2", "full"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12])
+    def test_rigid_copy_at_a_lower_index(self, monkeypatch, rng, entries, eps):
+        # a record's exact 90-degree rotation plus an integer translation
+        # is at exact distance 0 from it, while their triangle features
+        # differ by round-off: only the slack of the feature radius lets
+        # the exact map rank the copy, to which brute force gives the tie
+        draws = np.random.default_rng(0)
+        a = draws.standard_normal((2000, 2, 3))
+        b = np.array([[0.0, -1.0], [1.0, 0.0]]) @ a + draws.integers(-3, 4, (2000, 2, 1))
+        found = (_plane_distances(a, b) == 0.0) & (
+            experiments._triangle_coords(a) != experiments._triangle_coords(b)
+        ).any(axis=1)
+        i = np.flatnonzero(found)[0]
+        assert _plane_distances(a[i], b[i]) == 0.0
+        assert 0.0 < np.linalg.norm(triangle_embedding(a[i]) - triangle_embedding(b[i])) < 1e-14
+        if entries is not None:
+            monkeypatch.setattr(experiments, "_TABLE", entries)
+        db = rng.standard_normal((20, 2, 3))
+        db[4], db[11] = b[i], a[i]
+        labels = np.full(5, 11)
+        queries = db[labels] + eps * rng.standard_normal((5, 2, 3))
+        want = brute_force(queries, db)
+        if eps == 0.0:
+            assert want.tolist() == [4] * 5
+        np.testing.assert_array_equal(nearest(queries, db, labels), want)
 
     def test_traced_peak_at_cli_defaults(self):
-        # the tables are built in row blocks: in one 500 x 500 broadcast of
-        # _plane_distances the study traces about 50 MB
+        # the tables and the ranking run in blocks of pairs: one 500 x 500
+        # broadcast of _plane_distances would trace about 50 MB
         cfg = ExperimentConfig.from_dict(dict(experiments._DEFAULT_CONFIGS["classify"], seed=0))
         tracemalloc.start()
         try:
@@ -670,22 +737,29 @@ class TestTablesPerStudy:
         [(MAP_EXACT,), (MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE), (MAP_SIDE_LENGTHS,)],
     )
     def test_one_table_per_map_per_study(self, monkeypatch, maps):
+        # one table per index: the exact map reads the triangle table, which
+        # the triangle map shares; the side lengths keep their own
+        tables = {
+            (MAP_EXACT,): (MAP_TRIANGLE,),
+            (MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE): (MAP_TRIANGLE, MAP_SIDE_LENGTHS),
+            (MAP_SIDE_LENGTHS,): (MAP_SIDE_LENGTHS,),
+        }[maps]
         calls = []
-        kernel = experiments._nearest_records
+        kernel = experiments._record_table
 
         def spy(points, metric, db):
             calls.append((points, metric, db))
             return kernel(points, metric, db)
 
-        monkeypatch.setattr(experiments, "_nearest_records", spy)
+        monkeypatch.setattr(experiments, "_record_table", spy)
         cfg = ExperimentConfig(
             seed=4, db_size=30, n_draws=2, noise_grid=(0.0, 0.01, 0.02, 0.05), maps=maps
         )
         rep = classification_experiment(cfg)
         db = _normals(4, 0, 0, 180).reshape(30, 2, 3)
-        assert len(calls) == len(maps)
-        for (points, metric, records), name in zip(calls, maps):
-            assert (points, metric) == experiments._MAPS[name]
+        assert len(calls) == len(tables)
+        for (points, metric, records), name in zip(calls, tables):
+            assert (points, metric) == experiments._MAPS[name][:2]
             np.testing.assert_array_equal(records, db)
         labels = np.repeat(np.arange(30), 2)
         noise = _normals(4, 1, 0, 360).reshape(-1, 2, 3)
