@@ -1,14 +1,14 @@
 """Seeded, reproducible experiments on random triangles and configurations.
 
-- ``distortion_experiment``: ratio of feature distance to euclidean orbit
-  distance over random triangle pairs, for the side-length map and the
-  triangle embedding.
+- ``distortion_experiment`` and ``lower_constant_survey``: one pair study
+  (:func:`_pair_study`) of the ratio of feature distance to orbit distance
+  over random pairs: of triangles for the side-length map and the triangle
+  embedding, of ``(n, l)`` configurations for the reduced (projected)
+  embedding, which has no closed-form lower constant; the survey's minimum
+  is an upper bound on that constant.
 - ``classification_experiment``: nearest-record classification of noisy
   triangles against a random database under the exact orbit distance and
   both invariant maps, across a noise grid.
-- ``lower_constant_survey``: empirical lower Lipschitz ratio of the
-  reduced (projected) embedding, for which no closed-form constant exists;
-  its minimum over random pairs is an upper bound on that constant.
 
 Sampling is counter-based (Salmon et al., SC'11).  For a seed
 ``0 <= k < 2**64``, stream ``s`` is the 64-bit word sequence of
@@ -37,12 +37,12 @@ number, a map list that is empty or holds a repeated or unknown name, or a
 field the study does not read set to other than its default raises
 ConfigInvalidError before anything is drawn or built.
 
-The arithmetic is stacked over blocks of trials.  Triangle orbit
-distances come from a closed-form planar kernel (:func:`_plane_distances`,
-no SVD), the survey's orbit distances from the Procrustes kernel of
-:mod:`orbitdist.metrics`, reduced features from :mod:`orbitdist.reduction`
-(by FFT at n = 1, by the sparse projection of the Gram roots at n >= 2),
-and triangle features from the kernels of :mod:`orbitdist.triangles`.
+The arithmetic is stacked over blocks of trials.  Orbit distances come
+from a closed-form planar kernel for triangles (:func:`_plane_distances`,
+no SVD) and from the Procrustes kernel of :mod:`orbitdist.metrics` for
+every other shape, reduced features from :mod:`orbitdist.reduction` (by
+FFT at n = 1, by the sparse projection of the Gram roots at n >= 2), and
+triangle features from the kernels of :mod:`orbitdist.triangles`.
 The classification ranks the queries of each map with one nearest-record
 kernel (:func:`_nearest_records`): a query's own record certifies the
 nearest one by the triangle inequality, so only the records near it in a
@@ -65,9 +65,9 @@ import numbers
 import numpy as np
 
 from .errors import ConfigInvalidError
+from .features import REDUCED, _is_triangle
 from .metrics import GroupAction, _procrustes
 from .reduction import _block_size, _reduced_stack, reducer_for
-from .search import _BLOCK
 from .triangles import _SQRT2, _side_lengths, _triangle_coords
 
 MAP_SIDE_LENGTHS = "side_lengths"
@@ -81,9 +81,11 @@ _SLACK = 2.0**-46
 _PAIRS = 1 << 16
 _TABLE = 1 << 20
 _HIST_EDGES = np.linspace(0.0, 1.8, 61)
-# Pairs per block in the distortion study, and words per block of the
-# quantile's central branch in _ndtri.
-_PAIR_BLOCK = 1 << 14
+# Words per block of the quantile's central branch in _ndtri, and root
+# entries per stack in a block of the pair study (see _pair_study): few
+# enough to stay in cache.
+_WORDS = 1 << 14
+_BLOCK_ENTRIES = 1 << 14
 # Ceilings on the study sizes, so that a config cannot ask for more memory
 # than a workstation has.  The pair studies keep a few float64 ratios per
 # pair (about 0.3 GB at MAX_PAIRS); the classification study keeps a few
@@ -271,8 +273,8 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     y = u[tail]
     upper = y > 0.5
     y[upper] = 1.0 - y[upper]  # exact for y >= 1/2
-    for lo in range(0, u.size, _PAIR_BLOCK):  # blocks small enough to stay in cache
-        c = u[lo : lo + _PAIR_BLOCK]
+    for lo in range(0, u.size, _WORDS):
+        c = u[lo : lo + _WORDS]
         c -= 0.5
         c2 = c * c
         r = _polevl(c2, _P0)
@@ -351,46 +353,21 @@ def _config_pairs(group: GroupAction, n: int, l: int, rows: np.ndarray):
     return rows[:, : n * l].reshape(-1, n, l), rows[:, n * l :].reshape(-1, n, l)
 
 
-def _pair_ratios(
-    group: GroupAction, n: int, l: int, seed: int, n_pairs: int, block: int, distance, gaps
-):
-    """``gaps(A, B) / distance(A, B)``, one row per trial, over ``n_pairs``
-    random pairs of ``(n, l)`` configurations drawn as the module docstring
-    says; ``distance`` maps two stacks to their ``d_G``.  Each block of
-    ``block`` pairs is drawn, measured and redrawn on its own, so memory
-    does not grow with n_pairs."""
-    per = 2 * n * l * (2 if group.is_complex else 1)
-
-    def distances(rows: np.ndarray) -> np.ndarray:
-        return distance(*_config_pairs(group, n, l, rows))
-
-    ratios = []
-    for lo in range(0, n_pairs, block):
-        rows = _normals(seed, 0, per * lo, per * min(block, n_pairs - lo)).reshape(-1, per)
-        d = distances(rows)
-        bad, stream = np.flatnonzero(d < _DEGENERATE), 1
-        while bad.size:
-            rows[bad] = [_normals(seed, stream, per * (lo + i), per) for i in bad]
-            d[bad] = distances(rows[bad])
-            bad, stream = bad[d[bad] < _DEGENERATE], stream + 1
-        ratios.append(gaps(*_config_pairs(group, n, l, rows)) / d[:, None])
-    return np.concatenate(ratios)
-
-
 def _feature_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a - b, axis=-1)
 
 
-# each map's points (the triangles or their features), the metric between
-# them, and its index: the map whose record table the classification reads,
-# and a stretch s with index distance <= s * map distance.  The exact map
-# reads the triangle embedding's table through the sqrt(2) sandwich (the
-# float64 sqrt(2) is above the real one); side lengths have no lower bound,
-# so they keep their own.
+# each map's points (the configurations or their features) under a group,
+# the metric between them, and its index: the map whose record table the
+# classification reads, and a stretch s with index distance <= s * map
+# distance.  The exact map reads the triangle embedding's table through the
+# sqrt(2) sandwich (the float64 sqrt(2) is above the real one); side lengths
+# have no lower bound, so they keep their own.
 _MAPS = {
-    MAP_EXACT: (lambda x: x, _plane_distances, MAP_TRIANGLE, _SQRT2),
-    MAP_SIDE_LENGTHS: (_side_lengths, _feature_distances, MAP_SIDE_LENGTHS, 1.0),
-    MAP_TRIANGLE: (_triangle_coords, _feature_distances, MAP_TRIANGLE, 1.0),
+    MAP_EXACT: (lambda group, x: x, _plane_distances, MAP_TRIANGLE, _SQRT2),
+    MAP_SIDE_LENGTHS: (lambda group, x: _side_lengths(x), _feature_distances, MAP_SIDE_LENGTHS, 1.0),
+    MAP_TRIANGLE: (lambda group, x: _triangle_coords(x), _feature_distances, MAP_TRIANGLE, 1.0),
+    REDUCED: (_reduced_stack, _feature_distances, REDUCED, 1.0),
 }
 
 
@@ -499,6 +476,58 @@ def _validate_maps(maps, allowed: tuple[str, ...]) -> None:
     )
 
 
+def _pair_study(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
+    """Report ``kind`` of the ratios ``||f(A) - f(B)|| / d_G(A, B)`` of
+    each map f of ``cfg.maps`` over ``cfg.n_pairs`` random pairs drawn as
+    the module docstring says; ``cfg`` is validated.  Beside the ratio
+    statistics, the reduced map reports quantiles, the triangle maps
+    histograms.
+
+    Each block of pairs is drawn, measured and redrawn on its own, and
+    holds about ``_BLOCK_ENTRIES`` root entries per stack: l x l per
+    configuration at n >= 2, l at n = 1, where reduced features are
+    self-correlations with no root (:func:`reduction._rank_one_stack`).
+    So memory grows with neither ``n_pairs`` nor l.
+    """
+    group, seed, n_pairs, n, l = cfg.group, int(cfg.seed), int(cfg.n_pairs), int(cfg.n), int(cfg.l)
+    per = 2 * n * l * (2 if group.is_complex else 1)
+    block = max(1, _BLOCK_ENTRIES // (l if n == 1 else l * l))
+    maps = [_MAPS[name][:2] for name in cfg.maps]
+
+    def distances(rows: np.ndarray) -> np.ndarray:
+        a, b = _config_pairs(group, n, l, rows)
+        return _plane_distances(a, b) if _is_triangle(group, a) else _procrustes(group, a, b)[0]
+
+    ratios = []
+    for lo in range(0, n_pairs, block):
+        rows = _normals(seed, 0, per * lo, per * min(block, n_pairs - lo)).reshape(-1, per)
+        d = distances(rows)
+        bad, stream = np.flatnonzero(d < _DEGENERATE), 1
+        while bad.size:
+            rows[bad] = [_normals(seed, stream, per * (lo + i), per) for i in bad]
+            d[bad] = distances(rows[bad])
+            bad, stream = bad[d[bad] < _DEGENERATE], stream + 1
+        a, b = _config_pairs(group, n, l, rows)
+        gaps = [metric(points(group, a), points(group, b)) for points, metric in maps]
+        ratios.append(np.stack(gaps, axis=1) / d[:, None])
+    ratio_stats, histograms = {}, {}
+    for name, r in zip(cfg.maps, np.concatenate(ratios).T):
+        ratio_stats[name] = _ratio_stats(r)
+        if name == REDUCED:
+            ratio_stats[name]["quantiles"] = {
+                str(q): float(np.quantile(r, q)) for q in (0.001, 0.01, 0.05, 0.25, 0.5)
+            }
+        else:
+            counts, _ = np.histogram(r, bins=_HIST_EDGES)
+            histograms[name] = {
+                "edges": [float(e) for e in _HIST_EDGES],
+                "counts": [int(c) for c in counts],
+            }
+    return ExperimentReport(
+        kind=kind, seed=seed, config=cfg.to_dict(), ratio_stats=ratio_stats, histograms=histograms
+    )
+
+
 def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Ratio distribution of feature distance over orbit distance for
     random triangle pairs with standard normal vertex coordinates.
@@ -506,30 +535,11 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Pairs closer than 1e-12 in orbit distance are redrawn from the next
     stream at the same words, so the ratio is always well defined.
     """
-    seed = _seed(cfg.seed)
+    _seed(cfg.seed)
     _require_read(cfg, "distortion")
     _require_count(cfg.n_pairs, "n_pairs", MAX_PAIRS)
     _validate_maps(cfg.maps, (MAP_SIDE_LENGTHS, MAP_TRIANGLE))
-    fmaps = [_MAPS[name][0] for name in cfg.maps]
-    ratios = _pair_ratios(
-        GroupAction.EUCLIDEAN, 2, 3, seed, cfg.n_pairs, _PAIR_BLOCK, _plane_distances,
-        lambda a, b: np.stack([np.linalg.norm(f(a) - f(b), axis=1) for f in fmaps], axis=1),
-    )
-    ratio_stats, histograms = {}, {}
-    for name, r in zip(cfg.maps, ratios.T):
-        ratio_stats[name] = _ratio_stats(r)
-        counts, _ = np.histogram(r, bins=_HIST_EDGES)
-        histograms[name] = {
-            "edges": [float(e) for e in _HIST_EDGES],
-            "counts": [int(c) for c in counts],
-        }
-    return ExperimentReport(
-        kind="distortion",
-        seed=seed,
-        config=cfg.to_dict(),
-        ratio_stats=ratio_stats,
-        histograms=histograms,
-    )
+    return _pair_study(cfg, "distortion")
 
 
 def _blocks(rows: np.ndarray, width: int) -> list[np.ndarray]:
@@ -543,7 +553,7 @@ def _record_table(points, metric, db: np.ndarray):
     their ``points``, and those distances, then a last column of inf beyond
     every radius.  A row holds all N records, or the first ``_TABLE`` // N
     when N^2 do not fit.  Built in ``_PAIRS``-pair blocks."""
-    records = points(db)
+    records = points(GroupAction.EUCLIDEAN, db)
     n = len(records)
     k = min(n, max(2, _TABLE // n))
     order = np.empty((n, k), dtype=np.intp)
@@ -576,7 +586,7 @@ def _nearest_records(name: str, index, db: np.ndarray):
     lemma of Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994) record j
     is no farther than L from a query q only if d(L, j) <= 2 d(q, L), and
     then F(L, j) <= 2s d(q, L).  So only the prefix of L's row within
-    ``s (2 d^(q, L) + 3 delta) + delta_F`` is ranked under d: none when it
+    ``s (2 d^(q, L) + 3 delta)`` is ranked under d: none when it
     is L alone (F^(L, L) = 0), every record when it reaches past a
     truncated row.
 
@@ -597,38 +607,41 @@ def _nearest_records(name: str, index, db: np.ndarray):
     - So if d^(q, j) <= d^(q, L), then d(L, j) <= d(q, j) + d(q, L) <=
       2 d^(q, L) + 64u (N_q + N), half a delta.  The radius reads
       d^(q, L) from another evaluation, at most 64u (N_q + N) away: one
-      more delta.  The rest covers the radius's own rounding, and the at
-      most 2^-530 that underflowing squares and products add to a distance
-      when N_q + N > 2^-480, as for any draw of the experiments.
-
-    The table's slack delta_F = ``_SLACK`` (N_q + N) / 2 = 64u (N_q + N)
-    bounds F^(L, j) - F(L, j).  For a feature map that is its own index it
-    need only cover the 4u of a feature distance.  For the exact map it
-    also covers the rounding of :func:`triangles._triangle_coords` for both
-    records, whose features have the norm of the centred triangle, at most
-    the triangle's.  Its power-of-two scaling is exact; the edge matrix E is
-    computed within 3u ||x|| (Cauchy-Schwarz bounds the three terms of v),
-    which the root, sqrt(2)-Lipschitz in E, turns into 4.3u ||x||; the
-    closed form's products and sums err by a few u ||E||^2 over a
-    denominator t >= ||E||, under 18u ||x|| for the three coordinates.
-    With the 4u of the feature distance, |F^(L, j) - F(L, j)| <= 27u
-    (||L|| + ||j||) <= 54u N.
+      more delta.  So F(L, j) <= s d(L, j) <= s (2 d^(q, L) + 1.5 delta).
+    - The table's F^(L, j) errs by at most 54u N, under delta / 2.  For a
+      feature map that is its own index only the 4u (||L|| + ||j||) of a
+      feature distance counts.  For the exact map add the rounding of
+      :func:`triangles._triangle_coords` for both records, whose features
+      have the norm of the centred triangle, at most the triangle's.  Its
+      power-of-two scaling is exact; the edge matrix E is computed within
+      3u ||x|| (Cauchy-Schwarz bounds the three terms of v), which the root,
+      sqrt(2)-Lipschitz in E, turns into 4.3u ||x||; the closed form's
+      products and sums err by a few u ||E||^2 over a denominator
+      t >= ||E||, under 18u ||x|| for the three coordinates.  With the 4u
+      of the feature distance, |F^(L, j) - F(L, j)| <= 27u (||L|| + ||j||)
+      <= 54u N.
+    - So the inner slack's spare 1.5 delta, at least 1.5 delta once
+      stretched (s >= 1), covers two things: the table's rounding, under
+      delta / 2, and with a delta to spare the radius's own rounding (a few
+      u of it, under 10u (N_q + N)) and the at most 2^-530 that
+      underflowing squares and products add to a distance when
+      N_q + N > 2^-480, as for any draw of the experiments.
 
     So every record that ties or beats L is ranked.  Open queries are
     ranked by prefix width in ``_PAIRS``-pair blocks.
     """
     points, metric, _, stretch = _MAPS[name]
     order, table = index
-    records = points(db)
+    records = points(GroupAction.EUCLIDEAN, db)
     n, k = order.shape
     norm = np.linalg.norm(records.reshape(n, -1), axis=1).max()
 
     def nearest(queries: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        q = points(queries)
+        q = points(GroupAction.EUCLIDEAN, queries)
         blocks = _blocks(np.arange(len(q)), 1)
         own = np.concatenate([metric(q[r], records[labels[r]]) for r in blocks])
         slack = _SLACK * (np.linalg.norm(q.reshape(len(q), -1), axis=1) + norm)
-        radius = stretch * (2.0 * own + 3.0 * slack) + 0.5 * slack
+        radius = stretch * (2.0 * own + 3.0 * slack)
         rows = np.flatnonzero(table[labels, 1] <= radius)
         width = np.concatenate(
             [(table[labels[r], :k] <= radius[r, None]).sum(axis=1) for r in _blocks(rows, k)]
@@ -699,12 +712,8 @@ def lower_constant_survey(
     survey reports the observed minimum and quantiles; the minimum must be
     strictly positive.  That minimum is an upper bound on the lower
     constant, taken from random pairs, which miss the worst directions; it
-    is not an estimate of the constant.  Pairs run in blocks of at most
-    ``search._BLOCK`` whose feature step holds at most about 2**14 entries
-    per stack: l x l Gram roots at n >= 2, one row of l per configuration
-    at n = 1, where the reduced features are self-correlations with no root
-    (:func:`reduction._rank_one_stack`).  So the memory of the feature
-    step grows with neither ``n_pairs`` nor l.
+    is not an estimate of the constant.  Pairs run in blocks whose memory
+    grows with neither ``n_pairs`` nor l (see :func:`_pair_study`).
     """
     seed = _seed(seed)
     n_pairs = _require_count(n_pairs, "n_pairs", MAX_PAIRS)
@@ -719,24 +728,5 @@ def lower_constant_survey(
         f"more than {MAX_REDUCER_NNZ}",
     )
     reducer_for(group, n, l)
-    block = min(_BLOCK, max(1, (1 << 14) // (l if n == 1 else l * l)))
-
-    def gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        gap = _reduced_stack(group, a) - _reduced_stack(group, b)
-        return np.linalg.norm(gap, axis=1, keepdims=True)
-
-    def distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _procrustes(group, a, b)[0]
-
-    ratios = _pair_ratios(group, n, l, seed, n_pairs, block, distance, gaps)[:, 0]
-    stats = _ratio_stats(ratios)
-    stats["quantiles"] = {
-        str(q): float(np.quantile(ratios, q)) for q in (0.001, 0.01, 0.05, 0.25, 0.5)
-    }
-    cfg = ExperimentConfig(seed=seed, n_pairs=n_pairs, maps=("reduced",), group=group, n=n, l=l)
-    return ExperimentReport(
-        kind="lower_constant",
-        seed=seed,
-        config=cfg.to_dict(),
-        ratio_stats={"reduced": stats},
-    )
+    cfg = ExperimentConfig(seed=seed, n_pairs=n_pairs, maps=(REDUCED,), group=group, n=n, l=l)
+    return _pair_study(cfg, "lower_constant")

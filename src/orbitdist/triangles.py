@@ -64,7 +64,8 @@ def side_lengths(t) -> np.ndarray:
 
 def _triangle_coords(x: np.ndarray) -> np.ndarray:
     """:func:`triangle_embedding` of every triangle in a validated
-    ``(..., 2, 3)`` stack."""
+    ``(..., 2, 3)`` stack, coordinates outermost in memory as in
+    :func:`_side_lengths`: a norm over them runs as whole-array adds."""
     x, c = _unit_scaled(x)
     u = (x[..., 1] - x[..., 0]) / _SQRT2
     v = (2.0 * x[..., 2] - x[..., 0] - x[..., 1]) / _SQRT6
@@ -74,8 +75,8 @@ def _triangle_coords(x: np.ndarray) -> np.ndarray:
     # t = 0 only for coincident vertices, where every numerator is 0 too
     t = np.where(t > 0.0, t, 1.0)
     r = _SQRT2 * t
-    coords = np.stack([(g11 - g22) / r, _SQRT2 * g12 / t, (g11 + g22 + 2.0 * s) / r], axis=-1)
-    return _unscaled(coords, c)
+    coords = np.stack([(g11 - g22) / r, _SQRT2 * g12 / t, (g11 + g22 + 2.0 * s) / r])
+    return _unscaled(np.moveaxis(coords, 0, -1), c)
 
 
 def triangle_embedding(t) -> np.ndarray:

@@ -50,7 +50,8 @@ def exact_rate(queries, db, labels):
 def brute_force(queries, db, name=MAP_EXACT):
     """The argmin over every record, ties to the lowest index."""
     points, metric = experiments._MAPS[name][:2]
-    return metric(points(queries)[:, None], points(db)).argmin(axis=1)
+    q, records = (points(GroupAction.EUCLIDEAN, x) for x in (queries, db))
+    return metric(q[:, None], records).argmin(axis=1)
 
 
 def counting(monkeypatch, ranked, own=None):
@@ -183,7 +184,8 @@ def _triangle_case():
         cfg = ExperimentConfig(seed=17, n_pairs=60, maps=(MAP_SIDE_LENGTHS, MAP_TRIANGLE))
         return distortion_experiment(cfg).ratio_stats[MAP_TRIANGLE]
 
-    return 12, pair, lambda a, b: dist_euclidean(a, b)[0], ratio, run, "_PAIR_BLOCK"
+    # 16 pairs of 3 x 3 roots per block
+    return 12, pair, lambda a, b: dist_euclidean(a, b)[0], ratio, run, 16 * 3 * 3
 
 
 def _survey_case(group, n, l):
@@ -201,13 +203,15 @@ def _survey_case(group, n, l):
         return lower_constant_survey(group, n, l, 60, seed=17).ratio_stats["reduced"]
 
     per = 2 * n * l * (2 if group.is_complex else 1)
-    return per, pair, lambda a, b: orbit_distance(group, a, b)[0], ratio, run, "_BLOCK"
+    # 16 pairs of rows of l per block
+    return per, pair, lambda a, b: orbit_distance(group, a, b)[0], ratio, run, 16 * l
 
 
 class TestRedraw:
     """Pairs below the degeneracy threshold are redrawn from stream r at
-    the same words; forced here by raising the threshold, with blocks of
-    16 pairs so that redraws fall in several blocks."""
+    the same words; forced here by raising the threshold, with the block
+    rule set to 16 pairs per block so that redraws fall in several
+    blocks."""
 
     @pytest.mark.parametrize(
         "case",
@@ -219,11 +223,11 @@ class TestRedraw:
         ids=["distortion", "lower-constant-O", "lower-constant-U"],
     )
     def test_redrawn_pairs_come_from_stream_r(self, monkeypatch, case):
-        per, pair, distance, ratio, run, block_name = case()
+        per, pair, distance, ratio, run, entries = case()
         first = [distance(*pair(_normals(17, 0, per * i, per))) for i in range(60)]
         threshold = float(np.median(first))
         monkeypatch.setattr(experiments, "_DEGENERATE", threshold)
-        monkeypatch.setattr(experiments, block_name, 16)
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
         calls = []
 
         def spy(seed, stream, start, count):
@@ -240,11 +244,48 @@ class TestRedraw:
                 redraws.append((stream, per * i, per))
                 row = _normals(17, stream, per * i, per)
             ratios.append(ratio(*pair(row)))
+        blocks = [(0, per * lo, per * min(16, 60 - lo)) for lo in range(0, 60, 16)]
+        assert [c for c in calls if c[0] == 0] == blocks
         assert sorted(c for c in calls if c[0] >= 1) == sorted(redraws)
         assert len(redraws) >= 30 and max(r[0] for r in redraws) >= 2
         assert all(np.isfinite(stats[k]) for k in ("min", "max", "mean", "std"))
         for key, value in (("min", min(ratios)), ("max", max(ratios)), ("mean", np.mean(ratios))):
             assert stats[key] == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, config, block",
+    [
+        # the rule's default: 2**14 // 9 pairs of 3 x 3 roots, 2**14 // l
+        # pairs of rows of l at n = 1
+        ("distortion", {}, 1820),
+        *[("lower-constant", {"group": g, "n": 1, "l": 16}, 1024) for g in "OEUF"],
+    ],
+    ids=["distortion", *[f"lower-constant-{g}" for g in "OEUF"]],
+)
+def test_report_bytes_do_not_depend_on_the_block(monkeypatch, tmp_path, kind, config, block):
+    from orbitdist.cli import main
+
+    # the default rule runs two blocks, one entry per block runs each pair alone
+    n_pairs = block + 100
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(config, n_pairs=n_pairs)))
+    blocks, reports = [], []
+
+    def spy(seed, stream, start, count):
+        blocks[-1] += stream == 0
+        return _normals(seed, stream, start, count)
+
+    monkeypatch.setattr(experiments, "_normals", spy)
+    for entries in (experiments._BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+        blocks.append(0)
+        out = tmp_path / str(entries)
+        argv = ["experiment", kind, "--seed", "4", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert blocks == [2, n_pairs]
+    assert reports[0] == reports[1]
 
 
 class TestDistortionExperiment:
@@ -770,6 +811,23 @@ class TestTablesPerStudy:
             ]
             assert rep.rates["misclassification"][name] == want
 
+    @pytest.mark.parametrize("name", [MAP_SIDE_LENGTHS, MAP_TRIANGLE])
+    def test_feature_layout_keeps_the_table_bits(self, name):
+        # both feature maps lay their coordinates outermost, so the table's
+        # norms run as whole-array adds; a C-ordered copy gives the same bits
+        points, metric = experiments._MAPS[name][:2]
+        db = _normals(6, 0, 0, 6 * 300).reshape(300, 2, 3)
+        assert not points(GroupAction.EUCLIDEAN, db).flags.c_contiguous
+
+        def c_ordered(group, x):
+            return np.ascontiguousarray(points(group, x))
+
+        for got, want in zip(
+            experiments._record_table(points, metric, db),
+            experiments._record_table(c_ordered, metric, db),
+        ):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestLowerConstantSurvey:
     def test_positive_minimum_and_sqrt2_upper(self):
@@ -823,11 +881,14 @@ class TestLowerConstantSurvey:
             (GroupAction.EUCLIDEAN, 1, 5),
             (GroupAction.UNITARY, 1, 3),
             (GroupAction.COMPLEX_EUCLIDEAN, 1, 4),
+            (GroupAction.EUCLIDEAN, 2, 6),
+            (GroupAction.UNITARY, 2, 5),
         ],
     )
     def test_batched_ratios_match_scalar_loop(self, monkeypatch, group, n, l):
-        # blocks of 16 pairs, so 50 pairs cross three block boundaries
-        monkeypatch.setattr(experiments, "_BLOCK", 16)
+        # the block rule set to 16 pairs of roots (l x l at n >= 2, a row
+        # of l at n = 1), so 50 pairs cross three block boundaries
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 16 * (l if n == 1 else l * l))
         rep = lower_constant_survey(group, n, l, 50, seed=9)
         per = 2 * n * l * (2 if group.is_complex else 1)
         reducer = reducer_for(group, n, l)
@@ -840,39 +901,6 @@ class TestLowerConstantSurvey:
         for key, value in (("min", min(ratios)), ("max", max(ratios)), ("mean", np.mean(ratios))):
             assert s[key] == pytest.approx(value, rel=1e-12)
         assert s["quantiles"]["0.5"] == pytest.approx(np.quantile(ratios, 0.5), rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "group, l",
-        [
-            (GroupAction.ORTHOGONAL, 4),
-            (GroupAction.EUCLIDEAN, 5),
-            (GroupAction.UNITARY, 3),
-            (GroupAction.COMPLEX_EUCLIDEAN, 4),
-        ],
-    )
-    def test_report_bytes_do_not_depend_on_the_block(self, monkeypatch, tmp_path, group, l):
-        from orbitdist.cli import main
-
-        # at n = 1 and small l the block is search._BLOCK; 1 runs each pair alone
-        default = experiments._BLOCK
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"group": group.value, "n": 1, "l": l, "n_pairs": default + 100}))
-        blocks, reports = [], []
-        pair_ratios = experiments._pair_ratios
-
-        def spy(*args):
-            blocks.append(args[5])
-            return pair_ratios(*args)
-
-        monkeypatch.setattr(experiments, "_pair_ratios", spy)
-        for block in (default, 1):
-            monkeypatch.setattr(experiments, "_BLOCK", block)
-            out = tmp_path / str(block)
-            argv = ["experiment", "lower-constant", "--seed", "4", "--config", str(cfg), "--out", str(out)]
-            assert main(argv) == 0
-            reports.append((out / "report.json").read_bytes())
-        assert blocks == [default, 1]
-        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("bad", [None, 0, experiments.MAX_PAIRS + 1])
     def test_invalid_n_pairs(self, bad):
