@@ -27,15 +27,21 @@ reading the same words of stream ``r``.  The classification study reads
 its database from words ``[0, 6*db_size)`` of stream 0 and the noise of
 query ``q`` from words ``[6q, 6q+6)`` of stream 1.
 
-Study sizes have ceilings: ``n_pairs`` at most ``MAX_PAIRS`` (10**7),
-``db_size`` at most ``MAX_DB_SIZE`` (10**4), ``n_draws`` at most
-``MAX_DRAWS`` (100), the survey's ``l`` at most ``MAX_L`` (1024) and its
-reducer at most ``MAX_REDUCER_NNZ`` (2**22) non-zeros, and each noise level
-is finite and at most ``MAX_NOISE`` (1e100).  A size outside
-``[1, ceiling]``, an ``n`` below 1, an integer field that is not a whole
-number, a map list that is empty or holds a repeated or unknown name, or a
-field the study does not read set to other than its default raises
-ConfigInvalidError before anything is drawn or built.
+Every config field is checked in one place, the table ``_CHECKS``, which
+maps each field to the function that returns it in canonical form (an
+int, a tuple of floats, a GroupAction, a tuple of map names).
+``ExperimentConfig.from_dict`` runs it on the keys it is given, and each
+of the three entries runs it, through :func:`_validated`, on the seed and
+every field its study reads.  Study sizes have ceilings: ``n_pairs`` at
+most ``MAX_PAIRS`` (10**7), ``db_size`` at most ``MAX_DB_SIZE`` (10**4),
+``n_draws`` at most ``MAX_DRAWS`` (100), the survey's ``l`` at most
+``MAX_L`` (1024) and its reducer at most ``MAX_REDUCER_NNZ`` (2**22)
+non-zeros, and each noise level is finite and at most ``MAX_NOISE``
+(1e100).  A size outside ``[1, ceiling]``, an ``n`` below 1, an integer
+field that is not a whole number, a map list that is empty or holds a
+repeated name or one its study does not run, or a field the study does
+not read set to other than its default raises ConfigInvalidError before
+anything is drawn or built.
 
 The arithmetic is stacked over blocks of trials.  Orbit distances come
 from a closed-form planar kernel for triangles (:func:`_plane_distances`,
@@ -57,7 +63,7 @@ reducer's product over its stacks of roots.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 import json
 import math
 import numbers
@@ -108,8 +114,10 @@ MAX_NOISE = 1e100  # far below the float64 range: no square of a query overflows
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs shared by the experiment drivers.  A study refuses a field
-    it does not read unless that field keeps its default."""
+    """Inputs shared by the experiment drivers, as given: each entry
+    checks them by ``_CHECKS`` and runs, and reports, their canonical
+    form.  A study refuses a field it does not read unless that field
+    keeps its default."""
 
     seed: int = 0
     n_pairs: int | None = None
@@ -136,27 +144,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """Config from JSON values.  ConfigInvalidError, and no other
-        error, when an integer field is not a whole number, ``n`` is below
-        1, ``maps`` or ``noise_grid`` is not a list (a string would be read
-        one character per entry), a noise level is not a number or is an
-        integer beyond float64, or ``group`` names no GroupAction."""
-        n = _whole(d, "n", 2)
-        _require(n is not None and n >= 1, f"n must be >= 1, got {n}")
-        for key in ("maps", "noise_grid"):
-            value = d.get(key, ())
-            _require(isinstance(value, (list, tuple)), f"{key} must be a list, got {value!r}")
-        return ExperimentConfig(
-            seed=_seed(_whole(d, "seed", 0)),
-            n_pairs=_whole(d, "n_pairs", None),
-            db_size=_whole(d, "db_size", None),
-            noise_grid=tuple(_noise_level(e) for e in d.get("noise_grid", ())),
-            n_draws=_whole(d, "n_draws", 20),
-            maps=tuple(d.get("maps", ())),
-            group=_group(d.get("group", "E")),
-            n=n,
-            l=_whole(d, "l", 3),
+        """Config from JSON values, each key given checked by ``_CHECKS``
+        and put in canonical form; a key not given keeps its default.
+        ConfigInvalidError, and no other error, when a key names no field
+        or a value fails its field's check: an integer field that is not a
+        whole number in its range, ``maps`` or ``noise_grid`` that is not
+        a list (a string would be read one character per entry), a noise
+        level that is not a number in range, or a ``group`` that names no
+        GroupAction."""
+        unknown = [key for key in d if key not in _CHECKS]
+        _require(
+            not unknown, f"an experiment config has no field {unknown}; its fields are {list(_CHECKS)}"
         )
+        return ExperimentConfig(**{key: _CHECKS[key](value) for key, value in d.items()})
 
 
 # Defaults of each ``orbitdist experiment`` kind, and the keys it reads: a
@@ -193,11 +193,6 @@ class ExperimentReport:
 
 # ---------------------------------------------------------------------------
 # seeded sampling
-
-
-def _seed(seed: int) -> int:
-    _require(_is_whole(seed) and 0 <= seed < 1 << 64, f"seed must be in [0, 2**64), got {seed}")
-    return int(seed)
 
 
 def _normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -401,25 +396,52 @@ def _is_whole(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _whole(d: dict, key: str, default) -> int | None:
-    value = d.get(key, default)
-    _require(value is None or _is_whole(value), f"{key} must be an integer, got {value!r}")
-    return None if value is None else int(value)
+def _integer(name: str, low: int, high: int | None = None):
+    """The check of an integer field: a whole number in [low, high]."""
+    span = f">= {low}" if high is None else f"in [{low}, {high}]"
+
+    def check(value) -> int:
+        _require(
+            _is_whole(value) and low <= value and (high is None or value <= high),
+            f"{name} must be an integer {span}, got {value!r}",
+        )
+        return int(value)
+
+    return check
 
 
-def _noise_level(value) -> float:
-    """A noise level read as a float: any real number but a bool; the
-    studies check its range."""
-    _require(
-        isinstance(value, numbers.Real) and not isinstance(value, bool),
-        f"noise levels must be numbers, got {value!r}",
-    )
+def _list(name: str, value) -> None:
+    # a string would be read one character per entry
+    _require(isinstance(value, (list, tuple)), f"{name} must be a list, got {value!r}")
+
+
+def _noise_grid(value) -> tuple[float, ...]:
+    """A nonempty, strictly increasing list of real numbers (no bools) in
+    [0, MAX_NOISE], as floats."""
+    _list("noise_grid", value)
+    bad = [e for e in value if not isinstance(e, numbers.Real) or isinstance(e, bool)]
+    _require(not bad, f"noise levels must be numbers, got {bad[:1]!r}")
+    span = f"noise levels must be finite and in [0, {MAX_NOISE:g}]"
     try:
-        return float(value)
+        grid = tuple(float(e) for e in value)
     except OverflowError:  # an integer beyond float64, maybe too long to print
-        raise ConfigInvalidError(
-            f"noise levels must be finite and in [0, {MAX_NOISE:g}], got an integer beyond float64"
-        ) from None
+        raise ConfigInvalidError(f"{span}, got an integer beyond float64") from None
+    _require(len(grid) >= 1, "noise_grid must be nonempty")
+    _require(all(0.0 <= e <= MAX_NOISE for e in grid), f"{span}, got {list(grid)}")
+    _require(all(a < b for a, b in zip(grid, grid[1:])), "noise levels must be strictly increasing")
+    return grid
+
+
+def _maps(value) -> tuple[str, ...]:
+    """A nonempty list of distinct map names of ``_MAPS``, as a tuple;
+    :func:`_validated` narrows it to the names its study runs."""
+    _list("maps", value)
+    _require(len(value) >= 1, "at least one map is required")
+    _require(
+        all(isinstance(m, str) and m in _MAPS for m in value) and len(set(value)) == len(value),
+        f"maps must be distinct names from {list(_MAPS)}, got {list(value)!r}",
+    )
+    return tuple(value)
 
 
 def _group(value) -> GroupAction:
@@ -431,55 +453,47 @@ def _group(value) -> GroupAction:
     return GroupAction(value)
 
 
-def _require_read(cfg: ExperimentConfig, kind: str) -> None:
-    """ConfigInvalidError when a field that experiment ``kind`` does not
-    read (any but the seed and the keys of ``_DEFAULT_CONFIGS[kind]``)
-    differs from its default, so a report states only what ran."""
+# each config field's check: its value in canonical form, or
+# ConfigInvalidError
+_CHECKS = {
+    "seed": _integer("seed", 0, 2**64 - 1),
+    "n_pairs": _integer("n_pairs", 1, MAX_PAIRS),
+    "db_size": _integer("db_size", 1, MAX_DB_SIZE),
+    "noise_grid": _noise_grid,
+    "n_draws": _integer("n_draws", 1, MAX_DRAWS),
+    "maps": _maps,
+    "group": _group,
+    "n": _integer("n", 1),
+    "l": _integer("l", 1, MAX_L),
+}
+
+
+def _validated(cfg: ExperimentConfig, kind: str) -> ExperimentConfig:
+    """``cfg`` with the seed and every field that experiment ``kind``
+    reads (the keys of ``_DEFAULT_CONFIGS[kind]``) checked by ``_CHECKS``
+    and in canonical form.  ConfigInvalidError when a check fails, when
+    ``maps`` names a map the kind does not run, or when a field it does not
+    read differs from its default, so a report states only what ran."""
+    read = _DEFAULT_CONFIGS[kind]
     unread = [
         f.name
         for f in fields(cfg)
-        if f.name != "seed"
-        and f.name not in _DEFAULT_CONFIGS[kind]
-        and getattr(cfg, f.name) != f.default
+        if f.name != "seed" and f.name not in read and getattr(cfg, f.name) != f.default
     ]
+    _require(not unread, f"experiment {kind} reads no field {unread}; it reads {sorted(read)}")
+    cfg = replace(cfg, **{key: _CHECKS[key](getattr(cfg, key)) for key in ("seed", *read)})
+    allowed = read.get("maps", [])
     _require(
-        not unread,
-        f"experiment {kind} reads no field {unread}; it reads {sorted(_DEFAULT_CONFIGS[kind])}",
+        set(cfg.maps) <= set(allowed),
+        f"experiment {kind} runs maps from {allowed}, got {list(cfg.maps)!r}",
     )
-
-
-def _require_count(value, name: str, ceiling: int) -> int:
-    _require(
-        _is_whole(value) and 1 <= value <= ceiling,
-        f"{name} must be an integer in [1, {ceiling}], got {value}",
-    )
-    return int(value)
-
-
-def _validate_noise_grid(grid) -> None:
-    _require(len(grid) >= 1, "noise_grid must be nonempty")
-    _require(
-        all(0.0 <= e <= MAX_NOISE for e in grid),
-        f"noise levels must be finite and in [0, {MAX_NOISE:g}], got {list(grid)}",
-    )
-    _require(
-        all(a < b for a, b in zip(grid, grid[1:])),
-        "noise levels must be strictly increasing",
-    )
-
-
-def _validate_maps(maps, allowed: tuple[str, ...]) -> None:
-    _require(len(maps) >= 1, "at least one map is required")
-    _require(
-        all(isinstance(m, str) and m in allowed for m in maps) and len(set(maps)) == len(maps),
-        f"maps must be distinct names from {list(allowed)}, got {list(maps)!r}",
-    )
+    return cfg
 
 
 def _pair_study(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
     """Report ``kind`` of the ratios ``||f(A) - f(B)|| / d_G(A, B)`` of
     each map f of ``cfg.maps`` over ``cfg.n_pairs`` random pairs drawn as
-    the module docstring says; ``cfg`` is validated.  Beside the ratio
+    the module docstring says; ``cfg`` is :func:`_validated`.  Beside the ratio
     statistics, the reduced map reports quantiles, the triangle maps
     histograms.
 
@@ -489,7 +503,7 @@ def _pair_study(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
     self-correlations with no root (:func:`reduction._rank_one_stack`).
     So memory grows with neither ``n_pairs`` nor l.
     """
-    group, seed, n_pairs, n, l = cfg.group, int(cfg.seed), int(cfg.n_pairs), int(cfg.n), int(cfg.l)
+    group, seed, n_pairs, n, l = cfg.group, cfg.seed, cfg.n_pairs, cfg.n, cfg.l
     per = 2 * n * l * (2 if group.is_complex else 1)
     block = max(1, _BLOCK_ENTRIES // (l if n == 1 else l * l))
     maps = [_MAPS[name][:2] for name in cfg.maps]
@@ -535,11 +549,7 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Pairs closer than 1e-12 in orbit distance are redrawn from the next
     stream at the same words, so the ratio is always well defined.
     """
-    _seed(cfg.seed)
-    _require_read(cfg, "distortion")
-    _require_count(cfg.n_pairs, "n_pairs", MAX_PAIRS)
-    _validate_maps(cfg.maps, (MAP_SIDE_LENGTHS, MAP_TRIANGLE))
-    return _pair_study(cfg, "distortion")
+    return _pair_study(_validated(cfg, "distortion"), "distortion")
 
 
 def _blocks(rows: np.ndarray, width: int) -> list[np.ndarray]:
@@ -675,14 +685,9 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     gaussian noise of standard deviation eps on every coordinate, and
     classified by its nearest database record under each map's distance.
     """
-    seed = _seed(cfg.seed)
-    _require_read(cfg, "classify")
-    _require_count(cfg.db_size, "db_size", MAX_DB_SIZE)
-    _require_count(cfg.n_draws, "n_draws", MAX_DRAWS)
-    _validate_noise_grid(cfg.noise_grid)
-    _validate_maps(cfg.maps, (MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE))
-    db = _normals(seed, 0, 0, 6 * cfg.db_size).reshape(cfg.db_size, 2, 3)
-    noise = _normals(seed, 1, 0, 6 * cfg.db_size * cfg.n_draws).reshape(-1, 2, 3)
+    cfg = _validated(cfg, "classify")
+    db = _normals(cfg.seed, 0, 0, 6 * cfg.db_size).reshape(cfg.db_size, 2, 3)
+    noise = _normals(cfg.seed, 1, 0, 6 * cfg.db_size * cfg.n_draws).reshape(-1, 2, 3)
     labels = np.repeat(np.arange(cfg.db_size), cfg.n_draws)
     base = np.repeat(db, cfg.n_draws, axis=0)
     nearest = _classifiers(cfg.maps, db)
@@ -693,10 +698,10 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             rates[name].append(float(np.mean(nearest[name](queries, labels) != labels)))
     return ExperimentReport(
         kind="classification",
-        seed=seed,
+        seed=cfg.seed,
         config=cfg.to_dict(),
         rates={
-            "noise_grid": [float(e) for e in cfg.noise_grid],
+            "noise_grid": list(cfg.noise_grid),
             "misclassification": {k: [float(x) for x in v] for k, v in rates.items()},
         },
     )
@@ -714,11 +719,12 @@ def lower_constant_survey(
     constant, taken from random pairs, which miss the worst directions; it
     is not an estimate of the constant.  Pairs run in blocks whose memory
     grows with neither ``n_pairs`` nor l (see :func:`_pair_study`).
+    ``group`` is a GroupAction or its name, as ``ExperimentConfig.from_dict``
+    reads it.
     """
-    seed = _seed(seed)
-    n_pairs = _require_count(n_pairs, "n_pairs", MAX_PAIRS)
-    _require(_is_whole(n) and n >= 1, f"n must be an integer >= 1, got {n}")
-    n, l = int(n), _require_count(l, "l", MAX_L)
+    cfg = ExperimentConfig(seed=seed, n_pairs=n_pairs, group=group, n=n, l=l)
+    cfg = _validated(cfg, "lower-constant")
+    group, n, l = cfg.group, cfg.n, cfg.l
     size = _block_size(group, l)
     nnz = n * size * size * (2 if group.is_complex else 1)
     # below size 2n reducer_for raises DimensionHypothesisError, building nothing
@@ -728,5 +734,4 @@ def lower_constant_survey(
         f"more than {MAX_REDUCER_NNZ}",
     )
     reducer_for(group, n, l)
-    cfg = ExperimentConfig(seed=seed, n_pairs=n_pairs, maps=(REDUCED,), group=group, n=n, l=l)
-    return _pair_study(cfg, "lower_constant")
+    return _pair_study(replace(cfg, maps=(REDUCED,)), "lower_constant")

@@ -5,7 +5,9 @@ Whatever the matrix files, database files and experiment configs hold,
 ``error:`` line on stderr when that code is nonzero, and never let an
 exception (a traceback) escape ``main``.  Sizes stay small, and the
 out-of-range ones are rejected before anything is allocated, so no case
-needs much memory or time.
+needs much memory or time.  The experiment configs also go straight to the
+Python entries, which may only return a report or raise
+ConfigInvalidError or DimensionHypothesisError, as the CLI would.
 """
 import contextlib
 import io
@@ -16,6 +18,14 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from orbitdist import (
+    ConfigInvalidError,
+    DimensionHypothesisError,
+    ExperimentConfig,
+    classification_experiment,
+    distortion_experiment,
+    lower_constant_survey,
+)
 from orbitdist.cli import main
 from orbitdist.experiments import _DEFAULT_CONFIGS, MAX_DB_SIZE, MAX_L, MAX_PAIRS
 
@@ -188,25 +198,85 @@ def test_database_files(db, query, k, verify):
             assert code == 2, (sizes, err)
 
 
-@FUZZ
-@given(
-    kind=st.sampled_from(["distortion", "classify", "lower-constant"]),
-    seed=st.sampled_from([0, 7, -1, 2**64]),
-    config=configs,
-    unread=st.booleans(),
-)
-def test_experiment_configs(kind, seed, config, unread):
-    # half the configs hold only keys the study reads, so that their values
-    # reach its checks; a key it does not read is refused, exit 6
-    read = set(_DEFAULT_CONFIGS[kind])
-    if not unread:
-        config = {key: value for key, value in config.items() if key in read}
+def run_experiment(kind, seed, config):
+    """Exit code and stderr lines of ``orbitdist experiment`` on a config
+    file holding ``config``; checks that a report is written on success
+    only."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv = ["experiment", kind, "--seed", str(seed), "--config", str(cfg), "--out", tmp]
         code, err = run(argv)
-        check_contract(code, err)
         assert (Path(tmp) / "report.json").exists() == (code == 0)
-        if set(config) - read:
-            assert code == 6, err
+    return code, err
+
+
+experiment_runs = dict(
+    kind=st.sampled_from(["distortion", "classify", "lower-constant"]),
+    seed=st.sampled_from([0, 7, -1, 2**64]),
+    config=configs,
+    unread=st.booleans(),
+)
+
+
+def drawn_config(kind, config, unread):
+    # half the configs hold only keys the study reads, so that their values
+    # reach its checks
+    if unread:
+        return config
+    return {key: value for key, value in config.items() if key in _DEFAULT_CONFIGS[kind]}
+
+
+@FUZZ
+@given(**experiment_runs)
+def test_experiment_configs(kind, seed, config, unread):
+    config = drawn_config(kind, config, unread)
+    code, err = run_experiment(kind, seed, config)
+    check_contract(code, err)
+    if set(config) - set(_DEFAULT_CONFIGS[kind]):
+        # a key the study does not read is refused
+        assert code == 6, err
+
+
+@FUZZ
+@given(**experiment_runs)
+# whole-number floats once reached numpy unconverted, and a group name
+# once reached the survey as a string
+@example(kind="classify", seed=0, config={"n_pairs": 1, "db_size": 5.0, "n_draws": 2.0}, unread=False)
+@example(
+    kind="lower-constant", seed=0,
+    config={"n_pairs": 3, "db_size": 1, "n_draws": 1, "group": "Q"}, unread=False,
+)
+@example(
+    kind="classify", seed=0,
+    config={"n_pairs": 1, "db_size": 2, "n_draws": 1, "noise_grid": 5}, unread=False,
+)
+# a report of each study, and a dimension error
+@example(kind="distortion", seed=7, config={"n_pairs": 5, "db_size": 1, "n_draws": 1}, unread=False)
+@example(
+    kind="lower-constant", seed=7,
+    config={"n_pairs": 4, "db_size": 1, "n_draws": 1, "group": "U", "n": 2, "l": 5}, unread=False,
+)
+@example(
+    kind="lower-constant", seed=0,
+    config={"n_pairs": 4, "db_size": 1, "n_draws": 1, "group": "O", "n": 2, "l": 3}, unread=False,
+)
+def test_experiment_entries(kind, seed, config, unread):
+    # the drawn config over the CLI's defaults, straight to the Python
+    # entry; the survey takes its fields as arguments
+    config = drawn_config(kind, config, unread)
+    data = {**_DEFAULT_CONFIGS[kind], **config}
+    try:
+        if kind == "lower-constant":
+            lower_constant_survey(data["group"], data["n"], data["l"], data["n_pairs"], seed)
+        elif kind == "distortion":
+            distortion_experiment(ExperimentConfig(seed=seed, **data))
+        else:
+            classification_experiment(ExperimentConfig(seed=seed, **data))
+        code = 0
+    except ConfigInvalidError:
+        code = 6
+    except DimensionHypothesisError:
+        code = 4
+    if set(config) <= set(_DEFAULT_CONFIGS[kind]):
+        assert code == run_experiment(kind, seed, config)[0]

@@ -110,16 +110,33 @@ class TestSampler:
             ExperimentConfig.from_dict({"seed": seed})
 
     def test_report_carries_the_validated_seed(self):
-        # an integral float or a numpy integer gives the report of the int
-        studies = [
-            lambda s: distortion_experiment(ExperimentConfig(seed=s, n_pairs=10, maps=(MAP_TRIANGLE,))),
-            lambda s: classification_experiment(
-                ExperimentConfig(seed=s, db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,))
+        # an integral float or a numpy integer, in the seed or in any size
+        # field, gives the report of the int, which states the int
+        studies = {
+            "distortion": lambda **kw: distortion_experiment(
+                ExperimentConfig(**{"seed": 0, "n_pairs": 10, "maps": (MAP_TRIANGLE,), **kw})
             ),
-            lambda s: lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, 10, seed=s),
+            "classify": lambda **kw: classification_experiment(
+                ExperimentConfig(
+                    **{"seed": 0, "db_size": 5, "n_draws": 2, "noise_grid": (0.0,), "maps": (MAP_EXACT,), **kw}
+                )
+            ),
+            "survey": lambda **kw: lower_constant_survey(
+                **{"group": GroupAction.ORTHOGONAL, "n": 1, "l": 4, "n_pairs": 10, "seed": 0, **kw}
+            ),
+        }
+        cases = [
+            ("distortion", "seed"), ("classify", "seed"), ("survey", "seed"),
+            ("distortion", "n_pairs"), ("survey", "n_pairs"),
+            ("classify", "db_size"), ("classify", "n_draws"),
+            ("survey", "n"), ("survey", "l"),
         ]
-        for study in studies:
-            assert len({study(s).to_json() for s in (1, np.int64(1), 1.0)}) == 1
+        for kind, key in cases:
+            value = {"n_pairs": 10, "db_size": 5, "l": 4}.get(key, 1)
+            reports = [studies[kind](**{key: v}) for v in (value, np.int64(value), float(value))]
+            assert len({r.to_json() for r in reports}) == 1, (kind, key)
+            stated = reports[0].seed if key == "seed" else reports[0].config[key]
+            assert stated == value and type(stated) is int, (kind, key)
 
     def test_largest_seed_is_accepted(self):
         cfg = ExperimentConfig(seed=2**64 - 1, n_pairs=10, maps=(MAP_TRIANGLE,))
@@ -328,6 +345,10 @@ class TestDistortionExperiment:
             dict(n_pairs=10, maps=(MAP_EXACT,)),
             dict(n_pairs=10, maps=("sides",)),
             dict(n_pairs=experiments.MAX_PAIRS + 1, maps=(MAP_TRIANGLE,)),
+            dict(n_pairs=10.5, maps=(MAP_TRIANGLE,)),
+            dict(n_pairs="10", maps=(MAP_TRIANGLE,)),
+            dict(n_pairs=10, maps=("reduced",)),
+            dict(n_pairs=10, maps=MAP_TRIANGLE),
         ],
     )
     def test_invalid_configs(self, bad):
@@ -673,6 +694,13 @@ class TestClassificationExperiment:
             dict(db_size=5, noise_grid=(0.0,), maps=("unknown",)),
             dict(db_size=experiments.MAX_DB_SIZE + 1, noise_grid=(0.0,), maps=(MAP_EXACT,)),
             dict(db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,), n_draws=experiments.MAX_DRAWS + 1),
+            # levels that are not numbers, a bool, a grid that is not a list
+            dict(db_size=5, noise_grid=("a",), maps=(MAP_EXACT,)),
+            dict(db_size=5, noise_grid=(None,), maps=(MAP_EXACT,)),
+            dict(db_size=5, noise_grid=(True,), maps=(MAP_EXACT,)),
+            dict(db_size=5, noise_grid=0.0, maps=(MAP_EXACT,)),
+            dict(db_size=5.5, noise_grid=(0.0,), maps=(MAP_EXACT,)),
+            dict(db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,), n_draws=2.5),
         ],
     )
     def test_invalid_configs(self, bad):
@@ -722,9 +750,23 @@ class TestConfigChecks:
             {"noise_grid": [None]},
             {"noise_grid": [True]},
             {"noise_grid": [0.0, 10**400]},
+            {"n_pair": 100},
+            # ranges, as every entry checks them
+            {"n_pairs": 0},
+            {"db_size": None},
+            {"n_draws": experiments.MAX_DRAWS + 1},
+            {"l": experiments.MAX_L + 1},
+            {"n": 0},
+            {"seed": 2.5},
+            {"noise_grid": []},
+            {"noise_grid": [0.01, 0.01]},
+            {"maps": []},
+            {"maps": ["sides"]},
         ],
         ids=["group-Z", "group-null", "group-list", "noise-string", "noise-null", "noise-bool",
-             "noise-int-beyond-float64"],
+             "noise-int-beyond-float64", "unknown-key", "n_pairs-0", "db_size-null",
+             "n_draws-beyond-ceiling", "l-beyond-ceiling", "n-0", "seed-fraction", "noise-empty",
+             "noise-repeated", "maps-empty", "maps-unknown"],
     )
     def test_from_dict_raises_only_config_invalid(self, d):
         with pytest.raises(ConfigInvalidError):
@@ -757,6 +799,13 @@ class TestConfigChecks:
     def test_from_dict_reads_lists_and_tuples(self):
         cfg = ExperimentConfig.from_dict({"maps": [MAP_EXACT], "noise_grid": (0, 0.5)})
         assert cfg.maps == (MAP_EXACT,) and cfg.noise_grid == (0.0, 0.5)
+
+    def test_from_dict_gives_canonical_values(self):
+        cfg = ExperimentConfig.from_dict(
+            {"seed": np.int64(3), "n_pairs": 1e3, "n": 2.0, "l": np.int64(5), "group": "U"}
+        )
+        assert cfg == ExperimentConfig(seed=3, n_pairs=1000, n=2, l=5, group=GroupAction.UNITARY)
+        assert all(type(getattr(cfg, key)) is int for key in ("seed", "n_pairs", "n", "l"))
 
     @pytest.mark.parametrize(
         "maps",
@@ -906,6 +955,14 @@ class TestLowerConstantSurvey:
     def test_invalid_n_pairs(self, bad):
         with pytest.raises(ConfigInvalidError):
             lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, bad, seed=0)
+
+    def test_group_names(self):
+        # a group is read by name, as ExperimentConfig.from_dict reads it
+        named = lower_constant_survey("O", 1, 4, 10, 0)
+        assert named.to_json() == lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, 10, 0).to_json()
+        for bad in ("Q", None, ["O"]):
+            with pytest.raises(ConfigInvalidError, match="group must be one of"):
+                lower_constant_survey(bad, 1, 4, 10, 0)
 
     def test_determinism(self):
         a = lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, 100, seed=7)
