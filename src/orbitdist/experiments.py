@@ -43,12 +43,14 @@ repeated name or one its study does not run, or a field the study does
 not read set to other than its default raises ConfigInvalidError before
 anything is drawn or built.
 
-The arithmetic is stacked over blocks of trials.  Orbit distances come
-from a closed-form planar kernel for triangles (:func:`_plane_distances`,
-no SVD) and from the Procrustes kernel of :mod:`orbitdist.metrics` for
-every other shape, reduced features from :mod:`orbitdist.reduction` (by
-FFT at n = 1, by the sparse projection of the Gram roots at n >= 2), and
-triangle features from the kernels of :mod:`orbitdist.triangles`.
+The arithmetic is stacked over blocks of trials, each of about
+``linalg._BLOCK_ENTRIES`` entries (:func:`linalg._blocks`).  Orbit
+distances come from a closed-form planar kernel for triangles
+(:func:`_plane_distances`, no SVD) and from the Procrustes kernel of
+:mod:`orbitdist.metrics` for every other shape, reduced features from
+:mod:`orbitdist.reduction` (by FFT at n = 1, by the sparse projection of
+the Gram roots at n >= 2), and triangle features from the kernels of
+:mod:`orbitdist.triangles`.
 The classification ranks the queries of each map with one nearest-record
 kernel (:func:`_nearest_records`): a query's own record certifies the
 nearest one by the triangle inequality, so only the records near it in a
@@ -72,6 +74,7 @@ import numpy as np
 
 from .errors import ConfigInvalidError
 from .features import REDUCED, _is_triangle
+from .linalg import _blocks
 from .metrics import GroupAction, _procrustes
 from .reduction import _block_size, _reduced_stack, reducer_for
 from .triangles import _SQRT2, _side_lengths, _triangle_coords
@@ -81,17 +84,11 @@ MAP_TRIANGLE = "triangle_embedding"
 MAP_EXACT = "exact"
 
 _DEGENERATE = 1e-12
-# The round-off slack of the nearest-record certificate, pairs per block of
-# its kernel, and entries kept per record table (see _nearest_records).
+# The round-off slack of the nearest-record certificate and the entries
+# kept per record table (see _nearest_records).
 _SLACK = 2.0**-46
-_PAIRS = 1 << 16
 _TABLE = 1 << 20
 _HIST_EDGES = np.linspace(0.0, 1.8, 61)
-# Words per block of the quantile's central branch in _ndtri, and root
-# entries per stack in a block of the pair study (see _pair_study): few
-# enough to stay in cache.
-_WORDS = 1 << 14
-_BLOCK_ENTRIES = 1 << 14
 # Ceilings on the study sizes, so that a config cannot ask for more memory
 # than a workstation has.  The pair studies keep a few float64 ratios per
 # pair (about 0.3 GB at MAX_PAIRS); the classification study keeps a few
@@ -154,7 +151,8 @@ class ExperimentConfig:
         GroupAction."""
         unknown = [key for key in d if key not in _CHECKS]
         _require(
-            not unknown, f"an experiment config has no field {unknown}; its fields are {list(_CHECKS)}"
+            not unknown,
+            f"an experiment config has no field {_shown(unknown)}; its fields are {list(_CHECKS)}",
         )
         return ExperimentConfig(**{key: _CHECKS[key](value) for key, value in d.items()})
 
@@ -268,8 +266,8 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     y = u[tail]
     upper = y > 0.5
     y[upper] = 1.0 - y[upper]  # exact for y >= 1/2
-    for lo in range(0, u.size, _WORDS):
-        c = u[lo : lo + _WORDS]
+    for s in _blocks(u.size, 1):
+        c = u[s]
         c -= 0.5
         c2 = c * c
         r = _polevl(c2, _P0)
@@ -388,6 +386,15 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigInvalidError(message)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, unless that needs the string
+    of an integer too long to print (Python's 4300-digit limit)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "a value with an integer too long to print"
+
+
 def _is_whole(value) -> bool:
     """An integer other than a bool, or a float with an integral value
     (JSON may write 1e5 for 100000)."""
@@ -401,10 +408,8 @@ def _integer(name: str, low: int, high: int | None = None):
     span = f">= {low}" if high is None else f"in [{low}, {high}]"
 
     def check(value) -> int:
-        _require(
-            _is_whole(value) and low <= value and (high is None or value <= high),
-            f"{name} must be an integer {span}, got {value!r}",
-        )
+        if not (_is_whole(value) and low <= value and (high is None or value <= high)):
+            raise ConfigInvalidError(f"{name} must be an integer {span}, got {_shown(value)}")
         return int(value)
 
     return check
@@ -412,7 +417,7 @@ def _integer(name: str, low: int, high: int | None = None):
 
 def _list(name: str, value) -> None:
     # a string would be read one character per entry
-    _require(isinstance(value, (list, tuple)), f"{name} must be a list, got {value!r}")
+    _require(isinstance(value, (list, tuple)), f"{name} must be a list, got {_shown(value)}")
 
 
 def _noise_grid(value) -> tuple[float, ...]:
@@ -420,7 +425,7 @@ def _noise_grid(value) -> tuple[float, ...]:
     [0, MAX_NOISE], as floats."""
     _list("noise_grid", value)
     bad = [e for e in value if not isinstance(e, numbers.Real) or isinstance(e, bool)]
-    _require(not bad, f"noise levels must be numbers, got {bad[:1]!r}")
+    _require(not bad, f"noise levels must be numbers, got {_shown(bad[:1])}")
     span = f"noise levels must be finite and in [0, {MAX_NOISE:g}]"
     try:
         grid = tuple(float(e) for e in value)
@@ -439,7 +444,7 @@ def _maps(value) -> tuple[str, ...]:
     _require(len(value) >= 1, "at least one map is required")
     _require(
         all(isinstance(m, str) and m in _MAPS for m in value) and len(set(value)) == len(value),
-        f"maps must be distinct names from {list(_MAPS)}, got {list(value)!r}",
+        f"maps must be distinct names from {list(_MAPS)}, got {_shown(list(value))}",
     )
     return tuple(value)
 
@@ -448,7 +453,7 @@ def _group(value) -> GroupAction:
     names = [g.value for g in GroupAction]
     _require(
         isinstance(value, GroupAction) or (isinstance(value, str) and value in names),
-        f"group must be one of {names}, got {value!r}",
+        f"group must be one of {names}, got {_shown(value)}",
     )
     return GroupAction(value)
 
@@ -468,20 +473,33 @@ _CHECKS = {
 }
 
 
+def _is_default(f, value) -> bool:
+    """Whether ``value`` is config field f's default, compared in canonical
+    form, so that no array meets numpy's ``!=``.  A value that f's check
+    refuses is the default only if it equals it as a None or an empty
+    tuple, the defaults that no check admits."""
+    try:
+        return _CHECKS[f.name](value) == f.default
+    except ConfigInvalidError:
+        return type(value) is type(f.default) and value == f.default
+
+
 def _validated(cfg: ExperimentConfig, kind: str) -> ExperimentConfig:
     """``cfg`` with the seed and every field that experiment ``kind``
     reads (the keys of ``_DEFAULT_CONFIGS[kind]``) checked by ``_CHECKS``
-    and in canonical form.  ConfigInvalidError when a check fails, when
-    ``maps`` names a map the kind does not run, or when a field it does not
-    read differs from its default, so a report states only what ran."""
+    and in canonical form, and every other field set to its default.
+    ConfigInvalidError when a check fails, when ``maps`` names a map the
+    kind does not run, or when a field it does not read differs from its
+    default (:func:`_is_default`), so a report states only what ran."""
     read = _DEFAULT_CONFIGS[kind]
-    unread = [
-        f.name
-        for f in fields(cfg)
-        if f.name != "seed" and f.name not in read and getattr(cfg, f.name) != f.default
-    ]
-    _require(not unread, f"experiment {kind} reads no field {unread}; it reads {sorted(read)}")
-    cfg = replace(cfg, **{key: _CHECKS[key](getattr(cfg, key)) for key in ("seed", *read)})
+    unread = [f for f in fields(cfg) if f.name != "seed" and f.name not in read]
+    changed = [f.name for f in unread if not _is_default(f, getattr(cfg, f.name))]
+    _require(not changed, f"experiment {kind} reads no field {changed}; it reads {sorted(read)}")
+    cfg = replace(
+        cfg,
+        **{f.name: f.default for f in unread},
+        **{key: _CHECKS[key](getattr(cfg, key)) for key in ("seed", *read)},
+    )
     allowed = read.get("maps", [])
     _require(
         set(cfg.maps) <= set(allowed),
@@ -497,15 +515,15 @@ def _pair_study(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
     statistics, the reduced map reports quantiles, the triangle maps
     histograms.
 
-    Each block of pairs is drawn, measured and redrawn on its own, and
-    holds about ``_BLOCK_ENTRIES`` root entries per stack: l x l per
-    configuration at n >= 2, l at n = 1, where reduced features are
-    self-correlations with no root (:func:`reduction._rank_one_stack`).
-    So memory grows with neither ``n_pairs`` nor l.
+    Each block of pairs (:func:`linalg._blocks`) is drawn, measured and
+    redrawn on its own, and holds about ``linalg._BLOCK_ENTRIES`` root
+    entries: two roots per pair, l x l per configuration at n >= 2, l at
+    n = 1, where reduced features are self-correlations with no root
+    (:func:`reduction._rank_one_stack`).  So memory grows with neither
+    ``n_pairs`` nor l until a block is one pair.
     """
     group, seed, n_pairs, n, l = cfg.group, cfg.seed, cfg.n_pairs, cfg.n, cfg.l
     per = 2 * n * l * (2 if group.is_complex else 1)
-    block = max(1, _BLOCK_ENTRIES // (l if n == 1 else l * l))
     maps = [_MAPS[name][:2] for name in cfg.maps]
 
     def distances(rows: np.ndarray) -> np.ndarray:
@@ -513,8 +531,9 @@ def _pair_study(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
         return _plane_distances(a, b) if _is_triangle(group, a) else _procrustes(group, a, b)[0]
 
     ratios = []
-    for lo in range(0, n_pairs, block):
-        rows = _normals(seed, 0, per * lo, per * min(block, n_pairs - lo)).reshape(-1, per)
+    for r in _blocks(n_pairs, 2 * (l if n == 1 else l * l)):
+        lo = r.start
+        rows = _normals(seed, 0, per * lo, per * (r.stop - lo)).reshape(-1, per)
         d = distances(rows)
         bad, stream = np.flatnonzero(d < _DEGENERATE), 1
         while bad.size:
@@ -552,23 +571,19 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return _pair_study(_validated(cfg, "distortion"), "distortion")
 
 
-def _blocks(rows: np.ndarray, width: int) -> list[np.ndarray]:
-    """``rows`` split into blocks of about ``_PAIRS`` pairs, ``width`` per row."""
-    return np.array_split(rows, max(1, -(-len(rows) * width // _PAIRS)))
-
-
 def _record_table(points, metric, db: np.ndarray):
     """``(order, table)``: for each record L of ``db``, the records sorted
     stably by their computed distance F^(L, j) under ``metric`` between
     their ``points``, and those distances, then a last column of inf beyond
     every radius.  A row holds all N records, or the first ``_TABLE`` // N
-    when N^2 do not fit.  Built in ``_PAIRS``-pair blocks."""
+    when N^2 do not fit.  Built in blocks of rows (:func:`linalg._blocks`),
+    N pairs per row."""
     records = points(GroupAction.EUCLIDEAN, db)
     n = len(records)
     k = min(n, max(2, _TABLE // n))
     order = np.empty((n, k), dtype=np.intp)
     table = np.full((n, k + 1), np.inf)
-    for r in _blocks(np.arange(n), n):
+    for r in _blocks(n, n):
         d = metric(records[r, None], records)
         if k < n:
             # the first k by (distance, index) without sorting whole rows;
@@ -638,7 +653,8 @@ def _nearest_records(name: str, index, db: np.ndarray):
       N_q + N > 2^-480, as for any draw of the experiments.
 
     So every record that ties or beats L is ranked.  Open queries are
-    ranked by prefix width in ``_PAIRS``-pair blocks.
+    ranked by prefix width, in blocks (:func:`linalg._blocks`) of that many
+    pairs per query.
     """
     points, metric, _, stretch = _MAPS[name]
     order, table = index
@@ -648,18 +664,20 @@ def _nearest_records(name: str, index, db: np.ndarray):
 
     def nearest(queries: np.ndarray, labels: np.ndarray) -> np.ndarray:
         q = points(GroupAction.EUCLIDEAN, queries)
-        blocks = _blocks(np.arange(len(q)), 1)
-        own = np.concatenate([metric(q[r], records[labels[r]]) for r in blocks])
+        own = np.concatenate([metric(q[r], records[labels[r]]) for r in _blocks(len(q), 1)])
         slack = _SLACK * (np.linalg.norm(q.reshape(len(q), -1), axis=1) + norm)
         radius = stretch * (2.0 * own + 3.0 * slack)
         rows = np.flatnonzero(table[labels, 1] <= radius)
+        near, reach = labels[rows], radius[rows, None]
         width = np.concatenate(
-            [(table[labels[r], :k] <= radius[r, None]).sum(axis=1) for r in _blocks(rows, k)]
+            [(table[near[r], :k] <= reach[r]).sum(axis=1) for r in _blocks(len(rows), k)]
         )
         width[(width == k) & (k < n)] = n  # past a truncated row: every record
         pred = labels.copy()
         for w in np.unique(width):
-            for r in _blocks(rows[width == w], w):
+            ranked = rows[width == w]
+            for s in _blocks(len(ranked), w):
+                r = ranked[s]
                 ids = order[labels[r], :w] if w <= k else np.arange(n)[None]
                 d = metric(q[r, None], records[ids])
                 pred[r] = np.where(d == d.min(axis=1, keepdims=True), ids, n).min(axis=1)

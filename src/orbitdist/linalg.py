@@ -33,6 +33,17 @@ from .errors import (
 
 # Hermiticity tolerance (absolute, unit-scale matrices)
 HERM_TOL = 1e-8
+# Entries per block of every loop that feeds a stacked kernel (see _blocks)
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """``range(count)`` cut into slices of ``max(1, _BLOCK_ENTRIES // width)``
+    items, for a loop whose items each take ``width`` entries (at least one)
+    of a stacked kernel's working memory, so that a block's memory does not
+    grow with ``count``; one empty slice when ``count`` is 0."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)] or [slice(0, 0)]
 
 
 def _as_array(m, name: str, *, stacked: bool) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 The database holds its records as one read-only ``(N, n, l)`` stack.  The
 exact route scans every record with the orbit distance, as stacked
-Procrustes solves over fixed-size blocks of records (one batched SVD per
-block rather than one Python call per record); the features are built the
-same way at construction.  The fast route ranks records by the distance
-between flattened invariant features: because full features sandwich the
-orbit distance within a factor of sqrt(2), the feature-nearest record is
-certified to be within sqrt(2) of the true nearest orbit.
+Procrustes solves over blocks of records (one batched SVD per block rather
+than one Python call per record); the features are built the same way at
+construction.  A block holds about ``linalg._BLOCK_ENTRIES`` entries: n x l
+per record in the scan, and in the build an l x l Gram root per record, or
+a row of l for the reduced features at n = 1.  So its working memory grows
+with neither the database nor l until a block is one record.  The fast
+route ranks records by the distance between flattened invariant features:
+because full features sandwich the orbit distance within a factor of
+sqrt(2), the feature-nearest record is certified to be within sqrt(2) of
+the true nearest orbit.
 
 The feature ranking is exact.  One float32 matrix-vector product screens
 every record, its squared norm folded into the product, and only the
@@ -42,13 +46,10 @@ from .errors import (
     UnknownIdError,
 )
 from .features import FULL, REDUCED, _feature_stack
-from .linalg import _as_array, _finite, _pow2_scale, _unscaled
+from .linalg import _as_array, _blocks, _finite, _pow2_scale, _unscaled
 from .metrics import GroupAction, _configuration, _procrustes
 
 _SQRT2 = float(np.sqrt(2.0))
-# Records per stacked kernel call in the database build and the exact
-# scan, so that their working memory does not grow with the database.
-_BLOCK = 1024
 # Unit roundoffs of float32 and float64, and a bound on the absolute error
 # of one float32 rounding or product near underflow (with gradual underflow
 # or flush-to-zero alike).
@@ -78,10 +79,6 @@ def _up32(x: float) -> np.float32:
         return np.float32(np.inf)
     t = np.float32(x)
     return t if float(t) >= x else np.nextafter(t, np.float32(np.inf))
-
-
-def _blocks(x: np.ndarray):
-    return (x[lo : lo + _BLOCK] for lo in range(0, len(x), _BLOCK))
 
 
 def _stack_records(group: GroupAction, records) -> tuple[list[str], dict[str, int], np.ndarray]:
@@ -181,8 +178,12 @@ class ShapeDatabase:
         self.ids, self._rows, self.matrices = _stack_records(group, records)
         self.matrices.flags.writeable = False
         self.n, self.l = self.matrices.shape[1:]
+        # entries per record: an l x l Gram root, or the row of l of the
+        # reduced features at n = 1, which take no root
+        width = self.l if feature_map == REDUCED and self.n == 1 else self.l * self.l
+        blocks = _blocks(len(self.ids), width)
         self.features = (
-            np.concatenate([_feature_stack(group, x, feature_map) for x in _blocks(self.matrices)])
+            np.concatenate([_feature_stack(group, self.matrices[r], feature_map) for r in blocks])
             if self.ids
             else np.zeros((0, 0))
         )
@@ -295,7 +296,8 @@ def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
     """
     q = db._check_query(query)
     qf = db._feature(q)
-    d = np.concatenate([_procrustes(db.group, q, x)[0] for x in _blocks(db.matrices)])
+    blocks = _blocks(len(db), db.n * db.l)
+    d = np.concatenate([_procrustes(db.group, q, db.matrices[r])[0] for r in blocks])
     i = min(np.flatnonzero(d == d.min()), key=db.ids.__getitem__)
     return QueryResult(
         id=db.ids[i],

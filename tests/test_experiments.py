@@ -26,7 +26,7 @@ from orbitdist import (
     reducer_for,
     triangle_embedding,
 )
-from orbitdist import experiments
+from orbitdist import experiments, linalg
 from orbitdist.experiments import _ndtri, _normals, _plane_distances
 from orbitdist.metrics import _procrustes
 
@@ -201,8 +201,8 @@ def _triangle_case():
         cfg = ExperimentConfig(seed=17, n_pairs=60, maps=(MAP_SIDE_LENGTHS, MAP_TRIANGLE))
         return distortion_experiment(cfg).ratio_stats[MAP_TRIANGLE]
 
-    # 16 pairs of 3 x 3 roots per block
-    return 12, pair, lambda a, b: dist_euclidean(a, b)[0], ratio, run, 16 * 3 * 3
+    # 16 pairs of two 3 x 3 roots per block
+    return 12, pair, lambda a, b: dist_euclidean(a, b)[0], ratio, run, 16 * 2 * 3 * 3
 
 
 def _survey_case(group, n, l):
@@ -220,8 +220,8 @@ def _survey_case(group, n, l):
         return lower_constant_survey(group, n, l, 60, seed=17).ratio_stats["reduced"]
 
     per = 2 * n * l * (2 if group.is_complex else 1)
-    # 16 pairs of rows of l per block
-    return per, pair, lambda a, b: orbit_distance(group, a, b)[0], ratio, run, 16 * l
+    # 16 pairs of two rows of l per block
+    return per, pair, lambda a, b: orbit_distance(group, a, b)[0], ratio, run, 16 * 2 * l
 
 
 class TestRedraw:
@@ -244,7 +244,7 @@ class TestRedraw:
         first = [distance(*pair(_normals(17, 0, per * i, per))) for i in range(60)]
         threshold = float(np.median(first))
         monkeypatch.setattr(experiments, "_DEGENERATE", threshold)
-        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
         calls = []
 
         def spy(seed, stream, start, count):
@@ -271,20 +271,20 @@ class TestRedraw:
 
 
 @pytest.mark.parametrize(
-    "kind, config, block",
+    "kind, config, width",
     [
-        # the rule's default: 2**14 // 9 pairs of 3 x 3 roots, 2**14 // l
-        # pairs of rows of l at n = 1
-        ("distortion", {}, 1820),
-        *[("lower-constant", {"group": g, "n": 1, "l": 16}, 1024) for g in "OEUF"],
+        # root entries per pair: two 3 x 3 roots, or two rows of l at n = 1
+        ("distortion", {}, 18),
+        *[("lower-constant", {"group": g, "n": 1, "l": 16}, 32) for g in "OEUF"],
     ],
     ids=["distortion", *[f"lower-constant-{g}" for g in "OEUF"]],
 )
-def test_report_bytes_do_not_depend_on_the_block(monkeypatch, tmp_path, kind, config, block):
+def test_report_bytes_do_not_depend_on_the_block(monkeypatch, tmp_path, kind, config, width):
     from orbitdist.cli import main
 
-    # the default rule runs two blocks, one entry per block runs each pair alone
-    n_pairs = block + 100
+    # the default rule runs two blocks, a block of one pair's width runs each
+    # pair alone
+    n_pairs = linalg._BLOCK_ENTRIES // width + 100
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(config, n_pairs=n_pairs)))
     blocks, reports = [], []
@@ -294,8 +294,8 @@ def test_report_bytes_do_not_depend_on_the_block(monkeypatch, tmp_path, kind, co
         return _normals(seed, stream, start, count)
 
     monkeypatch.setattr(experiments, "_normals", spy)
-    for entries in (experiments._BLOCK_ENTRIES, 1):
-        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+    for entries in (linalg._BLOCK_ENTRIES, width):
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
         blocks.append(0)
         out = tmp_path / str(entries)
         argv = ["experiment", kind, "--seed", "4", "--config", str(cfg), "--out", str(out)]
@@ -345,6 +345,8 @@ class TestDistortionExperiment:
             dict(n_pairs=10, maps=(MAP_EXACT,)),
             dict(n_pairs=10, maps=("sides",)),
             dict(n_pairs=experiments.MAX_PAIRS + 1, maps=(MAP_TRIANGLE,)),
+            # an integer whose repr exceeds Python's 4300-digit limit
+            dict(n_pairs=10**5000, maps=(MAP_TRIANGLE,)),
             dict(n_pairs=10.5, maps=(MAP_TRIANGLE,)),
             dict(n_pairs="10", maps=(MAP_TRIANGLE,)),
             dict(n_pairs=10, maps=("reduced",)),
@@ -472,7 +474,7 @@ class TestNearestRecords:
         # reaches past it against every record; small blocks split the rest
         if entries is not None:
             monkeypatch.setattr(experiments, "_TABLE", entries)
-        monkeypatch.setattr(experiments, "_PAIRS", 16)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 16)
         db = rng.standard_normal((40, 2, 3))
         db[10], db[20:23] = db[3], db[5]
         labels = np.repeat(np.arange(40), 3)
@@ -753,6 +755,8 @@ class TestConfigChecks:
             {"n_pair": 100},
             # ranges, as every entry checks them
             {"n_pairs": 0},
+            {"n_pairs": 10**5000},
+            {"maps": [10**5000]},
             {"db_size": None},
             {"n_draws": experiments.MAX_DRAWS + 1},
             {"l": experiments.MAX_L + 1},
@@ -764,7 +768,8 @@ class TestConfigChecks:
             {"maps": ["sides"]},
         ],
         ids=["group-Z", "group-null", "group-list", "noise-string", "noise-null", "noise-bool",
-             "noise-int-beyond-float64", "unknown-key", "n_pairs-0", "db_size-null",
+             "noise-int-beyond-float64", "unknown-key", "n_pairs-0", "n_pairs-too-long-to-print",
+             "maps-too-long-to-print", "db_size-null",
              "n_draws-beyond-ceiling", "l-beyond-ceiling", "n-0", "seed-fraction", "noise-empty",
              "noise-repeated", "maps-empty", "maps-unknown"],
     )
@@ -780,10 +785,12 @@ class TestConfigChecks:
             ("distortion", "l", 9),
             ("distortion", "db_size", 5),
             ("distortion", "noise_grid", (0.0,)),
+            ("distortion", "noise_grid", np.array([0.0, 0.1])),
             ("distortion", "n_draws", 3),
             ("classify", "n_pairs", 10),
             ("classify", "group", GroupAction.UNITARY),
             ("classify", "n", 5),
+            ("classify", "n", np.array([1, 2])),
             ("classify", "l", 9),
         ],
     )
@@ -795,6 +802,13 @@ class TestConfigChecks:
         }[kind]
         with pytest.raises(ConfigInvalidError, match=rf"^experiment {kind} reads no field \['{key}'\]"):
             study(ExperimentConfig(seed=0, **read, **{key: value}))
+
+    @pytest.mark.parametrize("key, value", [("n", 2.0), ("l", np.int64(3)), ("group", "E")])
+    def test_a_field_the_study_does_not_read_at_its_default(self, key, value):
+        # compared in canonical form, and studied and reported as the default
+        read = dict(n_pairs=10, maps=(MAP_TRIANGLE,))
+        rep = distortion_experiment(ExperimentConfig(**read, **{key: value}))
+        assert rep.to_json() == distortion_experiment(ExperimentConfig(**read)).to_json()
 
     def test_from_dict_reads_lists_and_tuples(self):
         cfg = ExperimentConfig.from_dict({"maps": [MAP_EXACT], "noise_grid": (0, 0.5)})
@@ -935,9 +949,9 @@ class TestLowerConstantSurvey:
         ],
     )
     def test_batched_ratios_match_scalar_loop(self, monkeypatch, group, n, l):
-        # the block rule set to 16 pairs of roots (l x l at n >= 2, a row
-        # of l at n = 1), so 50 pairs cross three block boundaries
-        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 16 * (l if n == 1 else l * l))
+        # the block rule set to 16 pairs of two roots (l x l at n >= 2, a
+        # row of l at n = 1), so 50 pairs cross three block boundaries
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 16 * 2 * (l if n == 1 else l * l))
         rep = lower_constant_survey(group, n, l, 50, seed=9)
         per = 2 * n * l * (2 if group.is_complex else 1)
         reducer = reducer_for(group, n, l)

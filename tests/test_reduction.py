@@ -20,7 +20,7 @@ from orbitdist import (
     reducer_for,
     separating_subspace_basis,
 )
-from orbitdist import reduction, search
+from orbitdist import linalg, reduction
 from orbitdist.reduction import _reduced_stack
 
 from oracles import csr_reduced_features
@@ -443,9 +443,11 @@ class TestRankOneRoute:
 
     @pytest.mark.parametrize("l", [5, 33])
     @pytest.mark.parametrize("group", list(GroupAction))
-    def test_scalar_equals_database_row(self, rng, group, l):
-        # one record more than a block, so the rows come from two batches
-        records = [(str(i), x) for i, x in enumerate(_rows(rng, group, (search._BLOCK + 1, 1, l)))]
+    def test_scalar_equals_database_row(self, rng, monkeypatch, group, l):
+        # blocks of 4 rows of l, so the rows come from three batches, the
+        # last of one record
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 4 * l)
+        records = [(str(i), x) for i, x in enumerate(_rows(rng, group, (9, 1, l)))]
         db = ShapeDatabase(group, records, REDUCED)
         for i, (_, x) in enumerate(records):
             np.testing.assert_array_equal(reduced_embedding(group, x), db.features[i])

@@ -35,11 +35,10 @@ from orbitdist import (
     triangle_embedding,
     verify,
 )
-from orbitdist import embeddings, metrics
+from orbitdist import embeddings, linalg, metrics
 from orbitdist.experiments import lower_constant_survey
 from orbitdist.features import _feature_stack
 from orbitdist.linalg import svd
-from orbitdist.search import _BLOCK
 
 G = GroupAction
 GROUPS = list(GroupAction)
@@ -326,9 +325,11 @@ def records(rng, group, n, l, size):
 
 class TestScalarMatchesStacked:
     @pytest.mark.parametrize("group, n, l", STACK_CASES)
-    # _BLOCK + 1 records build in two blocks, the last of one record
-    @pytest.mark.parametrize("size", [1, 2, 37, _BLOCK + 1])
-    def test_reduced_feature_is_the_database_row(self, rng, group, n, l, size):
+    # blocks of 4 records (of an l x l root each, a row of l at n = 1): one
+    # record, fewer than a block, and whole blocks with a last block of one
+    @pytest.mark.parametrize("size", [1, 2, 5, 37])
+    def test_reduced_feature_is_the_database_row(self, rng, monkeypatch, group, n, l, size):
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 4 * (l if n == 1 else l * l))
         db = ShapeDatabase(group, records(rng, group, n, l, size), "reduced")
         reducer = reducer_for(group, n, l)
         for m, row in zip(db.matrices, db.features):

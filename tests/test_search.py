@@ -27,7 +27,8 @@ from orbitdist import (
     orbit_distance,
     verify,
 )
-from orbitdist import search
+from orbitdist import linalg, search
+from orbitdist.features import _feature_stack
 
 from oracles import rotation2
 
@@ -79,6 +80,19 @@ def group_db(rng, group, size, n=2, l=4, feature_map="full"):
     return ShapeDatabase(group, records, feature_map)
 
 
+def spy_block_sizes(monkeypatch) -> list[int]:
+    """The number of records of each stack the database build passes to
+    ``_feature_stack``, in order."""
+    sizes = []
+
+    def spy(group, x, feature_map):
+        sizes.append(len(x))
+        return _feature_stack(group, x, feature_map)
+
+    monkeypatch.setattr(search, "_feature_stack", spy)
+    return sizes
+
+
 def scan_oracle(db, query):
     """The exact scan as a plain loop over the scalar API: (d, id) minimum."""
     return min((orbit_distance(db.group, query, m)[0], rid) for rid, m in zip(db.ids, db.matrices))
@@ -99,9 +113,14 @@ class TestStackedBuild:
             (GroupAction.COMPLEX_EUCLIDEAN, 1, 5, "reduced"),
         ],
     )
-    def test_features_match_feature_vector(self, rng, group, n, l, feature_map):
-        # the build runs in blocks of _BLOCK records: the last holds one
-        db = group_db(rng, group, search._BLOCK + 1, n, l, feature_map)
+    def test_features_match_feature_vector(self, rng, monkeypatch, group, n, l, feature_map):
+        # the build runs in blocks of 8 records (of an l x l root each, or a
+        # row of l for the reduced map at n = 1): the last holds one
+        root = l if feature_map == "reduced" else l * l
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 8 * root)
+        sizes = spy_block_sizes(monkeypatch)
+        db = group_db(rng, group, 17, n, l, feature_map)
+        assert sizes == [8, 8, 1]
         for m, f in zip(db.matrices, db.features):
             np.testing.assert_array_equal(f, feature_vector(group, m, feature_map))
 
@@ -162,10 +181,13 @@ class TestStackedBuild:
             ShapeDatabase(GroupAction.EUCLIDEAN, [("y", a), ("y", a), ("x", b)])
 
     @pytest.mark.parametrize("size", [1, 3, 8, 11])
-    def test_block_boundaries(self, rng, monkeypatch, size):
-        # blocks of 4: one record, fewer than a block, whole blocks, a ragged tail
+    @pytest.mark.parametrize("entries", [100, 40], ids=["build", "scan"])
+    def test_block_boundaries(self, rng, monkeypatch, size, entries):
+        # blocks of 4 records, of the build's 5 x 5 roots or of the scan's
+        # 2 x 5 records: one record, fewer than a block, whole blocks, a
+        # ragged tail
         whole = group_db(np.random.default_rng(size), GroupAction.EUCLIDEAN, size, 2, 5)
-        monkeypatch.setattr(search, "_BLOCK", 4)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
         blocked = group_db(np.random.default_rng(size), GroupAction.EUCLIDEAN, size, 2, 5)
         np.testing.assert_array_equal(blocked.features, whole.features)
         for _ in range(3):
@@ -174,6 +196,39 @@ class TestStackedBuild:
             d, rid = scan_oracle(blocked, query)
             assert res.id == rid
             assert res.exact_orbit_distance == pytest.approx(d, rel=1e-12, abs=0.0)
+
+
+class TestBlockRule:
+    """The build and the scan take their blocks from ``linalg._blocks``: a
+    block's working memory follows the records' shape, and no bit depends
+    on the block."""
+
+    def test_build_blocks_bound_the_roots(self, rng, monkeypatch):
+        # a reduced O 2 x 128 record has a 128 x 128 Gram root, so a block
+        # of the build holds at most _BLOCK_ENTRIES // 128**2 records
+        l, sizes = 128, spy_block_sizes(monkeypatch)
+        group_db(rng, GroupAction.ORTHOGONAL, 64, 2, l, "reduced")
+        assert sum(sizes) == 64
+        assert max(sizes) <= max(1, linalg._BLOCK_ENTRIES // l**2)
+
+    @pytest.mark.parametrize("feature_map", ["full", "reduced"])
+    @pytest.mark.parametrize("group", list(GroupAction))
+    def test_bits_do_not_depend_on_the_block(self, monkeypatch, group, feature_map):
+        # the default rule's one block against one record per block
+        rng = np.random.default_rng(8)
+        queries = [rng.standard_normal((2, 6)) for _ in range(4)]
+        if group.is_complex:
+            queries = [q + 1j * rng.standard_normal((2, 6)) for q in queries]
+        runs = []
+        for entries in (linalg._BLOCK_ENTRIES, 1):
+            monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
+            db = group_db(np.random.default_rng(7), group, 40, 2, 6, feature_map)
+            hits = [linear_scan_nearest(db, q) for q in [*queries, db.matrices[5]]]
+            runs.append(
+                [db.features.tobytes()]
+                + [(r.id, r.embedded_distance.hex(), r.exact_orbit_distance.hex()) for r in hits]
+            )
+        assert runs[0] == runs[1]
 
 
 class TestLinearScan:
