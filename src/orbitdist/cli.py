@@ -27,6 +27,7 @@ from .experiments import (
     _DEFAULT_CONFIGS,
     MAP_TRIANGLE,
     ExperimentConfig,
+    _require_read,
     classification_experiment,
     distortion_experiment,
     lower_constant_survey,
@@ -123,11 +124,7 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigInvalidError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigInvalidError("config file must hold a JSON object")
-        # a key the study does not read (a typo, another study's key, or the
-        # seed, which comes from --seed) would otherwise be dropped silently
-        unread = sorted(set(loaded) - set(data))
-        if unread:
-            raise ConfigInvalidError(f"experiment {args.kind} reads no key {unread}; it reads {sorted(data)}")
+        _require_read(args.kind, loaded)
         data.update(loaded)
     data["seed"] = args.seed
     return ExperimentConfig.from_dict(data)

@@ -61,3 +61,12 @@ class DuplicateIdError(OrbitDistError, ValueError):
 
 class ConfigInvalidError(OrbitDistError):
     """An experiment configuration violates its invariants."""
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, unless that needs the string
+    of an integer too long to print (Python's 4300-digit limit)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "a value with an integer too long to print"

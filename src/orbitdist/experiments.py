@@ -29,19 +29,18 @@ query ``q`` from words ``[6q, 6q+6)`` of stream 1.
 
 Every config field is checked in one place, the table ``_CHECKS``, which
 maps each field to the function that returns it in canonical form (an
-int, a tuple of floats, a GroupAction, a tuple of map names).
-``ExperimentConfig.from_dict`` runs it on the keys it is given, and each
-of the three entries runs it, through :func:`_validated`, on the seed and
-every field its study reads.  Study sizes have ceilings: ``n_pairs`` at
+int, a tuple of floats, a GroupAction, a tuple of map names); a config is
+checked when made, by that table.  Study sizes have ceilings: ``n_pairs`` at
 most ``MAX_PAIRS`` (10**7), ``db_size`` at most ``MAX_DB_SIZE`` (10**4),
 ``n_draws`` at most ``MAX_DRAWS`` (100), the survey's ``l`` at most
 ``MAX_L`` (1024) and its reducer at most ``MAX_REDUCER_NNZ`` (2**22)
 non-zeros, and each noise level is finite and at most ``MAX_NOISE``
 (1e100).  A size outside ``[1, ceiling]``, an ``n`` below 1, an integer
-field that is not a whole number, a map list that is empty or holds a
-repeated name or one its study does not run, or a field the study does
-not read set to other than its default raises ConfigInvalidError before
-anything is drawn or built.
+field that is not a whole number, or a map list that is empty or holds a
+repeated name raises ConfigInvalidError when the config is made.  Each
+entry (:func:`_validated`) raises it for a field its study reads that is
+not set, a map it does not run, or a field it does not read set to other
+than its default, before anything is drawn or built.
 
 The arithmetic is stacked over blocks of trials, each of about
 ``linalg._BLOCK_ENTRIES`` entries (:func:`linalg._blocks`).  Orbit
@@ -72,7 +71,7 @@ import numbers
 
 import numpy as np
 
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, _shown
 from .features import REDUCED, _is_triangle
 from .linalg import _blocks
 from .metrics import GroupAction, _procrustes
@@ -111,10 +110,10 @@ MAX_NOISE = 1e100  # far below the float64 range: no square of a query overflows
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs shared by the experiment drivers, as given: each entry
-    checks them by ``_CHECKS`` and runs, and reports, their canonical
-    form.  A study refuses a field it does not read unless that field
-    keeps its default."""
+    """Inputs shared by the experiment drivers, checked when made: each
+    field given is held in canonical form (``_CHECKS``), or
+    ConfigInvalidError.  A field left at its default is not checked: None
+    and ``()`` mean "not set"."""
 
     seed: int = 0
     n_pairs: int | None = None
@@ -126,35 +125,35 @@ class ExperimentConfig:
     n: int = 2
     l: int = 3
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not f.default:
+                object.__setattr__(self, f.name, _CHECKS[f.name](value))
+
     def to_dict(self) -> dict:
         return {
-            "seed": int(self.seed),
-            "n_pairs": self.n_pairs,
-            "db_size": self.db_size,
-            "noise_grid": [float(e) for e in self.noise_grid],
-            "n_draws": int(self.n_draws),
+            **{f.name: getattr(self, f.name) for f in fields(self)},
+            "noise_grid": list(self.noise_grid),
             "maps": list(self.maps),
             "group": self.group.value,
-            "n": int(self.n),
-            "l": int(self.l),
         }
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """Config from JSON values, each key given checked by ``_CHECKS``
-        and put in canonical form; a key not given keeps its default.
-        ConfigInvalidError, and no other error, when a key names no field
-        or a value fails its field's check: an integer field that is not a
-        whole number in its range, ``maps`` or ``noise_grid`` that is not
-        a list (a string would be read one character per entry), a noise
-        level that is not a number in range, or a ``group`` that names no
-        GroupAction."""
+        """Config from JSON values; a key not given keeps its default, and
+        a JSON null size is not set.  ConfigInvalidError, and no other
+        error, when a key names no field or a value fails its field's
+        check: an integer field that is not a whole number in its range,
+        ``maps`` or ``noise_grid`` that is not a list (a string would be
+        read one character per entry), a noise level that is not a number
+        in range, or a ``group`` that names no GroupAction."""
         unknown = [key for key in d if key not in _CHECKS]
         _require(
             not unknown,
             f"an experiment config has no field {_shown(unknown)}; its fields are {list(_CHECKS)}",
         )
-        return ExperimentConfig(**{key: _CHECKS[key](value) for key, value in d.items()})
+        return ExperimentConfig(**d)
 
 
 # Defaults of each ``orbitdist experiment`` kind, and the keys it reads: a
@@ -386,15 +385,6 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigInvalidError(message)
 
 
-def _shown(value) -> str:
-    """``repr(value)`` for an error message, unless that needs the string
-    of an integer too long to print (Python's 4300-digit limit)."""
-    try:
-        return repr(value)
-    except ValueError:
-        return "a value with an integer too long to print"
-
-
 def _is_whole(value) -> bool:
     """An integer other than a bool, or a float with an integral value
     (JSON may write 1e5 for 100000)."""
@@ -473,33 +463,26 @@ _CHECKS = {
 }
 
 
-def _is_default(f, value) -> bool:
-    """Whether ``value`` is config field f's default, compared in canonical
-    form, so that no array meets numpy's ``!=``.  A value that f's check
-    refuses is the default only if it equals it as a None or an empty
-    tuple, the defaults that no check admits."""
-    try:
-        return _CHECKS[f.name](value) == f.default
-    except ConfigInvalidError:
-        return type(value) is type(f.default) and value == f.default
+def _require_read(kind: str, keys) -> None:
+    """ConfigInvalidError unless experiment ``kind`` reads every one of the
+    config ``keys`` (a key of ``_DEFAULT_CONFIGS[kind]``, never the seed),
+    so that none is dropped silently and a report states only what ran."""
+    read = _DEFAULT_CONFIGS[kind]
+    unread = sorted(set(keys) - set(read))
+    _require(not unread, f"experiment {kind} reads no field {unread}; it reads {sorted(read)}")
 
 
 def _validated(cfg: ExperimentConfig, kind: str) -> ExperimentConfig:
-    """``cfg`` with the seed and every field that experiment ``kind``
-    reads (the keys of ``_DEFAULT_CONFIGS[kind]``) checked by ``_CHECKS``
-    and in canonical form, and every other field set to its default.
-    ConfigInvalidError when a check fails, when ``maps`` names a map the
-    kind does not run, or when a field it does not read differs from its
-    default (:func:`_is_default`), so a report states only what ran."""
+    """``cfg``, or ConfigInvalidError when a field that experiment ``kind``
+    does not read (the seed aside) is not its default (:func:`_require_read`),
+    when a field it reads is not set (None or ``()``, which no check
+    admits), or when ``maps`` names a map the kind does not run."""
     read = _DEFAULT_CONFIGS[kind]
-    unread = [f for f in fields(cfg) if f.name != "seed" and f.name not in read]
-    changed = [f.name for f in unread if not _is_default(f, getattr(cfg, f.name))]
-    _require(not changed, f"experiment {kind} reads no field {changed}; it reads {sorted(read)}")
-    cfg = replace(
-        cfg,
-        **{f.name: f.default for f in unread},
-        **{key: _CHECKS[key](getattr(cfg, key)) for key in ("seed", *read)},
-    )
+    changed = [f.name for f in fields(cfg) if f.name != "seed" and getattr(cfg, f.name) != f.default]
+    _require_read(kind, changed)
+    for key in read:
+        if getattr(cfg, key) in (None, ()):
+            _CHECKS[key](getattr(cfg, key))
     allowed = read.get("maps", [])
     _require(
         set(cfg.maps) <= set(allowed),
@@ -737,7 +720,7 @@ def lower_constant_survey(
     constant, taken from random pairs, which miss the worst directions; it
     is not an estimate of the constant.  Pairs run in blocks whose memory
     grows with neither ``n_pairs`` nor l (see :func:`_pair_study`).
-    ``group`` is a GroupAction or its name, as ``ExperimentConfig.from_dict``
+    ``group`` is a GroupAction or its name, as ``ExperimentConfig``
     reads it.
     """
     cfg = ExperimentConfig(seed=seed, n_pairs=n_pairs, group=group, n=n, l=l)
@@ -746,10 +729,10 @@ def lower_constant_survey(
     size = _block_size(group, l)
     nnz = n * size * size * (2 if group.is_complex else 1)
     # below size 2n reducer_for raises DimensionHypothesisError, building nothing
-    _require(
-        size < 2 * n or nnz <= MAX_REDUCER_NNZ,
-        f"the reducer for n={n}, l={l} would hold about {nnz} non-zeros, "
-        f"more than {MAX_REDUCER_NNZ}",
-    )
+    if 2 * n <= size and nnz > MAX_REDUCER_NNZ:
+        raise ConfigInvalidError(
+            f"the reducer for n={n}, l={l} would hold about {nnz} non-zeros, "
+            f"more than {MAX_REDUCER_NNZ}"
+        )
     reducer_for(group, n, l)
     return _pair_study(replace(cfg, maps=(REDUCED,)), "lower_constant")

@@ -112,9 +112,11 @@ def read_matrix(path) -> np.ndarray:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        # ValueError: a JSON syntax error, or an integer too long for
+        # Python to convert
         try:
             value = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
         return matrix_from_json(value, path)
     return _parse_csv_matrix(text, path)
@@ -146,9 +148,11 @@ def load_database(path) -> ShapeDatabase:
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty database file")
+    # ValueError, here and for each record: a JSON syntax error, or an
+    # integer too long for Python to convert
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: line 1: invalid JSON: {exc}") from None
     if not isinstance(header, dict):
         raise ParseError(f"{path}: line 1: header must be a JSON object")
@@ -168,7 +172,7 @@ def load_database(path) -> ShapeDatabase:
     for i, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ParseError(f"{path}: line {i}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or "id" not in obj or "matrix" not in obj:
             raise ParseError(f"{path}: line {i}: record must be an object with 'id' and 'matrix'")

@@ -63,6 +63,7 @@ from .errors import (
     DimensionHypothesisError,
     InvalidRankError,
     ShapeMismatchError,
+    _shown,
 )
 from .linalg import HERM_TOL, _finite, _pow2_scale, _unscaled, as_matrix
 from .metrics import GroupAction, _configuration
@@ -93,7 +94,9 @@ def separating_subspace_basis(size: int, rank: int) -> list[np.ndarray]:
     span intersects the matrices of rank <= rank only at zero.
     """
     if rank <= 0 or rank > size:
-        raise InvalidRankError(f"rank must satisfy 0 < rank <= size, got rank={rank}, size={size}")
+        raise InvalidRankError(
+            f"rank must satisfy 0 < rank <= size, got rank={_shown(rank)}, size={_shown(size)}"
+        )
     signed = [(-1) ** k * math.comb(rank, k) for k in range(rank + 1)]
     out = []
     for i in range(size - rank):
@@ -130,9 +133,11 @@ class ReducerBasis:
     def __post_init__(self):
         r, size = self.rank, self.size  # a bool is below 2 or odd: refused too
         if not isinstance(r, numbers.Integral) or r < 2 or r % 2:
-            raise InvalidRankError(f"reducer rank must be an even integer >= 2, got {r!r}")
+            raise InvalidRankError(f"reducer rank must be an even integer >= 2, got {_shown(r)}")
         if not isinstance(size, numbers.Integral) or size < r:
-            raise DimensionHypothesisError(f"need an integer size >= rank {r}, got {size!r}")
+            raise DimensionHypothesisError(
+                f"need an integer size >= rank {_shown(r)}, got {_shown(size)}"
+            )
 
     @cached_property
     def _arrays(self) -> _Operator:
@@ -283,8 +288,8 @@ def reducer_for(group: GroupAction, n: int, l: int) -> ReducerBasis:
     size = _block_size(group, l)
     if size < 2 * n:
         raise DimensionHypothesisError(
-            f"group {group.value} with l={l} admits reduction only for l >= "
-            f"{2 * n + (1 if group.quotients_translations else 0)} at n={n}"
+            f"group {group.value} with l={_shown(l)} admits reduction only for l >= "
+            f"{_shown(2 * n + (1 if group.quotients_translations else 0))} at n={_shown(n)}"
         )
     return build_reducer(n, size, _AMBIENTS[group])
 

@@ -44,6 +44,7 @@ from .errors import (
     OrbitDistError,
     OutOfRangeError,
     UnknownIdError,
+    _shown,
 )
 from .features import FULL, REDUCED, _feature_stack
 from .linalg import _as_array, _blocks, _finite, _pow2_scale, _unscaled
@@ -181,25 +182,33 @@ class ShapeDatabase:
         # entries per record: an l x l Gram root, or the row of l of the
         # reduced features at n = 1, which take no root
         width = self.l if feature_map == REDUCED and self.n == 1 else self.l * self.l
-        blocks = _blocks(len(self.ids), width)
-        self.features = (
-            np.concatenate([_feature_stack(group, self.matrices[r], feature_map) for r in blocks])
-            if self.ids
-            else np.zeros((0, 0))
-        )
-        finite = np.isfinite(self.features).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            _finite(self.features[i], f"record {self.ids[i]!r}")
-        self._scale = _pow2_scale(float(np.abs(self.features).max(initial=0.0)))
-        g = self._scale * self.features
-        sq_norms = np.add.reduce(g * g, axis=-1)
+        blocks = _blocks(len(self.ids), width) if self.ids else []
+        # each block's features are written into one array and measured
+        # there, then scaled into the screen, so the build holds no second
+        # copy of the features
+        self.features, top = np.zeros((0, 0)), 0.0
+        for r in blocks:
+            f = _feature_stack(group, self.matrices[r], feature_map)
+            if r.start == 0:
+                self.features = np.empty((len(self), f.shape[1]), dtype=f.dtype)
+            self.features[r] = f
+            peak = float(np.abs(f).max(initial=0.0))  # nan if any entry is
+            if not math.isfinite(peak):
+                i = int(np.argmin(np.isfinite(f).all(axis=1)))
+                _finite(f[i], f"record {self.ids[r.start + i]!r}")
+            top = max(top, peak)
+        self._scale = _pow2_scale(top)
         dim = self.features.shape[1]
         self._screen32 = np.empty((dim + 1, len(self)), dtype=np.float32)
-        self._screen32[:dim] = g.T
-        self._screen32[dim] = sq_norms
+        max_sq = 0.0
+        for r in blocks:
+            g = self._scale * self.features[r]
+            sq_norms = np.add.reduce(g * g, axis=-1)
+            self._screen32[:dim, r] = g.T
+            self._screen32[dim, r] = sq_norms
+            max_sq = max(max_sq, float(sq_norms.max(initial=0.0)))
         self._screen32.flags.writeable = False
-        self._max_norm = math.sqrt(sq_norms.max(initial=0.0))
+        self._max_norm = math.sqrt(max_sq)
         # the terms of the screen's error bound, see feature_nearest
         self._error_terms = (
             _gamma(dim + 3, _U32),
@@ -386,7 +395,7 @@ def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:
     number of records, every row is scored exactly.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise OutOfRangeError(f"k must be an integer >= 1, got {k!r}")
+        raise OutOfRangeError(f"k must be an integer >= 1, got {_shown(k)}")
     q = db._check_query(query)
     qf = db._feature(q)
     rows = db._screen(qf, k)

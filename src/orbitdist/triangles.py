@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OutOfRangeError, ShapeMismatchError
+from .errors import OutOfRangeError, ShapeMismatchError, _shown
 from .linalg import _finite, _pow2_scale, _unscaled, as_matrix
 from .metrics import GroupAction, _configuration, dist_euclidean
 
@@ -134,7 +134,7 @@ def side_lengths_counterexample(eps: float) -> tuple[np.ndarray, np.ndarray, flo
     eps -> 0.  Requires 0 < eps < 0.1.
     """
     if not (0.0 < eps < 0.1):
-        raise OutOfRangeError(f"eps must lie in (0, 0.1), got {eps}")
+        raise OutOfRangeError(f"eps must lie in (0, 0.1), got {_shown(eps)}")
     a = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
     b = np.array([[1.0, 0.0, -1.0], [-eps, 2.0 * eps, -eps]])
     d_orbit, _ = dist_euclidean(a, b)

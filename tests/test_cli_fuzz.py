@@ -7,7 +7,8 @@ exception (a traceback) escape ``main``.  Sizes stay small, and the
 out-of-range ones are rejected before anything is allocated, so no case
 needs much memory or time.  The experiment configs also go straight to the
 Python entries, which may only return a report or raise
-ConfigInvalidError or DimensionHypothesisError, as the CLI would.
+ConfigInvalidError or DimensionHypothesisError, as the CLI would, and to
+the ExperimentConfig constructor, which may only raise ConfigInvalidError.
 """
 import contextlib
 import io
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+import pytest
 
 from orbitdist import (
     ConfigInvalidError,
@@ -198,6 +200,32 @@ def test_database_files(db, query, k, verify):
             assert code == 2, (sizes, err)
 
 
+# an integer past Python's 4300-digit limit, which json.loads refuses with a
+# plain ValueError
+LONG = "1" + "0" * 5000
+HEADER = '{"group": "E", "n": 1, "l": 2, "feature_map": "full"}'
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("dist", '{"re": [[' + LONG + ', 2]], "im": [[0, 0]]}'),
+        ("db-query", HEADER.replace('"n": 1', '"n": ' + LONG)),
+        ("db-query", HEADER + '\n{"id": "a", "matrix": [[' + LONG + ', 1]]}\n'),
+    ],
+    ids=["matrix", "database-header", "database-record"],
+)
+def test_integers_too_long_to_convert(tmp_path, command, text):
+    path, query = tmp_path / "in.json", tmp_path / "q.csv"
+    path.write_text(text)
+    query.write_text("1,2\n")
+    argv = [command, "--group", "U", str(path), str(path)]
+    if command == "db-query":
+        argv = [command, str(path), str(query)]
+    code, err = run(argv)
+    assert code == 2 and len(err) == 1 and err[0].startswith(f"error: {path}"), err
+
+
 def run_experiment(kind, seed, config):
     """Exit code and stderr lines of ``orbitdist experiment`` on a config
     file holding ``config``; checks that a report is written on success
@@ -262,9 +290,13 @@ def test_experiment_configs(kind, seed, config, unread):
     config={"n_pairs": 4, "db_size": 1, "n_draws": 1, "group": "O", "n": 2, "l": 3}, unread=False,
 )
 def test_experiment_entries(kind, seed, config, unread):
-    # the drawn config over the CLI's defaults, straight to the Python
-    # entry; the survey takes its fields as arguments
+    # the drawn config as it is to the constructor, then over the CLI's
+    # defaults to the Python entry; the survey takes its fields as arguments
     config = drawn_config(kind, config, unread)
+    try:
+        ExperimentConfig(seed=seed, **config)
+    except ConfigInvalidError:
+        pass
     data = {**_DEFAULT_CONFIGS[kind], **config}
     try:
         if kind == "lower-constant":

@@ -98,12 +98,11 @@ class TestSampler:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range(self, seed):
-        triangle = ExperimentConfig(seed=seed, n_pairs=10, maps=(MAP_TRIANGLE,))
-        with pytest.raises(ConfigInvalidError):
-            distortion_experiment(triangle)
-        classify = ExperimentConfig(seed=seed, db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,))
-        with pytest.raises(ConfigInvalidError):
-            classification_experiment(classify)
+        # refused when the config is made
+        with pytest.raises(ConfigInvalidError, match="seed must be an integer"):
+            ExperimentConfig(seed=seed, n_pairs=10, maps=(MAP_TRIANGLE,))
+        with pytest.raises(ConfigInvalidError, match="seed must be an integer"):
+            ExperimentConfig(seed=seed, db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,))
         with pytest.raises(ConfigInvalidError):
             lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, 10, seed=seed)
         with pytest.raises(ConfigInvalidError):
@@ -717,9 +716,8 @@ class TestConfigChecks:
         "grid", [(0.0, 1e160), (0.0, 1e308), (0.0, math.inf), (0.0, math.nan), (math.inf,)]
     )
     def test_noise_beyond_the_ceiling(self, grid):
-        cfg = ExperimentConfig(seed=0, db_size=5, n_draws=2, noise_grid=grid, maps=(MAP_EXACT,))
         with pytest.raises(ConfigInvalidError, match="finite"):
-            classification_experiment(cfg)
+            ExperimentConfig(seed=0, db_size=5, n_draws=2, noise_grid=grid, maps=(MAP_EXACT,))
 
     def test_noise_at_the_ceiling_gives_rates(self):
         grid = (0.0, 1.0, experiments.MAX_NOISE)
@@ -757,7 +755,6 @@ class TestConfigChecks:
             {"n_pairs": 0},
             {"n_pairs": 10**5000},
             {"maps": [10**5000]},
-            {"db_size": None},
             {"n_draws": experiments.MAX_DRAWS + 1},
             {"l": experiments.MAX_L + 1},
             {"n": 0},
@@ -769,13 +766,26 @@ class TestConfigChecks:
         ],
         ids=["group-Z", "group-null", "group-list", "noise-string", "noise-null", "noise-bool",
              "noise-int-beyond-float64", "unknown-key", "n_pairs-0", "n_pairs-too-long-to-print",
-             "maps-too-long-to-print", "db_size-null",
-             "n_draws-beyond-ceiling", "l-beyond-ceiling", "n-0", "seed-fraction", "noise-empty",
-             "noise-repeated", "maps-empty", "maps-unknown"],
+             "maps-too-long-to-print", "n_draws-beyond-ceiling", "l-beyond-ceiling", "n-0",
+             "seed-fraction", "noise-empty", "noise-repeated", "maps-empty", "maps-unknown"],
     )
     def test_from_dict_raises_only_config_invalid(self, d):
         with pytest.raises(ConfigInvalidError):
             ExperimentConfig.from_dict(d)
+
+    def test_a_null_size_is_refused_by_the_study_that_reads_it(self, tmp_path):
+        # JSON null reads as "not set", the size's default
+        from orbitdist.cli import main
+
+        cfg = ExperimentConfig.from_dict({"db_size": None, "noise_grid": [0.0], "maps": [MAP_EXACT]})
+        assert cfg == ExperimentConfig(noise_grid=(0.0,), maps=(MAP_EXACT,))
+        with pytest.raises(ConfigInvalidError, match="db_size must be an integer"):
+            classification_experiment(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text('{"db_size": null}')
+        argv = ["experiment", "classify", "--config", str(path), "--out", str(tmp_path)]
+        assert main(argv) == 6
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "kind, key, value",
@@ -795,12 +805,16 @@ class TestConfigChecks:
         ],
     )
     def test_a_field_the_study_does_not_read(self, kind, key, value):
-        # the report would state a value that did not run
+        # the report would state a value that did not run; an array is
+        # refused first, by its field's own check when the config is made
         study, read = {
             "distortion": (distortion_experiment, dict(n_pairs=10, maps=(MAP_TRIANGLE,))),
             "classify": (classification_experiment, dict(db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,))),
         }[kind]
-        with pytest.raises(ConfigInvalidError, match=rf"^experiment {kind} reads no field \['{key}'\]"):
+        message = rf"^experiment {kind} reads no field \['{key}'\]"
+        if isinstance(value, np.ndarray):
+            message = rf"^{key} must be"
+        with pytest.raises(ConfigInvalidError, match=message):
             study(ExperimentConfig(seed=0, **read, **{key: value}))
 
     @pytest.mark.parametrize("key, value", [("n", 2.0), ("l", np.int64(3)), ("group", "E")])
@@ -813,6 +827,23 @@ class TestConfigChecks:
     def test_from_dict_reads_lists_and_tuples(self):
         cfg = ExperimentConfig.from_dict({"maps": [MAP_EXACT], "noise_grid": (0, 0.5)})
         assert cfg.maps == (MAP_EXACT,) and cfg.noise_grid == (0.0, 0.5)
+
+    def test_canonical_when_made(self):
+        # valid values in another form give the canonical config, equal and
+        # with the same hash
+        given = ExperimentConfig(
+            seed=np.uint64(5), n_pairs=1e5, noise_grid=[0, 0.5], maps=[MAP_EXACT, MAP_TRIANGLE],
+            group="O", n=2.0, l=np.int64(4),
+        )
+        canonical = ExperimentConfig(
+            seed=5, n_pairs=100_000, noise_grid=(0.0, 0.5), maps=(MAP_EXACT, MAP_TRIANGLE),
+            group=GroupAction.ORTHOGONAL, n=2, l=4,
+        )
+        assert given == canonical and hash(given) == hash(canonical)
+        for key in ("seed", "n_pairs", "n", "l"):
+            assert type(getattr(given, key)) is int
+        assert all(type(e) is float for e in given.noise_grid)
+        assert given.to_dict() == canonical.to_dict()
 
     def test_from_dict_gives_canonical_values(self):
         cfg = ExperimentConfig.from_dict(

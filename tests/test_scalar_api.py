@@ -15,8 +15,12 @@ import pytest
 from orbitdist import (
     Ambient,
     AmbientMismatchError,
+    DimensionHypothesisError,
     GroupAction,
+    InvalidRankError,
     NonFiniteError,
+    OutOfRangeError,
+    ReducerBasis,
     ShapeDatabase,
     ShapeMismatchError,
     build_reducer,
@@ -30,8 +34,11 @@ from orbitdist import (
     linear_scan_nearest,
     orbit_distance,
     reduced_embedding,
+    reduced_feature_dim,
     reducer_for,
+    separating_subspace_basis,
     side_lengths,
+    side_lengths_counterexample,
     triangle_embedding,
     verify,
 )
@@ -304,6 +311,28 @@ class TestErrorContract:
                 with pytest.raises(error or ShapeMismatchError, match=f"^{re.escape(name)} "):
                     call(bad)
                     pytest.fail(f"{name} accepted a {label} input")
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda big: lower_constant_survey("O", big, 4, 10, 0), DimensionHypothesisError),
+            (lambda big: reducer_for(G.ORTHOGONAL, big, 4), DimensionHypothesisError),
+            (lambda big: reduced_feature_dim(G.ORTHOGONAL, big, 4), DimensionHypothesisError),
+            (lambda big: build_reducer(1, -big, Ambient.SYMMETRIC), DimensionHypothesisError),
+            (lambda big: ReducerBasis(big + 1, 4, Ambient.SYMMETRIC), InvalidRankError),
+            (lambda big: separating_subspace_basis(4, big), InvalidRankError),
+            (lambda big: feature_nearest(ShapeDatabase(G.EUCLIDEAN, [("a", np.eye(2, 3))]), np.eye(2, 3), k=-big),
+             OutOfRangeError),
+            (lambda big: side_lengths_counterexample(big), OutOfRangeError),
+        ],
+        ids=["lower_constant_survey", "reducer_for", "reduced_feature_dim", "build_reducer",
+             "ReducerBasis", "separating_subspace_basis", "feature_nearest", "side_lengths_counterexample"],
+    )
+    def test_integers_too_long_to_print(self, call, error):
+        # repr of an integer past Python's 4300-digit limit is a ValueError;
+        # the message names it instead
+        with pytest.raises(error, match="an integer too long to print"):
+            call(10**5000)
 
 
 # one shape per group with room for the reduced map, and one with n = 2

@@ -225,7 +225,7 @@ class TestBlockRule:
             db = group_db(np.random.default_rng(7), group, 40, 2, 6, feature_map)
             hits = [linear_scan_nearest(db, q) for q in [*queries, db.matrices[5]]]
             runs.append(
-                [db.features.tobytes()]
+                [db.features.tobytes(), db._screen32.tobytes(), db._scale, db._max_norm.hex()]
                 + [(r.id, r.embedded_distance.hex(), r.exact_orbit_distance.hex()) for r in hits]
             )
         assert runs[0] == runs[1]
@@ -488,6 +488,23 @@ class TestExactScreen:
                 feature_nearest(db, big)
             with pytest.raises(NonFiniteError, match="'huge'"):
                 ShapeDatabase(GroupAction.EUCLIDEAN, [("fine", big / 1e308), ("huge", big)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_in_a_later_block(self, monkeypatch, rng, bad):
+        # a nan feature must not pass the build's running maximum
+        kernel = search._feature_stack
+
+        def spoiled(group, x, feature_map):
+            f = kernel(group, x, feature_map)
+            f[(x[:, 0, 0] == 5.0).nonzero()] = bad
+            return f
+
+        monkeypatch.setattr(search, "_feature_stack", spoiled)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 2 * 9)  # two triangles per block
+        records = [(f"t{i}", rng.standard_normal((2, 3))) for i in range(8)]
+        records[5][1][0, 0] = 5.0
+        with pytest.raises(NonFiniteError, match="'t5'"):
+            ShapeDatabase(GroupAction.EUCLIDEAN, records)
 
     def test_screen_keeps_few_candidates(self, rng):
         db = group_db(rng, GroupAction.EUCLIDEAN, 2000, 2, 6)
