@@ -43,6 +43,15 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _read_text(path) -> str:
+    """The text of a file, which must be UTF-8; ParseError names it
+    otherwise."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _parse_csv_matrix(text: str, path) -> np.ndarray:
     rows = []
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -109,7 +118,7 @@ def matrix_to_json(m: np.ndarray):
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file, sniffing CSV (real) versus JSON (complex)."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         # ValueError: a JSON syntax error, or an integer too long for
@@ -145,7 +154,7 @@ def save_database(path, db: ShapeDatabase) -> None:
 
 
 def load_database(path) -> ShapeDatabase:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty database file")
     # ValueError, here and for each record: a JSON syntax error, or an

@@ -1,17 +1,19 @@
 """Nearest-orbit queries against a database of configurations.
 
 The database holds its records as one read-only ``(N, n, l)`` stack.  The
-exact route scans every record with the orbit distance, as stacked
-Procrustes solves over blocks of records (one batched SVD per block rather
-than one Python call per record); the features are built the same way at
-construction.  A block holds about ``linalg._BLOCK_ENTRIES`` entries: n x l
-per record in the scan, and in the build an l x l Gram root per record, or
-a row of l for the reduced features at n = 1.  So its working memory grows
-with neither the database nor l until a block is one record.  The fast
-route ranks records by the distance between flattened invariant features:
-because full features sandwich the orbit distance within a factor of
-sqrt(2), the feature-nearest record is certified to be within sqrt(2) of
-the true nearest orbit.
+fast route ranks records by the distance between flattened invariant
+features: because full features sandwich the orbit distance within a
+factor of sqrt(2), the feature-nearest record is certified to be within
+sqrt(2) of the true nearest orbit.  The exact route screens every record
+by its features too, solves the feature-nearest one, and then solves only
+the records that the sandwich cannot rule out, usually a handful (see
+:func:`linear_scan_nearest`).  It solves them as stacked Procrustes calls
+over blocks of records (one batched SVD per block rather than one Python
+call per record); the features are built the same way at construction.  A
+block holds about ``linalg._BLOCK_ENTRIES`` entries: n x l per record in
+the scan, and in the build an l x l Gram root per record, or a row of l
+for the reduced features at n = 1.  So its working memory grows with
+neither the database nor l until a block is one record.
 
 The feature ranking is exact.  One float32 matrix-vector product screens
 every record, its squared norm folded into the product, and only the
@@ -80,6 +82,13 @@ def _up32(x: float) -> np.float32:
         return np.float32(np.inf)
     t = np.float32(x)
     return t if float(t) >= x else np.nextafter(t, np.float32(np.inf))
+
+
+def _within(s: np.ndarray, bound: float) -> np.ndarray:
+    """The mask of the screened values ``s~_i`` at most the float64
+    ``bound``, compared at ``bound`` rounded up to float32, so that the
+    rounding loses no row."""
+    return s <= _up32(bound)
 
 
 def _stack_records(group: GroupAction, records) -> tuple[list[str], dict[str, int], np.ndarray]:
@@ -186,7 +195,7 @@ class ShapeDatabase:
         # each block's features are written into one array and measured
         # there, then scaled into the screen, so the build holds no second
         # copy of the features
-        self.features, top = np.zeros((0, 0)), 0.0
+        self.features, top, entry = np.zeros((0, 0)), 0.0, 0.0
         for r in blocks:
             f = _feature_stack(group, self.matrices[r], feature_map)
             if r.start == 0:
@@ -197,7 +206,12 @@ class ShapeDatabase:
                 i = int(np.argmin(np.isfinite(f).all(axis=1)))
                 _finite(f[i], f"record {self.ids[r.start + i]!r}")
             top = max(top, peak)
+            entry = max(entry, float(np.abs(self.matrices[r]).max(initial=0.0)))
         self._scale = _pow2_scale(top)
+        # sigma max |entry| sqrt(n l), at least sigma times the Frobenius
+        # norm of every record, for the slack of linear_scan_nearest (an
+        # overflow to inf only makes the scan solve every record)
+        self._record_reach = self._scale * entry * math.sqrt(self.n * self.l)
         dim = self.features.shape[1]
         self._screen32 = np.empty((dim + 1, len(self)), dtype=np.float32)
         max_sq = 0.0
@@ -248,8 +262,8 @@ class ShapeDatabase:
     def _screened(self, qf: np.ndarray) -> tuple[np.ndarray, float]:
         """The float32 screened values ``s~`` of every row for the query
         feature ``qf``, and the float64 slack ``2 E'`` (see
-        :func:`feature_nearest`); the caller checks that the screen can
-        run."""
+        :func:`feature_nearest`); the caller checks with
+        :meth:`_screenable` that the screen can run."""
         h = self._scale * qf
         v = np.ones(len(h) + 1, dtype=np.float32)
         v[:-1] = -2.0 * h
@@ -263,22 +277,44 @@ class ShapeDatabase:
         )
         return v @ self._screen32, slack
 
+    def _screenable(self, qf: np.ndarray) -> bool:
+        """Whether the screen can run for the query feature ``qf``: every
+        entry of ``sigma * qf`` below 2^100 in magnitude (see
+        :func:`feature_nearest`)."""
+        return float(np.abs(qf).max(initial=0.0)) * self._scale < _SCREEN_MAX
+
     def _screen(self, qf: np.ndarray, k: int) -> np.ndarray:
         """Rows the float32 screen cannot rule out of the k feature-nearest
         (every row when ``k >= N`` or when the screen cannot run)."""
-        if k < len(self) and float(np.abs(qf).max(initial=0.0)) * self._scale < _SCREEN_MAX:
+        if k < len(self) and self._screenable(qf):
             s, slack = self._screened(qf)
             # the k-th of a subsample bounds the k-th of all rows from above
             sub = s[:: max(1, len(s) // _SUBSAMPLE)]
             rows = (
-                np.flatnonzero(s <= _up32(float(np.partition(sub, k - 1)[k - 1]) + slack))
+                np.flatnonzero(_within(s, float(np.partition(sub, k - 1)[k - 1]) + slack))
                 if k <= len(sub)
                 else np.arange(len(s))
             )
             near = s[rows]
-            return rows[near <= _up32(float(np.partition(near, k - 1)[k - 1]) + slack)]
+            return rows[_within(near, float(np.partition(near, k - 1)[k - 1]) + slack)]
         _finite(qf, "query")
         return np.arange(len(self))
+
+    def _ball(self, q: np.ndarray, qf: np.ndarray) -> np.ndarray:
+        """Rows that :func:`linear_scan_nearest` solves for the query ``q``
+        of feature ``qf``: those the sandwich around a pivot cannot rule
+        out, or every row when N = 1 or when the screen cannot run."""
+        if len(self) == 1 or not self._screenable(qf):
+            return np.arange(len(self))
+        s, slack = self._screened(qf)
+        p = int(np.argmin(s))
+        dp = self._scale * float(_procrustes(self.group, q, self.matrices[p])[0])
+        delta = _gamma(64 * (self.n + 1) * (self.l + 1), _U64) * (
+            self._scale * float(np.abs(q).max()) * math.sqrt(self.n * self.l) + self._record_reach
+        )
+        rho = (1.0 + 2.0**-20) * (_SQRT2 * (dp + delta) + delta)
+        h = self._scale * qf
+        return np.flatnonzero(_within(s, rho * rho - float(h @ h) + slack))
 
     def query_feature(self, query) -> np.ndarray:
         return self._feature(self._check_query(query))
@@ -295,23 +331,70 @@ class ShapeDatabase:
 
 
 def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
-    """Exact nearest orbit by scanning every record; ties break on the
+    """Exact nearest orbit over every record; ties break on the
     lexicographically smallest id.
 
     The distances come from the stacked Procrustes kernel, one call per
     block of records, and equal :func:`orbit_distance` of each record.  The
     feature distance of the returned record has the bits that
-    :func:`feature_nearest` reports for it.
+    :func:`feature_nearest` reports for it.  The scan leaves the memo of
+    :func:`verify` alone.  NonFiniteError when the distance of a record it
+    solves overflows float64.
+
+    Only the records that the sqrt(2) sandwich cannot rule out are solved.
+    Both feature maps satisfy ``|f(A) - f(B)| <= sqrt(2) d(A, B)`` (the
+    reduced map projects the full one), so the feature distance bounds the
+    orbit distance from below (the lower-bounding lemma of Faloutsos,
+    Ranganathan & Manolopoulos, SIGMOD 1994).  One float32 screen of
+    :func:`feature_nearest` gives ``s~_i`` for every row; its smallest row
+    is the pivot p, solved first.  A record j ties or beats p only if
+    ``d^_j <= d^_p`` for the computed distances, and then
+
+        |f^_q - f^_j| <= sqrt(2) d_j + delta <= sqrt(2) (d^_p + delta) + delta = r.
+
+    Here ``delta = gamma_K(v) (Q + N)`` with ``K = 64 (n + 1)(l + 1)``,
+    ``v = 2^-53``, ``Q = max |q| sqrt(n l) >= |q|`` and ``N`` the same
+    bound over the records.  It bounds each of two roundings, relative to
+    the inputs' norms (not to d):
+
+    - how far a computed distance ``d^ = |W^ A - B|`` can fall below the
+      true one.  Centring under E and F errs by at most (l + 1) v per
+      input, and d is 1-Lipschitz in each input.  W^ = V^ U^* is within a
+      few n v of an orthogonal W, whose residual is at least d.  The
+      product W^ A, the difference and the norm add at most
+      ``(n^(3/2) + 2 n l + 2) v``;
+    - how far the computed features of q and j, together, lie from the
+      exact ones.  Their coordinates (centring, Helmert) err by a few
+      ``(l + 1) v``; LAPACK's SVD is backward stable within a small
+      multiple of ``max(n, l) v``, which the Gram root, sqrt(2)-Lipschitz
+      in Frobenius norm (Araki & Yamagami, 1981), carries over; forming
+      ``V S V*`` from nearly orthonormal V, the flattening, the triangle
+      coordinates and the reduced projection add a few ``(n + l) v``.
+
+    Each is a small multiple of ``(n + 1)(l + 1) v (Q + N)``, well inside
+    delta; a larger slack only widens the ball.  With ``sigma``, ``h`` and
+    ``E'`` of :func:`feature_nearest`, ``sigma^2 |f^_q - f^_j|^2 = s_j +
+    |h|^2`` and ``s~_j <= s_j + E'``, so the ball is the rows with
+
+        s~_i <= rho^2 - |h|^2 + 2 E',   rho = (1 + 2^-20) sigma r,
+
+    all computed at sigma.  The factor ``1 + 2^-20`` covers the rounding of
+    rho and rho^2, and the second E' that of ``|h|^2`` and of the sum;
+    underflows fall far below E'.  A radius beyond float32 keeps every row.
+    The ball holds p, and is solved in blocks, then ranked by ``(d^, id)``.
+    When N = 1, or when the screen cannot run, the ball is every row.
     """
     q = db._check_query(query)
     qf = db._feature(q)
-    blocks = _blocks(len(db), db.n * db.l)
-    d = np.concatenate([_procrustes(db.group, q, db.matrices[r])[0] for r in blocks])
-    i = min(np.flatnonzero(d == d.min()), key=db.ids.__getitem__)
+    rows = db._ball(q, qf)
+    blocks = _blocks(len(rows), db.n * db.l)
+    d = np.concatenate([_procrustes(db.group, q, db.matrices[rows[r]])[0] for r in blocks])
+    j = min(np.flatnonzero(d == d.min()), key=lambda j: db.ids[rows[j]])
+    i = int(rows[j])
     return QueryResult(
         id=db.ids[i],
         embedded_distance=float(db._distances(qf, [i])[0]),
-        exact_orbit_distance=float(d[i]),
+        exact_orbit_distance=float(d[j]),
         approximation_bound=1.0,
     )
 

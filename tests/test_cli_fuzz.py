@@ -226,6 +226,42 @@ def test_integers_too_long_to_convert(tmp_path, command, text):
     assert code == 2 and len(err) == 1 and err[0].startswith(f"error: {path}"), err
 
 
+@st.composite
+def not_utf8(draw):
+    """The bytes of a drawn file text with a byte sequence that UTF-8
+    refuses spliced in anywhere."""
+    text = draw(file_texts).encode()
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80"])) + text[at:]
+
+
+# which file of which command is not UTF-8; the other files are valid
+NOT_UTF8_CASES = ["dist A", "dist B", "embed", "db-build", "db-query database", "db-query query"]
+
+
+@FUZZ
+@given(case=st.sampled_from(NOT_UTF8_CASES), blob=not_utf8())
+@example(case="dist A", blob=b"\xff\xfe1,2\n")
+@example(case="db-query database", blob=b"\xff\xfe1,2\n")
+def test_files_not_utf8(case, blob):
+    # a parse error, exit 2, on one error line that names the file
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, good, db = Path(tmp) / "bad.csv", Path(tmp) / "good.csv", Path(tmp) / "db.jsonl"
+        bad.write_bytes(blob)
+        good.write_text("1,2\n")
+        db.write_text(HEADER + '\n{"id": "a", "matrix": [[1, 2]]}\n')
+        argv = {
+            "dist A": ["dist", "--group", "E", str(bad), str(good)],
+            "dist B": ["dist", "--group", "E", str(good), str(bad)],
+            "embed": ["embed", "--group", "E", str(bad)],
+            "db-build": ["db-build", "--group", "E", "--out", str(db), str(good), str(bad)],
+            "db-query database": ["db-query", str(bad), str(good)],
+            "db-query query": ["db-query", str(db), str(bad)],
+        }[case]
+        code, err = run(argv)
+        assert code == 2 and len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8"), err
+
+
 def run_experiment(kind, seed, config):
     """Exit code and stderr lines of ``orbitdist experiment`` on a config
     file holding ``config``; checks that a report is written on success

@@ -30,7 +30,7 @@ from orbitdist import (
 from orbitdist import linalg, search
 from orbitdist.features import _feature_stack
 
-from oracles import rotation2
+from oracles import random_orthogonal, random_unitary, rotation2
 
 SQRT2 = np.sqrt(2.0)
 
@@ -185,14 +185,18 @@ class TestStackedBuild:
     def test_block_boundaries(self, rng, monkeypatch, size, entries):
         # blocks of 4 records, of the build's 5 x 5 roots or of the scan's
         # 2 x 5 records: one record, fewer than a block, whole blocks, a
-        # ragged tail
+        # ragged tail.  The queries lie beyond the screen's range, so the
+        # scan solves every record, block by block
         whole = group_db(np.random.default_rng(size), GroupAction.EUCLIDEAN, size, 2, 5)
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
         blocked = group_db(np.random.default_rng(size), GroupAction.EUCLIDEAN, size, 2, 5)
         np.testing.assert_array_equal(blocked.features, whole.features)
+        shapes = count_kernel_calls(monkeypatch)
         for _ in range(3):
-            query = rng.standard_normal((2, 5))
+            query = 1e32 * rng.standard_normal((2, 5))
+            shapes.clear()
             res = linear_scan_nearest(blocked, query)
+            assert [s[0] for s in shapes] == [len(range(size)[r]) for r in linalg._blocks(size, 10)]
             d, rid = scan_oracle(blocked, query)
             assert res.id == rid
             assert res.exact_orbit_distance == pytest.approx(d, rel=1e-12, abs=0.0)
@@ -294,6 +298,117 @@ class TestLinearScan:
         for _ in range(10):
             res = linear_scan_nearest(db, rng.standard_normal((2, 3)))
             assert res.exact_orbit_distance <= res.embedded_distance + 1e-9
+
+
+# shapes each feature map accepts in the scan's cases; (2, 3) under E is the
+# triangle map
+SCAN_SHAPES = {"full": [(2, 3), (2, 4), (1, 5), (2, 6)], "reduced": [(1, 4), (1, 5), (2, 6)]}
+
+
+def rigid_copy(rng, group, x):
+    """``x`` moved along its orbit: a random rotation (unitary when the
+    group is complex) and, under a translation quotient, a shift."""
+    n = x.shape[0]
+    y = (random_unitary if group.is_complex else random_orthogonal)(rng, n) @ x
+    if group.quotients_translations:
+        y = y + np.abs(x).max() * rng.standard_normal((n, 1))
+    return y
+
+
+@st.composite
+def scan_cases(draw):
+    """A database and a query for the exact scan: duplicates at any
+    position, all records equal, a single record, records at scale 1e-200,
+    1 or 1e200, and queries that are rigid copies of a record (d = 0),
+    near one, fresh, or far beyond every record (up to beyond the screen's
+    range)."""
+    group = draw(st.sampled_from(list(GroupAction)))
+    feature_map = draw(st.sampled_from(sorted(SCAN_SHAPES)))
+    n, l = draw(st.sampled_from(SCAN_SHAPES[feature_map]))
+    scale = draw(st.sampled_from([1e-200, 1.0, 1e200]))
+    # triangle coordinates square the entries: 1e156 overflows float64
+    triangle = group is GroupAction.EUCLIDEAN and (n, l) == (2, 3) and feature_map == "full"
+    size = draw(st.integers(1, 40))
+    same = draw(st.booleans())
+    copies = draw(st.integers(0, size - 1))
+    kind = draw(st.sampled_from(["rigid", "near", "fresh", "far"]))
+    far = draw(st.sampled_from([1e3] if triangle and scale > 1.0 else [1e3, 1e40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def draw_matrices(count):
+        m = rng.standard_normal((count, n, l))
+        return m + 1j * rng.standard_normal((count, n, l)) if group.is_complex else m
+
+    x = draw_matrices(size)
+    if same:
+        x[:] = x[0]
+    for _ in range(copies):
+        x[rng.integers(size)] = x[rng.integers(size)]
+    ids = [f"r{i:03d}" for i in rng.permutation(size)]
+    db = ShapeDatabase(group, list(zip(ids, scale * x)), feature_map)
+    query = {
+        "rigid": lambda: rigid_copy(rng, group, x[rng.integers(size)]),
+        "near": lambda: x[rng.integers(size)] + 1e-3 * draw_matrices(1)[0],
+        "fresh": lambda: draw_matrices(1)[0],
+        "far": lambda: far * draw_matrices(1)[0],
+    }[kind]()
+    return db, scale * query
+
+
+class TestScanBall:
+    """The scan solves only the records that the sqrt(2) sandwich around a
+    pivot cannot rule out, and still returns the exact nearest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases())
+    def test_equals_the_scalar_loop_oracle(self, case):
+        db, query = case
+        res = linear_scan_nearest(db, query)
+        assert (res.exact_orbit_distance, res.id) == scan_oracle(db, query)
+        every = {r.id: r.embedded_distance for r in feature_nearest(db, query, k=len(db))}
+        assert every[res.id].hex() == res.embedded_distance.hex()
+
+    def test_planted_query_solves_few_records(self, rng, monkeypatch):
+        db = group_db(rng, GroupAction.EUCLIDEAN, 2000, 2, 6)
+        shapes = count_kernel_calls(monkeypatch)
+        for j in range(10):
+            query = rigid_copy(rng, db.group, db.matrices[j] + 0.05 * rng.standard_normal((2, 6)))
+            shapes.clear()
+            res = linear_scan_nearest(db, query)
+            assert res.id == db.ids[j]
+            assert sum(s[0] if len(s) == 3 else 1 for s in shapes) <= 20
+
+    def test_query_beyond_the_screen_solves_every_record(self, rng, monkeypatch):
+        db = group_db(rng, GroupAction.EUCLIDEAN, 2000, 2, 6)
+        query = 1e32 * rng.standard_normal((2, 6))
+        assert not db._screenable(db.query_feature(query))
+        shapes = count_kernel_calls(monkeypatch)
+        res = linear_scan_nearest(db, query)
+        assert sum(s[0] for s in shapes) == len(db)
+        assert (res.exact_orbit_distance, res.id) == scan_oracle(db, query)
+
+    @pytest.mark.parametrize("verified", [False, True])
+    def test_memo_is_left_alone(self, rng, verified):
+        db = group_db(rng, GroupAction.EUCLIDEAN, 200, 2, 6)
+        query = db.matrices[3] + 0.01
+        hits = feature_nearest(db, query, k=3)
+        if verified:
+            verify(db, hits[0], query)
+        memo = db._memo
+        for q in (query, rng.standard_normal((2, 6)), 1e32 * rng.standard_normal((2, 6))):
+            linear_scan_nearest(db, q)
+            assert db._memo is memo
+
+    def test_far_record_beyond_float64_is_not_solved(self):
+        # "far" is 1.5e308 * sqrt(2) from the query, beyond float64; the
+        # sandwich rules it out, so the scan does not solve it
+        big = 1.5e308
+        near, far = np.array([[big, 0.0, 0.0]]), np.array([[0.0, big, 0.0]])
+        db = ShapeDatabase(GroupAction.ORTHOGONAL, [("near", near), ("far", far)])
+        with pytest.raises(NonFiniteError):
+            orbit_distance(db.group, near, far)
+        res = linear_scan_nearest(db, near)
+        assert (res.id, res.exact_orbit_distance, res.embedded_distance) == ("near", 0.0, 0.0)
 
 
 class TestFeatureNearest:
