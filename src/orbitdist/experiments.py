@@ -15,10 +15,19 @@ Sampling is counter-based (Salmon et al., SC'11).  For a seed
 ``Philox(key=k + (s << 64))`` and word ``w`` gives the standard normal
 ``ndtri(((w >> 12) + 1/2) / 2**52)``.  ``ndtri`` is Cephes's normal
 quantile, ported to numpy in :func:`_ndtri` with the same rational
-approximations and order of operations and the C library's ``log`` (through
-``math.log``), so it returns the values of SciPy's ``ndtri`` bit for bit
-without importing scipy.  ``Philox.advance`` reaches any word
-directly, so a whole block of trials is drawn with one call, and one seed
+approximations and order of operations and the C library's ``log``, so it
+returns the values of SciPy's ``ndtri`` bit for bit without importing
+scipy.  That ``log`` is :func:`_log`, a table-driven numpy log that
+returns ``math.log``'s bits: it computes each value to within 2**-11 ulp,
+returns the nearest double where that is at least ulp/32 from a rounding
+midpoint, and calls ``math.log`` for the rest (about 1 in 16).  This
+rests on the C library's ``log`` erring by at most 0.519 ulp, so that it
+rounds correctly outside that band, as glibc's does since 2.28; a libm
+without that bound may round a few values differently from :func:`_log`.
+numpy's own ``log`` is no substitute: it differed from glibc's on 475 of
+2e6 sampler values ``y`` and on 1655 of 2e6 ``x = sqrt(-2 log y)`` (numpy
+2.4, an AVX-512 CPU).  ``Philox.advance`` reaches any word directly, so a
+whole block of trials is drawn with one call, and one seed
 gives one byte-identical report.  In the pair studies trial ``i`` reads
 words ``[per*i, per*(i+1))`` of stream 0, with ``per`` = 12 for two
 triangles and 2nl (doubled for the complex groups) for two configurations;
@@ -65,6 +74,7 @@ reducer's product over its stacks of roots.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache
 import json
 import math
 import numbers
@@ -73,7 +83,7 @@ import numpy as np
 
 from .errors import ConfigInvalidError, _shown
 from .features import REDUCED, _is_triangle
-from .linalg import _blocks
+from .linalg import _blocks, _sum_last
 from .metrics import GroupAction, _procrustes
 from .reduction import _block_size, _reduced_stack, reducer_for
 from .triangles import _SQRT2, _side_lengths, _triangle_coords
@@ -249,10 +259,148 @@ def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
     return out
 
 
+# log x = k ln2 - log(invc) + log1p(r) for x = 2^k m, 1 <= m < 2, with invc a
+# 20-bit approximation of 1/m from a table of 2**7 cells of m and r = m invc - 1
+# (Tang, ACM TOMS 16, 1990); see _log.
+_LOG_CELLS = 1 << 7
+_LOG_GRID = 42  # the hi parts of the table are multiples of 2**-42
+# log1p(r) - r = r^2 (-1/2 + r/3 - ...) to degree 8, highest degree first
+_LOG1P = (-1 / 8, 1 / 7, -1 / 6, 1 / 5, -1 / 4, 1 / 3, -1 / 2)
+# float64 bit fields: the fraction, its low 20 and high 32 bits, the exponent,
+# and the bits of 1.0
+_FRACTION = (1 << 52) - 1
+_LOW20 = (1 << 20) - 1
+_HIGH32 = _FRACTION - _LOW20
+_EXPONENT = 0x7FF << 52
+_ONE = 0x3FF << 52
+
+
+def _ln_split(num: int, den: int) -> tuple[float, float]:
+    """``log(num/den)``, for ``1/2 <= num/den <= 2``, as ``hi + lo``: ``hi``
+    the value rounded to a multiple of ``2**-_LOG_GRID``, ``lo`` the rest
+    rounded.  The log is ``2 atanh(z)``, ``z = (num - den)/(num + den)``,
+    summed in 120-bit fixed point to within 2**-114."""
+    z = (abs(num - den) << 120) // (num + den)
+    z2 = (z * z) >> 120
+    v, term, j = 0, z, 1
+    while term:
+        v += term // j
+        term = (term * z2) >> 120
+        j += 2
+    v = 2 * v if num >= den else -2 * v
+    hi = (v + (1 << (119 - _LOG_GRID))) >> (120 - _LOG_GRID)
+    return math.ldexp(hi, -_LOG_GRID), math.ldexp(v - (hi << (120 - _LOG_GRID)), -120)
+
+
+@cache
+def _log_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """``(invc, logc_hi, logc_lo, ln2_hi, ln2_lo)``.  For mantissa cell
+    ``i``, ``[1 + i/128, 1 + (i+1)/128)``, ``invc[i]`` is ``128/(128 + i +
+    1/2)`` rounded to a multiple of 2**-20, and ``logc_hi[i] + logc_lo[i]``
+    is ``-log(invc[i])``; ``ln2_hi + ln2_lo`` is log 2 (:func:`_ln_split`).
+    Built on first use, in about a millisecond, and read-only, since every
+    caller shares it."""
+    num = [round(2.0**20 * _LOG_CELLS / (_LOG_CELLS + i + 0.5)) for i in range(_LOG_CELLS)]
+    logc_hi, logc_lo = zip(*(_ln_split(1 << 20, n) for n in num))
+    tables = np.ldexp(np.array(num, dtype=np.float64), -20), np.array(logc_hi), np.array(logc_lo)
+    for t in tables:
+        t.flags.writeable = False
+    return *tables, *_ln_split(2, 1)
+
+
+def _log_sum(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(top, small)`` with ``top + small`` within 2**-64 of ``log x`` and
+    ``|small| < 2**-16``, for the int64 bits ``b`` of positive normal
+    float64 values ``x = 2^k m``, ``1 <= m < 2``, with ``|log x| >= 1/2``.
+    Other inputs give finite values, which :func:`_log` hands to
+    ``math.log``.  From :func:`_log_table`:
+
+    - ``m = m_hi + m_lo`` with ``m_hi`` its top 33 bits.  With ``invc`` the
+      entry of m's cell, ``r = m invc - 1 = r_hi + r_lo`` exactly, as in
+      Dekker's exact product (1971): ``m_hi invc`` is a multiple of 2**-52
+      below 2, so ``r_hi = m_hi invc - 1`` is exact (Sterbenz), and
+      ``r_lo = m_lo invc`` has 40 bits; ``|r| < 2**-8``.
+    - ``log x = hi + lo + log1p(r)`` with ``hi = k ln2_hi + logc_hi``
+      exact, a multiple of 2**-42 below 2**10, and ``lo = k ln2_lo +
+      logc_lo``, which errs by under 2**-86.
+    - ``log1p(r) = r_hi + r_lo + q``, ``q`` the degree-8 Taylor polynomial
+      less ``r``, at ``rr = fl(r_hi + r_lo)``: its tail ``|r|^9/9`` is under
+      2**-75; evaluating at ``rr`` moves ``q`` by under ``|r| ulp(r)/2 <
+      2**-69``; Horner's rounding of ``|q| < 2**-17`` is under 2**-67.
+    - ``top = fl(hi + r_hi)`` and its exact error by Fast2Sum, whose
+      precondition ``|hi| >= |r_hi|`` holds for ``|log x| >= 1/2``, as
+      ``|hi| > 1/2 - 2**-7``; ``small`` adds ``r_lo``, ``lo`` and ``q`` to
+      that error, four roundings of sums below 2**-16, each under 2**-70.
+    """
+    invc_t, hi_t, lo_t, ln2_hi, ln2_lo = _log_table()
+    cell = (b >> 45) & (_LOG_CELLS - 1)
+    invc = invc_t[cell]
+    r_hi = ((b & _HIGH32) | _ONE).view(np.float64)  # m_hi
+    r_hi *= invc
+    r_hi -= 1.0
+    r_lo = ((b & _LOW20) | _ONE).view(np.float64)
+    r_lo -= 1.0  # m_lo
+    r_lo *= invc
+    k = (((b >> 52) & 0x7FF) | (0x433 << 52)).view(np.float64)  # 2**52 + exponent field
+    k -= 2.0**52 + 1023.0
+    hi = k * ln2_hi
+    hi += hi_t[cell]
+    lo = np.multiply(k, ln2_lo, out=k)
+    lo += lo_t[cell]
+    rr = r_hi + r_lo
+    q = rr * _LOG1P[0]
+    for c in _LOG1P[1:]:
+        q += c
+        q *= rr
+    q *= rr
+    top = hi + r_hi
+    small = np.subtract(hi, top, out=hi)
+    small += r_hi  # Fast2Sum: top + small = hi + r_hi
+    small += r_lo
+    small += lo
+    small += q
+    return top, small
+
+
 def _log(x: np.ndarray) -> np.ndarray:
-    # math.log is the C library's log, the one compiled Cephes calls; numpy's
-    # vectorised float64 log may differ from it in the last bits.
-    return np.fromiter(map(math.log, memoryview(x)), np.float64, x.size)
+    """The C library's ``log`` (``math.log``, the one compiled Cephes calls)
+    of a 1-D float64 array, bit for bit, without a Python call for most
+    elements.
+
+    The premise is glibc's (2.28 and later): ``log`` errs by at most 0.519
+    ulp, so it returns the correctly rounded value unless the exact log lies
+    within 0.019 ulp of a rounding midpoint.  In blocks
+    (:func:`linalg._blocks`), ``top + small`` (:func:`_log_sum`) is summed
+    by Fast2Sum into ``res``, the double nearest to it, and its exact
+    residual ``t``.  Where ``|res| >= 1/2``, ``res + t`` is within ``eps <
+    2**-64``, under 2**-11 ulp, of the exact log.  So where also ``|t| <=
+    (15/16) ulp/2``, the exact log lies at least ``ulp/32 - eps > 0.03`` ulp
+    from every midpoint, ``res`` is its correct rounding, and it is
+    libm's.  ``math.log`` computes the rest: the values in that band (about
+    1 in 16), those where ``res`` is a power of two (the spacing below it
+    is half the ulp), those with ``|res| < 1/2`` (where ``|log x| >= 1/2``
+    may fail), and inputs that are not positive normal numbers.  A band of
+    ulp/512 instead mismatched ``math.log`` on 27 of 8e6 sampler inputs
+    ``x = sqrt(-2 log y)`` (glibc 2.36).
+    """
+    out = np.empty_like(x)
+    for s in _blocks(x.size, 8):  # about ten arrays of 2**13 entries, which stay in cache
+        b = x[s].view(np.int64)
+        top, small = _log_sum(b)
+        res = np.add(top, small, out=out[s])
+        t = np.subtract(top, res, out=top)
+        t += small  # Fast2Sum: res + t = top + small
+        bits = res.view(np.int64)
+        ex = bits & _EXPONENT
+        half = (ex - (53 << 52)).view(np.float64)  # ulp/2 if |res| >= 2**-970
+        half *= 15 / 16
+        bad = np.abs(t, out=t) > half  # within ulp/32 of a midpoint
+        bad |= ex < (0x3FE << 52)  # |res| < 1/2
+        bad |= (bits & _FRACTION) == 0  # res a power of two
+        bad |= (b < 1 << 52) | (b >= _EXPONENT)  # x not a positive normal
+        j = np.flatnonzero(bad)
+        res[j] = np.fromiter(map(math.log, memoryview(x[s][j])), np.float64, j.size)
+    return out
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
@@ -260,7 +408,9 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     strictly inside (0, 1), in place: the values of SciPy's ``ndtri`` bit
     for bit.  The central branch, most of the draws, runs over the whole
     array in blocks; the tails, ``u <= exp(-2)`` or ``u > 1 - exp(-2)``, are
-    gathered."""
+    gathered, and their two logs, of ``y`` in (0, exp(-2)] and of ``x`` in
+    [2, 39], are :func:`_log`: the C library's ``log``, bit for bit, given
+    its 0.519-ulp bound (see the module docstring)."""
     tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
     y = u[tail]
     upper = y > 0.5
@@ -299,7 +449,7 @@ def _plane_points(x: np.ndarray) -> np.ndarray:
     """Centred points of a ``(..., 2, l)`` stack of planar configurations
     as complex numbers, shape ``(..., l)``."""
     z = x[..., 0, :] + 1j * x[..., 1, :]
-    return z - z.mean(axis=-1, keepdims=True)
+    return z - (_sum_last(z) / z.shape[-1])[..., None]  # z.mean(axis=-1), bit for bit
 
 
 def _plane_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,7 +474,7 @@ def _plane_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     za, zb = _plane_points(a), _plane_points(b)
     d = None
     for w in (za, za.conj()):
-        p = (w.conj() * zb).sum(axis=-1)
+        p = _sum_last(w.conj() * zb)
         m = np.abs(p)
         tiny = m < 2.0**-1000  # the division's 1/|p| would overflow
         if tiny.any():
@@ -332,7 +482,7 @@ def _plane_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             m = np.abs(p)
         c = np.where(m > 0.0, p / np.where(m > 0.0, m, 1.0), 1.0)
         r = c[..., None] * w - zb
-        e = np.sqrt((r.real * r.real + r.imag * r.imag).sum(axis=-1))
+        e = np.sqrt(_sum_last(r.real * r.real + r.imag * r.imag))
         d = e if d is None else np.minimum(d, e)
     return d
 

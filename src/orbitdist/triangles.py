@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfRangeError, ShapeMismatchError, _shown
-from .linalg import _finite, _pow2_scale, _unscaled, as_matrix
+from .linalg import _finite, _pow2_scale, _sum_last, _unscaled, as_matrix
 from .metrics import GroupAction, _configuration, dist_euclidean
 
 _SQRT2 = np.sqrt(2.0)
@@ -51,7 +51,9 @@ def _side_lengths(x: np.ndarray) -> np.ndarray:
     """:func:`side_lengths` of every triangle in a validated ``(..., 2, 3)``
     stack."""
     x, c = _unit_scaled(x)
-    return _unscaled(np.linalg.norm(x[..., :, [1, 2, 0]] - x[..., :, [2, 0, 1]], axis=-2), c)
+    d = x[..., :, [1, 2, 0]] - x[..., :, [2, 0, 1]]
+    d *= d
+    return _unscaled(np.sqrt(d[..., 0, :] + d[..., 1, :]), c)
 
 
 def side_lengths(t) -> np.ndarray:
@@ -69,7 +71,7 @@ def _triangle_coords(x: np.ndarray) -> np.ndarray:
     x, c = _unit_scaled(x)
     u = (x[..., 1] - x[..., 0]) / _SQRT2
     v = (2.0 * x[..., 2] - x[..., 0] - x[..., 1]) / _SQRT6
-    g11, g22, g12 = (u * u).sum(axis=-1), (v * v).sum(axis=-1), (u * v).sum(axis=-1)
+    g11, g22, g12 = _sum_last(u * u), _sum_last(v * v), _sum_last(u * v)
     s = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     t = np.sqrt(g11 + g22 + 2.0 * s)
     # t = 0 only for coincident vertices, where every numerator is 0 too

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -394,6 +395,24 @@ class TestDatabaseCommands:
 
 
 class TestExperimentCommand:
+    # sha256 of report.json at the CLI defaults, fixed by the sampling
+    # contract (see orbitdist.experiments); other bits on another platform
+    # are a finding about that contract, not noise
+    DIGESTS = {
+        ("distortion", 0): "36d575a07d2801537096254946dfafbad301a0fb30f6abd616de650640ab01b8",
+        ("distortion", 1): "3bec3ec28da582d36577e2f1f66b40a7903f5a0c6d357a2ff932ef1aa7f8f530",
+        ("distortion", 2): "a5efacac615e1bdd7857f9e99d46b6bcb6861be9287698adc0c4d5f95f00083d",
+        ("classify", 0): "0e69f0e6282ecd3a4098ce71c801a24a05ed39402567b10ebab20ae06da84df2",
+        ("classify", 1): "3a90b62481dd04c62b9187de014055e8c33799d39cd1bf98a7328826964af2ed",
+        ("classify", 2): "f95e7a9d162083b225d8b24a1840f1aa8bc387a7039630e28744952b846ac010",
+    }
+
+    @pytest.mark.parametrize("kind, seed", list(DIGESTS))
+    def test_report_digest_at_cli_defaults(self, tmp_path, capsys, kind, seed):
+        assert main(["experiment", kind, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[kind, seed]
+
     def test_classify_zero_noise_rates(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"db_size": 20, "n_draws": 2, "noise_grid": [0.0]}))

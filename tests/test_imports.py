@@ -3,7 +3,9 @@ full-feature databases, the reduced features of one small configuration
 (numpy applies the operator up to ``reduction._NUMPY_PRODUCTS`` products),
 the distortion and classification studies and the n = 1 survey load none
 either, and each scipy module loads in the function that uses it, and only
-there: a product above that size loads ``scipy.sparse``.
+there: a product above that size loads ``scipy.sparse``.  Nor does
+``import orbitdist.cli`` load ``decimal``, which only the sampler's log
+table needs, when first drawn.
 
 Every case runs in a fresh interpreter, since the test session itself has
 scipy loaded.  The interpreters start together, so the file costs about as
@@ -31,6 +33,7 @@ import orbitdist as od
 assert not scipy_modules(), scipy_modules()
 import orbitdist.cli
 assert not scipy_modules(), scipy_modules()
+assert "decimal" not in sys.modules  # experiments._log builds its table on first use
 """
 
 # case -> (code run after the prelude, scipy subpackage the case must load
