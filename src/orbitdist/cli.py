@@ -6,6 +6,10 @@ databases 5, invalid experiment configurations 6, and any other invalid
 input (such as a duplicate record id, k < 1, or a matrix file that parses
 but holds NaN or Inf entries) 1; messages go to stderr.
 All randomness flows from --seed.
+
+Each command imports the modules it runs when it runs, so a process loads
+only those: at module level this file imports what the parser and the exit
+codes need.
 """
 from __future__ import annotations
 
@@ -23,19 +27,8 @@ from .errors import (
     OrbitDistError,
     ShapeMismatchError,
 )
-from .experiments import (
-    _DEFAULT_CONFIGS,
-    MAP_TRIANGLE,
-    ExperimentConfig,
-    _require_read,
-    classification_experiment,
-    distortion_experiment,
-    lower_constant_survey,
-)
-from .features import FULL, REDUCED, _feature, _is_triangle
-from .io import ParseError, atomic_write_text, fmt17, load_database, read_matrix, save_database
+from .io import ParseError, atomic_write_text, fmt17, read_matrix
 from .metrics import GroupAction, _configuration, orbit_distance
-from .search import ShapeDatabase, feature_nearest, verify
 
 
 def _fmt_entry(x) -> str:
@@ -59,6 +52,8 @@ def _cmd_dist(args) -> int:
 
 
 def _map_name(group: GroupAction, m: np.ndarray, feature_map: str) -> str:
+    from .features import MAP_TRIANGLE, REDUCED, _is_triangle
+
     if feature_map == REDUCED:
         return f"reduced_{group.name.lower()}"
     if _is_triangle(group, m):
@@ -67,6 +62,8 @@ def _map_name(group: GroupAction, m: np.ndarray, feature_map: str) -> str:
 
 
 def _cmd_embed(args) -> int:
+    from .features import FULL, REDUCED, _feature
+
     group = GroupAction(args.group)
     m = _configuration(group, read_matrix(args.file), args.file)
     feature_map = REDUCED if args.reduced else FULL
@@ -89,6 +86,10 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_db_build(args) -> int:
+    from .features import FULL, REDUCED
+    from .io import save_database
+    from .search import ShapeDatabase
+
     group = GroupAction(args.group)
     if not args.inputs:
         raise EmptyDatabaseError("no input matrices given")
@@ -100,6 +101,9 @@ def _cmd_db_build(args) -> int:
 
 
 def _cmd_db_query(args) -> int:
+    from .io import load_database
+    from .search import feature_nearest, verify
+
     db = load_database(args.db_file)
     query = read_matrix(args.query_file)
     results = feature_nearest(db, query, k=args.k)
@@ -113,7 +117,9 @@ def _cmd_db_query(args) -> int:
     return 0
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args):
+    from .experiments import _DEFAULT_CONFIGS, ExperimentConfig, _require_read
+
     data = dict(_DEFAULT_CONFIGS[args.kind])
     if args.config:
         # ValueError: a JSON syntax error, a file that is not UTF-8, or an
@@ -175,6 +181,8 @@ def _print_summary(report) -> None:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import classification_experiment, distortion_experiment, lower_constant_survey
+
     cfg = _load_config(args)
     if args.kind == "distortion":
         report = distortion_experiment(cfg)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _adjoint, _finite, _pow2_scale, _unscaled, svd
+from .linalg import _adjoint, _finite, _in_range, _unscaled, svd
 from .metrics import GroupAction, _configuration, _prepared
 
 _SQRT2 = np.sqrt(2.0)
@@ -101,20 +101,18 @@ def _coordinates(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     feature maps read it: as ``group`` acts on it, and under a translation
     quotient centred and read in W', the l - 1 coordinates of the sum-zero
     subspace.  Returns them with the power of two they are at: 1.0, or,
-    near the float64 limit, each configuration's :func:`_pow2_scale`, of
-    shape ``(..., 1, 1)`` (see :func:`_at_scale`).
+    near the float64 limit, each configuration's
+    :func:`linalg._pow2_scale`, of shape ``(..., 1, 1)`` (see
+    :func:`_at_scale`).
 
     One max-magnitude reduction keeps every group within float64: the Gram
     root's entries are at most ``sqrt(n l) max|x|``, and the centring sum
     and the reverse cumulative sum of :func:`_helmert` add at most l
     entries of magnitude at most ``2 max|x|``.  Both stay within 2**1023
     while ``max|x| <= 2**1022 / max(n, l)``; only a stack beyond it runs
-    scaled.
+    scaled (:func:`linalg._in_range`).
     """
-    c = 1.0
-    if np.abs(x).max(initial=0.0) > 2.0**1022 / max(*x.shape[-2:], 1):
-        c = _pow2_scale(np.abs(x).max(axis=(-2, -1), keepdims=True))
-        x = x * c
+    x, c = _in_range(x)
     x = _prepared(group, x)
     return (_helmert(x) if group.quotients_translations else x), c
 

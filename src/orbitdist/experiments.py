@@ -82,14 +82,13 @@ import numbers
 import numpy as np
 
 from .errors import ConfigInvalidError, _shown
-from .features import REDUCED, _is_triangle
+from .features import MAP_TRIANGLE, REDUCED, _is_triangle
 from .linalg import _blocks, _sum_last
 from .metrics import GroupAction, _procrustes
 from .reduction import _block_size, _reduced_stack, reducer_for
 from .triangles import _SQRT2, _side_lengths, _triangle_coords
 
 MAP_SIDE_LENGTHS = "side_lengths"
-MAP_TRIANGLE = "triangle_embedding"
 MAP_EXACT = "exact"
 
 _DEGENERATE = 1e-12
@@ -530,6 +529,32 @@ def _ratio_stats(r: np.ndarray) -> dict:
     }
 
 
+def _quantiles(r: np.ndarray, qs) -> list[float]:
+    """``np.quantile(r, q)`` of a finite 1-D ``r`` for each q of ``qs``,
+    bit for bit, with numpy's ``linear`` rule written out: ``np.quantile``
+    costs a process ``numpy.ma``, which it imports through ``np.unique``.
+
+    Index v = (n - 1) q falls between a = x[i] and b = x[i + 1] of the
+    sorted values, i = floor(v); from v >= n - 1 numpy reads both at index
+    i = -1.  Then numpy's ``_lerp`` at t = v - i, which takes
+    ``b - (b - a)(1 - t)`` from t >= 0.5.  a and b come from the
+    ``np.partition`` that numpy makes, at the same indices, not from one
+    sort: the two leave -0.0 and 0.0 in different orders, so a sort would
+    give some zero quantiles the other sign.
+    """
+    n = r.size
+    out = []
+    for q in qs:
+        v = (n - 1) * q
+        i = math.floor(v) if v < n - 1 else -1
+        j = i + 1 if i >= 0 else -1
+        x = np.partition(r, sorted({0, -1, i, j}))
+        a, b = x[i], x[j]
+        t = v - i
+        out.append(float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t))
+    return out
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigInvalidError(message)
@@ -680,9 +705,8 @@ def _pair_study(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
     for name, r in zip(cfg.maps, np.concatenate(ratios).T):
         ratio_stats[name] = _ratio_stats(r)
         if name == REDUCED:
-            ratio_stats[name]["quantiles"] = {
-                str(q): float(np.quantile(r, q)) for q in (0.001, 0.01, 0.05, 0.25, 0.5)
-            }
+            qs = (0.001, 0.01, 0.05, 0.25, 0.5)
+            ratio_stats[name]["quantiles"] = dict(zip(map(str, qs), _quantiles(r, qs)))
         else:
             counts, _ = np.histogram(r, bins=_HIST_EDGES)
             histograms[name] = {
@@ -807,7 +831,7 @@ def _nearest_records(name: str, index, db: np.ndarray):
         )
         width[(width == k) & (k < n)] = n  # past a truncated row: every record
         pred = labels.copy()
-        for w in np.unique(width):
+        for w in sorted(set(width.tolist())):
             ranked = rows[width == w]
             for s in _blocks(len(ranked), w):
                 r = ranked[s]

@@ -20,6 +20,9 @@ from .triangles import _triangle_coords
 
 FULL = "full"
 REDUCED = "reduced"
+# the name reports give the full feature of a planar triangle under E
+# (:func:`_is_triangle`), its three triangle coordinates
+MAP_TRIANGLE = "triangle_embedding"
 
 
 def feature_vector(

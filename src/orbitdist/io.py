@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import OrbitDistError
 from .metrics import GroupAction
-from .search import ShapeDatabase
+
+if TYPE_CHECKING:
+    from .search import ShapeDatabase
 
 
 class ParseError(OrbitDistError):
@@ -31,6 +34,8 @@ def fmt17(x: float) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
+    import tempfile
+
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
@@ -177,18 +182,41 @@ def load_database(path) -> ShapeDatabase:
     if not all(type(v) is int or (type(v) is float and v.is_integer()) for v in shape):
         raise ParseError(f"{path}: header n and l must be integers, got {shape[0]!r} and {shape[1]!r}")
     shape = (int(shape[0]), int(shape[1]))
-    records = []
+    ids, grids = [], []
     for i, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
         except ValueError as exc:
-            raise ParseError(f"{path}: line {i}: invalid JSON: {exc}") from None
-        if not isinstance(obj, dict) or "id" not in obj or "matrix" not in obj:
-            raise ParseError(f"{path}: line {i}: record must be an object with 'id' and 'matrix'")
-        records.append((str(obj["id"]), matrix_from_json(obj["matrix"], f"{path}:line {i}")))
-    db = ShapeDatabase(group, records, header["feature_map"])
-    if records and (db.n, db.l) != shape:
+            error = f"line {i}: invalid JSON: {exc}"
+        else:
+            if isinstance(obj, dict) and "id" in obj and "matrix" in obj:
+                ids.append(str(obj["id"]))
+                grids.append(obj["matrix"])
+                continue
+            error = f"line {i}: record must be an object with 'id' and 'matrix'"
+        _matrices(grids, path)  # a bad matrix on an earlier line is named first
+        raise ParseError(f"{path}: {error}")
+    from .search import ShapeDatabase
+
+    db = ShapeDatabase(group, list(zip(ids, _matrices(grids, path))), header["feature_map"])
+    if ids and (db.n, db.l) != shape:
         raise ParseError(
             f"{path}: header shape ({header['n']}, {header['l']}) does not match records"
         )
     return db
+
+
+def _matrices(grids: list, path):
+    """The matrices of the decoded JSON ``grids`` of a database's records,
+    grid k from line k + 2 of ``path``.  When all are real and of one
+    shape they are checked in one pass, the type of every entry, and
+    converted as one ``(N, n, l)`` stack.  Otherwise each is read by
+    :func:`matrix_from_json`, which names the first bad one."""
+    try:
+        if set(map(type, chain.from_iterable(chain.from_iterable(grids)))) <= {int, float}:
+            stack = np.array(grids, dtype=float)
+            if stack.ndim == 3:
+                return stack
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return [matrix_from_json(g, f"{path}:line {k + 2}") for k, g in enumerate(grids)]

@@ -80,6 +80,19 @@ def _pow2_scale(x):
     return np.ldexp(1.0, np.minimum(-np.frexp(x)[1], 1023))
 
 
+def _in_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """``(x c, c)`` for a finite ``(..., n, l)`` stack ``x``: c is 1.0, or,
+    when some entry exceeds ``2**1022 / max(n, l)``, each matrix's
+    :func:`_pow2_scale`, of shape ``(..., 1, 1)``.  A sum of at most
+    max(n, l) entries of magnitude at most ``2 max|x c|`` then stays within
+    float64.  Only a stack beyond that bound runs scaled, so every other
+    keeps its bits."""
+    if np.abs(x).max(initial=0.0) <= 2.0**1022 / max(*x.shape[-2:], 1):
+        return x, 1.0
+    c = _pow2_scale(np.abs(x).max(axis=(-2, -1), keepdims=True))
+    return x * c, c
+
+
 def _unscaled(f, c):
     """``f / c``, an entry beyond float64 as inf (or nan) without a warning.
 

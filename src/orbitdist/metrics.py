@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import _adjoint, _finite, _frobenius_norms, _pow2_scale, _unscaled, as_matrix, svd
+from .linalg import _adjoint, _finite, _frobenius_norms, _in_range, _pow2_scale, _unscaled, as_matrix, svd
 
 
 class GroupAction(enum.Enum):
@@ -61,8 +61,14 @@ class Alignment:
     achieved_distance: float
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Apply the group element to every column of a configuration."""
+        """Apply the group element to every column of a configuration;
+        ShapeMismatchError unless its points have the rotation's dimension."""
         a = as_matrix(a)
+        if a.shape[0] != self.rotation.shape[1]:
+            raise ShapeMismatchError(
+                f"configuration has points of dimension {a.shape[0]}, "
+                f"the aligner acts on dimension {self.rotation.shape[1]}"
+            )
         return self.rotation @ a + self.translation[:, None]
 
 
@@ -70,12 +76,21 @@ def center(a) -> np.ndarray:
     """Subtract the column mean from every column.
 
     The result sums to zero across columns; configurations that differ by a
-    pure translation center to the same matrix.
+    pure translation center to the same matrix.  Near the float64 limit the
+    configuration is centred at a power of two (:func:`linalg._in_range`),
+    which is exact; NonFiniteError when the centred result itself exceeds
+    float64.
     """
     m = as_matrix(a)
     if m.shape[1] < 1:
         raise ShapeMismatchError("configuration needs at least one column")
-    return m - m.mean(axis=1, keepdims=True)
+    y, c = _in_range(m)
+    y = y - y.mean(axis=1, keepdims=True)
+    if type(c) is float:
+        return y
+    # unscaled in its float64 view: a complex division by a subnormal c
+    # forms 1/c, which overflows
+    return _finite(_unscaled(y.view(np.float64), c).view(y.dtype), "A", "a centred configuration")
 
 
 def _configuration(group: GroupAction, a, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:

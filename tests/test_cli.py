@@ -405,6 +405,9 @@ class TestExperimentCommand:
         ("classify", 0): "0e69f0e6282ecd3a4098ce71c801a24a05ed39402567b10ebab20ae06da84df2",
         ("classify", 1): "3a90b62481dd04c62b9187de014055e8c33799d39cd1bf98a7328826964af2ed",
         ("classify", 2): "f95e7a9d162083b225d8b24a1840f1aa8bc387a7039630e28744952b846ac010",
+        ("lower-constant", 0): "2bc132a8cca0967891e620f1b41053eac29de098597fd553773691cb0ca76d84",
+        ("lower-constant", 1): "acfc201dab4719aa7d8c3bd9fa5fb78bcbe70cc11883f512548522c7973dbd78",
+        ("lower-constant", 2): "6b0a8006f35f25dc1c54088a1a65963491280111b21d46a06aea3087b08e212c",
     }
 
     @pytest.mark.parametrize("kind, seed", list(DIGESTS))

@@ -27,7 +27,7 @@ from orbitdist import (
     triangle_embedding,
 )
 from orbitdist import experiments, linalg
-from orbitdist.experiments import _ndtri, _normals, _plane_distances
+from orbitdist.experiments import _ndtri, _normals, _plane_distances, _quantiles
 from orbitdist.metrics import _procrustes
 
 from oracles import o2_grid_min
@@ -1042,6 +1042,32 @@ class TestTablesPerStudy:
             experiments._record_table(c_ordered, metric, db),
         ):
             np.testing.assert_array_equal(got, want)
+
+
+class TestQuantiles:
+    SURVEY = [0.001, 0.01, 0.05, 0.25, 0.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3000),
+            # ties, and zeros of both signs
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), min_size=1, max_size=3000),
+            st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=3000),
+        ),
+        qs=st.lists(st.floats(0.0, 1.0), max_size=5),
+    )
+    @example(values=[0.0, -0.0, -0.0], qs=[1.0, 0.0])
+    @example(values=[-0.0], qs=[0.5, 1.0])
+    @example(values=[-1.7e308, 1.7e308, 1.0], qs=[0.25, 0.75])
+    def test_bits_of_np_quantile(self, values, qs):
+        r = np.array(values)
+        qs = self.SURVEY + qs + [0.0, 1.0]
+        # b - a overflows alike in both between values of opposite signs
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = np.array(_quantiles(r, qs))
+            want = np.array([np.quantile(r, q) for q in qs])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestLowerConstantSurvey:

@@ -1,11 +1,16 @@
-"""The import boundary: ``import orbitdist`` loads numpy but no scipy,
-full-feature databases, the reduced features of one small configuration
+"""The import boundary: ``import orbitdist`` loads numpy and the exact
+route but no scipy, and none of the modules that the search, the file
+formats and the experiments live in; each of those loads on first use.
+Full-feature databases, the reduced features of one small configuration
 (numpy applies the operator up to ``reduction._NUMPY_PRODUCTS`` products),
-the distortion and classification studies and the n = 1 survey load none
-either, and each scipy module loads in the function that uses it, and only
-there: a product above that size loads ``scipy.sparse``.  Nor does
-``import orbitdist.cli`` load ``decimal``, which only the sampler's log
-table needs, when first drawn.
+the distortion and classification studies and the n = 1 survey load no
+scipy either, and each scipy module loads in the function that uses it,
+and only there: a product above that size loads ``scipy.sparse``.  Nor
+does ``import orbitdist.cli`` load ``decimal``, which only the sampler's
+log table needs, when first drawn.  Each command loads only the modules it
+runs: ``dist``, ``embed`` and ``db-query`` no experiments, the experiments
+no search.  No case that loads no scipy loads ``numpy.ma``
+(``scipy.sparse`` imports it itself).
 
 Every case runs in a fresh interpreter, since the test session itself has
 scipy loaded.  The interpreters start together, so the file costs about as
@@ -20,6 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from orbitdist import GroupAction
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PRELUDE = """
@@ -31,22 +38,28 @@ def scipy_modules():
 
 import orbitdist as od
 assert not scipy_modules(), scipy_modules()
+lazy = {"orbitdist.experiments", "orbitdist.io", "orbitdist.search"}
+assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
 import orbitdist.cli
 assert not scipy_modules(), scipy_modules()
 assert "decimal" not in sys.modules  # experiments._log builds its table on first use
 """
 
+NO_EXPERIMENTS = ("orbitdist.experiments",)
+NO_SEARCH = ("orbitdist.search",)
+
 # case -> (code run after the prelude, scipy subpackage the case must load
-# or None for no scipy at all, scipy subpackages the case must not load)
+# or None for no scipy at all, modules the case must not load)
 CASES = {
     "import": ("", None, ()),
     "dist-and-embed": (
         """
 assert orbitdist.cli.main(["dist", "--group", "E", *sys.argv[1:]]) == 0
 assert orbitdist.cli.main(["embed", "--group", "O", sys.argv[1]]) == 0
+assert orbitdist.cli.main(["embed", "--group", "E", "--reduced", "--out", "e.csv", "row.csv"]) == 0
 """,
         None,
-        (),
+        NO_EXPERIMENTS,
     ),
     "ShapeDatabase": (
         """
@@ -63,7 +76,22 @@ assert orbitdist.cli.main(["db-build", "--group", "E", "--out", "db.jsonl", *sys
 assert orbitdist.cli.main(["db-query", "db.jsonl", sys.argv[1], "-k", "1", "--verify"]) == 0
 """,
         None,
-        (),
+        NO_EXPERIMENTS,
+    ),
+    "db-query": (
+        """
+assert orbitdist.cli.main(["db-query", "db8.jsonl", sys.argv[1], "-k", "5", "--verify"]) == 0
+""",
+        None,
+        NO_EXPERIMENTS,
+    ),
+    "experiment-commands": (
+        """
+for kind in ("distortion", "classify", "lower-constant"):
+    assert orbitdist.cli.main(["experiment", kind, "--config", kind + ".json", "--out", kind]) == 0
+""",
+        None,
+        NO_SEARCH,
     ),
     "reduced_embedding": (
         """
@@ -154,15 +182,29 @@ assert all(r[0] == 0.0 for r in rates.values()), rates
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
+    from orbitdist.io import save_database
+    from orbitdist.search import ShapeDatabase
+
     tmp = tmp_path_factory.mktemp("imports")
     a, b = tmp / "a.csv", tmp / "b.csv"
     np.savetxt(a, [[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], delimiter=",")
     np.savetxt(b, [[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]], delimiter=",")
+    np.savetxt(tmp / "row.csv", [[0.0, 1.0, 3.0, 7.0, 2.0]], delimiter=",")
+    rng = np.random.default_rng(0)
+    records = [(str(i), rng.standard_normal((2, 3))) for i in range(8)]
+    save_database(tmp / "db8.jsonl", ShapeDatabase(GroupAction.EUCLIDEAN, records))
+    configs = {
+        "distortion": {"n_pairs": 100},
+        "classify": {"db_size": 20, "n_draws": 2},
+        "lower-constant": {"group": "O", "n": 1, "l": 32, "n_pairs": 200},
+    }
+    for kind, config in configs.items():
+        (tmp / f"{kind}.json").write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     procs = {}
     try:
         for name, (code, _, _) in CASES.items():
-            script = PRELUDE + code + "\nprint(json.dumps(scipy_modules()))\n"
+            script = PRELUDE + code + "\nprint(json.dumps(sorted(sys.modules)))\n"
             procs[name] = subprocess.Popen(
                 [sys.executable, "-c", script, str(a), str(b)],
                 cwd=tmp,
@@ -182,9 +224,11 @@ def test_fresh_process(runs, case):
     out, err, code = runs[case]
     assert code == 0, err
     loaded = json.loads(out.splitlines()[-1])
+    scipy = [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
     _, expected, forbidden = CASES[case]
     if expected is None:
-        assert loaded == []
+        assert scipy == []
+        assert "numpy.ma" not in loaded
     else:
-        assert expected in loaded
-    assert not set(forbidden) & set(loaded), loaded
+        assert expected in scipy
+    assert not set(forbidden) & set(loaded), sorted(set(forbidden) & set(loaded))

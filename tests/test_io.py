@@ -138,6 +138,39 @@ class TestDatabaseFiles:
         with pytest.raises(ParseError, match=match):
             load_database(path)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[1, 2, True], [4, 5, 6]],
+            [[1, 2, None], [4, 5, 6]],
+            [[1, 2, "3"], [4, 5, 6]],
+            [[1, 2, [3]], [4, 5, 6]],
+            [[1, 2], [4, 5, 6]],
+            [[1, 2, 3], 4],
+            [1, 2, 3],
+            [],
+            7,
+            "abc",
+            {"re": [[1, 2, 3], [4, 5, 6]]},
+            [[10**400, 2, 3], [4, 5, 6]],
+        ],
+    )
+    @pytest.mark.parametrize("after_good", [False, True])
+    @pytest.mark.parametrize("then_bad_json", [False, True])
+    def test_bad_record_matrix_named_by_its_line(self, tmp_path, grid, after_good, then_bad_json):
+        # the records' matrices are checked in one pass; a bad one is named
+        # as matrix_from_json names it, before any bad line after it
+        header = '{"group": "E", "n": 2, "l": 3, "feature_map": "full"}'
+        good = [json.dumps({"id": "a", "matrix": [[1, 2, 3], [4, 5, 6]]})] * after_good
+        lines = [header, *good, json.dumps({"id": "b", "matrix": grid})] + ["{not json"] * then_bad_json
+        path = tmp_path / "db.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as want:
+            matrix_from_json(grid, f"{path}:line {2 + after_good}")
+        with pytest.raises(ParseError) as got:
+            load_database(path)
+        assert str(got.value) == str(want.value)
+
     def test_whole_float_header_sizes_load(self, tmp_path):
         header = '{"group": "E", "n": 2.0, "l": 3, "feature_map": "full"}'
         rec = json.dumps({"id": "a", "matrix": [[1, 2, 3], [4, 5, 6]]})

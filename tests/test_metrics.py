@@ -77,6 +77,17 @@ class TestCenter:
             out = center(a)
             assert np.abs(out.sum(axis=1)).max() <= 1e-12 * np.linalg.norm(a)
 
+    def test_near_the_float64_limit(self, rng):
+        # the column sums overflow unscaled; the centred result does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(center(np.full((2, 3), 1e308)), 0.0)
+            a = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+            # beyond the range rule; a power of two scales exactly
+            np.testing.assert_array_equal(center(a * 2.0**1020), center(a) * 2.0**1020)
+            with pytest.raises(NonFiniteError, match="^A has a centred configuration too large for float64$"):
+                center(np.array([[1.7e308, -1.7e308, -1.7e308]]))
+
 
 class TestUnitaryDistance:
     def test_self_distance(self, rng):
@@ -157,6 +168,11 @@ class TestOrthogonalDistance:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeMismatchError):
             dist_orthogonal(rng.standard_normal((2, 3)), rng.standard_normal((2, 4)))
+
+    def test_aligner_refuses_points_of_another_dimension(self):
+        _, al = orbit_distance(GroupAction.EUCLIDEAN, np.eye(2, 3), np.ones((2, 3)))
+        with pytest.raises(ShapeMismatchError, match="points of dimension 3"):
+            al.apply(np.ones((3, 3)))
 
 
 class TestEuclideanDistance:
