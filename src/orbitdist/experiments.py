@@ -66,7 +66,12 @@ table of feature distances between the records are ranked, and the result
 is the exact argmin of the map's distance.  Each table is built once per
 study: the exact map reads the triangle embedding's through the sqrt(2)
 sandwich, so no exact distance between two records is computed, and the
-side lengths, which have no lower bound, keep their own.
+side lengths, which have no lower bound, keep their own.  A row keeps
+only the records that its record's queries can reach, by a bound from the
+largest noise level, the record's own noise draws and each map's
+Lipschitz constant (:func:`_classifiers`); a query whose radius reaches
+the end of its row is ranked against every record, so the bound sets the
+work and never the answer.
 Neither the distortion nor the classification study loads scipy, nor does
 the survey at n = 1; at n >= 2 it loads ``scipy.sparse`` for the
 reducer's product over its stacks of roots.
@@ -97,12 +102,15 @@ _DEGENERATE = 1e-12
 _SLACK = 2.0**-46
 _TABLE = 1 << 20
 _HIST_EDGES = np.linspace(0.0, 1.8, 61)
+_SQRT3 = np.sqrt(3.0)
 # Ceilings on the study sizes, so that a config cannot ask for more memory
 # than a workstation has.  The pair studies keep a few float64 ratios per
 # pair (about 0.3 GB at MAX_PAIRS); the classification study keeps a few
 # hundred bytes per noisy query, db_size * n_draws of them (about 0.3 GB
 # at both ceilings), and at most two record tables (one per index, see
-# _MAPS) of at most _TABLE distances and indices each (16 MB).  At n >= 2
+# _MAPS) of at most about _TABLE distances and indices each (16 MB), while
+# the blocks of the one being built hold as much again; at the CLI defaults
+# a row keeps about 30 of the 500 records (see _record_table).  At n >= 2
 # each pair of the lower-constant survey holds l x l Gram roots, 16 MB for
 # a complex one at MAX_L, and shares a reducer of at most n * size**2
 # non-zeros (twice that Hermitian), 16 bytes each (a float64 value and an
@@ -500,15 +508,22 @@ def _feature_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # each map's points (the configurations or their features) under a group,
 # the metric between them, and its index: the map whose record table the
-# classification reads, and a stretch s with index distance <= s * map
-# distance.  The exact map reads the triangle embedding's table through the
-# sqrt(2) sandwich (the float64 sqrt(2) is above the real one); side lengths
-# have no lower bound, so they keep their own.
+# classification reads, a stretch s with index distance <= s * map
+# distance, and a Lipschitz constant of the map's distance against the
+# euclidean distance ||x - y|| of the configurations.  The exact map reads
+# the triangle embedding's table through the sqrt(2) sandwich (the float64
+# sqrt(2) is above the real one); side lengths have no lower bound, so they
+# keep their own.  Each side of a triangle moves by at most the difference
+# of its two vertices' moves, and the three squared differences sum to 3
+# times the centred moves' squared norm: hence sqrt(3).  The reduced map is
+# within its full map, whose sandwich bounds it by sqrt(2) d.
 _MAPS = {
-    MAP_EXACT: (lambda group, x: x, _plane_distances, MAP_TRIANGLE, _SQRT2),
-    MAP_SIDE_LENGTHS: (lambda group, x: _side_lengths(x), _feature_distances, MAP_SIDE_LENGTHS, 1.0),
-    MAP_TRIANGLE: (lambda group, x: _triangle_coords(x), _feature_distances, MAP_TRIANGLE, 1.0),
-    REDUCED: (_reduced_stack, _feature_distances, REDUCED, 1.0),
+    MAP_EXACT: (lambda group, x: x, _plane_distances, MAP_TRIANGLE, _SQRT2, 1.0),
+    MAP_SIDE_LENGTHS: (
+        lambda group, x: _side_lengths(x), _feature_distances, MAP_SIDE_LENGTHS, 1.0, _SQRT3
+    ),
+    MAP_TRIANGLE: (lambda group, x: _triangle_coords(x), _feature_distances, MAP_TRIANGLE, 1.0, _SQRT2),
+    REDUCED: (_reduced_stack, _feature_distances, REDUCED, 1.0, _SQRT2),
 }
 
 
@@ -728,31 +743,55 @@ def distortion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return _pair_study(_validated(cfg, "distortion"), "distortion")
 
 
-def _record_table(points, metric, db: np.ndarray):
-    """``(order, table)``: for each record L of ``db``, the records sorted
-    stably by their computed distance F^(L, j) under ``metric`` between
-    their ``points``, and those distances, then a last column of inf beyond
-    every radius.  A row holds all N records, or the first ``_TABLE`` // N
-    when N^2 do not fit.  Built in blocks of rows (:func:`linalg._blocks`),
-    N pairs per row."""
+def _record_table(points, metric, db: np.ndarray, bound: np.ndarray):
+    """``(order, table, kept)``: for each record L of ``db``, the nearest
+    ``kept[L]`` records by their computed distance F^(L, j) under
+    ``metric`` between their ``points``, ordered by (distance, index), and
+    those distances, padded with inf to the widest row, then a last
+    column of inf beyond every radius.
+
+    ``bound[L]`` is the radius that L's queries are expected to reach.
+    Built in blocks of rows (:func:`linalg._blocks`), N pairs per row; a
+    block keeps ``min(N, max(2, _TABLE // N), need + 1)`` records per row,
+    where ``need`` is the most records that a row of the block has within
+    its bound.  So, up to the ceiling, every row holds a record beyond its
+    bound or every record, and the table holds at most about ``_TABLE``
+    entries; the blocks, kept until the widest is known, hold as many
+    again.  The bound carries no exactness: :func:`_nearest_records`
+    ranks every record for a query whose radius reaches the last record
+    that its row holds."""
     records = points(GroupAction.EUCLIDEAN, db)
     n = len(records)
-    k = min(n, max(2, _TABLE // n))
-    order = np.empty((n, k), dtype=np.intp)
-    table = np.full((n, k + 1), np.inf)
+    most = min(n, max(2, _TABLE // n))
+    blocks = []
     for r in _blocks(n, n):
         d = metric(records[r, None], records)
+        within = bound[r, None]
+        # whole rows fit: count the records within the bound in them, so
+        # that no more of a row is sorted than is kept; truncated rows are
+        # counted among their first ``most`` records, after the sort
+        k = most if most < n else min(n, int((d <= within).sum(axis=1).max()) + 1)
         if k < n:
             # the first k by (distance, index) without sorting whole rows;
             # where ties at the k-th distance fall changes no prefix
             # narrower than k, the only prefixes ranked
             part = np.argpartition(d, k - 1, axis=1)[:, :k]
             rank = np.lexsort((part, np.take_along_axis(d, part, axis=1)), axis=1)
-            order[r] = np.take_along_axis(part, rank, axis=1)
+            part = np.take_along_axis(part, rank, axis=1)
         else:
-            order[r] = np.argsort(d, axis=1, kind="stable")
-        table[r, :k] = np.take_along_axis(d, order[r], axis=1)
-    return order, table
+            part = np.argsort(d, axis=1, kind="stable")
+        d = np.take_along_axis(d, part, axis=1)
+        k = min(k, int((d <= within).sum(axis=1).max()) + 1)
+        blocks.append((r, part[:, :k], d[:, :k]))
+    width = max(part.shape[1] for _, part, _ in blocks)
+    order = np.zeros((n, width), dtype=np.intp)
+    table = np.full((n, width + 1), np.inf)
+    kept = np.empty(n, dtype=np.intp)
+    for r, part, dist in blocks:
+        order[r, : part.shape[1]] = part
+        table[r, : part.shape[1]] = dist
+        kept[r] = part.shape[1]
+    return order, table, kept
 
 
 def _nearest_records(name: str, index, db: np.ndarray):
@@ -768,9 +807,13 @@ def _nearest_records(name: str, index, db: np.ndarray):
     lemma of Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994) record j
     is no farther than L from a query q only if d(L, j) <= 2 d(q, L), and
     then F(L, j) <= 2s d(q, L).  So only the prefix of L's row within
-    ``s (2 d^(q, L) + 3 delta)`` is ranked under d: none when it
-    is L alone (F^(L, L) = 0), every record when it reaches past a
-    truncated row.
+    ``s (2 d^(q, L) + 3 delta)`` is ranked under d: none when it is L
+    alone (F^(L, L) = 0), every record when it reaches the last of the
+    ``kept[L]`` records that the row holds, fewer than N, since a record
+    past the row may lie inside the radius too.  A row holds one record
+    beyond the bound on its queries' radii that sized it
+    (:func:`_record_table`); that bound is never trusted, so a query past
+    it costs a ranking against every record and misses none.
 
     The slack delta = ``_SLACK`` (N_q + N) is absolute, with ``_SLACK`` =
     2^-46 = 128u for u = 2^-53, N_q the norm of the query's points (the
@@ -811,10 +854,10 @@ def _nearest_records(name: str, index, db: np.ndarray):
 
     So every record that ties or beats L is ranked.  Open queries are
     ranked by prefix width, in blocks (:func:`linalg._blocks`) of that many
-    pairs per query.
+    pairs per query; ``index`` is ``(order, table, kept)``.
     """
-    points, metric, _, stretch = _MAPS[name]
-    order, table = index
+    points, metric, _, stretch, _ = _MAPS[name]
+    order, table, kept = index
     records = points(GroupAction.EUCLIDEAN, db)
     n, k = order.shape
     norm = np.linalg.norm(records.reshape(n, -1), axis=1).max()
@@ -829,13 +872,14 @@ def _nearest_records(name: str, index, db: np.ndarray):
         width = np.concatenate(
             [(table[near[r], :k] <= reach[r]).sum(axis=1) for r in _blocks(len(rows), k)]
         )
-        width[(width == k) & (k < n)] = n  # past a truncated row: every record
+        stored = kept[near]
+        width[(width >= stored) & (stored < n)] = n  # to a truncated row's end: every record
         pred = labels.copy()
         for w in sorted(set(width.tolist())):
             ranked = rows[width == w]
             for s in _blocks(len(ranked), w):
                 r = ranked[s]
-                ids = order[labels[r], :w] if w <= k else np.arange(n)[None]
+                ids = np.arange(n)[None] if w == n else order[labels[r], :w]
                 d = metric(q[r, None], records[ids])
                 pred[r] = np.where(d == d.min(axis=1, keepdims=True), ids, n).min(axis=1)
         return pred
@@ -843,12 +887,19 @@ def _nearest_records(name: str, index, db: np.ndarray):
     return nearest
 
 
-def _classifiers(maps, db: np.ndarray) -> dict:
+def _classifiers(maps, db: np.ndarray, reach: np.ndarray) -> dict:
     """The :func:`_nearest_records` kernel of each map in ``maps`` over
     ``db``, with one record table per index, shared by the maps it
-    serves."""
-    indexes = dict.fromkeys(_MAPS[name][2] for name in maps)
-    tables = {index: _record_table(*_MAPS[index][:2], db) for index in indexes}
+    serves.  ``reach[L]`` bounds ``||q - L||`` over record L's queries; a
+    map of Lipschitz constant c and stretch s then asks for a radius of at
+    most about ``2 s c reach[L]``, and each table's row L holds, up to its
+    ceiling, the records within the largest such radius of the maps it
+    serves and one more (see :func:`_record_table`)."""
+    scale = {}
+    for name in maps:
+        _, _, index, stretch, lipschitz = _MAPS[name]
+        scale[index] = max(scale.get(index, 0.0), 2.0 * stretch * lipschitz)
+    tables = {index: _record_table(*_MAPS[index][:2], db, s * reach) for index, s in scale.items()}
     return {name: _nearest_records(name, tables[_MAPS[name][2]], db) for name in maps}
 
 
@@ -859,13 +910,18 @@ def classification_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Each database triangle is perturbed ``n_draws`` times by additive
     gaussian noise of standard deviation eps on every coordinate, and
     classified by its nearest database record under each map's distance.
+    A query of record L lies within ``max(eps) * max||noise||`` of L, over
+    the grid and L's own draws, which sizes L's rows of the record tables
+    (:func:`_classifiers`).
     """
     cfg = _validated(cfg, "classify")
     db = _normals(cfg.seed, 0, 0, 6 * cfg.db_size).reshape(cfg.db_size, 2, 3)
     noise = _normals(cfg.seed, 1, 0, 6 * cfg.db_size * cfg.n_draws).reshape(-1, 2, 3)
     labels = np.repeat(np.arange(cfg.db_size), cfg.n_draws)
     base = np.repeat(db, cfg.n_draws, axis=0)
-    nearest = _classifiers(cfg.maps, db)
+    draws = np.linalg.norm(noise.reshape(cfg.db_size, cfg.n_draws, 6), axis=2)
+    reach = cfg.noise_grid[-1] * draws.max(axis=1)
+    nearest = _classifiers(cfg.maps, db, reach)
     rates = {name: [] for name in cfg.maps}
     for eps in cfg.noise_grid:
         queries = base + eps * noise
@@ -892,7 +948,15 @@ def lower_constant_survey(
     survey reports the observed minimum and quantiles; the minimum must be
     strictly positive.  That minimum is an upper bound on the lower
     constant, taken from random pairs, which miss the worst directions; it
-    is not an estimate of the constant.  Pairs run in blocks whose memory
+    is not an estimate of the constant.  At n = 1 the constant is
+    exponentially small in l: for odd k and l = k + 1, the rows of the
+    even and of the odd coefficients of (1 + z)^k, ``((1+z)^k +- (1-z)^k)/2``,
+    are orthogonal and of one norm, so the full map's ratio is 1, while
+    their squares, which the reduced coordinates read, differ only by
+    ``(1 - z^2)^k``: the reduced ratio is 0.200, 9.76e-3, 3.09e-5 and
+    3.88e-10 at l = 4, 8, 16 and 32 under O, U and E (in Helmert
+    coordinates).  The minimum over random pairs at O 1 x 32 reads about
+    0.25, some 10**9 too high.  Pairs run in blocks whose memory
     grows with neither ``n_pairs`` nor l (see :func:`_pair_study`).
     ``group`` is a GroupAction or its name, as ``ExperimentConfig``
     reads it.

@@ -80,16 +80,30 @@ def _pow2_scale(x):
     return np.ldexp(1.0, np.minimum(-np.frexp(x)[1], 1023))
 
 
+def _parts(x: np.ndarray) -> np.ndarray:
+    """``x`` as real numbers whose largest magnitude measures it: a real
+    ``x`` itself, a complex one as its float64 view, the real and
+    imaginary parts side by side on the last axis (of a C-ordered copy if
+    ``x`` is not C-ordered).  So ``max|parts|`` measures each complex entry
+    by its larger part, which is finite for every finite entry, where the
+    modulus overflows to inf once both parts pass about 1.27e308; the
+    modulus is at most sqrt(2) times that part."""
+    if x.dtype.kind != "c":
+        return x
+    return np.ascontiguousarray(x).view(np.float64)
+
+
 def _in_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """``(x c, c)`` for a finite ``(..., n, l)`` stack ``x``: c is 1.0, or,
-    when some entry exceeds ``2**1022 / max(n, l)``, each matrix's
-    :func:`_pow2_scale`, of shape ``(..., 1, 1)``.  A sum of at most
-    max(n, l) entries of magnitude at most ``2 max|x c|`` then stays within
-    float64.  Only a stack beyond that bound runs scaled, so every other
-    keeps its bits."""
+    when some entry's modulus exceeds ``2**1022 / max(n, l)`` (or
+    overflows to inf), each matrix's :func:`_pow2_scale` of its largest
+    part (:func:`_parts`), of shape ``(..., 1, 1)``, which leaves every
+    modulus below sqrt(2).  A sum of at most max(n, l) entries of modulus
+    at most ``2 max|x c|`` then stays within float64.  Only a stack beyond
+    that bound runs scaled, so every other keeps its bits."""
     if np.abs(x).max(initial=0.0) <= 2.0**1022 / max(*x.shape[-2:], 1):
         return x, 1.0
-    c = _pow2_scale(np.abs(x).max(axis=(-2, -1), keepdims=True))
+    c = _pow2_scale(np.abs(_parts(x)).max(axis=(-2, -1), keepdims=True))
     return x * c, c
 
 

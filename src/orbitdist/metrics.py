@@ -26,7 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import _adjoint, _finite, _frobenius_norms, _in_range, _pow2_scale, _unscaled, as_matrix, svd
+from .linalg import (
+    _adjoint,
+    _finite,
+    _frobenius_norms,
+    _in_range,
+    _parts,
+    _pow2_scale,
+    _unscaled,
+    as_matrix,
+    svd,
+)
 
 
 class GroupAction(enum.Enum):
@@ -137,9 +147,12 @@ def _procrustes(
     ``(..., n, n)`` and the scales c below (a float for one pair).
 
     Each pair is solved at c, the power of two that brings max(|A|, |B|)
-    into [1/2, 1), so no entry of A @ B* exceeds 4l; only the distance is
-    divided by c.  Power-of-two scaling is exact: results that neither
-    overflow nor underflow keep their bits.
+    into [1/2, 1), so no entry of A @ B* exceeds 4l; where a complex
+    modulus overflows to inf, though both parts are finite, c brings the
+    largest part instead (:func:`linalg._parts`), every modulus is below
+    sqrt(2) and no entry exceeds 8l.  Only the distance is divided by c.
+    Power-of-two scaling is exact: results that neither overflow nor
+    underflow keep their bits.
 
     W = V @ U* from the SVD of A @ B* makes ``W A B*`` PSD Hermitian, which
     is exactly the optimality condition for min over rotations of
@@ -150,6 +163,10 @@ def _procrustes(
     """
     m = np.maximum(np.abs(a), np.abs(b)).max(axis=(-2, -1), initial=0.0)
     pair = m.ndim == 0  # one pair: its scale and distance as Python floats
+    if (m if pair else m.max()) == np.inf:  # a complex modulus beyond float64
+        # both complex, so that their float64 views broadcast
+        a, b = a.astype(np.complex128, copy=False), b.astype(np.complex128, copy=False)
+        m = np.maximum(np.abs(_parts(a)), np.abs(_parts(b))).max(axis=(-2, -1), initial=0.0)
     c = _pow2_scale(float(m) if pair else m)
     s = c if pair else c[..., None, None]
     a, b = _prepared(group, a * s), _prepared(group, b * s)

@@ -416,6 +416,25 @@ class TestExperimentCommand:
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == self.DIGESTS[kind, seed]
 
+    # sha256 of report.json of classify with HIGH_NOISE: most queries at
+    # these levels have records other than their own within their radius,
+    # and many are ranked against every record
+    HIGH_NOISE = {"db_size": 200, "n_draws": 5, "noise_grid": [0.1, 0.5, 2.0]}
+    HIGH_NOISE_DIGESTS = {
+        0: "69a3ac65dcc0af2199451b886a3d3ae5da43cfa72b9bc290e8ace191ed675bff",
+        1: "4cc96026dfd8b59acd38e345be4baab40b014f4f66b3f5f958ff6877c96d30f2",
+    }
+
+    @pytest.mark.parametrize("seed", list(HIGH_NOISE_DIGESTS))
+    def test_classify_digest_at_high_noise(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.HIGH_NOISE))
+        out = tmp_path / "run"
+        argv = ["experiment", "classify", "--seed", str(seed), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == self.HIGH_NOISE_DIGESTS[seed]
+
     def test_classify_zero_noise_rates(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"db_size": 20, "n_draws": 2, "noise_grid": [0.0]}))

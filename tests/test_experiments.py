@@ -36,11 +36,17 @@ SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
 
 
-def nearest(queries, db, labels, name=MAP_EXACT):
+def nearest(queries, db, labels, name=MAP_EXACT, reach=None):
     """The records that the classification study's kernel for map ``name``
     finds nearest to the queries, each labelled with its own record: built
-    as the study builds it, the exact map over the triangle table."""
-    return experiments._classifiers((name,), db)[name](queries, labels)
+    as the study builds it, the exact map over the triangle table, with
+    rows sized by ``reach``, by default each record's largest ``||q - L||``
+    over its queries."""
+    if reach is None:
+        reach = np.zeros(len(db))
+        gaps = np.linalg.norm((queries - db[labels]).reshape(len(labels), -1), axis=1)
+        np.maximum.at(reach, labels, gaps)
+    return experiments._classifiers((name,), db, reach)[name](queries, labels)
 
 
 def exact_rate(queries, db, labels):
@@ -717,9 +723,40 @@ class TestNearestRecords:
             assert want.tolist() == [4] * 5
         np.testing.assert_array_equal(nearest(queries, db, labels), want)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("reach", [0.0, np.inf], ids=["two-per-row", "whole-rows"])
+    @pytest.mark.parametrize("name", [MAP_EXACT, MAP_SIDE_LENGTHS, MAP_TRIANGLE])
+    def test_exact_whatever_the_bound(self, monkeypatch, rng, name, reach, eps):
+        # the bound sizes the rows, never the answer: at 0 each row keeps
+        # its own record and the next, so a query with any record inside
+        # its radius ranks every record; at inf every row is whole
+        db = rng.standard_normal((60, 2, 3))
+        labels = np.repeat(np.arange(60), 2)
+        queries = db[labels] + eps * rng.standard_normal((len(labels), 2, 3))
+        kept = []
+        kernel = experiments._record_table
+
+        def spy(*args):
+            index = kernel(*args)
+            kept.append(index[2])
+            return index
+
+        monkeypatch.setattr(experiments, "_record_table", spy)
+        ranked = []
+        if name == MAP_EXACT:
+            counting(monkeypatch, ranked)
+        got = nearest(queries, db, labels, name, reach=np.full(60, reach))
+        np.testing.assert_array_equal(got, brute_force(queries, db, name))
+        assert kept[0].tolist() == [2 if reach == 0.0 else 60] * 60
+        if name == MAP_EXACT and eps == 0.5:
+            # open rows: with two records per row they rank every record
+            assert ranked and all(w == 60 for _, w in ranked) == (reach == 0.0)
+
     def test_traced_peak_at_cli_defaults(self):
         # the tables and the ranking run in blocks of pairs: one 500 x 500
-        # broadcast of _plane_distances would trace about 50 MB
+        # broadcast of _plane_distances would trace about 50 MB; and the
+        # tables keep about 30 records per row, where whole rows of 500
+        # traced 13 MB
         cfg = ExperimentConfig.from_dict(dict(experiments._DEFAULT_CONFIGS["classify"], seed=0))
         tracemalloc.start()
         try:
@@ -727,7 +764,7 @@ class TestNearestRecords:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 << 20
+        assert peak <= 8 << 20
 
 
 class TestClassificationExperiment:
@@ -1003,9 +1040,9 @@ class TestTablesPerStudy:
         calls = []
         kernel = experiments._record_table
 
-        def spy(points, metric, db):
+        def spy(points, metric, db, bound):
             calls.append((points, metric, db))
-            return kernel(points, metric, db)
+            return kernel(points, metric, db, bound)
 
         monkeypatch.setattr(experiments, "_record_table", spy)
         cfg = ExperimentConfig(
@@ -1037,9 +1074,10 @@ class TestTablesPerStudy:
         def c_ordered(group, x):
             return np.ascontiguousarray(points(group, x))
 
+        bound = np.full(300, np.inf)  # whole rows
         for got, want in zip(
-            experiments._record_table(points, metric, db),
-            experiments._record_table(c_ordered, metric, db),
+            experiments._record_table(points, metric, db, bound),
+            experiments._record_table(c_ordered, metric, db, bound),
         ):
             np.testing.assert_array_equal(got, want)
 

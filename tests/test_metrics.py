@@ -470,6 +470,16 @@ class TestResultRange:
             with pytest.raises(NonFiniteError, match="^the pair has a translation too large for float64$"):
                 orbit_distance(group, a, -a)
 
+    def test_complex_entry_measured_by_its_larger_part(self):
+        # parts of 1.5e308 are finite, though the modulus overflows: the
+        # pair and the centring run at the power of two of the larger part
+        z = np.array([[1.5e308 + 1.5e308j, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert orbit_distance(GroupAction.UNITARY, z, z)[0] == 0.0
+            np.testing.assert_array_equal(_procrustes(GroupAction.UNITARY, z, np.stack([z, z]))[0], 0.0)
+            np.testing.assert_array_equal(center(np.array([[1.5e308 + 1.5e308j] * 2])), 0.0)
+
     def test_huge_finite_results_kept(self):
         # the means are summed at the pair's scale: no column sum overflows
         a = np.full((2, 3), 1.5e308)

@@ -1,5 +1,7 @@
 import json
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from orbitdist import (
     reducer_for,
     separating_subspace_basis,
 )
-from orbitdist import linalg, reduction
+from orbitdist import embeddings, linalg, reduction
 from orbitdist.reduction import _reduced_stack
 
 from oracles import csr_reduced_features
@@ -481,6 +483,62 @@ class TestRankOneRoute:
         reduction.build_reducer.cache_clear()
         f = _reduced_stack(GroupAction.UNITARY, _rows(rng, GroupAction.UNITARY, (3, 1, 6)))
         assert f.shape == (3, reduced_feature_dim(GroupAction.UNITARY, 1, 6))
+
+
+def _witness(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """For odd k = l - 1, the coefficient rows of ``((1+z)^k + (1-z)^k)/2``
+    and ``((1+z)^k - (1-z)^k)/2``: the binomial coefficients of even and of
+    odd degree.  The rows are orthogonal and of one norm."""
+    c = np.array([math.comb(l - 1, j) for j in range(l)], dtype=float)
+    even = np.where(np.arange(l) % 2 == 0, c, 0.0)
+    return even, c - even
+
+
+def _witness_ratio(l: int) -> mpmath.mpf:
+    """||reduced(y) - reduced(y')|| / d(y, y') of :func:`_witness` at 50
+    digits, from the definition at n = 1: antidiagonal s of ``y^T y / ||y||``
+    sums ``y_{s-c} y_c / ||y||`` over its L_s cells, and its coordinate is
+    that sum over sqrt(L_s).  The squares of y and y' differ by the
+    coefficients of ``(1 - z^2)^k``, which are exponentially smaller."""
+    with mpmath.workdps(50):
+        rows = [[mpmath.mpf(int(v)) for v in r] for r in _witness(l)]
+        norm = mpmath.sqrt(sum(v * v for v in rows[0]))  # both rows
+
+        def feature(y):
+            out = []
+            for s in range(2 * l - 1):
+                cells = range(max(0, s - l + 1), min(s, l - 1) + 1)
+                out.append(sum(y[s - c] * y[c] for c in cells) / (norm * mpmath.sqrt(len(cells))))
+            return out
+
+        gap = mpmath.sqrt(sum((a - b) ** 2 for a, b in zip(*map(feature, rows))))
+        return gap / (mpmath.sqrt(2) * norm)  # y and y' are orthogonal, so d = sqrt(2) ||y||
+
+
+class TestCompactRatio:
+    """The reduced map's lower Lipschitz ratio is exponentially small in l
+    on a witness pair (:func:`_witness`), while the full map's is 1: a
+    survey's minimum over random pairs is only an upper bound."""
+
+    @pytest.mark.parametrize("l", range(4, 33, 2))
+    @pytest.mark.parametrize("group", [GroupAction.ORTHOGONAL, GroupAction.UNITARY, GroupAction.EUCLIDEAN])
+    def test_witness_pair(self, group, l):
+        y, y2 = _witness(l)
+        if group.quotients_translations:
+            # l + 1 points whose Helmert coordinates (x W') are the rows
+            helmert = embeddings._helmert(np.eye(l + 1))
+            y, y2 = y @ helmert.T, y2 @ helmert.T
+        a, b = y[None], y2[None]
+        if group.is_complex:
+            a, b = a + 0j, b + 0j
+        d = orbit_distance(group, a, b)[0]
+        reduced = np.linalg.norm(reduced_embedding(group, a) - reduced_embedding(group, b)) / d
+        full = np.linalg.norm(feature_vector(group, a) - feature_vector(group, b)) / d
+        # each errs by a few dozen ulps of the features, whose norm is d
+        assert abs(reduced - float(_witness_ratio(l))) <= 2.0**-46
+        assert abs(full - 1.0) <= 2.0**-46
+        if l == 32:
+            assert reduced < 4e-10
 
 
 class TestDimension:

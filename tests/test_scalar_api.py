@@ -217,6 +217,15 @@ class TestErrorContract:
                     with pytest.raises(NonFiniteError, match=too_large):
                         feature_vector(group, a, feature_map)
 
+    def test_complex_entry_beyond_the_modulus_range(self):
+        # parts of 1.5e308: the modulus overflows, the larger part does not,
+        # so the row runs at scale and its feature is refused, with no warning
+        z = np.array([[1.5e308 + 1.5e308j, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^A has a feature too large for float64$"):
+                reduced_embedding(G.UNITARY, z)
+
     @pytest.mark.parametrize("group", GROUPS)
     def test_root_near_the_limit_runs_at_scale(self, group):
         # the Gram root's largest singular value, up to sqrt(n l) max|x|,
