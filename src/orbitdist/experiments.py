@@ -955,9 +955,13 @@ def lower_constant_survey(
     their squares, which the reduced coordinates read, differ only by
     ``(1 - z^2)^k``: the reduced ratio is 0.200, 9.76e-3, 3.09e-5 and
     3.88e-10 at l = 4, 8, 16 and 32 under O, U and E (in Helmert
-    coordinates).  The minimum over random pairs at O 1 x 32 reads about
-    0.25, some 10**9 too high.  Pairs run in blocks whose memory
-    grows with neither ``n_pairs`` nor l (see :func:`_pair_study`).
+    coordinates).  At n = 2 the pair ``(y, 0)``, ``(y', 0)`` of the same
+    rows reads 0.2865, 6.335e-2, 1.718e-4 and 2.027e-9 at l = 6, 8, 16
+    and 32, at least the n = 1 ratio and at most ``10 * 2**(1 - l)``
+    (1 at l = 4, where size = 2n keeps every coordinate).  The minimum
+    over random pairs at O 1 x 32 reads about 0.25, some 10**9 too high.
+    Pairs run in blocks whose memory grows with neither ``n_pairs`` nor l
+    (see :func:`_pair_study`).
     ``group`` is a GroupAction or its name, as ``ExperimentConfig``
     reads it.
     """

@@ -51,7 +51,7 @@ def _feature(group: GroupAction, m: np.ndarray, feature_map: str, name: str) -> 
 
 
 def _is_triangle(group: GroupAction, x: np.ndarray) -> bool:
-    return group is GroupAction.EUCLIDEAN and x.shape[-2:] == (2, 3) and not np.iscomplexobj(x)
+    return group is GroupAction.EUCLIDEAN and x.shape[-2:] == (2, 3) and x.dtype.kind != "c"
 
 
 def _feature_stack(group: GroupAction, x: np.ndarray, feature_map: str) -> np.ndarray:

@@ -4,7 +4,9 @@ Everything here works on plain numpy arrays: real or complex 2-D matrices
 whose columns are the points of a configuration.  All functions are pure.
 An array is checked once, where it enters: the entry points
 (:func:`as_matrix`, :func:`psd_sqrt`) refuse NaN/Inf up front, so NaN/Inf
-never propagate silently into a factorization, and the kernels such as
+never propagate silently into a factorization (and refuse nested lists of
+unequal lengths as ShapeMismatchError, a Python integer beyond float64 as
+NonFiniteError), and the kernels such as
 :func:`svd` take the validated arrays their callers build.  The
 float64-range policy lives here too: a kernel that squares its input runs
 at a power of two (:func:`_pow2_scale`), which is exact, divides its result
@@ -14,13 +16,23 @@ by it (:func:`_unscaled`) and refuses a result beyond float64
 :func:`svd` is the one SVD entry point.  It calls numpy 2's thin-SVD
 gufunc ``_umath_linalg.svd_s`` itself, as ``np.linalg.svd`` does: the
 distances and features make several SVDs of 2-by-5-sized blocks per call,
-where numpy's wrapper costs about as much as LAPACK.
+where numpy's wrapper costs about as much as LAPACK.  For the same reason
+its floating-point error state is built once, at import, with numpy 2's
+``_make_extobj``, and each call sets it and resets it through a token of
+the context variable ``_extobj_contextvar`` that ``np.errstate`` itself
+uses: a context variable is per thread, so other threads never see it,
+and the reset restores the caller's state, that of its own
+``np.errstate`` block included.  The small-array kernels below
+test ``x.dtype.kind`` and call a ufunc's ``reduce`` directly, for the
+same bits as ``np.iscomplexobj`` and ``.all()`` / ``.max()`` without
+their Python wrappers.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .errors import (
@@ -58,15 +70,18 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
 
 
 def _as_array(m, name: str, *, stacked: bool) -> np.ndarray:
-    a = np.asarray(m)
-    if np.iscomplexobj(a):
-        a = a.astype(np.complex128, copy=False)
-    else:
-        a = a.astype(np.float64, copy=False)
+    try:
+        a = np.asarray(m)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ShapeMismatchError(f"{name} is ragged: its rows differ in length") from None
+    try:
+        a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
+    except OverflowError:  # a Python integer beyond float64
+        raise NonFiniteError(f"{name} has an entry too large for float64") from None
     if a.ndim != 2 and not (stacked and a.ndim > 2):
         expected = "at least 2-D" if stacked else "2-D"
         raise ShapeMismatchError(f"{name} must be {expected}, got ndim={a.ndim}")
-    if a.size and not np.isfinite(a).all():
+    if a.size and not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
     return a
 
@@ -101,7 +116,7 @@ def _in_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     modulus below sqrt(2).  A sum of at most max(n, l) entries of modulus
     at most ``2 max|x c|`` then stays within float64.  Only a stack beyond
     that bound runs scaled, so every other keeps its bits."""
-    if np.abs(x).max(initial=0.0) <= 2.0**1022 / max(*x.shape[-2:], 1):
+    if np.maximum.reduce(np.abs(x), axis=None, initial=0.0) <= 2.0**1022 / max(*x.shape[-2:], 1):
         return x, 1.0
     c = _pow2_scale(np.abs(_parts(x)).max(axis=(-2, -1), keepdims=True))
     return x * c, c
@@ -122,7 +137,7 @@ def _unscaled(f, c):
 
 def _finite(f, name: str, what: str = "a feature"):
     """``f``, ``what`` of ``name``; NonFiniteError if it overflowed float64."""
-    if not (math.isfinite(f) if type(f) is float else np.isfinite(f).all()):
+    if not (math.isfinite(f) if type(f) is float else np.logical_and.reduce(np.isfinite(f), axis=None)):
         raise NonFiniteError(f"{name} has {what} too large for float64")
     return f
 
@@ -139,7 +154,7 @@ def _frobenius_norms(x: np.ndarray) -> np.ndarray:
     norm of each matrix taken alone."""
     v = x.reshape(x.shape[:-2] + (1, -1))
     sq = v.real @ v.real.swapaxes(-1, -2)
-    if np.iscomplexobj(v):
+    if v.dtype.kind == "c":
         sq = sq + v.imag @ v.imag.swapaxes(-1, -2)
     return np.sqrt(sq[..., 0, 0])
 
@@ -157,6 +172,12 @@ def _raise_nonconvergence(err, flag):
     raise ConvergenceFailureError("SVD did not converge")
 
 
+# the floating-point error state of every svd call (see svd), built once
+_SVD_ERRSTATE = _make_extobj(
+    call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``(u, s, v)`` with ``A = u @ diag(s) @ v.conj().T``: ``u``
     is n-by-r and ``v`` l-by-r with orthonormal columns, r = min(n, l), and
@@ -172,19 +193,25 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gesdd) under the floating-point error state that ``np.linalg.svd``
     sets: the gufunc flags nonconvergence as "invalid", which raises, and
     LAPACK's harmless overflow, divide and underflow flags are ignored.
-    The factors are those of ``np.linalg.svd(a, full_matrices=False)`` to
-    the bit.
+    That state is built once (``_SVD_ERRSTATE``) and set and reset per
+    call through a context-variable token, so the caller's state, in its
+    thread and in its own ``np.errstate`` block, holds again on return,
+    also when the call raises.  It carries the buffer size in force at
+    import, not the caller's ``bufsize``, which the SVD gufunc does not
+    read.  The factors are those of ``np.linalg.svd(a, full_matrices=False)``
+    to the bit.
 
     It does not refuse a singular value beyond float64: a finite matrix
     such as ``np.full((2, 3), 1.7e308)`` gives ``s[0] = inf``.  Its callers
     keep to float64's range themselves: the Procrustes kernel and the
     Gram roots near the float64 limit run at a power of two.
     """
-    signature = "D->DdD" if a.dtype == np.complex128 else "d->ddd"
-    with np.errstate(
-        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
+    signature = "D->DdD" if a.dtype.kind == "c" else "d->ddd"
+    token = _extobj_contextvar.set(_SVD_ERRSTATE)
+    try:
         u, s, vh = _umath_linalg.svd_s(a, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
     return u, s, _adjoint(vh)
 
 
@@ -228,7 +255,7 @@ def psd_sqrt(m) -> np.ndarray:
                 f"eigenvalue {np.ravel(lowest)[k]:.3e} below -1e-9 ||M||_F = {-np.ravel(tol)[k]:.3e}"
             )
     r = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _adjoint(q)
-    if not np.iscomplexobj(a):
+    if a.dtype.kind != "c":
         return r.real
     # round-off can leave a tiny skew-Hermitian part; resymmetrize
     return 0.5 * (r + _adjoint(r))

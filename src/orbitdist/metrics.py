@@ -44,7 +44,9 @@ class GroupAction(enum.Enum):
 
     Orthogonal and euclidean act on real configurations; unitary and
     complex-euclidean act on complex ones (real inputs are promoted).
-    The two euclidean flavours additionally quotient translations.
+    The two euclidean flavours additionally quotient translations.  Each
+    member carries both facts as plain ``bool`` attributes, ``is_complex``
+    and ``quotients_translations``, set once when the class is made.
     """
 
     ORTHOGONAL = "O"
@@ -52,13 +54,9 @@ class GroupAction(enum.Enum):
     UNITARY = "U"
     COMPLEX_EUCLIDEAN = "F"
 
-    @property
-    def is_complex(self) -> bool:
-        return self in (GroupAction.UNITARY, GroupAction.COMPLEX_EUCLIDEAN)
-
-    @property
-    def quotients_translations(self) -> bool:
-        return self in (GroupAction.EUCLIDEAN, GroupAction.COMPLEX_EUCLIDEAN)
+    def __init__(self, value: str):
+        self.is_complex = value in ("U", "F")
+        self.quotients_translations = value in ("E", "F")
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def _configuration(group: GroupAction, a, name: str, shape: tuple[int, int] | No
         raise ShapeMismatchError(f"{name} has shape {m.shape}, expected {shape}")
     if m.shape[1] < 1 and group.quotients_translations:
         raise ShapeMismatchError(f"{name} has shape {m.shape}; a configuration needs at least one column")
-    if np.iscomplexobj(m) and not group.is_complex:
+    if m.dtype.kind == "c" and not group.is_complex:
         raise ShapeMismatchError(
             f"{name} is complex; group {group.value} acts on real configurations"
         )
@@ -132,7 +130,7 @@ def _prepared(group: GroupAction, x: np.ndarray) -> np.ndarray:
     if group.quotients_translations:
         # the column mean as np.mean forms it (one sum, one division), to
         # the bit, without the Python overhead of np.mean
-        x = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
+        x = x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
     return x
 
 
@@ -161,7 +159,7 @@ def _procrustes(
     round-off, but the subtraction cancels catastrophically at orbit
     coincidence while the direct norm stays exact.
     """
-    m = np.maximum(np.abs(a), np.abs(b)).max(axis=(-2, -1), initial=0.0)
+    m = np.maximum.reduce(np.maximum(np.abs(a), np.abs(b)), axis=(-2, -1), initial=0.0)
     pair = m.ndim == 0  # one pair: its scale and distance as Python floats
     if (m if pair else m.max()) == np.inf:  # a complex modulus beyond float64
         # both complex, so that their float64 views broadcast

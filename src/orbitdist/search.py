@@ -513,9 +513,13 @@ def _query_and_memo(db: ShapeDatabase, query) -> tuple[np.ndarray, _LastQuery | 
     """
     memo = db._memo
     if memo is not None:
-        q = np.asarray(query)
-        if q.shape == (db.n, db.l) and _key(q) == memo.key:
-            return q, memo
+        try:
+            q = np.asarray(query)
+        except ValueError:  # ragged: the check below refuses it
+            pass
+        else:
+            if q.shape == (db.n, db.l) and _key(q) == memo.key:
+                return q, memo
     q = db._check_query(query)
     return q, memo if memo is not None and _key(q) == memo.key else None
 

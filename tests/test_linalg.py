@@ -120,6 +120,29 @@ class TestSvdIsNumpySvd:
         with pytest.raises(ConvergenceFailureError, match="did not converge"):
             svd(np.eye(2))
 
+    # each check runs in an np.errstate block of its own, so that a state
+    # that an earlier call left behind cannot hide one that this call leaves
+    def test_error_state_is_restored_after_success(self):
+        with np.errstate(all="warn", call=None):
+            before = np.geterr(), np.geterrcall()
+            svd(np.arange(6.0).reshape(2, 3))
+            assert (np.geterr(), np.geterrcall()) == before
+
+    def test_error_state_is_restored_after_nonconvergence(self, monkeypatch):
+        with np.errstate(all="warn", call=None):
+            before = np.geterr(), np.geterrcall()
+            self.test_nonconvergence_raises(monkeypatch)
+            assert (np.geterr(), np.geterrcall()) == before
+
+    def test_callers_error_state_survives(self):
+        # the caller's "raise" holds again once svd returns
+        with np.errstate(all="raise", call=None):
+            before = np.geterr(), np.geterrcall()
+            svd(np.arange(6.0).reshape(3, 2))
+            assert (np.geterr(), np.geterrcall()) == before
+            with pytest.raises(FloatingPointError):
+                np.ones(1) / np.zeros(1)
+
     @pytest.mark.parametrize(
         "m",
         [

@@ -4,6 +4,7 @@ object its home module defines, and the names taken off the surface are
 gone from the package and from the modules that defined them."""
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -201,3 +202,22 @@ def test_fresh_interpreter_resolves_every_name_at_home():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"missing_from_dir": [], "resolved": [], "bound": PUBLIC, "uncached": [], "not_home": []}
+
+
+@pytest.mark.parametrize(
+    "group, is_complex, quotients_translations",
+    [
+        (orbitdist.GroupAction.ORTHOGONAL, False, False),
+        (orbitdist.GroupAction.EUCLIDEAN, False, True),
+        (orbitdist.GroupAction.UNITARY, True, False),
+        (orbitdist.GroupAction.COMPLEX_EUCLIDEAN, True, True),
+    ],
+    ids=lambda x: getattr(x, "value", None),
+)
+def test_group_action_flags(group, is_complex, quotients_translations):
+    assert type(group.is_complex) is bool and group.is_complex is is_complex
+    assert type(group.quotients_translations) is bool
+    assert group.quotients_translations is quotients_translations
+    assert orbitdist.GroupAction(group.value) is group
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(group, protocol)) is group

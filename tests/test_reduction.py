@@ -515,30 +515,59 @@ def _witness_ratio(l: int) -> mpmath.mpf:
         return gap / (mpmath.sqrt(2) * norm)  # y and y' are orthogonal, so d = sqrt(2) ||y||
 
 
+def _witness_ratios(group: GroupAction, l: int, n: int) -> tuple[float, float]:
+    """The reduced and the full map's ratio ||f(A) - f(B)|| / d(A, B) under
+    ``group`` for the n-by-l pair whose first rows are :func:`_witness`
+    and whose other rows are zero."""
+    y, y2 = _witness(l)
+    if group.quotients_translations:
+        # l + 1 points whose Helmert coordinates (x W') are the rows
+        helmert = embeddings._helmert(np.eye(l + 1))
+        y, y2 = y @ helmert.T, y2 @ helmert.T
+    a, b = (np.vstack([v] + [0.0 * v] * (n - 1)) for v in (y, y2))
+    if group.is_complex:
+        a, b = a + 0j, b + 0j
+    d = orbit_distance(group, a, b)[0]
+    reduced = np.linalg.norm(reduced_embedding(group, a) - reduced_embedding(group, b)) / d
+    full = np.linalg.norm(feature_vector(group, a) - feature_vector(group, b)) / d
+    return reduced, full
+
+
+# the n = 2 witness rows' reduced ratio to four digits, at some l
+N2_RATIOS = {6: 0.2865, 8: 6.335e-2, 16: 1.718e-4, 32: 2.027e-9}
+
+
 class TestCompactRatio:
     """The reduced map's lower Lipschitz ratio is exponentially small in l
-    on a witness pair (:func:`_witness`), while the full map's is 1: a
-    survey's minimum over random pairs is only an upper bound."""
+    on a witness pair (:func:`_witness`), at n = 1 and as the first rows
+    of an n = 2 pair, while the full map's is 1: a survey's minimum over
+    random pairs is only an upper bound."""
 
     @pytest.mark.parametrize("l", range(4, 33, 2))
     @pytest.mark.parametrize("group", [GroupAction.ORTHOGONAL, GroupAction.UNITARY, GroupAction.EUCLIDEAN])
     def test_witness_pair(self, group, l):
-        y, y2 = _witness(l)
-        if group.quotients_translations:
-            # l + 1 points whose Helmert coordinates (x W') are the rows
-            helmert = embeddings._helmert(np.eye(l + 1))
-            y, y2 = y @ helmert.T, y2 @ helmert.T
-        a, b = y[None], y2[None]
-        if group.is_complex:
-            a, b = a + 0j, b + 0j
-        d = orbit_distance(group, a, b)[0]
-        reduced = np.linalg.norm(reduced_embedding(group, a) - reduced_embedding(group, b)) / d
-        full = np.linalg.norm(feature_vector(group, a) - feature_vector(group, b)) / d
+        reduced, full = _witness_ratios(group, l, 1)
         # each errs by a few dozen ulps of the features, whose norm is d
         assert abs(reduced - float(_witness_ratio(l))) <= 2.0**-46
         assert abs(full - 1.0) <= 2.0**-46
         if l == 32:
             assert reduced < 4e-10
+
+    @pytest.mark.parametrize("l", range(4, 33, 2))
+    @pytest.mark.parametrize("group", [GroupAction.ORTHOGONAL, GroupAction.UNITARY, GroupAction.EUCLIDEAN])
+    def test_witness_rows_at_n2(self, group, l):
+        # the rows (y, 0) and (y', 0): the zero row leaves the root as at
+        # n = 1, and the rank-4 reducer keeps the degree-0 coordinates of
+        # the rank-2 one, plus degree 2, so the ratio is at least the n = 1
+        # one; it is 1 at l = 4, where size = 2n keeps every coordinate
+        reduced, full = _witness_ratios(group, l, 2)
+        assert reduced >= float(_witness_ratio(l)) - 2.0**-46
+        assert reduced <= 10.0 * 2.0 ** (1 - l)
+        assert abs(full - 1.0) <= 2.0**-46
+        if l == 4:
+            assert abs(reduced - 1.0) <= 2.0**-46
+        if l in N2_RATIOS:
+            assert reduced == pytest.approx(N2_RATIOS[l], rel=2e-4)
 
 
 class TestDimension:

@@ -24,6 +24,7 @@ from orbitdist import (
     ShapeDatabase,
     ShapeMismatchError,
     build_reducer,
+    center,
     dist_complex_euclidean,
     dist_euclidean,
     dist_orthogonal,
@@ -33,6 +34,7 @@ from orbitdist import (
     feature_vector,
     linear_scan_nearest,
     orbit_distance,
+    psd_sqrt,
     reduced_embedding,
     reduced_feature_dim,
     reducer_for,
@@ -71,6 +73,15 @@ def with_entry(a, value):
     return a
 
 
+# (label, nested list that numpy cannot read as a float64 matrix, error
+# class), for every group: rows of unequal length, and a Python integer
+# beyond float64
+MALFORMED_LISTS = [
+    ("ragged", [[1.0, 2.0], [3.0]], ShapeMismatchError),
+    ("integer beyond float64", [[10**400] + [0] * (L - 1)], NonFiniteError),
+]
+
+
 def bad_inputs(rng, group):
     """(label, malformed configuration, error class) for one group."""
     a = good(rng, group)
@@ -78,7 +89,7 @@ def bad_inputs(rng, group):
         ("nan", with_entry(a, np.nan), NonFiniteError),
         ("inf", with_entry(a, np.inf), NonFiniteError),
         ("3-D", a[None], ShapeMismatchError),
-    ]
+    ] + MALFORMED_LISTS
     if not group.is_complex:
         cases.append(("complex", a + 1j, ShapeMismatchError))
     return cases
@@ -130,6 +141,15 @@ class TestErrorContract:
                 with pytest.raises(error):
                     call(q)
                     pytest.fail(f"{name} accepted a {label} query")
+
+    def test_malformed_lists_at_the_other_entries(self, rng):
+        aligner = orbit_distance(G.ORTHOGONAL, good(rng, G.ORTHOGONAL), good(rng, G.ORTHOGONAL))[1]
+        entries = [("center", center), ("psd_sqrt", psd_sqrt), ("Alignment.apply", aligner.apply)]
+        for label, bad, error in MALFORMED_LISTS:
+            for name, call in entries:
+                with pytest.raises(error):
+                    call(bad)
+                    pytest.fail(f"{name} accepted a {label} input")
 
     @pytest.mark.parametrize("group", GROUPS)
     def test_pair_shapes_must_match(self, rng, group):
@@ -279,7 +299,7 @@ class TestErrorContract:
             ("complex", t + 1j, ShapeMismatchError),
             ("wrong shape", t[:, :2], ShapeMismatchError),
             ("transposed", t.T, ShapeMismatchError),
-        ]
+        ] + MALFORMED_LISTS
         for label, bad, error in cases:
             with pytest.raises(error, match="^triangle "):
                 call(bad)
