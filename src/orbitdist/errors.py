@@ -6,7 +6,8 @@ class OrbitDistError(Exception):
 
 
 class NonFiniteError(OrbitDistError):
-    """An input matrix contains NaN or Inf entries."""
+    """An input matrix has an entry that is not a finite float64 number:
+    NaN, Inf, a Python integer beyond float64, or no number at all."""
 
 
 class ShapeMismatchError(OrbitDistError):

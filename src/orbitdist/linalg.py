@@ -4,9 +4,12 @@ Everything here works on plain numpy arrays: real or complex 2-D matrices
 whose columns are the points of a configuration.  All functions are pure.
 An array is checked once, where it enters: the entry points
 (:func:`as_matrix`, :func:`psd_sqrt`) refuse NaN/Inf up front, so NaN/Inf
-never propagate silently into a factorization (and refuse nested lists of
-unequal lengths as ShapeMismatchError, a Python integer beyond float64 as
-NonFiniteError), and the kernels such as
+never propagate silently into a factorization.  They refuse nested lists
+of unequal lengths as ShapeMismatchError, and as NonFiniteError a Python
+integer beyond float64 and an entry that does not read as a number, such
+as the text ``"a"``.
+An array of Python objects that holds a complex number is read as
+complex128, so a real group refuses it as complex.  The kernels such as
 :func:`svd` take the validated arrays their callers build.  The
 float64-range policy lives here too: a kernel that squares its input runs
 at a power of two (:func:`_pow2_scale`), which is exact, divides its result
@@ -75,9 +78,14 @@ def _as_array(m, name: str, *, stacked: bool) -> np.ndarray:
     except ValueError:  # nested sequences of unequal lengths
         raise ShapeMismatchError(f"{name} is ragged: its rows differ in length") from None
     try:
-        a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
+        try:
+            a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
+        except TypeError:  # Python objects, a complex number among them
+            a = a.astype(np.complex128)
     except OverflowError:  # a Python integer beyond float64
         raise NonFiniteError(f"{name} has an entry too large for float64") from None
+    except (TypeError, ValueError):  # text, or an object that is not a number
+        raise NonFiniteError(f"{name} has an entry that is not a number") from None
     if a.ndim != 2 and not (stacked and a.ndim > 2):
         expected = "at least 2-D" if stacked else "2-D"
         raise ShapeMismatchError(f"{name} must be {expected}, got ndim={a.ndim}")

@@ -106,7 +106,7 @@ def _stack_records(group: GroupAction, records) -> tuple[list[str], dict[str, in
     if len(rows) == len(ids):
         try:
             x = _as_array(np.stack([m for _, m in records]), "records", stacked=True)
-        except (OrbitDistError, ValueError, TypeError):
+        except (OrbitDistError, ValueError):  # ValueError: np.stack of unequal shapes
             pass
         else:
             field_ok = group.is_complex or not np.iscomplexobj(x)

@@ -1,7 +1,13 @@
+import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +20,7 @@ from orbitdist import (
     reducer_for,
     triangle_embedding,
 )
-from orbitdist import embeddings
+from orbitdist import cli, embeddings
 from orbitdist.cli import main
 from orbitdist.experiments import MAX_L
 from orbitdist.io import load_database, read_matrix, save_database, write_matrix
@@ -630,3 +636,113 @@ class TestExperimentCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "non-zeros" in err[0]
         assert not (tmp_path / "report.json").exists()
+
+
+class FakeMallopt:
+    """Stands in for glibc's ``mallopt`` and records each call in ``events``."""
+
+    argtypes = restype = None
+
+    def __init__(self, events):
+        self.events = events
+
+    def __call__(self, param, value):
+        assert self.argtypes == (ctypes.c_int, ctypes.c_int) and self.restype is ctypes.c_int
+        self.events.append(("mallopt", param, value))
+        return 1
+
+
+def fake_libc(events, has_mallopt=True):
+    """Stands in for ``ctypes.CDLL(None)``, with or without ``mallopt``."""
+    return SimpleNamespace(mallopt=FakeMallopt(events)) if has_mallopt else SimpleNamespace()
+
+
+def run_every_command(workdir: Path, capsys, monkeypatch):
+    """Exit code, output and written files of each subcommand, on small
+    inputs, run in ``workdir`` with relative paths."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    write_csv("a.csv", [[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    write_csv("b.csv", [[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
+    configs = {
+        "distortion": {"n_pairs": 50},
+        "classify": {"db_size": 20, "n_draws": 2},
+        "lower-constant": {"group": "U", "n": 2, "l": 5, "n_pairs": 20},
+    }
+    argvs = [
+        ["dist", "--group", "E", "a.csv", "b.csv"],
+        ["dist", "--group", "E", "a.csv", "missing.csv"],
+        ["embed", "--group", "O", "--reduced", "--out", "e.csv", "a.csv"],
+        ["db-build", "--group", "E", "--out", "db.jsonl", "a.csv", "b.csv"],
+        ["db-query", "db.jsonl", "a.csv", "-k", "2", "--verify"],
+    ]
+    for kind, config in configs.items():
+        Path(f"{kind}.json").write_text(json.dumps(config))
+        argvs.append(["experiment", kind, "--config", f"{kind}.json", "--out", kind])
+    runs = []
+    for argv in argvs:
+        code = main(argv)
+        runs.append((code, capsys.readouterr()))
+    written = sorted((str(f), f.read_bytes()) for f in Path().rglob("*") if f.is_file())
+    return runs, written
+
+
+class TestMemoryPolicy:
+    """``main`` sets glibc's allocator policy once per call, before it
+    parses or runs a command, and where there is no glibc or no ``mallopt``
+    every command runs as it does with it."""
+
+    def test_both_parameters_once_per_call_before_dispatch(self, tmp_path, capsys, monkeypatch):
+        events = []
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: fake_libc(events))
+        dist = cli._cmd_dist
+        monkeypatch.setattr(cli, "_cmd_dist", lambda args: events.append("dispatch") or dist(args))
+        a = write_csv(tmp_path / "a.csv", [[1.0, 2.0]])
+        policy = [("mallopt", -1, 1 << 28), ("mallopt", -3, 1 << 25)]
+        for calls in (1, 2):
+            assert main(["dist", "--group", "O", a, a]) == 0
+            assert events == (policy + ["dispatch"]) * calls
+        # a command line that does not parse still runs after the policy
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert events[-2:] == policy
+
+    @pytest.mark.parametrize("platform", ["no confstr", "unknown name", "not glibc", "no mallopt"])
+    def test_every_command_runs_unchanged_without_glibc(self, tmp_path, capsys, monkeypatch, platform):
+        expected = run_every_command(tmp_path / "glibc", capsys, monkeypatch)
+        events = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: fake_libc(events, platform != "no mallopt"))
+
+        def confstr(name):
+            assert name == "CS_GNU_LIBC_VERSION"
+            if platform == "unknown name":
+                raise ValueError("unrecognized configuration name")
+            if platform == "not glibc":
+                raise OSError(22, "Invalid argument")
+            return "glibc 2.36"
+
+        if platform == "no confstr":
+            monkeypatch.delattr(os, "confstr", raising=False)
+        else:
+            monkeypatch.setattr(os, "confstr", confstr, raising=False)
+        got = run_every_command(tmp_path / "other", capsys, monkeypatch)
+        assert events == []
+        assert got == expected
+
+    def test_no_warning_in_a_dev_mode_process(self, tmp_path):
+        # the real policy where there is glibc, as every other process runs it
+        a = write_csv(tmp_path / "a.csv", [[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        b = write_csv(tmp_path / "b.csv", [[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "orbitdist.cli", "dist", "--group", "E", a, b],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("distance ")

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -494,37 +495,80 @@ def _witness(l: int) -> tuple[np.ndarray, np.ndarray]:
     return even, c - even
 
 
-def _witness_ratio(l: int) -> mpmath.mpf:
-    """||reduced(y) - reduced(y')|| / d(y, y') of :func:`_witness` at 50
-    digits, from the definition at n = 1: antidiagonal s of ``y^T y / ||y||``
-    sums ``y_{s-c} y_c / ||y||`` over its L_s cells, and its coordinate is
-    that sum over sqrt(L_s).  The squares of y and y' differ by the
-    coefficients of ``(1 - z^2)^k``, which are exponentially smaller."""
-    with mpmath.workdps(50):
-        rows = [[mpmath.mpf(int(v)) for v in r] for r in _witness(l)]
-        norm = mpmath.sqrt(sum(v * v for v in rows[0]))  # both rows
+def _mixed_witness(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """For odd k = l - 1, with ``P = (1+z)^k`` and ``G = (1-z)^(k-1)``, the
+    rows ``(P + G)/2``, ``P/2`` and ``(P - G)/2``, ``P/2``.  Unlike those of
+    :func:`_witness`, the first rows hold both parities and square to
+    polynomials of odd degree too (their squares differ by
+    ``PG = (1-z^2)^(k-1) (1+z)``), so the roots of the two configurations
+    differ on odd antidiagonals as well."""
+    p = np.array([math.comb(l - 1, j) for j in range(l)], dtype=float)
+    g = np.array([math.comb(l - 2, j) * (-1.0) ** j for j in range(l - 1)] + [0.0])
+    return np.vstack([(p + g) / 2, p / 2]), np.vstack([(p - g) / 2, p / 2])
 
-        def feature(y):
+
+def _zero_padded(rows: tuple[np.ndarray, np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-by-l pair whose first rows are ``rows`` and whose other rows are zero."""
+    return tuple(np.vstack([v] + [0.0 * v] * (n - 1)) for v in rows)
+
+
+def _exact_ratio(a: np.ndarray, b: np.ndarray) -> mpmath.mpf:
+    """||reduced(a) - reduced(b)|| / d(a, b) under O at 50 digits, from the
+    definitions, for real n-by-l configurations of full row rank: the root
+    ``a^T (a a^T)^(-1/2) a``; on each antidiagonal s, of L_s cells, its
+    moments against the orthonormal polynomials in ``c - s/2`` of even
+    degree below ``min(2n, L_s)`` (at n = 1 only degree 0, the sum of
+    ``y_{s-c} y_c / ||y||`` over sqrt(L_s)); and
+    ``d^2 = ||a||^2 + ||b||^2 - 2 ||a b^T||_*``."""
+    n, l = a.shape
+    with mpmath.workdps(50):
+
+        def feature(x):
+            evals, evecs = mpmath.eigsy(x * x.T)
+            root = x.T * evecs * mpmath.diag([1 / mpmath.sqrt(e) for e in evals]) * evecs.T * x
             out = []
             for s in range(2 * l - 1):
                 cells = range(max(0, s - l + 1), min(s, l - 1) + 1)
-                out.append(sum(y[s - c] * y[c] for c in cells) / (norm * mpmath.sqrt(len(cells))))
+                basis = []  # Gram-Schmidt on 1, t, t^2, ...
+                for k in range(min(2 * n, len(cells))):
+                    v = [(c - mpmath.mpf(s) / 2) ** k for c in cells]
+                    for u in basis:
+                        dot = mpmath.fsum(p * q for p, q in zip(v, u))
+                        v = [p - dot * q for p, q in zip(v, u)]
+                    norm = mpmath.sqrt(mpmath.fsum(p * p for p in v))
+                    basis.append([p / norm for p in v])
+                out += [mpmath.fsum(w * root[s - c, c] for w, c in zip(u, cells)) for u in basis[::2]]
             return out
 
-        gap = mpmath.sqrt(sum((a - b) ** 2 for a, b in zip(*map(feature, rows))))
-        return gap / (mpmath.sqrt(2) * norm)  # y and y' are orthogonal, so d = sqrt(2) ||y||
+        x, y = mpmath.matrix(a.tolist()), mpmath.matrix(b.tolist())
+        gap = mpmath.sqrt(mpmath.fsum((p - q) ** 2 for p, q in zip(feature(x), feature(y))))
+        nuclear = mpmath.fsum(mpmath.svd_r(x * y.T, compute_uv=False))
+        return gap / mpmath.sqrt(mpmath.fsum(v * v for v in x) + mpmath.fsum(v * v for v in y) - 2 * nuclear)
 
 
-def _witness_ratios(group: GroupAction, l: int, n: int) -> tuple[float, float]:
+@functools.lru_cache(maxsize=None)
+def _witness_ratio(l: int) -> mpmath.mpf:
+    """:func:`_exact_ratio` of the rows of :func:`_witness`.  Its reduced
+    feature is ``Y(z)^2 / ||y||`` with weight 1/sqrt(L_s) on antidiagonal s,
+    and the squares of y and y' differ by the coefficients of
+    ``(1 - z^2)^k``, which are exponentially smaller."""
+    return _exact_ratio(*_zero_padded(_witness(l), 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_witness_ratio(l: int, n: int) -> mpmath.mpf:
+    """:func:`_exact_ratio` of the first n rows of :func:`_mixed_witness`."""
+    return _exact_ratio(*(x[:n] for x in _mixed_witness(l)))
+
+
+def _ratios(group: GroupAction, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """The reduced and the full map's ratio ||f(A) - f(B)|| / d(A, B) under
-    ``group`` for the n-by-l pair whose first rows are :func:`_witness`
-    and whose other rows are zero."""
-    y, y2 = _witness(l)
+    ``group`` for the real configurations whose rows are ``a`` and ``b`` as
+    the group reads them: under a translation quotient, ``a`` and ``b``
+    are the Helmert coordinates (x W') of l + 1 points."""
     if group.quotients_translations:
-        # l + 1 points whose Helmert coordinates (x W') are the rows
-        helmert = embeddings._helmert(np.eye(l + 1))
-        y, y2 = y @ helmert.T, y2 @ helmert.T
-    a, b = (np.vstack([v] + [0.0 * v] * (n - 1)) for v in (y, y2))
+        helmert = embeddings._helmert(np.eye(a.shape[1] + 1))
+        a, b = a @ helmert.T, b @ helmert.T
     if group.is_complex:
         a, b = a + 0j, b + 0j
     d = orbit_distance(group, a, b)[0]
@@ -535,18 +579,21 @@ def _witness_ratios(group: GroupAction, l: int, n: int) -> tuple[float, float]:
 
 # the n = 2 witness rows' reduced ratio to four digits, at some l
 N2_RATIOS = {6: 0.2865, 8: 6.335e-2, 16: 1.718e-4, 32: 2.027e-9}
+WITNESS_GROUPS = [GroupAction.ORTHOGONAL, GroupAction.UNITARY, GroupAction.EUCLIDEAN]
 
 
 class TestCompactRatio:
     """The reduced map's lower Lipschitz ratio is exponentially small in l
     on a witness pair (:func:`_witness`), at n = 1 and as the first rows
     of an n = 2 pair, while the full map's is 1: a survey's minimum over
-    random pairs is only an upper bound."""
+    random pairs is only an upper bound.  Pairs of mixed parity
+    (:func:`_mixed_witness`) are as small and pin the odd antidiagonals,
+    which the first family leaves at zero."""
 
     @pytest.mark.parametrize("l", range(4, 33, 2))
-    @pytest.mark.parametrize("group", [GroupAction.ORTHOGONAL, GroupAction.UNITARY, GroupAction.EUCLIDEAN])
+    @pytest.mark.parametrize("group", WITNESS_GROUPS)
     def test_witness_pair(self, group, l):
-        reduced, full = _witness_ratios(group, l, 1)
+        reduced, full = _ratios(group, *_zero_padded(_witness(l), 1))
         # each errs by a few dozen ulps of the features, whose norm is d
         assert abs(reduced - float(_witness_ratio(l))) <= 2.0**-46
         assert abs(full - 1.0) <= 2.0**-46
@@ -554,13 +601,13 @@ class TestCompactRatio:
             assert reduced < 4e-10
 
     @pytest.mark.parametrize("l", range(4, 33, 2))
-    @pytest.mark.parametrize("group", [GroupAction.ORTHOGONAL, GroupAction.UNITARY, GroupAction.EUCLIDEAN])
+    @pytest.mark.parametrize("group", WITNESS_GROUPS)
     def test_witness_rows_at_n2(self, group, l):
         # the rows (y, 0) and (y', 0): the zero row leaves the root as at
         # n = 1, and the rank-4 reducer keeps the degree-0 coordinates of
         # the rank-2 one, plus degree 2, so the ratio is at least the n = 1
         # one; it is 1 at l = 4, where size = 2n keeps every coordinate
-        reduced, full = _witness_ratios(group, l, 2)
+        reduced, full = _ratios(group, *_zero_padded(_witness(l), 2))
         assert reduced >= float(_witness_ratio(l)) - 2.0**-46
         assert reduced <= 10.0 * 2.0 ** (1 - l)
         assert abs(full - 1.0) <= 2.0**-46
@@ -568,6 +615,19 @@ class TestCompactRatio:
             assert abs(reduced - 1.0) <= 2.0**-46
         if l in N2_RATIOS:
             assert reduced == pytest.approx(N2_RATIOS[l], rel=2e-4)
+
+    @pytest.mark.parametrize("l", range(4, 33, 2))
+    @pytest.mark.parametrize("group", WITNESS_GROUPS)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mixed_parity_rows(self, n, group, l):
+        # both squares of _witness have even degrees only, so a reducer
+        # that read only the even antidiagonals would pass the two tests
+        # above; these rows differ on the odd ones too
+        reduced, full = _ratios(group, *(x[:n] for x in _mixed_witness(l)))
+        assert abs(reduced - float(_mixed_witness_ratio(l, n))) <= 2.0**-46
+        assert 1.0 - 2.0**-46 <= full <= math.sqrt(2.0)
+        if l == 32:
+            assert reduced < 4e-9
 
 
 class TestDimension:

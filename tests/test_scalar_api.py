@@ -74,11 +74,13 @@ def with_entry(a, value):
 
 
 # (label, nested list that numpy cannot read as a float64 matrix, error
-# class), for every group: rows of unequal length, and a Python integer
-# beyond float64
+# class), for every group: rows of unequal length, a Python integer beyond
+# float64, text, and a complex number beside an integer beyond float64
 MALFORMED_LISTS = [
     ("ragged", [[1.0, 2.0], [3.0]], ShapeMismatchError),
     ("integer beyond float64", [[10**400] + [0] * (L - 1)], NonFiniteError),
+    ("text", [["a"] + [0.0] * (L - 1)], NonFiniteError),
+    ("complex and integer beyond float64", [[1j, 10**400] + [0] * (L - 2)], NonFiniteError),
 ]
 
 
@@ -92,6 +94,7 @@ def bad_inputs(rng, group):
     ] + MALFORMED_LISTS
     if not group.is_complex:
         cases.append(("complex", a + 1j, ShapeMismatchError))
+        cases.append(("complex objects", (a + 1j).astype(object), ShapeMismatchError))
     return cases
 
 
@@ -150,6 +153,24 @@ class TestErrorContract:
                 with pytest.raises(error):
                     call(bad)
                     pytest.fail(f"{name} accepted a {label} input")
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_object_arrays_read_as_their_numbers(self, rng, group):
+        # an array of Python numbers has the bits of the float64 array, and
+        # one that holds a complex number those of the complex128 array,
+        # which a real group refuses (bad_inputs)
+        a, b = good(rng, group), good(rng, group)
+        a[0, 0] = 2.0
+        objects_a, objects_b = a.astype(object), b.astype(object)
+        objects_a[0, 0] = 2.0  # a Python float among Python complex numbers
+        calls = [
+            lambda x, y: orbit_distance(group, x, y)[0],
+            lambda x, y: feature_vector(group, x),
+            lambda x, y: reduced_embedding(group, y),
+        ]
+        for call in calls:
+            expected, got = np.asarray(call(a, b)), np.asarray(call(objects_a, objects_b))
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("group", GROUPS)
     def test_pair_shapes_must_match(self, rng, group):
