@@ -6,8 +6,10 @@ An array is checked once, where it enters: the entry points
 (:func:`as_matrix`, :func:`psd_sqrt`) refuse NaN/Inf up front, so NaN/Inf
 never propagate silently into a factorization.  They refuse nested lists
 of unequal lengths as ShapeMismatchError, and as NonFiniteError a Python
-integer beyond float64 and an entry that does not read as a number, such
-as the text ``"a"``.
+integer beyond float64 and an entry that is not a number: text is refused
+whatever it reads as, ``"1.5"`` and ``b"nan"`` as much as ``"a"``, in an
+array of text, in a list that mixes text and numbers, or among the
+entries of an object array.
 An array of Python objects that holds a complex number is read as
 complex128, so a real group refuses it as complex.  The kernels such as
 :func:`svd` take the validated arrays their callers build.  The
@@ -77,14 +79,19 @@ def _as_array(m, name: str, *, stacked: bool) -> np.ndarray:
         a = np.asarray(m)
     except ValueError:  # nested sequences of unequal lengths
         raise ShapeMismatchError(f"{name} is ragged: its rows differ in length") from None
+    kind = a.dtype.kind
+    # numpy casts numeric text such as "1.5" to a number: refuse text of
+    # every kind, mixed lists (a str array) and objects that hold it
+    if kind in "OSTU" and (kind != "O" or any(isinstance(e, (str, bytes)) for e in a.flat)):
+        raise NonFiniteError(f"{name} has an entry that is not a number")
     try:
         try:
-            a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
+            a = a.astype(np.complex128 if kind == "c" else np.float64, copy=False)
         except TypeError:  # Python objects, a complex number among them
             a = a.astype(np.complex128)
     except OverflowError:  # a Python integer beyond float64
         raise NonFiniteError(f"{name} has an entry too large for float64") from None
-    except (TypeError, ValueError):  # text, or an object that is not a number
+    except (TypeError, ValueError):  # an object that is not a number
         raise NonFiniteError(f"{name} has an entry that is not a number") from None
     if a.ndim != 2 and not (stacked and a.ndim > 2):
         expected = "at least 2-D" if stacked else "2-D"

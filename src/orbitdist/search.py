@@ -29,6 +29,11 @@ The database remembers its last feature query, so those calls skip the
 query check that the feature query made, and share one stacked Procrustes
 solve over all of its hits instead of one solve each; the memo is a cache
 only, and every other call is checked and solved as one pair.
+
+The module also holds the classification study's certified
+nearest-record kernel (:func:`_nearest_records`, over a
+:func:`_record_table`).  It and :func:`linear_scan_nearest` are the two
+exact rankings, and both read one round-off slack, :func:`_slack`.
 """
 from __future__ import annotations
 
@@ -67,12 +72,56 @@ _F32_MAX = (2.0 - 2.0**-23) * 2.0**127
 # The screen's first threshold is the k-th value of every
 # max(1, N // 256)-th row: of 256 to 511 rows, or of all rows when N < 512.
 _SUBSAMPLE = 256
+# The entries kept per record table of the nearest-record kernel (see
+# _record_table).
+_TABLE = 1 << 20
 
 
 def _gamma(n: int, u: float) -> float:
     """Higham's gamma_n: the relative error bound of n roundings at unit
     roundoff u."""
     return n * u / (1.0 - n * u)
+
+
+def _slack(n: int, l: int, norms):
+    """The round-off slack ``delta = gamma_K(v) norms`` of both exact
+    rankings, :func:`linear_scan_nearest` and :func:`_nearest_records`,
+    for n x l configurations: ``K = 64 (n + 1)(l + 1)``, ``v = 2^-53``, and
+    ``norms`` (a float, or one per query) at least the norm of a query's
+    points plus the largest over the records.  It is absolute, and bounds
+    each of two roundings, relative to the inputs' norms (not to d):
+
+    - how far a computed distance ``d^`` lies from the true one d.  For
+      the Procrustes kernel, ``d^ = |W^ A - B|``: centring under E and F
+      errs by at most (l + 1) v per input, and d is 1-Lipschitz in each
+      input.  W^ = V^ U^* is within a few n v of an orthogonal W, whose
+      residual is at least d.  The product W^ A, the difference and the
+      norm add at most ``(n^(3/2) + 2 n l + 2) v``.  The planar kernel
+      :func:`experiments._plane_distances` errs by at most
+      ``32 v (|a| + |b|)``, and a feature distance by at most about
+      ``4 v (|a| + |b|)``;
+    - how far the computed features of two configurations, together, lie
+      from the exact ones.  Their coordinates (centring, Helmert) err by a
+      few ``(l + 1) v``; LAPACK's SVD is backward stable within a small
+      multiple of ``max(n, l) v``, which the Gram root, sqrt(2)-Lipschitz
+      in Frobenius norm (Araki & Yamagami, 1981), carries over; forming
+      ``V S V*`` from nearly orthonormal V, the flattening and the reduced
+      projection add a few ``(n + l) v``.  For the closed-form triangle
+      coordinates (:func:`triangles._triangle_coords`), whose norm is that
+      of the centred triangle, at most the triangle's, the power-of-two
+      scaling is exact; the edge matrix E is computed within 3v |x|
+      (Cauchy-Schwarz bounds its three terms), which the root,
+      sqrt(2)-Lipschitz in E, turns into 4.3v |x|; the products and sums
+      err by a few v |E|^2 over a denominator t >= |E|, under 18v |x| for
+      the three coordinates.  With the 4v of the feature distance, the
+      triangle map's distance errs by at most ``27 v (|a| + |b|)``.
+
+    Each is a small multiple of ``(n + 1)(l + 1) v norms``, well inside
+    delta: at the triangle shape, 2 x 3, delta is 768v norms and the
+    largest is 32v norms.  A larger slack only widens what a ranking
+    solves, never its answer.
+    """
+    return _gamma(64 * (n + 1) * (l + 1), _U64) * norms
 
 
 def _up32(x: float) -> np.float32:
@@ -309,8 +358,10 @@ class ShapeDatabase:
         s, slack = self._screened(qf)
         p = int(np.argmin(s))
         dp = self._scale * float(_procrustes(self.group, q, self.matrices[p])[0])
-        delta = _gamma(64 * (self.n + 1) * (self.l + 1), _U64) * (
-            self._scale * float(np.abs(q).max()) * math.sqrt(self.n * self.l) + self._record_reach
+        delta = _slack(
+            self.n,
+            self.l,
+            self._scale * float(np.abs(q).max()) * math.sqrt(self.n * self.l) + self._record_reach,
         )
         rho = (1.0 + 2.0**-20) * (_SQRT2 * (dp + delta) + delta)
         h = self._scale * qf
@@ -352,27 +403,11 @@ def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
 
         |f^_q - f^_j| <= sqrt(2) d_j + delta <= sqrt(2) (d^_p + delta) + delta = r.
 
-    Here ``delta = gamma_K(v) (Q + N)`` with ``K = 64 (n + 1)(l + 1)``,
-    ``v = 2^-53``, ``Q = max |q| sqrt(n l) >= |q|`` and ``N`` the same
-    bound over the records.  It bounds each of two roundings, relative to
-    the inputs' norms (not to d):
-
-    - how far a computed distance ``d^ = |W^ A - B|`` can fall below the
-      true one.  Centring under E and F errs by at most (l + 1) v per
-      input, and d is 1-Lipschitz in each input.  W^ = V^ U^* is within a
-      few n v of an orthogonal W, whose residual is at least d.  The
-      product W^ A, the difference and the norm add at most
-      ``(n^(3/2) + 2 n l + 2) v``;
-    - how far the computed features of q and j, together, lie from the
-      exact ones.  Their coordinates (centring, Helmert) err by a few
-      ``(l + 1) v``; LAPACK's SVD is backward stable within a small
-      multiple of ``max(n, l) v``, which the Gram root, sqrt(2)-Lipschitz
-      in Frobenius norm (Araki & Yamagami, 1981), carries over; forming
-      ``V S V*`` from nearly orthonormal V, the flattening, the triangle
-      coordinates and the reduced projection add a few ``(n + l) v``.
-
-    Each is a small multiple of ``(n + 1)(l + 1) v (Q + N)``, well inside
-    delta; a larger slack only widens the ball.  With ``sigma``, ``h`` and
+    Here ``delta = _slack(n, l, Q + N)`` with ``Q = max |q| sqrt(n l) >=
+    |q|`` and ``N`` the same bound over the records: it bounds how far a
+    computed distance can fall below the true one, and how far the
+    computed features of q and j, together, lie from the exact ones
+    (:func:`_slack`).  With ``sigma``, ``h`` and
     ``E'`` of :func:`feature_nearest`, ``sigma^2 |f^_q - f^_j|^2 = s_j +
     |h|^2`` and ``s~_j <= s_j + E'``, so the ball is the rows with
 
@@ -397,6 +432,125 @@ def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
         exact_orbit_distance=float(d[j]),
         approximation_bound=1.0,
     )
+
+
+def _record_table(points, metric, db: np.ndarray, bound: np.ndarray):
+    """``(order, table, kept)``: for each record L of ``db``, the nearest
+    ``kept[L]`` records by their computed distance F^(L, j) under
+    ``metric`` between their ``points``, ordered by (distance, index), and
+    those distances, padded with inf to the widest row, then a last
+    column of inf beyond every radius.
+
+    ``bound[L]`` is the radius that L's queries are expected to reach.
+    Built in blocks of rows (:func:`linalg._blocks`), N pairs per row; a
+    block keeps ``min(N, max(2, _TABLE // N), need + 1)`` records per row,
+    where ``need`` is the most records that a row of the block has within
+    its bound.  So, up to the ceiling, every row holds a record beyond its
+    bound or every record, and the table holds at most about ``_TABLE``
+    entries; the blocks, kept until the widest is known, hold as many
+    again.  The bound carries no exactness: :func:`_nearest_records`
+    ranks every record for a query whose radius reaches the last record
+    that its row holds."""
+    records = points(GroupAction.EUCLIDEAN, db)
+    n = len(records)
+    most = min(n, max(2, _TABLE // n))
+    blocks = []
+    for r in _blocks(n, n):
+        d = metric(records[r, None], records)
+        within = bound[r, None]
+        # whole rows fit: count the records within the bound in them, so
+        # that no more of a row is sorted than is kept; truncated rows are
+        # counted among their first ``most`` records, after the sort
+        k = most if most < n else min(n, int((d <= within).sum(axis=1).max()) + 1)
+        # the first k by (distance, index) without sorting whole rows;
+        # where ties at the k-th distance fall changes no prefix narrower
+        # than k, the only prefixes ranked
+        part = np.argpartition(d, k - 1, axis=1)[:, :k]
+        rank = np.lexsort((part, np.take_along_axis(d, part, axis=1)), axis=1)
+        part = np.take_along_axis(part, rank, axis=1)
+        d = np.take_along_axis(d, part, axis=1)
+        k = min(k, int((d <= within).sum(axis=1).max()) + 1)
+        blocks.append((r, part[:, :k], d[:, :k]))
+    width = max(part.shape[1] for _, part, _ in blocks)
+    order = np.zeros((n, width), dtype=np.intp)
+    table = np.full((n, width + 1), np.inf)
+    kept = np.empty(n, dtype=np.intp)
+    for r, part, dist in blocks:
+        order[r, : part.shape[1]] = part
+        table[r, : part.shape[1]] = dist
+        kept[r] = part.shape[1]
+    return order, table, kept
+
+
+def _nearest_records(points, metric, stretch: float, index, db: np.ndarray):
+    """``nearest(queries, labels)``: per query, the lowest-index argmin of
+    the distance d, ``metric`` between ``points``, over every record of the
+    ``(N, n, l)`` stack ``db``, with its own record ``labels[i]`` as the
+    first candidate.  ``index`` is a :func:`_record_table` of a distance F
+    with F <= s d, ``s = stretch``: d itself (s = 1), or for an exact
+    distance the triangle embedding's (s = sqrt(2), the upper end of the
+    sandwich), so that no table of exact distances is built.
+
+    By the triangle inequality (Orchard, ICASSP 1991; the lower-bounding
+    lemma of Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994) record j
+    is no farther than L from a query q only if d(L, j) <= 2 d(q, L), and
+    then F(L, j) <= 2s d(q, L).  So only the prefix of L's row within
+    ``s (2 d^(q, L) + 3 delta)`` is ranked under d: none when it is L
+    alone (F^(L, L) = 0), every record when it reaches the last of the
+    ``kept[L]`` records that the row holds, fewer than N, since a record
+    past the row may lie inside the radius too.  A row holds one record
+    beyond the bound on its queries' radii that sized it
+    (:func:`_record_table`); that bound is never trusted, so a query past
+    it costs a ranking against every record and misses none.
+
+    The slack is ``delta = _slack(n, l, N_q + N)``, with N_q the norm of
+    the query's points (the uncentred configuration or its feature) and N
+    the largest record norm.  A computed distance errs by at most delta / 4
+    and the table's F^ by under delta / 2 (:func:`_slack`):
+
+    - so if d^(q, j) <= d^(q, L), then d(L, j) <= d(q, j) + d(q, L) <=
+      2 d^(q, L) + delta / 2.  The radius reads d^(q, L) from another
+      evaluation, at most delta / 2 away: one more delta.  So
+      F(L, j) <= s d(L, j) <= s (2 d^(q, L) + 1.5 delta);
+    - the radius's spare 1.5 delta, at least 1.5 delta once stretched
+      (s >= 1), covers the table's rounding, under delta / 2, and with a
+      delta to spare the radius's own rounding (a few v of it,
+      v = 2^-53, under 10v (N_q + N)) and the at most 2^-530 that
+      underflowing squares and products add to a distance when
+      N_q + N > 2^-480, as for any draw of the experiments.
+
+    So every record that ties or beats L is ranked.  Open queries are
+    ranked by prefix width, in blocks (:func:`linalg._blocks`) of that many
+    pairs per query; ``index`` is ``(order, table, kept)``.
+    """
+    order, table, kept = index
+    records = points(GroupAction.EUCLIDEAN, db)
+    n, k = order.shape
+    norm = np.linalg.norm(records.reshape(n, -1), axis=1).max()
+
+    def nearest(queries: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        q = points(GroupAction.EUCLIDEAN, queries)
+        own = np.concatenate([metric(q[r], records[labels[r]]) for r in _blocks(len(q), 1)])
+        slack = _slack(*db.shape[1:], np.linalg.norm(q.reshape(len(q), -1), axis=1) + norm)
+        radius = stretch * (2.0 * own + 3.0 * slack)
+        rows = np.flatnonzero(table[labels, 1] <= radius)
+        near, reach = labels[rows], radius[rows, None]
+        width = np.concatenate(
+            [(table[near[r], :k] <= reach[r]).sum(axis=1) for r in _blocks(len(rows), k)]
+        )
+        stored = kept[near]
+        width[(width >= stored) & (stored < n)] = n  # to a truncated row's end: every record
+        pred = labels.copy()
+        for w in sorted(set(width.tolist())):
+            ranked = rows[width == w]
+            for s in _blocks(len(ranked), w):
+                r = ranked[s]
+                ids = np.arange(n)[None] if w == n else order[labels[r], :w]
+                d = metric(q[r, None], records[ids])
+                pred[r] = np.where(d == d.min(axis=1, keepdims=True), ids, n).min(axis=1)
+        return pred
+
+    return nearest
 
 
 def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:

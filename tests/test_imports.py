@@ -7,10 +7,12 @@ the distortion and classification studies and the n = 1 survey load no
 scipy either, and each scipy module loads in the function that uses it,
 and only there: a product above that size loads ``scipy.sparse``.  Nor
 does ``import orbitdist.cli`` load ``decimal``, which only the sampler's
-log table needs, when first drawn.  Each command loads only the modules it
-runs: ``dist``, ``embed`` and ``db-query`` no experiments, the experiments
-no search.  No case that loads no scipy loads ``numpy.ma``
-(``scipy.sparse`` imports it itself).
+log table needs, when first drawn, nor the sampler and the experiments.
+Each command loads only the modules it runs: ``dist``, ``embed`` and
+``db-query`` no experiments, ``distortion`` and ``lower-constant`` no
+search; ``classify`` loads the search module, which holds its ranking
+kernel.  No case that loads no scipy loads ``numpy.ma`` (``scipy.sparse``
+imports it itself).
 
 Every case runs in a fresh interpreter, since the test session itself has
 scipy loaded.  The interpreters start together, so the file costs about as
@@ -38,11 +40,13 @@ def scipy_modules():
 
 import orbitdist as od
 assert not scipy_modules(), scipy_modules()
-lazy = {"orbitdist.experiments", "orbitdist.io", "orbitdist.search"}
+lazy = {"orbitdist.experiments", "orbitdist.io", "orbitdist.sampling", "orbitdist.search"}
 assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
 import orbitdist.cli
 assert not scipy_modules(), scipy_modules()
-assert "decimal" not in sys.modules  # experiments._log builds its table on first use
+studies = {"orbitdist.experiments", "orbitdist.sampling"}
+assert not studies & set(sys.modules), sorted(studies & set(sys.modules))
+assert "decimal" not in sys.modules  # sampling._log builds its table on first use
 """
 
 NO_EXPERIMENTS = ("orbitdist.experiments",)
@@ -87,11 +91,19 @@ assert orbitdist.cli.main(["db-query", "db8.jsonl", sys.argv[1], "-k", "5", "--v
     ),
     "experiment-commands": (
         """
-for kind in ("distortion", "classify", "lower-constant"):
+for kind in ("distortion", "lower-constant"):
     assert orbitdist.cli.main(["experiment", kind, "--config", kind + ".json", "--out", kind]) == 0
 """,
         None,
         NO_SEARCH,
+    ),
+    "experiment-classify": (
+        """
+assert orbitdist.cli.main(["experiment", "classify", "--config", "classify.json", "--out", "classify"]) == 0
+assert "orbitdist.search" in sys.modules
+""",
+        None,
+        (),
     ),
     "reduced_embedding": (
         """

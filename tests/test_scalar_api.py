@@ -73,13 +73,18 @@ def with_entry(a, value):
     return a
 
 
-# (label, nested list that numpy cannot read as a float64 matrix, error
+# (label, nested list or object array that is not a float64 matrix, error
 # class), for every group: rows of unequal length, a Python integer beyond
-# float64, text, and a complex number beside an integer beyond float64
+# float64, text (numeric text too, which numpy would cast), and a complex
+# number beside an integer beyond float64
 MALFORMED_LISTS = [
     ("ragged", [[1.0, 2.0], [3.0]], ShapeMismatchError),
     ("integer beyond float64", [[10**400] + [0] * (L - 1)], NonFiniteError),
     ("text", [["a"] + [0.0] * (L - 1)], NonFiniteError),
+    ("numeric text", [["1.5"] * L], NonFiniteError),
+    ("numeric text beside numbers", [["1.5"] + [0.0] * (L - 1)], NonFiniteError),
+    ("bytes", [[b"1.5"] * L], NonFiniteError),
+    ("object array holding text", np.array([["1.5"] + [0.0] * (L - 1)], dtype=object), NonFiniteError),
     ("complex and integer beyond float64", [[1j, 10**400] + [0] * (L - 2)], NonFiniteError),
 ]
 
