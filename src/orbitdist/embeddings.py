@@ -84,6 +84,11 @@ def _helmert_weights(l: int) -> tuple[np.ndarray, np.ndarray]:
     return m, np.sqrt(m / (m + 1.0))
 
 
+def _block_size(group: GroupAction, l: int) -> int:
+    """Side of the matrix feature: l, or l - 1 (:func:`_helmert`) under a translation quotient."""
+    return l - 1 if group.quotients_translations else l
+
+
 def _helmert(x: np.ndarray) -> np.ndarray:
     """``x W'`` for each row of a ``(..., l)`` stack, in O(l) per row.
 
@@ -100,17 +105,14 @@ def _coordinates(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Each configuration of a validated ``(..., n, l)`` stack as the
     feature maps read it: as ``group`` acts on it, and under a translation
     quotient centred and read in W', the l - 1 coordinates of the sum-zero
-    subspace.  Returns them with the power of two they are at: 1.0, or,
-    near the float64 limit, each configuration's
-    :func:`linalg._pow2_scale`, of shape ``(..., 1, 1)`` (see
-    :func:`_at_scale`).
+    subspace; returned with the scale c of :func:`linalg._in_range` (see :func:`_at_scale`).
 
     One max-magnitude reduction keeps every group within float64: the Gram
     root's entries are at most ``sqrt(n l) max|x|``, and the centring sum
     and the reverse cumulative sum of :func:`_helmert` add at most l
     entries of magnitude at most ``2 max|x|``.  Both stay within 2**1023
     while ``max|x| <= 2**1022 / max(n, l)``; only a stack beyond it runs
-    scaled (:func:`linalg._in_range`).
+    scaled.
     """
     x, c = _in_range(x)
     x = _prepared(group, x)
@@ -119,8 +121,7 @@ def _coordinates(group: GroupAction, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _at_scale(f: np.ndarray, c: np.ndarray | float) -> np.ndarray:
     """``f``, one row of features per configuration computed from
-    :func:`_coordinates` at scale ``c``, unscaled: an entry beyond float64
-    as inf, without a warning."""
+    :func:`_coordinates` at scale ``c``, unscaled (:func:`linalg._unscaled`)."""
     return f if type(c) is float else _unscaled(f, c[..., 0])
 
 
@@ -142,19 +143,11 @@ def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
     x = _configuration(group, a, "A")
     b, c = _block(group, x)
     m = _gram_root(_prepared(group, x * c)) if group.quotients_translations else b
-    # unscaled in its float64 view: a complex division by a subnormal c
-    # forms 1/c, which overflows
-    m = _unscaled(m.view(np.float64), c).view(m.dtype)
     f = _at_scale(_flatten(b, hermitian=group.is_complex), c)
-    return _finite(m, "A"), _finite(f, "A")
+    return _finite(_unscaled(m, c), "A"), _finite(f, "A")
 
 
 def feature_dim(group: GroupAction, l: int) -> int:
     """Length of the flattened feature vector for an l-point configuration."""
-    if group is GroupAction.ORTHOGONAL:
-        return l * (l + 1) // 2
-    if group is GroupAction.EUCLIDEAN:
-        return l * (l - 1) // 2
-    if group is GroupAction.UNITARY:
-        return l * l
-    return (l - 1) ** 2
+    size = _block_size(group, l)
+    return size * size if group.is_complex else size * (size + 1) // 2

@@ -58,11 +58,12 @@ import numbers
 
 import numpy as np
 
+from .embeddings import _block_size
 from .errors import ConfigInvalidError, _shown
 from .features import MAP_TRIANGLE, REDUCED, _is_triangle
 from .linalg import _blocks, _sum_last
 from .metrics import GroupAction, _procrustes
-from .reduction import _block_size, _reduced_stack, reducer_for
+from .reduction import _reduced_stack, reducer_for
 from .sampling import _normals
 from .triangles import _SQRT2, _side_lengths, _triangle_coords
 

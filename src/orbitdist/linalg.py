@@ -12,11 +12,16 @@ array of text, in a list that mixes text and numbers, or among the
 entries of an object array.
 An array of Python objects that holds a complex number is read as
 complex128, so a real group refuses it as complex.  The kernels such as
-:func:`svd` take the validated arrays their callers build.  The
-float64-range policy lives here too: a kernel that squares its input runs
-at a power of two (:func:`_pow2_scale`), which is exact, divides its result
-by it (:func:`_unscaled`) and refuses a result beyond float64
-(:func:`_finite`).
+:func:`svd` take the validated arrays their callers build.
+
+The float64-range rule lives here, once.  The distances and features are
+homogeneous, so a kernel whose sums or squares could overflow runs each
+matrix at the power of two of its largest part (:func:`_scales`), which is
+exact: a result in float64's normal range keeps its bits.  :func:`_unscaled`
+is the only way back from a scale where a plain division could err or warn:
+a complex result, or a scale below 2**-1000.  :func:`_finite` refuses a
+result beyond float64.  :func:`_check_hermitian`, the only symmetry check,
+measures each matrix at its scale.
 
 :func:`svd` is the one SVD entry point.  It calls numpy 2's thin-SVD
 gufunc ``_umath_linalg.svd_s`` itself, as ``np.linalg.svd`` does: the
@@ -48,7 +53,7 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# Hermiticity tolerance (absolute, unit-scale matrices)
+# Hermiticity tolerance, relative to max(1, ||M||) (see _check_hermitian)
 HERM_TOL = 1e-8
 # Entries per block of every loop that feeds a stacked kernel (see _blocks)
 _BLOCK_ENTRIES = 1 << 16
@@ -123,17 +128,19 @@ def _parts(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).view(np.float64)
 
 
+def _scales(x: np.ndarray) -> np.ndarray:
+    """Each matrix's :func:`_pow2_scale` of its largest part (:func:`_parts`)."""
+    return _pow2_scale(np.abs(_parts(x)).max(axis=(-2, -1), keepdims=True, initial=0.0))
+
+
 def _in_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """``(x c, c)`` for a finite ``(..., n, l)`` stack ``x``: c is 1.0, or,
-    when some entry's modulus exceeds ``2**1022 / max(n, l)`` (or
-    overflows to inf), each matrix's :func:`_pow2_scale` of its largest
-    part (:func:`_parts`), of shape ``(..., 1, 1)``, which leaves every
-    modulus below sqrt(2).  A sum of at most max(n, l) entries of modulus
-    at most ``2 max|x c|`` then stays within float64.  Only a stack beyond
-    that bound runs scaled, so every other keeps its bits."""
+    """``(x c, c)`` for a finite ``(..., n, l)`` stack: c is 1.0, or, when an
+    entry's modulus exceeds ``2**1022 / max(n, l)`` (or overflows), its
+    :func:`_scales`, at which every modulus is below sqrt(2) and a sum of at
+    most max(n, l) entries of modulus at most ``2 max|x c|`` stays in float64."""
     if np.maximum.reduce(np.abs(x), axis=None, initial=0.0) <= 2.0**1022 / max(*x.shape[-2:], 1):
         return x, 1.0
-    c = _pow2_scale(np.abs(_parts(x)).max(axis=(-2, -1), keepdims=True))
+    c = _scales(x)
     return x * c, c
 
 
@@ -142,12 +149,16 @@ def _unscaled(f, c):
 
     A Python float ``c >= 2**-1000`` is divided plainly: every caller that
     passes one divides a value at scale, with entries below 2**23, which
-    such a ``c`` cannot take beyond float64.
+    such a ``c`` cannot take beyond float64.  Any other complex ``f`` is
+    divided in its float64 view, as numpy's ``1/c`` overflows for a
+    subnormal ``c``.
     """
     if type(c) is float and c >= 2.0**-1000:
         return f / c
     with np.errstate(over="ignore", invalid="ignore"):
-        return f / c
+        if f.dtype.kind != "c":
+            return f / c
+        return (np.ascontiguousarray(f).view(np.float64) / c).view(f.dtype)
 
 
 def _finite(f, name: str, what: str = "a feature"):
@@ -230,13 +241,19 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, _adjoint(vh)
 
 
-def _check_hermitian(a: np.ndarray) -> None:
-    scale = np.maximum(1.0, _frobenius_norms(a))
+def _check_hermitian(a: np.ndarray, error: type[Exception] = NotHermitianError):
+    """``(a c, c, ||a c||)`` for a ``(..., l, l)`` stack ``a``, its :func:`_scales`
+    c and Frobenius norms both of shape ``(...)``; ``error`` unless, at c,
+    each matrix has ``||M - M*|| <= HERM_TOL max(1, ||M||)``."""
+    c = _scales(a)
+    a, c = a * c, c[..., 0, 0]
+    norms = _frobenius_norms(a)
     defect = _frobenius_norms(a - _adjoint(a))
-    if (defect > HERM_TOL * scale).any():
-        raise NotHermitianError(
-            f"matrix is not Hermitian: ||M - M*|| = {defect.max():.3e} exceeds tolerance"
+    if (defect > HERM_TOL * np.maximum(c, norms)).any():
+        raise error(
+            f"matrix is not Hermitian: ||M - M*|| = {_unscaled(defect, c).max():.3e} exceeds tolerance"
         )
+    return a, c, norms
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -255,19 +272,20 @@ def psd_sqrt(m) -> np.ndarray:
     a = _as_array(m, "matrix", stacked=True)
     if a.shape[-2] != a.shape[-1]:
         raise ShapeMismatchError(f"expected square matrix, got {a.shape}")
-    _check_hermitian(a)
+    _, c, norms = _check_hermitian(a)
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
     if w.size:
         lowest = w[..., 0]  # eigenvalues ascend
-        tol = 1e-9 * _frobenius_norms(a)
-        bad = lowest < -tol
+        tol = 1e-9 * norms  # at the scale c
+        bad = lowest * c < -tol
         if bad.any():
             k = np.argmax(bad)
             raise NotPSDError(
-                f"eigenvalue {np.ravel(lowest)[k]:.3e} below -1e-9 ||M||_F = {-np.ravel(tol)[k]:.3e}"
+                f"eigenvalue {np.ravel(lowest)[k]:.3e} below -1e-9 ||M||_F = "
+                f"{-np.ravel(_unscaled(tol, c))[k]:.3e}"
             )
     r = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _adjoint(q)
     if a.dtype.kind != "c":

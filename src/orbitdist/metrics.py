@@ -13,10 +13,9 @@ group element that realizes the minimum:
   Centering each configuration on its column mean removes the translation
   exactly, reducing to the rotation-only problem.
 
-The distance is homogeneous, d(cA, cB) = c d(A, B), and exact at every
-float64 scale: each pair is solved at a power of two, which is exact, so
-results that neither overflow nor underflow unscaled keep their bits.  A
-distance or translation beyond float64 raises NonFiniteError.
+The distance is homogeneous, d(cA, cB) = c d(A, B), so each pair is solved
+at a power of two under the float64-range rule of :mod:`orbitdist.linalg`;
+a distance or translation beyond float64 raises NonFiniteError.
 """
 from __future__ import annotations
 
@@ -93,12 +92,7 @@ def center(a) -> np.ndarray:
     if m.shape[1] < 1:
         raise ShapeMismatchError("configuration needs at least one column")
     y, c = _in_range(m)
-    y = y - y.mean(axis=1, keepdims=True)
-    if type(c) is float:
-        return y
-    # unscaled in its float64 view: a complex division by a subnormal c
-    # forms 1/c, which overflows
-    return _finite(_unscaled(y.view(np.float64), c).view(y.dtype), "A", "a centred configuration")
+    return _finite(_unscaled(y - y.mean(axis=1, keepdims=True), c), "A", "a centred configuration")
 
 
 def _configuration(group: GroupAction, a, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -149,8 +143,6 @@ def _procrustes(
     modulus overflows to inf, though both parts are finite, c brings the
     largest part instead (:func:`linalg._parts`), every modulus is below
     sqrt(2) and no entry exceeds 8l.  Only the distance is divided by c.
-    Power-of-two scaling is exact: results that neither overflow nor
-    underflow keep their bits.
 
     W = V @ U* from the SVD of A @ B* makes ``W A B*`` PSD Hermitian, which
     is exactly the optimality condition for min over rotations of

@@ -65,7 +65,7 @@ from .errors import (
     ShapeMismatchError,
     _shown,
 )
-from .linalg import HERM_TOL, _finite, _pow2_scale, _unscaled, as_matrix
+from .linalg import HERM_TOL, _check_hermitian, _finite, _pow2_scale, _unscaled, as_matrix
 from .metrics import GroupAction, _configuration
 from . import embeddings
 
@@ -181,10 +181,8 @@ class ReducerBasis:
         a = as_matrix(m)
         if a.shape != (self.size, self.size):
             raise ShapeMismatchError(f"expected {self.size}x{self.size} matrix, got {a.shape}")
-        scale = max(1.0, float(np.linalg.norm(a)))
-        if np.linalg.norm(a - a.conj().T) > HERM_TOL * scale:
-            raise AmbientMismatchError("matrix is not symmetric/Hermitian")
-        if self.ambient is Ambient.SYMMETRIC and np.iscomplexobj(a) and np.abs(a.imag).max() > HERM_TOL * scale:
+        y, c, norm = _check_hermitian(a, AmbientMismatchError)
+        if self.ambient is Ambient.SYMMETRIC and np.abs(y.imag).max() > HERM_TOL * max(c, norm):
             raise AmbientMismatchError("symmetric ambient requires a real matrix")
         return _project(self, a)
 
@@ -278,14 +276,10 @@ _AMBIENTS = {
 }
 
 
-def _block_size(group: GroupAction, l: int) -> int:
-    return l - 1 if group.quotients_translations else l
-
-
 @lru_cache(maxsize=None, typed=True)
 def reducer_for(group: GroupAction, n: int, l: int) -> ReducerBasis:
     """Reducer matching the feature map of ``group`` on n-by-l inputs."""
-    size = _block_size(group, l)
+    size = embeddings._block_size(group, l)
     if size < 2 * n:
         raise DimensionHypothesisError(
             f"group {group.value} with l={_shown(l)} admits reduction only for l >= "

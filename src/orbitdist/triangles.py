@@ -112,7 +112,9 @@ def triangle_from_coords(coords) -> np.ndarray:
     if c.shape != (3,) or np.iscomplexobj(c):
         raise ShapeMismatchError(f"coordinates must be three reals, got {c.dtype} of shape {c.shape}")
     p, q, z = as_matrix(c[None], name="coordinates")[0].tolist()
-    if z < 0 or p * p + q * q > z * z * (1 + 1e-12) + 1e-12:
+    k = _pow2_scale(max(abs(p), abs(q), abs(z)))  # so no square overflows
+    x, y, w = p * k, q * k, z * k
+    if z < 0 or x * x + y * y > w * w * (1 + 1e-12) + 1e-12 * k * k:
         raise OutOfRangeError("coordinates outside the image cone z >= 0, x^2+y^2 <= z^2")
     root = np.array(
         [[(z + p) / _SQRT2, q / _SQRT2], [q / _SQRT2, (z - p) / _SQRT2]]

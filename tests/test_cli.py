@@ -178,6 +178,20 @@ class TestEmbed:
         }
 
     @pytest.mark.parametrize(
+        "group, m, flags, expected",
+        [
+            ("E", [[0.0, 1.0, 0.5], [0.0, 0.0, 2.0]], [], "triangle_embedding"),
+            ("O", [[1.0, 2.0, 3.0, 4.0]], ["--reduced"], "reduced_orthogonal"),
+        ],
+        ids=["triangle", "reduced"],
+    )
+    def test_sidecar_names_the_map(self, tmp_path, group, m, flags, expected):
+        f = write_csv(tmp_path / "m.csv", m)
+        out = tmp_path / "feat.csv"
+        assert main(["embed", "--group", group, *flags, "--out", str(out), f]) == 0
+        assert json.loads((tmp_path / "feat.csv.json").read_text())["map"] == expected
+
+    @pytest.mark.parametrize(
         "group,n,l,expected",
         [
             ("O", 1, 4, 7),  # n(2l-2n+1)
@@ -544,6 +558,12 @@ class TestExperimentCommand:
         assert main(["experiment", "distortion", "--config", str(cfg)]) == 6
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot read config {cfg}")
+
+    def test_config_that_is_not_an_object_exit_6(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["experiment", "distortion", "--config", str(cfg)]) == 6
+        assert capsys.readouterr().err.splitlines() == ["error: config file must hold a JSON object"]
 
     @pytest.mark.parametrize(
         "kind, seed, config",

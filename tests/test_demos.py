@@ -1,5 +1,5 @@
 """Every demo script, and the README quick start, runs to completion against
-the library in ``src``."""
+the library in ``src``, each demo with every warning an error."""
 import os
 import re
 import subprocess
@@ -22,7 +22,8 @@ def test_demo_runs(demo):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        # a warning fails the demo, as it fails a test under filterwarnings
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orbitdist import (
+    FeatureMapMismatchError,
     GroupAction,
     center,
     embedding_for,
@@ -109,6 +110,18 @@ class TestFlattening:
     def test_helmert_is_gram_schmidt(self, l):
         expected = gram_schmidt_mean_last_basis(l)[:, :-1]
         np.testing.assert_allclose(_helmert(np.eye(l)), expected, rtol=0.0, atol=1e-14)
+
+
+class TestFeatureVector:
+    @pytest.mark.parametrize("group", list(GroupAction))
+    @pytest.mark.parametrize("n, l", [(1, 1), (1, 2), (2, 3), (2, 5), (3, 4)])
+    def test_feature_dim_is_the_length_of_both_features(self, rng, group, n, l):
+        x = sample(rng, group, n, l)
+        assert feature_dim(group, l) == feature_vector(group, x).size == embedding_for(group, x)[1].size
+
+    def test_rejects_an_unknown_map(self):
+        with pytest.raises(FeatureMapMismatchError, match="bogus"):
+            feature_vector(GroupAction.ORTHOGONAL, np.eye(2), "bogus")
 
 
 class TestOrthogonalEmbedding:

@@ -633,7 +633,8 @@ class TestClassificationExperiment:
 
 
 class TestConfigChecks:
-    """Noise levels and map names are refused before anything is drawn."""
+    """Seeds, noise levels and map names are checked when the config is
+    made, before anything is drawn."""
 
     @pytest.mark.parametrize(
         "grid", [(0.0, 1e160), (0.0, 1e308), (0.0, math.inf), (0.0, math.nan), (math.inf,)]
@@ -787,6 +788,51 @@ class TestConfigChecks:
             )
         with pytest.raises(ConfigInvalidError):
             distortion_experiment(ExperimentConfig(seed=0, n_pairs=10, maps=maps))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        # refused when the config is made
+        with pytest.raises(ConfigInvalidError, match="seed must be an integer"):
+            ExperimentConfig(seed=seed, n_pairs=10, maps=(MAP_TRIANGLE,))
+        with pytest.raises(ConfigInvalidError, match="seed must be an integer"):
+            ExperimentConfig(seed=seed, db_size=5, noise_grid=(0.0,), maps=(MAP_EXACT,))
+        with pytest.raises(ConfigInvalidError):
+            lower_constant_survey(GroupAction.ORTHOGONAL, 1, 4, 10, seed=seed)
+        with pytest.raises(ConfigInvalidError):
+            ExperimentConfig.from_dict({"seed": seed})
+
+    def test_report_carries_the_validated_seed(self):
+        # an integral float or a numpy integer, in the seed or in any size
+        # field, gives the report of the int, which states the int
+        studies = {
+            "distortion": lambda **kw: distortion_experiment(
+                ExperimentConfig(**{"seed": 0, "n_pairs": 10, "maps": (MAP_TRIANGLE,), **kw})
+            ),
+            "classify": lambda **kw: classification_experiment(
+                ExperimentConfig(
+                    **{"seed": 0, "db_size": 5, "n_draws": 2, "noise_grid": (0.0,), "maps": (MAP_EXACT,), **kw}
+                )
+            ),
+            "survey": lambda **kw: lower_constant_survey(
+                **{"group": GroupAction.ORTHOGONAL, "n": 1, "l": 4, "n_pairs": 10, "seed": 0, **kw}
+            ),
+        }
+        cases = [
+            ("distortion", "seed"), ("classify", "seed"), ("survey", "seed"),
+            ("distortion", "n_pairs"), ("survey", "n_pairs"),
+            ("classify", "db_size"), ("classify", "n_draws"),
+            ("survey", "n"), ("survey", "l"),
+        ]
+        for kind, key in cases:
+            value = {"n_pairs": 10, "db_size": 5, "l": 4}.get(key, 1)
+            reports = [studies[kind](**{key: v}) for v in (value, np.int64(value), float(value))]
+            assert len({r.to_json() for r in reports}) == 1, (kind, key)
+            stated = reports[0].seed if key == "seed" else reports[0].config[key]
+            assert stated == value and type(stated) is int, (kind, key)
+
+    def test_largest_seed_is_accepted(self):
+        cfg = ExperimentConfig(seed=2**64 - 1, n_pairs=10, maps=(MAP_TRIANGLE,))
+        assert distortion_experiment(cfg).config["seed"] == 2**64 - 1
 
 
 class TestTablesPerStudy:

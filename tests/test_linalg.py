@@ -7,6 +7,7 @@ from orbitdist import (
     ConvergenceFailureError,
     NotHermitianError,
     NotPSDError,
+    ShapeMismatchError,
     psd_sqrt,
 )
 from orbitdist import linalg
@@ -176,6 +177,13 @@ class TestUnscaled:
             got = _unscaled(np.array([1e308, 0.5]), 2.0**-1023)
         assert got[0] == np.inf and got[1] == 2.0**1022
 
+    def test_complex_divides_by_parts(self):
+        # numpy's complex division by c forms 1/c, which overflows for a
+        # subnormal c; each part divided alone is exact
+        for c in (2.0**-1024, np.array([[2.0**-1024]])):
+            got = _unscaled(np.array([[complex(2.0**-30, -(2.0**-40))]]), c)
+            assert got.dtype == np.complex128 and got[0, 0] == complex(2.0**994, -(2.0**984))
+
     def test_float_scale_divides_plainly(self):
         # a Python float scale >= 2^-1000 enters no error state of its own:
         # it divides in the caller's, which here raises on overflow
@@ -245,13 +253,23 @@ class TestPsdSqrt:
         r = psd_sqrt(b)
         assert np.linalg.norm(r @ r - b) <= 1e-10 * np.linalg.norm(b)
 
-    def test_rejects_asymmetric(self):
+    # at 1e200 the norms overflow unless each matrix is measured at its
+    # power of two; a warning is an error here
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_rejects_asymmetric(self, scale):
         with pytest.raises(NotHermitianError):
-            psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            psd_sqrt(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(NotHermitianError):
+            psd_sqrt(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_rejects_negative_definite(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_rejects_negative_definite(self, scale):
         with pytest.raises(NotPSDError):
-            psd_sqrt(np.diag([1.0, -0.5]))
+            psd_sqrt(scale * np.diag([1.0, -0.5]))
+
+    def test_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(ShapeMismatchError, match="square"):
+            psd_sqrt(np.zeros((2, 3)))
 
     def test_stack_matches_each_matrix(self, rng):
         g = rng.standard_normal((6, 2, 3))
@@ -260,9 +278,11 @@ class TestPsdSqrt:
         for i in range(6):
             np.testing.assert_allclose(r[i], psd_sqrt(b[i]), atol=1e-12)
 
-    def test_stack_rejects_one_negative_matrix(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_stack_rejects_one_negative_matrix(self, scale):
+        # each matrix is measured at its own power of two
         with pytest.raises(NotPSDError):
-            psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)]))
+            psd_sqrt(np.stack([np.eye(2), scale * np.diag([1.0, -0.5]), np.eye(2)]))
 
     def test_clamps_roundoff_negatives(self):
         b = np.diag([1.0, -1e-12])

@@ -88,6 +88,10 @@ class TestCenter:
             with pytest.raises(NonFiniteError, match="^A has a centred configuration too large for float64$"):
                 center(np.array([[1.7e308, -1.7e308, -1.7e308]]))
 
+    def test_rejects_a_configuration_without_columns(self):
+        with pytest.raises(ShapeMismatchError, match="at least one column"):
+            center(np.zeros((2, 0)))
+
 
 class TestUnitaryDistance:
     def test_self_distance(self, rng):
@@ -164,6 +168,10 @@ class TestOrthogonalDistance:
         b = np.array([[np.nan, 0.0], [0.0, 0.0]])
         with pytest.raises(NonFiniteError):
             dist_orthogonal(a, b)
+
+    def test_rejects_an_entry_that_is_not_a_number(self):
+        with pytest.raises(NonFiniteError, match="^A has an entry that is not a number$"):
+            orbit_distance(GroupAction.ORTHOGONAL, [[object()]], [[1.0]])
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeMismatchError):
@@ -469,6 +477,18 @@ class TestResultRange:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="^the pair has a translation too large for float64$"):
                 orbit_distance(group, a, -a)
+
+    def test_complex_translation_at_a_subnormal_scale(self):
+        # the pair runs at 2^-1024, a subnormal scale that a complex
+        # division would turn into an infinite 1/c
+        a = np.array([[1.5e308 + 0j, 0.3e308, 0.0]])
+        b = np.array([[0.2e308 + 0j, 1.2e308, 0.1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = orbit_distance(GroupAction.COMPLEX_EUCLIDEAN, a, b)[1].translation
+            real = orbit_distance(GroupAction.EUCLIDEAN, a.real, b.real)[1].translation
+        np.testing.assert_allclose(t, real, rtol=1e-15)
+        np.testing.assert_allclose(t, [1.1e308], rtol=1e-15)
 
     def test_complex_entry_measured_by_its_larger_part(self):
         # parts of 1.5e308 are finite, though the modulus overflows: the

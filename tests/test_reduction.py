@@ -15,6 +15,7 @@ from orbitdist import (
     REDUCED,
     ReducerBasis,
     ShapeDatabase,
+    ShapeMismatchError,
     build_reducer,
     feature_vector,
     orbit_distance,
@@ -167,6 +168,24 @@ class TestProject:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         with pytest.raises(AmbientMismatchError):
             rb.project(g + g.conj().T)
+
+    # the norms of the two matrices below overflow unless the check
+    # measures them at their power of two; a warning is an error here
+    def test_rejects_asymmetric_near_the_float64_limit(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = 1e200
+        with pytest.raises(AmbientMismatchError, match="not Hermitian"):
+            build_reducer(1, 4, Ambient.SYMMETRIC).project(m)
+
+    def test_symmetric_ambient_rejects_complex_near_the_float64_limit(self):
+        m = np.eye(4) + 0j
+        m[0, 1], m[1, 0] = 1j, -1j  # Hermitian, not real
+        with pytest.raises(AmbientMismatchError, match="^symmetric ambient requires a real matrix$"):
+            build_reducer(1, 4, Ambient.SYMMETRIC).project(1e200 * m)
+
+    def test_rejects_a_matrix_of_another_size(self):
+        with pytest.raises(ShapeMismatchError, match="expected 4x4"):
+            build_reducer(1, 4, Ambient.SYMMETRIC).project(np.eye(3))
 
 
 class TestReducedEmbedding:

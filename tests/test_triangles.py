@@ -229,6 +229,14 @@ class TestConeSurjectivity:
         with pytest.raises(OutOfRangeError):
             triangle_from_coords([0.0, 0.0, -1.0])
 
+    def test_cone_test_near_the_float64_limit(self):
+        # each square overflows unless the cone is tested at a power of two
+        with pytest.raises(OutOfRangeError):
+            triangle_from_coords([1e200, 0.0, 5e199])
+        target = np.array([0.6e200, 0.0, 1e200])
+        got = triangle_embedding(triangle_from_coords(target))
+        assert np.abs(got - target).max() <= 1e-15 * 1e200
+
     @pytest.mark.parametrize(
         "coords, error",
         [
