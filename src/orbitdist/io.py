@@ -34,13 +34,19 @@ def fmt17(x: float) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    import tempfile
-
+    """Write ``text`` to ``path`` through a temp file beside it and a
+    rename, with the mode ``open(path, "w")`` would give: an existing
+    file's, and 0o666 less the umask for a new one, which ``os.open``
+    applies, so the process umask is neither read nor set.  On failure the
+    temp file is removed and ``path`` keeps its old bytes."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        if path.exists():
+            os.chmod(tmp, path.stat().st_mode & 0o777)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

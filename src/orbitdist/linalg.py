@@ -14,14 +14,18 @@ An array of Python objects that holds a complex number is read as
 complex128, so a real group refuses it as complex.  The kernels such as
 :func:`svd` take the validated arrays their callers build.
 
-The float64-range rule lives here, once.  The distances and features are
-homogeneous, so a kernel whose sums or squares could overflow runs each
-matrix at the power of two of its largest part (:func:`_scales`), which is
-exact: a result in float64's normal range keeps its bits.  :func:`_unscaled`
-is the only way back from a scale where a plain division could err or warn:
-a complex result, or a scale below 2**-1000.  :func:`_finite` refuses a
-result beyond float64.  :func:`_check_hermitian`, the only symmetry check,
-measures each matrix at its scale.
+The float64-range rule lives here, once, and every public entry that
+takes a matrix keeps it in three steps.  The distances and features are
+homogeneous, so, first, one check returns the input at a power of two
+drawn from its largest part (:func:`_scales`): :func:`_in_range`, the
+Procrustes kernel's own scale of a pair, or :func:`_check_hermitian`, the
+only symmetry check, whose power of four has a power of two for its
+square root.  Second, the kernel sees only that scaled input.  Third, the
+result leaves through :func:`_unscaled`, the only way back from a scale
+where a plain division could err or warn (a complex result, or a scale
+below 2**-1000), and through :func:`_finite`, which refuses a result
+beyond float64 with NonFiniteError.  Scaling by a power of two is exact,
+so a result in float64's normal range keeps its bits.
 
 :func:`svd` is the one SVD entry point.  It calls numpy 2's thin-SVD
 gufunc ``_umath_linalg.svd_s`` itself, as ``np.linalg.svd`` does: the
@@ -242,10 +246,13 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_hermitian(a: np.ndarray, error: type[Exception] = NotHermitianError):
-    """``(a c, c, ||a c||)`` for a ``(..., l, l)`` stack ``a``, its :func:`_scales`
-    c and Frobenius norms both of shape ``(...)``; ``error`` unless, at c,
-    each matrix has ``||M - M*|| <= HERM_TOL max(1, ||M||)``."""
+    """``(a c, c, ||a c||)`` for a ``(..., l, l)`` stack ``a``, c of shape
+    ``(...)`` the largest power of four at most each matrix's :func:`_scales`
+    (so that sqrt(c) too is a power of two) and the Frobenius norms at c;
+    ``error`` unless, at c, each matrix has
+    ``||M - M*|| <= HERM_TOL max(1, ||M||)``."""
     c = _scales(a)
+    c = np.ldexp(1.0, 2 * ((np.frexp(c)[1] - 1) // 2))
     a, c = a * c, c[..., 0, 0]
     norms = _frobenius_norms(a)
     defect = _frobenius_norms(a - _adjoint(a))
@@ -263,32 +270,36 @@ def psd_sqrt(m) -> np.ndarray:
     matrices of nearly rank-deficient configurations routinely produce
     tiny negative eigenvalues in floating point.  A stack ``(..., l, l)``
     gets one root per matrix, each clamped at its own Frobenius norm.
+    Each matrix is factored at the power of four c of
+    :func:`_check_hermitian` and its root divided by sqrt(c), so a matrix
+    near the float64 limit or of subnormal entries has the root of its
+    scaled copy, and a unit-scale one the same bits as unscaled.
 
     Raises NotHermitianError/NotPSDError when the input is not a
     numerically PSD Hermitian matrix (checked to tolerance),
-    ShapeMismatchError when it is not square and ConvergenceFailureError
-    if the eigensolver does not converge.
+    ShapeMismatchError when it is not square, NonFiniteError on NaN/Inf
+    entries (the root of a finite matrix is finite) and
+    ConvergenceFailureError if the eigensolver does not converge.
     """
     a = _as_array(m, "matrix", stacked=True)
     if a.shape[-2] != a.shape[-1]:
         raise ShapeMismatchError(f"expected square matrix, got {a.shape}")
-    _, c, norms = _check_hermitian(a)
+    a, c, norms = _check_hermitian(a)
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
     if w.size:
         lowest = w[..., 0]  # eigenvalues ascend
-        tol = 1e-9 * norms  # at the scale c
-        bad = lowest * c < -tol
+        tol = 1e-9 * norms
+        bad = lowest < -tol
         if bad.any():
             k = np.argmax(bad)
             raise NotPSDError(
-                f"eigenvalue {np.ravel(lowest)[k]:.3e} below -1e-9 ||M||_F = "
+                f"eigenvalue {np.ravel(_unscaled(lowest, c))[k]:.3e} below -1e-9 ||M||_F = "
                 f"{-np.ravel(_unscaled(tol, c))[k]:.3e}"
             )
     r = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _adjoint(q)
-    if a.dtype.kind != "c":
-        return r.real
     # round-off can leave a tiny skew-Hermitian part; resymmetrize
-    return 0.5 * (r + _adjoint(r))
+    r = 0.5 * (r + _adjoint(r)) if a.dtype.kind == "c" else r.real
+    return _finite(_unscaled(r, np.sqrt(c)[..., None, None]), "matrix", "a root")

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .linalg import (
     _adjoint,
+    _as_array,
     _finite,
     _frobenius_norms,
     _in_range,
@@ -68,15 +69,19 @@ class Alignment:
     achieved_distance: float
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Apply the group element to every column of a configuration;
-        ShapeMismatchError unless its points have the rotation's dimension."""
+        """Apply the group element to every column of a configuration,
+        near the float64 limit at the power of two of
+        :func:`linalg._in_range`, which is exact; ShapeMismatchError unless
+        its points have the rotation's dimension, NonFiniteError on NaN/Inf
+        entries or an image beyond float64."""
         a = as_matrix(a)
         if a.shape[0] != self.rotation.shape[1]:
             raise ShapeMismatchError(
                 f"configuration has points of dimension {a.shape[0]}, "
                 f"the aligner acts on dimension {self.rotation.shape[1]}"
             )
-        return self.rotation @ a + self.translation[:, None]
+        y, c = _in_range(a)
+        return _finite(_unscaled(self.rotation @ y + c * self.translation[:, None], c), "A", "an image")
 
 
 def center(a) -> np.ndarray:
@@ -92,21 +97,26 @@ def center(a) -> np.ndarray:
     if m.shape[1] < 1:
         raise ShapeMismatchError("configuration needs at least one column")
     y, c = _in_range(m)
-    return _finite(_unscaled(y - y.mean(axis=1, keepdims=True), c), "A", "a centred configuration")
+    # E centres and keeps the field: a complex matrix stays complex
+    return _finite(_unscaled(_prepared(GroupAction.EUCLIDEAN, y), c), "A", "a centred configuration")
 
 
-def _configuration(group: GroupAction, a, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """``a`` as a validated configuration that ``group`` acts on.
+def _configuration(
+    group: GroupAction, a, name: str, shape: tuple[int, int] | None = None, *, stacked: bool = False
+) -> np.ndarray:
+    """``a`` as a validated configuration that ``group`` acts on, or, when
+    ``stacked``, as a validated ``(..., n, l)`` stack of them.
 
     The one input check of every entry point: NonFiniteError on NaN/Inf
-    entries, ShapeMismatchError when ``a`` is not 2-D, is not of ``shape``
-    (when given), has no column under a translation quotient, or is complex
-    under a real group.  Messages name the input ``name``.
+    entries, ShapeMismatchError when ``a`` is not 2-D (at least 2-D when
+    ``stacked``), is not of ``shape`` (when given), has no column under a
+    translation quotient, or is complex under a real group.  Messages name
+    the input ``name``.
     """
-    m = as_matrix(a, name=name)
+    m = _as_array(a, name, stacked=True) if stacked else as_matrix(a, name=name)
     if shape is not None and m.shape != shape:
         raise ShapeMismatchError(f"{name} has shape {m.shape}, expected {shape}")
-    if m.shape[1] < 1 and group.quotients_translations:
+    if m.shape[-1] < 1 and group.quotients_translations:
         raise ShapeMismatchError(f"{name} has shape {m.shape}; a configuration needs at least one column")
     if m.dtype.kind == "c" and not group.is_complex:
         raise ShapeMismatchError(

@@ -175,8 +175,11 @@ class ReducerBasis:
         """Coordinates of the projection of an ambient-space matrix.
 
         Non-expansive: the coordinate norm never exceeds the Frobenius
-        norm of the input.  Raises AmbientMismatchError when the matrix is
-        not (numerically) in the declared ambient space.
+        norm of the input.  The matrix is checked and projected at the
+        power of two of :func:`linalg._check_hermitian`, which is exact.
+        Raises AmbientMismatchError when the matrix is not (numerically) in
+        the declared ambient space, and NonFiniteError on NaN/Inf entries
+        or a coordinate beyond float64.
         """
         a = as_matrix(m)
         if a.shape != (self.size, self.size):
@@ -184,7 +187,7 @@ class ReducerBasis:
         y, c, norm = _check_hermitian(a, AmbientMismatchError)
         if self.ambient is Ambient.SYMMETRIC and np.abs(y.imag).max() > HERM_TOL * max(c, norm):
             raise AmbientMismatchError("symmetric ambient requires a real matrix")
-        return _project(self, a)
+        return _finite(_unscaled(_project(self, y), c), "matrix", "a coordinate")
 
     def to_json(self) -> str:
         """Serialize the parameters that determine the basis."""
@@ -268,14 +271,6 @@ def _operator(rank: int, size: int, ambient: Ambient) -> _Operator:
     return op
 
 
-_AMBIENTS = {
-    GroupAction.ORTHOGONAL: Ambient.SYMMETRIC,
-    GroupAction.EUCLIDEAN: Ambient.SYMMETRIC,
-    GroupAction.UNITARY: Ambient.HERMITIAN,
-    GroupAction.COMPLEX_EUCLIDEAN: Ambient.HERMITIAN,
-}
-
-
 @lru_cache(maxsize=None, typed=True)
 def reducer_for(group: GroupAction, n: int, l: int) -> ReducerBasis:
     """Reducer matching the feature map of ``group`` on n-by-l inputs."""
@@ -285,7 +280,7 @@ def reducer_for(group: GroupAction, n: int, l: int) -> ReducerBasis:
             f"group {group.value} with l={_shown(l)} admits reduction only for l >= "
             f"{_shown(2 * n + (1 if group.quotients_translations else 0))} at n={_shown(n)}"
         )
-    return build_reducer(n, size, _AMBIENTS[group])
+    return build_reducer(n, size, Ambient.HERMITIAN if group.is_complex else Ambient.SYMMETRIC)
 
 
 def reduced_feature_dim(group: GroupAction, n: int, l: int) -> int:

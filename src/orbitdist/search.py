@@ -54,7 +54,7 @@ from .errors import (
     _shown,
 )
 from .features import FULL, REDUCED, _feature_stack
-from .linalg import _as_array, _blocks, _finite, _pow2_scale, _unscaled
+from .linalg import _blocks, _finite, _pow2_scale, _unscaled
 from .metrics import GroupAction, _configuration, _procrustes
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -154,13 +154,11 @@ def _stack_records(group: GroupAction, records) -> tuple[list[str], dict[str, in
         return ids, rows, np.zeros((0, 0, 0))
     if len(rows) == len(ids):
         try:
-            x = _as_array(np.stack([m for _, m in records]), "records", stacked=True)
+            x = _configuration(group, np.stack([m for _, m in records]), "records", stacked=True)
+            if x.ndim == 3:
+                return ids, rows, x
         except (OrbitDistError, ValueError):  # ValueError: np.stack of unequal shapes
             pass
-        else:
-            field_ok = group.is_complex or not np.iscomplexobj(x)
-            if x.ndim == 3 and field_ok and (x.shape[2] or not group.quotients_translations):
-                return ids, rows, x
     rows, mats = {}, []
     for rid, (_, m) in zip(ids, records):
         if rid in rows:

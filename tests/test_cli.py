@@ -361,6 +361,25 @@ class TestDatabaseCommands:
         assert main(["db-query", str(db_file), query, "-k", "99"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_empty_database_file_exit_2(self, tmp_path, capsys, text):
+        db_file = tmp_path / "db.jsonl"
+        db_file.write_text(text)
+        query = write_csv(tmp_path / "q.csv", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert main(["db-query", str(db_file), query, "-k", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {db_file}: empty database file"]
+
+    def test_outputs_get_the_umask_mode(self, tmp_path, capsys):
+        old = os.umask(0o022)
+        try:
+            files = self.make_inputs(tmp_path, 2)
+            assert main(["db-build", "--group", "E", "--out", str(tmp_path / "db.jsonl")] + files) == 0
+            assert main(["embed", "--group", "E", "--out", str(tmp_path / "f.csv"), files[0]]) == 0
+        finally:
+            os.umask(old)
+        for name in ("db.jsonl", "f.csv", "f.csv.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+
     def test_empty_build_exit_5(self, tmp_path, capsys):
         assert main(["db-build", "--group", "E", "--out", str(tmp_path / "db.jsonl")]) == 5
         assert "error" in capsys.readouterr().err

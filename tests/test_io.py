@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from orbitdist import GroupAction, ShapeDatabase
 from orbitdist.io import (
     ParseError,
+    atomic_write_text,
     load_database,
     matrix_from_json,
     read_matrix,
@@ -104,6 +106,13 @@ class TestDatabaseFiles:
         first = json.loads(path.read_text().splitlines()[0])
         assert set(first) == {"group", "n", "l", "feature_map"}
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_empty_file(self, tmp_path, text):
+        path = tmp_path / "db.jsonl"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="^" + str(path) + ": empty database file$"):
+            load_database(path)
+
     def test_missing_header_key(self, tmp_path):
         path = tmp_path / "db.jsonl"
         path.write_text('{"group": "E", "n": 2, "l": 3}\n')
@@ -193,3 +202,42 @@ class TestDatabaseFiles:
         path.write_text(f"{header}\n{rec}\n")
         with pytest.raises(ParseError, match="header shape"):
             load_database(path)
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+class TestAtomicWrite:
+    """Files get the mode ``open(path, "w")`` would give them."""
+
+    def test_new_file_gets_the_umask_mode(self, rng, tmp_path, umask_022):
+        atomic_write_text(tmp_path / "a.txt", "x\n")
+        write_matrix(tmp_path / "m.csv", rng.standard_normal((2, 3)))
+        save_database(tmp_path / "db.jsonl", ShapeDatabase(GroupAction.EUCLIDEAN, [("a", np.eye(2, 3))]))
+        for name in ("a.txt", "m.csv", "db.jsonl"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "db.jsonl", "m.csv"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, umask_022):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        atomic_write_text(path, "new\n")
+        assert path.read_text() == "new\n" and path.stat().st_mode & 0o777 == 0o640
+
+    def test_failed_write_leaves_the_old_bytes(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "lone \ud800 surrogate")
+        assert path.read_text() == "old\n" and [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_failed_rename_onto_a_directory_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError):
+            atomic_write_text(tmp_path / "d", "x\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())

@@ -1,10 +1,12 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from orbitdist import (
     ConvergenceFailureError,
+    NonFiniteError,
     NotHermitianError,
     NotPSDError,
     ShapeMismatchError,
@@ -289,3 +291,33 @@ class TestPsdSqrt:
         r = psd_sqrt(b)
         assert r[1, 1] == 0.0
 
+    # the root is factored at a power of four and divided by its square
+    # root, so an input whose eigenvalues pass float64, or whose entries
+    # are subnormal, has the root of its scaled copy; a warning is an error
+    def test_root_near_the_float64_limit(self):
+        b = np.array([[1.0, 0.5], [0.5, 1.0]])
+        got = psd_sqrt(1.7e308 * b)
+        np.testing.assert_allclose(got, np.sqrt(1.7e308) * psd_sqrt(b), rtol=1e-15, atol=0)
+
+    def test_complex_root_near_the_float64_limit(self):
+        m = np.array([[1.0, 1j], [-1j, 1.0]])
+        got = psd_sqrt(1e308 * m)
+        np.testing.assert_allclose(got, np.sqrt(0.5e308) * m, rtol=1e-15, atol=0)
+
+    def test_subnormal_root_matches_mpmath(self, rng):
+        worst = 0.0
+        for _ in range(200):
+            g = rng.standard_normal((3, 3))
+            b = g.T @ g
+            b = (b / np.abs(b).max()) * 1e-315  # subnormal entries, as stored
+            r = psd_sqrt(b)
+            with mpmath.workdps(60):
+                w, q = mpmath.eigsy(mpmath.matrix(b.tolist()))
+                root = q * mpmath.diag([mpmath.sqrt(max(e, 0)) for e in w]) * q.T
+                err = mpmath.mnorm(mpmath.matrix(r.tolist()) - root, "f") / mpmath.mnorm(root, "f")
+            worst = max(worst, float(err))
+        assert worst <= 1e-13
+
+    def test_root_of_an_infinite_entry_is_refused(self):
+        with pytest.raises(NonFiniteError):
+            psd_sqrt(np.array([[np.inf, 0.0], [0.0, 1.0]]))

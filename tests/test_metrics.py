@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitdist import (
+    Alignment,
     GroupAction,
     NonFiniteError,
     QueryResult,
@@ -181,6 +182,20 @@ class TestOrthogonalDistance:
         _, al = orbit_distance(GroupAction.EUCLIDEAN, np.eye(2, 3), np.ones((2, 3)))
         with pytest.raises(ShapeMismatchError, match="points of dimension 3"):
             al.apply(np.ones((3, 3)))
+
+    def test_aligner_refuses_an_image_beyond_float64(self):
+        # the image's second entry is 1.5e308 * sqrt(2); a warning is an error
+        _, al = orbit_distance(GroupAction.ORTHOGONAL, [[1.0], [0.0]], [[np.sqrt(0.5)], [np.sqrt(0.5)]])
+        with pytest.raises(NonFiniteError, match="^A has an image too large for float64$"):
+            al.apply([[1.5e308], [1.5e308]])
+
+    def test_aligner_applies_at_a_power_of_two(self, rng):
+        a = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        _, al = orbit_distance(GroupAction.COMPLEX_EUCLIDEAN, a, b)
+        big = Alignment(al.rotation, al.translation * 2.0**1020, al.achieved_distance)
+        # beyond the range rule, the image runs scaled, which is exact
+        np.testing.assert_array_equal(big.apply(a * 2.0**1020), al.apply(a) * 2.0**1020)
 
 
 class TestEuclideanDistance:

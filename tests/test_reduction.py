@@ -12,6 +12,7 @@ from orbitdist import (
     DimensionHypothesisError,
     GroupAction,
     InvalidRankError,
+    NonFiniteError,
     REDUCED,
     ReducerBasis,
     ShapeDatabase,
@@ -182,6 +183,19 @@ class TestProject:
         m[0, 1], m[1, 0] = 1j, -1j  # Hermitian, not real
         with pytest.raises(AmbientMismatchError, match="^symmetric ambient requires a real matrix$"):
             build_reducer(1, 4, Ambient.SYMMETRIC).project(1e200 * m)
+
+    def test_coordinate_beyond_float64_is_refused(self):
+        # the coordinate of Im m[0, 1] is sqrt(2) * 1.7e308
+        m = 1.7e308 * np.array([[1.0, 1j], [-1j, 1.0]])
+        with pytest.raises(NonFiniteError, match="^matrix has a coordinate too large for float64$"):
+            build_reducer(1, 2, Ambient.HERMITIAN).project(m)
+
+    def test_projects_at_a_power_of_two(self, rng):
+        rb = build_reducer(1, 4, Ambient.HERMITIAN)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = g + g.conj().T
+        np.testing.assert_array_equal(rb.project(m * 2.0**1000), rb.project(m) * 2.0**1000)
+        np.testing.assert_array_equal(rb.project(m * 2.0**-1000), rb.project(m) * 2.0**-1000)
 
     def test_rejects_a_matrix_of_another_size(self):
         with pytest.raises(ShapeMismatchError, match="expected 4x4"):

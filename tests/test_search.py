@@ -149,10 +149,17 @@ class TestStackedBuild:
             ShapeDatabase(GroupAction.EUCLIDEAN, records)
 
     def test_valid_records_are_checked_as_one_stack(self, rng, monkeypatch):
-        calls = []
-        monkeypatch.setattr(search, "_configuration", lambda *a, **k: calls.append(a))
+        calls, check = [], search._configuration
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_configuration", spy)
         db = group_db(rng, GroupAction.EUCLIDEAN, 50, 2, 5)
-        assert len(db) == 50 and calls == []
+        assert len(db) == 50 and len(calls) == 1
+        (group, stack, _), kwargs = calls[0]
+        assert group is GroupAction.EUCLIDEAN and stack.shape == (50, 2, 5) and kwargs == {"stacked": True}
 
     @pytest.mark.parametrize(
         "bad, error",
