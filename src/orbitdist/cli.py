@@ -144,7 +144,7 @@ def _load_config(args):
         # ValueError: a JSON syntax error, a file that is not UTF-8, or an
         # integer too long for Python to convert
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ConfigInvalidError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):

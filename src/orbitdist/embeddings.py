@@ -18,10 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _adjoint, _finite, _in_range, _unscaled, svd
+from .linalg import _SQRT2, _adjoint, _finite, _in_range, _unscaled, svd
 from .metrics import GroupAction, _configuration, _prepared
-
-_SQRT2 = np.sqrt(2.0)
 
 
 def _gram_root(x: np.ndarray) -> np.ndarray:

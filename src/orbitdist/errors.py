@@ -49,7 +49,7 @@ class EmptyDatabaseError(OrbitDistError):
 
 
 class FeatureMapMismatchError(OrbitDistError):
-    """Query and database were embedded with incompatible feature maps."""
+    """A feature map name other than ``full`` or ``reduced``."""
 
 
 class UnknownIdError(OrbitDistError):

@@ -61,11 +61,11 @@ import numpy as np
 from .embeddings import _block_size
 from .errors import ConfigInvalidError, _shown
 from .features import MAP_TRIANGLE, REDUCED, _is_triangle
-from .linalg import _blocks, _sum_last
+from .linalg import _SQRT2, _blocks, _sum_last
 from .metrics import GroupAction, _procrustes
 from .reduction import _reduced_stack, reducer_for
 from .sampling import _normals
-from .triangles import _SQRT2, _side_lengths, _triangle_coords
+from .triangles import _side_lengths, _triangle_coords
 
 MAP_SIDE_LENGTHS = "side_lengths"
 MAP_EXACT = "exact"

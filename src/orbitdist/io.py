@@ -43,7 +43,7 @@ def atomic_write_text(path, text: str) -> None:
     tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         if path.exists():
             os.chmod(tmp, path.stat().st_mode & 0o777)
@@ -183,6 +183,11 @@ def load_database(path) -> ShapeDatabase:
         group = GroupAction(header["group"])
     except ValueError:
         raise ParseError(f"{path}: header has unknown group {header['group']!r}") from None
+    from .features import FULL, REDUCED
+    from .search import ShapeDatabase
+
+    if header["feature_map"] not in (FULL, REDUCED):
+        raise ParseError(f"{path}: header has unknown feature_map {header['feature_map']!r}")
     shape = (header["n"], header["l"])
     # whole numbers only: int() would truncate 2.7 and parse the string "2"
     if not all(type(v) is int or (type(v) is float and v.is_integer()) for v in shape):
@@ -202,8 +207,6 @@ def load_database(path) -> ShapeDatabase:
             error = f"line {i}: record must be an object with 'id' and 'matrix'"
         _matrices(grids, path)  # a bad matrix on an earlier line is named first
         raise ParseError(f"{path}: {error}")
-    from .search import ShapeDatabase
-
     db = ShapeDatabase(group, list(zip(ids, _matrices(grids, path))), header["feature_map"])
     if ids and (db.n, db.l) != shape:
         raise ParseError(

@@ -57,6 +57,8 @@ from .errors import (
     ShapeMismatchError,
 )
 
+# the constant of the feature sandwich d <= |f(A) - f(B)| <= sqrt(2) d
+_SQRT2 = math.sqrt(2.0)
 # Hermiticity tolerance, relative to max(1, ||M||) (see _check_hermitian)
 HERM_TOL = 1e-8
 # Entries per block of every loop that feeds a stacked kernel (see _blocks)
@@ -301,5 +303,5 @@ def psd_sqrt(m) -> np.ndarray:
             )
     r = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _adjoint(q)
     # round-off can leave a tiny skew-Hermitian part; resymmetrize
-    r = 0.5 * (r + _adjoint(r)) if a.dtype.kind == "c" else r.real
+    r = 0.5 * (r + _adjoint(r))
     return _finite(_unscaled(r, np.sqrt(c)[..., None, None]), "matrix", "a root")

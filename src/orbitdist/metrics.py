@@ -178,7 +178,8 @@ def _procrustes(
     return _finite(d, "the pair", "a distance"), w, c
 
 
-def _distance(group: GroupAction, a, b) -> tuple[float, Alignment]:
+def orbit_distance(group: GroupAction, a, b) -> tuple[float, Alignment]:
+    """Distance between the ``group`` orbits of A and B, and its aligner."""
     ma = _configuration(group, a, "A")
     mb = _configuration(group, b, "B", ma.shape)
     d, w, c = _procrustes(group, ma, mb)
@@ -196,7 +197,7 @@ def _distance(group: GroupAction, a, b) -> tuple[float, Alignment]:
 
 def dist_unitary(a, b) -> tuple[float, Alignment]:
     """Distance between the unitary orbits of two complex configurations."""
-    return _distance(GroupAction.UNITARY, a, b)
+    return orbit_distance(GroupAction.UNITARY, a, b)
 
 
 def dist_orthogonal(a, b) -> tuple[float, Alignment]:
@@ -205,19 +206,14 @@ def dist_orthogonal(a, b) -> tuple[float, Alignment]:
     Coincides with the unitary distance of the same matrices viewed as
     complex; the real SVD keeps the aligner real orthogonal.
     """
-    return _distance(GroupAction.ORTHOGONAL, a, b)
+    return orbit_distance(GroupAction.ORTHOGONAL, a, b)
 
 
 def dist_euclidean(a, b) -> tuple[float, Alignment]:
     """Distance between the euclidean (rotation + translation) orbits."""
-    return _distance(GroupAction.EUCLIDEAN, a, b)
+    return orbit_distance(GroupAction.EUCLIDEAN, a, b)
 
 
 def dist_complex_euclidean(a, b) -> tuple[float, Alignment]:
     """Complex analogue of :func:`dist_euclidean` (unitary + translation)."""
-    return _distance(GroupAction.COMPLEX_EUCLIDEAN, a, b)
-
-
-def orbit_distance(group: GroupAction, a, b) -> tuple[float, Alignment]:
-    """Distance between the ``group`` orbits of A and B, and its aligner."""
-    return _distance(group, a, b)
+    return orbit_distance(GroupAction.COMPLEX_EUCLIDEAN, a, b)

@@ -54,10 +54,9 @@ from .errors import (
     _shown,
 )
 from .features import FULL, REDUCED, _feature_stack
-from .linalg import _blocks, _finite, _pow2_scale, _unscaled
+from .linalg import _SQRT2, _blocks, _finite, _pow2_scale, _unscaled
 from .metrics import GroupAction, _configuration, _procrustes
 
-_SQRT2 = float(np.sqrt(2.0))
 # Unit roundoffs of float32 and float64, and a bound on the absolute error
 # of one float32 rounding or product near underflow (with gradual underflow
 # or flush-to-zero alike).

@@ -27,10 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfRangeError, ShapeMismatchError, _shown
-from .linalg import _finite, _pow2_scale, _sum_last, _unscaled, as_matrix
+from .linalg import _SQRT2, _finite, _pow2_scale, _sum_last, _unscaled, as_matrix
 from .metrics import GroupAction, _configuration, dist_euclidean
 
-_SQRT2 = np.sqrt(2.0)
 _SQRT6 = np.sqrt(6.0)
 
 

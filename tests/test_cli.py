@@ -369,6 +369,19 @@ class TestDatabaseCommands:
         assert main(["db-query", str(db_file), query, "-k", "1"]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {db_file}: empty database file"]
 
+    def test_unknown_feature_map_exit_2(self, tmp_path, capsys):
+        files = self.make_inputs(tmp_path, 4)
+        db_file = tmp_path / "db.jsonl"
+        assert main(["db-build", "--group", "E", "--out", str(db_file)] + files) == 0
+        header, *records = db_file.read_text().splitlines()
+        header = json.dumps(dict(json.loads(header), feature_map="bogus"))
+        db_file.write_text("\n".join([header, *records]) + "\n")
+        capsys.readouterr()
+        assert main(["db-query", str(db_file), files[0], "-k", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {db_file}: header has unknown feature_map 'bogus'"
+        ]
+
     def test_outputs_get_the_umask_mode(self, tmp_path, capsys):
         old = os.umask(0o022)
         try:
@@ -747,6 +760,12 @@ class TestMemoryPolicy:
             main(["no-such-command"])
         assert events[-2:] == policy
 
+    @pytest.mark.parametrize("version", ["", None])
+    def test_no_libc_version_loads_no_library(self, monkeypatch, version):
+        monkeypatch.setattr(os, "confstr", lambda name: version, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: pytest.fail("ctypes.CDLL was called"))
+        cli._keep_heap()
+
     @pytest.mark.parametrize("platform", ["no confstr", "unknown name", "not glibc", "no mallopt"])
     def test_every_command_runs_unchanged_without_glibc(self, tmp_path, capsys, monkeypatch, platform):
         expected = run_every_command(tmp_path / "glibc", capsys, monkeypatch)
@@ -785,3 +804,37 @@ class TestMemoryPolicy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.startswith("distance ")
+
+
+# Runs in a fresh interpreter where a text file opened without an encoding
+# raises EncodingWarning; the commands that read a config or write a file
+# name their encoding, UTF-8, and run without it.
+UTF8_COMMANDS = """
+import sys
+from orbitdist.cli import main
+for argv in (
+    ["experiment", "distortion", "--config", "d.json", "--out", "d"],
+    ["embed", "--group", "E", "--out", "e.csv", "a.csv"],
+    ["db-build", "--group", "E", "--out", "db.jsonl", "a.csv", "b.csv"],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    write_csv(tmp_path / "a.csv", [[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    write_csv(tmp_path / "b.csv", [[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
+    (tmp_path / "d.json").write_text('{"n_pairs": 50}\n', encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", UTF8_COMMANDS],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("d/report.json", "d/distortion.csv", "e.csv", "db.jsonl"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -6,8 +6,9 @@ Full-feature databases, the reduced features of one small configuration
 the distortion and classification studies and the n = 1 survey load no
 scipy either, and each scipy module loads in the function that uses it,
 and only there: a product above that size loads ``scipy.sparse``.  Nor
-does ``import orbitdist.cli`` load ``decimal``, which only the sampler's
-log table needs, when first drawn, nor the sampler and the experiments.
+does ``import orbitdist.cli`` load ``decimal``, a standard-library module
+that no command uses and whose import a CLI process would pay for at every
+start, nor the sampler and the experiments.
 Each command loads only the modules it runs: ``dist``, ``embed`` and
 ``db-query`` no experiments, ``distortion`` and ``lower-constant`` no
 search; ``classify`` loads the search module, which holds its ranking
@@ -46,7 +47,7 @@ import orbitdist.cli
 assert not scipy_modules(), scipy_modules()
 studies = {"orbitdist.experiments", "orbitdist.sampling"}
 assert not studies & set(sys.modules), sorted(studies & set(sys.modules))
-assert "decimal" not in sys.modules  # sampling._log builds its table on first use
+assert "decimal" not in sys.modules  # no command uses it; a start would pay for it
 """
 
 NO_EXPERIMENTS = ("orbitdist.experiments",)

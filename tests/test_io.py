@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,9 @@ class TestDatabaseFiles:
         [
             ("[1]\n", "header must be a JSON object"),
             ('{"group": "Z", "n": 2, "l": 3, "feature_map": "full"}\n', "unknown group 'Z'"),
+            # a header error is named before a bad record line
+            ('{"group": "E", "n": 2, "l": 3, "feature_map": "bogus"}\n', "unknown feature_map 'bogus'"),
+            ('{"group": "E", "n": 2, "l": 3, "feature_map": "bogus"}\n5\n', "unknown feature_map 'bogus'"),
             ('{"group": "E", "n": 2, "l": 3, "feature_map": "full"}\n5\n', "line 2"),
             ('{"group": "E", "n": "x", "l": 3, "feature_map": "full"}\n', "must be integers"),
             ('{"group": "E", "n": 2, "l": null, "feature_map": "full"}\n', "must be integers"),
@@ -144,7 +148,7 @@ class TestDatabaseFiles:
     def test_malformed_lines_are_parse_errors(self, tmp_path, text, match):
         path = tmp_path / "db.jsonl"
         path.write_text(text)
-        with pytest.raises(ParseError, match=match):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*{match}"):
             load_database(path)
 
     @pytest.mark.parametrize(

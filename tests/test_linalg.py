@@ -321,3 +321,20 @@ class TestPsdSqrt:
     def test_root_of_an_infinite_entry_is_refused(self):
         with pytest.raises(NonFiniteError):
             psd_sqrt(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_every_root_is_exactly_hermitian(self, rng, complex_entries):
+        g = rng.standard_normal((200, 6, 6))
+        if complex_entries:
+            g = g + 1j * rng.standard_normal((200, 6, 6))
+        r = psd_sqrt(g @ linalg._adjoint(g))
+        assert (r == linalg._adjoint(r)).all()
+        assert r.dtype == (np.complex128 if complex_entries else np.float64)
+
+    def test_eigensolver_failure_is_a_convergence_failure(self, monkeypatch):
+        def eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(ConvergenceFailureError, match="did not converge"):
+            psd_sqrt(np.eye(2))

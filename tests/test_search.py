@@ -61,6 +61,17 @@ class TestShapeDatabase:
         with pytest.raises(FeatureMapMismatchError):
             ShapeDatabase(GroupAction.EUCLIDEAN, [], feature_map="fancy")
 
+    # np.stack refuses np.matrix records, which cannot be 3-D, so they are
+    # checked one by one; np.matrix itself warns of its deprecation
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+    def test_matrix_records_are_stacked_one_by_one(self, rng):
+        records = [(f"r{i}", rng.standard_normal((2, 4))) for i in range(5)]
+        db = ShapeDatabase(GroupAction.EUCLIDEAN, records)
+        got = ShapeDatabase(GroupAction.EUCLIDEAN, [(rid, np.matrix(m)) for rid, m in records])
+        assert type(got.matrices) is np.ndarray
+        np.testing.assert_array_equal(got.matrices, db.matrices)
+        np.testing.assert_array_equal(got.features, db.features)
+
     def test_reduced_feature_map(self, rng):
         records = [(f"r{i}", rng.standard_normal((1, 4))) for i in range(10)]
         db = ShapeDatabase(GroupAction.ORTHOGONAL, records, feature_map="reduced")
