@@ -51,9 +51,8 @@ from .metrics import GroupAction, _configuration, orbit_distance
 
 
 def _fmt_entry(x) -> str:
-    if isinstance(x, complex) or np.iscomplexobj(np.asarray(x)):
-        z = complex(x)
-        return f"{z.real:.17g}{z.imag:+.17g}j"
+    if isinstance(x, complex):
+        return f"{x.real:.17g}{x.imag:+.17g}j"
     return fmt17(x)
 
 

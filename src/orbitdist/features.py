@@ -15,7 +15,7 @@ from .embeddings import _at_scale, _block, _flatten
 from .errors import FeatureMapMismatchError
 from .linalg import _finite
 from .metrics import GroupAction, _configuration
-from .reduction import ReducerBasis, _check_reducer, _reduced_stack
+from .reduction import ReducerBasis, _reduced_stack, reduced_embedding
 from .triangles import _triangle_coords
 
 FULL = "full"
@@ -33,13 +33,12 @@ def feature_vector(
 ) -> np.ndarray:
     """Flattened invariant feature of a configuration.
 
-    A ``reducer``, if given with the reduced map, must be
-    :func:`reducer_for` the group and shape.  NonFiniteError when the
-    feature overflows float64, as for a database record."""
-    m = _configuration(group, a, "A")
+    The reduced map is :func:`reduced_embedding`, which checks a
+    ``reducer`` given with it.  NonFiniteError when the feature overflows
+    float64, as for a database record."""
     if feature_map == REDUCED:
-        _check_reducer(group, *m.shape, reducer)
-    return _feature(group, m, feature_map, "A")
+        return reduced_embedding(group, a, reducer)
+    return _feature(group, _configuration(group, a, "A"), feature_map, "A")
 
 
 def _feature(group: GroupAction, m: np.ndarray, feature_map: str, name: str) -> np.ndarray:

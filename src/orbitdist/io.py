@@ -207,12 +207,14 @@ def load_database(path) -> ShapeDatabase:
             error = f"line {i}: record must be an object with 'id' and 'matrix'"
         _matrices(grids, path)  # a bad matrix on an earlier line is named first
         raise ParseError(f"{path}: {error}")
-    db = ShapeDatabase(group, list(zip(ids, _matrices(grids, path))), header["feature_map"])
-    if ids and (db.n, db.l) != shape:
+    matrices = _matrices(grids, path)
+    # before any feature is built: a reduced map would refuse the records'
+    # shape without naming the file
+    if ids and matrices[0].shape != shape:
         raise ParseError(
             f"{path}: header shape ({header['n']}, {header['l']}) does not match records"
         )
-    return db
+    return ShapeDatabase(group, list(zip(ids, matrices)), header["feature_map"])
 
 
 def _matrices(grids: list, path):

@@ -289,10 +289,18 @@ def reduced_feature_dim(group: GroupAction, n: int, l: int) -> int:
     return reducer_for(group, n, l).dim
 
 
-def _check_reducer(group: GroupAction, n: int, l: int, reducer: ReducerBasis | None) -> None:
-    """Raise as :func:`reducer_for` does, and unless ``reducer`` is None
-    or the reducer it returns for ``group`` on n-by-l inputs."""
-    expected = reducer_for(group, n, l)
+def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None) -> np.ndarray:
+    """Lower-dimensional invariant feature: project the matrix feature of
+    ``group`` onto the separating complement.
+
+    Output length is n(2l-2n+1) / n(2l-2n-1) / 4n(l-n) / 4n(l-n-1) for the
+    orthogonal / euclidean / unitary / complex-euclidean actions;
+    NonFiniteError when the feature overflows float64.  A ``reducer``, if
+    given, must be :func:`reducer_for` the group and shape; this is the one
+    place it is checked, for :func:`features.feature_vector` too.
+    """
+    m = _configuration(group, a, "A")
+    expected = reducer_for(group, *m.shape)
     if reducer is not None and reducer.ambient is not expected.ambient:
         # a symmetric reducer would silently drop the imaginary part
         raise AmbientMismatchError(
@@ -302,21 +310,8 @@ def _check_reducer(group: GroupAction, n: int, l: int, reducer: ReducerBasis | N
     if reducer is not None and reducer != expected:
         raise ShapeMismatchError(
             f"reducer built for rank {reducer.rank}, size {reducer.size} does not match "
-            f"a {n}x{l} input under group {group.value}"
+            f"a {m.shape[0]}x{m.shape[1]} input under group {group.value}"
         )
-
-
-def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None) -> np.ndarray:
-    """Lower-dimensional invariant feature: project the matrix feature of
-    ``group`` onto the separating complement.
-
-    Output length is n(2l-2n+1) / n(2l-2n-1) / 4n(l-n) / 4n(l-n-1) for the
-    orthogonal / euclidean / unitary / complex-euclidean actions;
-    NonFiniteError when the feature overflows float64.  A ``reducer``, if
-    given, must be :func:`reducer_for` the group and shape.
-    """
-    m = _configuration(group, a, "A")
-    _check_reducer(group, *m.shape, reducer)
     return _finite(_reduced_stack(group, m), "A")
 
 

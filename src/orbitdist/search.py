@@ -432,11 +432,12 @@ def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
 
 
 def _record_table(points, metric, db: np.ndarray, bound: np.ndarray):
-    """``(order, table, kept)``: for each record L of ``db``, the nearest
-    ``kept[L]`` records by their computed distance F^(L, j) under
-    ``metric`` between their ``points``, ordered by (distance, index), and
-    those distances, padded with inf to the widest row, then a last
-    column of inf beyond every radius.
+    """``(order, table)``: for each record L of ``db``, its nearest records
+    by their computed distance F^(L, j) under ``metric`` between their
+    ``points``, ordered by (distance, index), and those distances, padded
+    with inf to the widest row, then a last column of inf beyond every
+    radius.  So a row ends at its first inf: every stored distance is
+    finite, since the records are finite draws.
 
     ``bound[L]`` is the radius that L's queries are expected to reach.
     Built in blocks of rows (:func:`linalg._blocks`), N pairs per row; a
@@ -446,37 +447,29 @@ def _record_table(points, metric, db: np.ndarray, bound: np.ndarray):
     bound or every record, and the table holds at most about ``_TABLE``
     entries; the blocks, kept until the widest is known, hold as many
     again.  The bound carries no exactness: :func:`_nearest_records`
-    ranks every record for a query whose radius reaches the last record
-    that its row holds."""
+    ranks every record for a query whose radius reaches the end of its
+    row."""
     records = points(GroupAction.EUCLIDEAN, db)
     n = len(records)
     most = min(n, max(2, _TABLE // n))
     blocks = []
     for r in _blocks(n, n):
         d = metric(records[r, None], records)
-        within = bound[r, None]
-        # whole rows fit: count the records within the bound in them, so
-        # that no more of a row is sorted than is kept; truncated rows are
-        # counted among their first ``most`` records, after the sort
-        k = most if most < n else min(n, int((d <= within).sum(axis=1).max()) + 1)
+        k = min(most, int((d <= bound[r, None]).sum(axis=1).max()) + 1)
         # the first k by (distance, index) without sorting whole rows;
         # where ties at the k-th distance fall changes no prefix narrower
         # than k, the only prefixes ranked
         part = np.argpartition(d, k - 1, axis=1)[:, :k]
         rank = np.lexsort((part, np.take_along_axis(d, part, axis=1)), axis=1)
         part = np.take_along_axis(part, rank, axis=1)
-        d = np.take_along_axis(d, part, axis=1)
-        k = min(k, int((d <= within).sum(axis=1).max()) + 1)
-        blocks.append((r, part[:, :k], d[:, :k]))
+        blocks.append((r, part, np.take_along_axis(d, part, axis=1)))
     width = max(part.shape[1] for _, part, _ in blocks)
     order = np.zeros((n, width), dtype=np.intp)
     table = np.full((n, width + 1), np.inf)
-    kept = np.empty(n, dtype=np.intp)
     for r, part, dist in blocks:
         order[r, : part.shape[1]] = part
         table[r, : part.shape[1]] = dist
-        kept[r] = part.shape[1]
-    return order, table, kept
+    return order, table
 
 
 def _nearest_records(points, metric, stretch: float, index, db: np.ndarray):
@@ -493,9 +486,10 @@ def _nearest_records(points, metric, stretch: float, index, db: np.ndarray):
     is no farther than L from a query q only if d(L, j) <= 2 d(q, L), and
     then F(L, j) <= 2s d(q, L).  So only the prefix of L's row within
     ``s (2 d^(q, L) + 3 delta)`` is ranked under d: none when it is L
-    alone (F^(L, L) = 0), every record when it reaches the last of the
-    ``kept[L]`` records that the row holds, fewer than N, since a record
-    past the row may lie inside the radius too.  A row holds one record
+    alone (F^(L, L) = 0), every record when it reaches the end of the row,
+    its first inf, since a record past the row may lie inside the radius
+    too; every stored distance and every radius is finite, since the
+    records and the queries are finite draws.  A row holds one record
     beyond the bound on its queries' radii that sized it
     (:func:`_record_table`); that bound is never trusted, so a query past
     it costs a ranking against every record and misses none.
@@ -518,9 +512,9 @@ def _nearest_records(points, metric, stretch: float, index, db: np.ndarray):
 
     So every record that ties or beats L is ranked.  Open queries are
     ranked by prefix width, in blocks (:func:`linalg._blocks`) of that many
-    pairs per query; ``index`` is ``(order, table, kept)``.
+    pairs per query; ``index`` is ``(order, table)``.
     """
-    order, table, kept = index
+    order, table = index
     records = points(GroupAction.EUCLIDEAN, db)
     n, k = order.shape
     norm = np.linalg.norm(records.reshape(n, -1), axis=1).max()
@@ -535,8 +529,7 @@ def _nearest_records(points, metric, stretch: float, index, db: np.ndarray):
         width = np.concatenate(
             [(table[near[r], :k] <= reach[r]).sum(axis=1) for r in _blocks(len(rows), k)]
         )
-        stored = kept[near]
-        width[(width >= stored) & (stored < n)] = n  # to a truncated row's end: every record
+        width[np.isinf(table[near, width])] = n  # to a row's end: every record
         pred = labels.copy()
         for w in sorted(set(width.tolist())):
             ranked = rows[width == w]

@@ -20,7 +20,7 @@ from orbitdist import (
     reducer_for,
     triangle_embedding,
 )
-from orbitdist import cli, embeddings
+from orbitdist import cli, embeddings, search
 from orbitdist.cli import main
 from orbitdist.experiments import MAX_L
 from orbitdist.io import load_database, read_matrix, save_database, write_matrix
@@ -123,6 +123,34 @@ class TestDist:
         assert main(["dist", "--group", "U", str(pa), str(pb)]) == 0
         out = capsys.readouterr().out
         assert float(out.splitlines()[0].split()[1]) == pytest.approx(0.0, abs=1e-10)
+
+    # stdout of a complex pair, every entry as real and imaginary part
+    COMPLEX_OUTPUT = {
+        "U": [
+            "distance 2.54833959578",
+            "rotation 0.35168088718867369+0.4004487417599793j "
+            "-0.52226488545608452-0.66573324104222065j "
+            "-0.31678604603977656+0.78460688235798781j "
+            "-0.22660522430066746+0.48237818515207309j",
+        ],
+        "F": [
+            "distance 1.6801220088",
+            "rotation 0.10670168345264733+0.069109904279434156j "
+            "-0.84985845493471068-0.51144811902562004j "
+            "-0.93614917842703704+0.32781593556329974j "
+            "-0.11853202063599677+0.045952020685592301j",
+            "translation 0.93274578904029781+0.4639987920887878j "
+            "0.56325292536227312+0.55542064808358127j",
+        ],
+    }
+
+    @pytest.mark.parametrize("group", list(COMPLEX_OUTPUT))
+    def test_complex_pair_output(self, tmp_path, capsys, group):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        write_matrix(paths[0], np.array([[1 + 1j, 0.5, -0.25j], [0.25 - 0.5j, 1j, 2.0]]))
+        write_matrix(paths[1], np.array([[0.5j, 1.0 - 0.5j, 0.25], [-1.0, 0.75 + 0.5j, 1j]]))
+        assert main(["dist", "--group", group] + [str(p) for p in paths]) == 0
+        assert capsys.readouterr().out.splitlines() == self.COMPLEX_OUTPUT[group]
 
 
 @pytest.mark.parametrize("command", ["embed", "db-build", "dist"])
@@ -382,6 +410,28 @@ class TestDatabaseCommands:
             f"error: {db_file}: header has unknown feature_map 'bogus'"
         ]
 
+    @pytest.mark.parametrize("feature_map", ["full", "reduced"])
+    def test_header_shape_checked_before_any_feature(self, tmp_path, capsys, monkeypatch, feature_map):
+        # the reduced map would refuse l = 3 at n = 2 without naming the file
+        built = []
+        kernel = search._feature_stack
+
+        def spy(*args):
+            built.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(search, "_feature_stack", spy)
+        header = {"group": "E", "n": 2, "l": 4, "feature_map": feature_map}
+        records = [json.dumps({"id": str(k), "matrix": [[1, 2, k], [4, 5, 6]]}) for k in (3, 7)]
+        db_file = tmp_path / "db.jsonl"
+        db_file.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        query = write_csv(tmp_path / "q.csv", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert main(["db-query", str(db_file), query, "-k", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {db_file}: header shape (2, 4) does not match records"
+        ]
+        assert built == []
+
     def test_outputs_get_the_umask_mode(self, tmp_path, capsys):
         old = os.umask(0o022)
         try:
@@ -462,11 +512,54 @@ class TestExperimentCommand:
         ("lower-constant", 2): "6b0a8006f35f25dc1c54088a1a65963491280111b21d46a06aea3087b08e212c",
     }
 
+    # sha256 of <report.kind>.csv and of stdout, from the same runs
+    OUTPUT_DIGESTS = {
+        ("distortion", 0): (
+            "05b39a3a72ddaf764468c51f7a1691d398b5c2cd4a9a0561bd2c36c892c7159b",
+            "99cb0e4de0c88e4c9497474d3ef19ab6bada68d79aca0e96cc176d5d8d4df7e9",
+        ),
+        ("distortion", 1): (
+            "3d220e31f53d724a80d3c215ba800edca80bb25acaa39174ca3918c53f1215e3",
+            "6931fb6913d31ed03a22ed55c4165eb22d55fde21e5a922cc3942bdfa0c686a2",
+        ),
+        ("distortion", 2): (
+            "8c7856c6d1fc97bf4695497d338bab87035d5b02c3b440637e320adaae7c402c",
+            "12f7e42108d61e016a78601c832c9e5366fabbd838c666f29dd170d47decf2b2",
+        ),
+        ("classify", 0): (
+            "807c744840f6e042d6a2eb07b5c0c4aa53252b2f9bab8a07b4f3ad3fd16b4833",
+            "0bd5c95fc353fc65746285d6eb998845facaaf32eb061fdc1bcedc5ed249359c",
+        ),
+        ("classify", 1): (
+            "79f2c888d40ea9436567a397624ebb37296537f40613d81ece013dfabb8e961e",
+            "c3f1393975cc352e12b2b35ba774180ca048211267693582b7e6a329b7e72b8c",
+        ),
+        ("classify", 2): (
+            "69c729ff24f806c58041d66fa32fee452badb17a0c376c57624d6578630eea07",
+            "c6cdd8d24467dd33bf8828aaeca3226dac685227f8d76495a583e056961982f9",
+        ),
+        ("lower-constant", 0): (
+            "a41664ef37a36fe7abbe861bba44adb2293dcc90cc5006f106a53a523090f7d5",
+            "779a7f5097e15314b0cb8107b2f8794efca32c2a54085b7b39eb192786533e15",
+        ),
+        ("lower-constant", 1): (
+            "772e9240eec3375105d7756af1e364369edbc1415997310ccb503db0a4151859",
+            "cd97753e97b0127d5da1f7d85522b647161da765d633b39471b508c1d133b02e",
+        ),
+        ("lower-constant", 2): (
+            "db6f7b376b415446668d1248ff16a9907d2692684b9558c9b0e0cd263e0b9831",
+            "eca7f0a152791c603cd4428b6774ced89352b0125574ae16309a83be05f614be",
+        ),
+    }
+
     @pytest.mark.parametrize("kind, seed", list(DIGESTS))
     def test_report_digest_at_cli_defaults(self, tmp_path, capsys, kind, seed):
         assert main(["experiment", kind, "--seed", str(seed), "--out", str(tmp_path)]) == 0
-        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-        assert digest == self.DIGESTS[kind, seed]
+        report = (tmp_path / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == self.DIGESTS[kind, seed]
+        csv = tmp_path / f"{json.loads(report)['kind']}.csv"
+        outputs = (csv.read_bytes(), capsys.readouterr().out.encode())
+        assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == self.OUTPUT_DIGESTS[kind, seed]
 
     # sha256 of report.json of classify with HIGH_NOISE: most queries at
     # these levels have records other than their own within their radius,
