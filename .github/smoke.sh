@@ -3,6 +3,9 @@
 # in the current directory; every console contract is a Tier-1 test, so this
 # only checks that the entry point runs.
 set -eu
+# as strict as Tier-1: any warning is an error, a file left open (dev mode)
+# or opened without an encoding (every CLI file is UTF-8)
+export PYTHONDEVMODE=1 PYTHONWARNDEFAULTENCODING=1 PYTHONWARNINGS=error
 printf '0,1,0\n0,0,2\n' > a.csv
 printf '1,2,0.5\n0,1,3\n' > b.csv
 orbitdist dist --group E a.csv b.csv

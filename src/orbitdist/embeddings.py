@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _SQRT2, _adjoint, _finite, _in_range, _unscaled, svd
+from .linalg import _SQRT2, _finite, _in_range, _parts, _psd, _unscaled, svd
 from .metrics import GroupAction, _configuration, _prepared
 
 
@@ -31,10 +31,7 @@ def _gram_root(x: np.ndarray) -> np.ndarray:
     rank-deficient, i.e. whenever there are more points than dimensions.
     """
     _, s, v = svd(x)
-    r = (v * s[..., None, :]) @ _adjoint(v)
-    r += _adjoint(r)
-    r *= 0.5
-    return r
+    return _psd(v, s)
 
 
 @lru_cache(maxsize=None)
@@ -43,9 +40,9 @@ def _gather(l: int, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
 
     The indices pick, from a matrix's row-major entries, the diagonal and
     then the strict upper triangle; in the Hermitian case they index the
-    float64 view of the complex entries (real part at ``2k``, imaginary at
-    ``2k + 1``): the real diagonal, then the real and then the imaginary
-    parts of the upper triangle.  The weights are 1 on the diagonal and
+    float64 view of the complex entries (:func:`linalg._parts`; real part
+    at ``2k``, imaginary at ``2k + 1``): the real diagonal, then the real
+    and then the imaginary parts of the upper triangle.  The weights are 1 on the diagonal and
     sqrt(2) off it.
     """
     i, j = np.triu_indices(l, k=1)
@@ -62,15 +59,13 @@ def _gather(l: int, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
     return index, weight
 
 
-def _flatten(a: np.ndarray, hermitian: bool) -> np.ndarray:
-    """Isometric coordinates of each matrix in a ``(..., l, l)`` stack
-    (complex128 when ``hermitian``), by one gather and one multiply: the
-    diagonal times 1.0, which is exact, then the upper triangle times
-    sqrt(2)."""
-    index, weight = _gather(a.shape[-1], hermitian)
-    flat = np.ascontiguousarray(a)
-    if hermitian:
-        flat = flat.view(np.float64)
+def _flatten(a: np.ndarray) -> np.ndarray:
+    """Isometric coordinates of each matrix in a ``(..., l, l)`` stack,
+    symmetric if real and Hermitian if complex, by one gather and one
+    multiply: the diagonal times 1.0, which is exact, then the upper
+    triangle times sqrt(2)."""
+    index, weight = _gather(a.shape[-1], a.dtype.kind == "c")
+    flat = _parts(a)
     flat = flat.reshape(flat.shape[:-2] + (flat.shape[-2] * flat.shape[-1],))
     return np.take(flat, index, axis=-1) * weight
 
@@ -141,7 +136,7 @@ def embedding_for(group: GroupAction, a) -> tuple[np.ndarray, np.ndarray]:
     x = _configuration(group, a, "A")
     b, c = _block(group, x)
     m = _gram_root(_prepared(group, x * c)) if group.quotients_translations else b
-    f = _at_scale(_flatten(b, hermitian=group.is_complex), c)
+    f = _at_scale(_flatten(b), c)
     return _finite(_unscaled(m, c), "A"), _finite(f, "A")
 
 

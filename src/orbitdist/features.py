@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .embeddings import _at_scale, _block, _flatten
-from .errors import FeatureMapMismatchError
+from .errors import FeatureMapMismatchError, ShapeMismatchError, _shown
 from .linalg import _finite
 from .metrics import GroupAction, _configuration
 from .reduction import ReducerBasis, _reduced_stack, reduced_embedding
@@ -34,10 +34,13 @@ def feature_vector(
     """Flattened invariant feature of a configuration.
 
     The reduced map is :func:`reduced_embedding`, which checks a
-    ``reducer`` given with it.  NonFiniteError when the feature overflows
+    ``reducer`` given with it; the full map takes none, and refuses one
+    with ShapeMismatchError.  NonFiniteError when the feature overflows
     float64, as for a database record."""
     if feature_map == REDUCED:
         return reduced_embedding(group, a, reducer)
+    if feature_map == FULL and reducer is not None:
+        raise ShapeMismatchError(f"the full feature map takes no reducer, got {_shown(reducer)}")
     return _feature(group, _configuration(group, a, "A"), feature_map, "A")
 
 
@@ -50,7 +53,7 @@ def _feature(group: GroupAction, m: np.ndarray, feature_map: str, name: str) -> 
 
 
 def _is_triangle(group: GroupAction, x: np.ndarray) -> bool:
-    return group is GroupAction.EUCLIDEAN and x.shape[-2:] == (2, 3) and x.dtype.kind != "c"
+    return group is GroupAction.EUCLIDEAN and x.shape[-2:] == (2, 3)
 
 
 def _feature_stack(group: GroupAction, x: np.ndarray, feature_map: str) -> np.ndarray:
@@ -62,4 +65,4 @@ def _feature_stack(group: GroupAction, x: np.ndarray, feature_map: str) -> np.nd
     if _is_triangle(group, x):
         return _triangle_coords(x)
     b, c = _block(group, x)
-    return _at_scale(_flatten(b, hermitian=group.is_complex), c)
+    return _at_scale(_flatten(b), c)

@@ -128,7 +128,10 @@ def _parts(x: np.ndarray) -> np.ndarray:
     ``x`` is not C-ordered).  So ``max|parts|`` measures each complex entry
     by its larger part, which is finite for every finite entry, where the
     modulus overflows to inf once both parts pass about 1.27e308; the
-    modulus is at most sqrt(2) times that part."""
+    modulus is at most sqrt(2) times that part.  It is the one place a
+    complex array is read as float64: for the scales, :func:`_unscaled`,
+    and the feature layouts of ``embeddings._flatten`` and
+    ``reduction._project``."""
     if x.dtype.kind != "c":
         return x
     return np.ascontiguousarray(x).view(np.float64)
@@ -155,16 +158,14 @@ def _unscaled(f, c):
 
     A Python float ``c >= 2**-1000`` is divided plainly: every caller that
     passes one divides a value at scale, with entries below 2**23, which
-    such a ``c`` cannot take beyond float64.  Any other complex ``f`` is
-    divided in its float64 view, as numpy's ``1/c`` overflows for a
+    such a ``c`` cannot take beyond float64.  Any other ``f`` is divided
+    in its :func:`_parts`, as numpy's complex ``1/c`` overflows for a
     subnormal ``c``.
     """
     if type(c) is float and c >= 2.0**-1000:
         return f / c
     with np.errstate(over="ignore", invalid="ignore"):
-        if f.dtype.kind != "c":
-            return f / c
-        return (np.ascontiguousarray(f).view(np.float64) / c).view(f.dtype)
+        return (_parts(f) / c).view(f.dtype)
 
 
 def _finite(f, name: str, what: str = "a feature"):
@@ -177,6 +178,17 @@ def _finite(f, name: str, what: str = "a feature"):
 def _adjoint(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return x.swapaxes(-1, -2).conj()
+
+
+def _psd(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``V diag(s) V*`` for each matrix ``v`` and row ``s`` of two stacks,
+    made exactly Hermitian, as round-off leaves a tiny skew-Hermitian
+    part.  In place: ``0.5 * (r + r*)`` gives the same bits but, for a
+    complex r, takes about twice as long."""
+    r = (v * s[..., None, :]) @ _adjoint(v)
+    r += _adjoint(r)
+    r *= 0.5
+    return r
 
 
 def _frobenius_norms(x: np.ndarray) -> np.ndarray:
@@ -301,7 +313,5 @@ def psd_sqrt(m) -> np.ndarray:
                 f"eigenvalue {np.ravel(_unscaled(lowest, c))[k]:.3e} below -1e-9 ||M||_F = "
                 f"{-np.ravel(_unscaled(tol, c))[k]:.3e}"
             )
-    r = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _adjoint(q)
-    # round-off can leave a tiny skew-Hermitian part; resymmetrize
-    r = 0.5 * (r + _adjoint(r))
+    r = _psd(q, np.sqrt(np.maximum(w, 0.0)))
     return _finite(_unscaled(r, np.sqrt(c)[..., None, None]), "matrix", "a root")

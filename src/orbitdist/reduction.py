@@ -65,7 +65,7 @@ from .errors import (
     ShapeMismatchError,
     _shown,
 )
-from .linalg import HERM_TOL, _check_hermitian, _finite, _pow2_scale, _unscaled, as_matrix
+from .linalg import HERM_TOL, _check_hermitian, _finite, _parts, _scales, _unscaled, as_matrix
 from .metrics import GroupAction, _configuration
 from . import embeddings
 
@@ -297,10 +297,15 @@ def reduced_embedding(group: GroupAction, a, reducer: ReducerBasis | None = None
     orthogonal / euclidean / unitary / complex-euclidean actions;
     NonFiniteError when the feature overflows float64.  A ``reducer``, if
     given, must be :func:`reducer_for` the group and shape; this is the one
-    place it is checked, for :func:`features.feature_vector` too.
+    place it is checked, for :func:`features.feature_vector` too:
+    ShapeMismatchError for a value that is not a :class:`ReducerBasis` or
+    is one of another rank or size, AmbientMismatchError for one of the
+    other ambient.
     """
     m = _configuration(group, a, "A")
     expected = reducer_for(group, *m.shape)
+    if reducer is not None and not isinstance(reducer, ReducerBasis):
+        raise ShapeMismatchError(f"reducer must be a ReducerBasis, got {_shown(reducer)}")
     if reducer is not None and reducer.ambient is not expected.ambient:
         # a symmetric reducer would silently drop the imaginary part
         raise AmbientMismatchError(
@@ -337,20 +342,20 @@ def _rank_one_stack(group: GroupAction, x: np.ndarray) -> np.ndarray:
     ``||y|| ||t_s||`` with ``||t_s||^2 = len_s (len_s^2 - 1) / 12``; since
     ``sum_c Im(conj(y_{s-c}) y_c) = 0``, the weight may be ``c - o`` for
     any origin o, and o = (m - 1)/2 keeps the weighted row smallest.  Each
-    row runs at the power of two of its largest entry, so no product over-
-    or underflows.  A zero row gives zeros; FFTs transform each row alone,
-    so a row has the same bits alone or in any batch.
+    row runs at its :func:`linalg._scales`, the power of two of its largest
+    part, so no product over- or underflows.  A zero row gives zeros; FFTs
+    transform each row alone, so a row has the same bits alone or in any
+    batch.
     """
     y, c0 = embeddings._coordinates(group, x)
-    y = y[..., 0, :]
-    c = _pow2_scale(np.abs(y).max(axis=-1, keepdims=True, initial=0.0))
-    y = y * c
+    c = _scales(y)[..., 0]
+    y = y[..., 0, :] * c
     m = y.shape[-1]
     s = np.arange(2 * m - 1)
     cells = np.minimum(s, 2 * m - 2 - s) + 1.0
     norm = np.linalg.norm(y, axis=-1, keepdims=True)
     norm[norm == 0.0] = 1.0
-    if not group.is_complex:
+    if y.dtype.kind != "c":
         p = np.fft.irfft(np.fft.rfft(y, 2 * m) ** 2, 2 * m)[..., :-1]
         return embeddings._at_scale(_unscaled(p / (norm * np.sqrt(cells)), c), c0)
     # named, not temporary: numpy reuses a large temporary operand as the
@@ -382,7 +387,7 @@ def _project(reducer: ReducerBasis, mats: np.ndarray) -> np.ndarray:
     op = reducer._arrays
     batch = math.prod(mats.shape[:-2])
     if reducer.ambient is Ambient.HERMITIAN:
-        x = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
+        x = _parts(mats.astype(np.complex128, copy=False))
     else:
         x = mats.real
     x = x.reshape(batch, x.shape[-2] * x.shape[-1])

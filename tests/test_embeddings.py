@@ -44,7 +44,7 @@ class TestFlattening:
             m1 = g + g.T
             g = rng.standard_normal((4, 4))
             m2 = g + g.T
-            lhs = np.linalg.norm(_flatten(m1, False) - _flatten(m2, False))
+            lhs = np.linalg.norm(_flatten(m1) - _flatten(m2))
             rhs = np.linalg.norm(m1 - m2)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -54,7 +54,7 @@ class TestFlattening:
             m1 = g + g.conj().T
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             m2 = g + g.conj().T
-            lhs = np.linalg.norm(_flatten(m1, True) - _flatten(m2, True))
+            lhs = np.linalg.norm(_flatten(m1) - _flatten(m2))
             rhs = np.linalg.norm(m1 - m2)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -79,7 +79,7 @@ class TestFlattening:
         a = rng.standard_normal(shape)
         if hermitian:
             a = a + 1j * rng.standard_normal(shape)
-        self.assert_same_bits(_flatten(a, hermitian), self.flatten_oracle(a, hermitian))
+        self.assert_same_bits(_flatten(a), self.flatten_oracle(a, hermitian))
 
     @pytest.mark.parametrize("hermitian", [False, True])
     def test_gather_reads_non_contiguous_input(self, rng, hermitian):
@@ -87,9 +87,9 @@ class TestFlattening:
         if hermitian:
             a = a + 1j * rng.standard_normal(a.shape)
         for view in [a[::2, :, ::2], a[:, :, 1::2].swapaxes(-1, -2), a[1::2, :, :7]]:
-            self.assert_same_bits(_flatten(view, hermitian), self.flatten_oracle(view, hermitian))
+            self.assert_same_bits(_flatten(view), self.flatten_oracle(view, hermitian))
         f = np.asfortranarray(a[0, :, :7])
-        self.assert_same_bits(_flatten(f, hermitian), self.flatten_oracle(f, hermitian))
+        self.assert_same_bits(_flatten(f), self.flatten_oracle(f, hermitian))
 
     @pytest.mark.parametrize("hermitian", [False, True])
     def test_gather_arrays_are_cached_and_read_only(self, hermitian):
@@ -140,7 +140,7 @@ class TestOrthogonalEmbedding:
         mat, vec = embedding_for(GroupAction.ORTHOGONAL, a)
         np.testing.assert_allclose(mat, psd_sqrt(a.T @ a), atol=1e-10)
         assert vec.shape == (feature_dim(GroupAction.ORTHOGONAL, 2),)
-        np.testing.assert_allclose(vec, _flatten(mat, False), atol=1e-15)
+        np.testing.assert_allclose(vec, _flatten(mat), atol=1e-15)
 
     def test_matrix_is_gram_root_rank_deficient(self, rng):
         # eigendecomposing the formed Gram only reaches sqrt(eps) accuracy
@@ -213,7 +213,7 @@ class TestHelmertCoordinates:
         a = sample(rng, group, n, l)
         root, block = centred_root_in_oracle_basis(group, a)
         mat, f = embedding_for(group, a)
-        expected = _flatten(block, group.is_complex)
+        expected = _flatten(block)
         assert np.linalg.norm(f - expected) <= 1e-13 * np.linalg.norm(expected)
         assert np.linalg.norm(mat - root) <= 1e-13 * np.linalg.norm(root)
         if l - 1 >= 2 * n:

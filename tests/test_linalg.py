@@ -6,10 +6,12 @@ import pytest
 
 from orbitdist import (
     ConvergenceFailureError,
+    GroupAction,
     NonFiniteError,
     NotHermitianError,
     NotPSDError,
     ShapeMismatchError,
+    embedding_for,
     psd_sqrt,
 )
 from orbitdist import linalg
@@ -330,6 +332,17 @@ class TestPsdSqrt:
         r = psd_sqrt(g @ linalg._adjoint(g))
         assert (r == linalg._adjoint(r)).all()
         assert r.dtype == (np.complex128 if complex_entries else np.float64)
+
+    @pytest.mark.parametrize("group", list(GroupAction))
+    @pytest.mark.parametrize("l", [6, 64, 256])
+    def test_every_gram_root_is_exactly_hermitian(self, rng, group, l):
+        # the feature matrix is the Gram root of the (centred) configuration
+        a = rng.standard_normal((3, l))
+        if group.is_complex:
+            a = a + 1j * rng.standard_normal((3, l))
+        r = embedding_for(group, a)[0]
+        assert r.shape == (l, l)
+        assert (r == linalg._adjoint(r)).all()
 
     def test_eigensolver_failure_is_a_convergence_failure(self, monkeypatch):
         def eigh(a):

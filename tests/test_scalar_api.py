@@ -16,6 +16,7 @@ from orbitdist import (
     Ambient,
     AmbientMismatchError,
     DimensionHypothesisError,
+    FeatureMapMismatchError,
     GroupAction,
     InvalidRankError,
     NonFiniteError,
@@ -194,6 +195,27 @@ class TestErrorContract:
             reduced_embedding(group, a, reducer)
         with pytest.raises(ShapeMismatchError):
             feature_vector(group, a, "reduced", reducer)
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("value", ["bogus", 3, Ambient.SYMMETRIC])
+    def test_a_reducer_that_is_no_reducer_basis_is_refused(self, rng, group, value):
+        a = good(rng, group)
+        for call in (
+            lambda: reduced_embedding(group, a, value),
+            lambda: feature_vector(group, a, "reduced", value),
+        ):
+            with pytest.raises(ShapeMismatchError, match=re.escape(f"got {value!r}")):
+                call()
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_the_full_map_refuses_any_reducer(self, rng, group):
+        a = good(rng, group)
+        for value in (reducer_for(group, N, L), "bogus"):
+            with pytest.raises(ShapeMismatchError, match="full feature map takes no reducer"):
+                feature_vector(group, a, "full", value)
+        # an unknown map is refused as such, reducer or not
+        with pytest.raises(FeatureMapMismatchError):
+            feature_vector(group, a, "bogus", "bogus")
 
     @pytest.mark.parametrize("group", [G.UNITARY, G.COMPLEX_EUCLIDEAN])
     def test_symmetric_reducer_rejects_complex_features(self, rng, group):
