@@ -60,7 +60,7 @@ import numpy as np
 
 from .embeddings import _block_size
 from .errors import ConfigInvalidError, _shown
-from .features import MAP_TRIANGLE, REDUCED, _is_triangle
+from .features import MAP_TRIANGLE, REDUCED, _feature_distance, _is_triangle
 from .linalg import _SQRT2, _blocks, _sum_last
 from .metrics import GroupAction, _procrustes
 from .reduction import _reduced_stack, reducer_for
@@ -231,10 +231,6 @@ def _config_pairs(group: GroupAction, n: int, l: int, rows: np.ndarray):
     return rows[:, : n * l].reshape(-1, n, l), rows[:, n * l :].reshape(-1, n, l)
 
 
-def _feature_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a - b, axis=-1)
-
-
 # each map's points (the configurations or their features) under a group,
 # the metric between them, and its index: the map whose record table the
 # classification reads, a stretch s with index distance <= s * map
@@ -248,11 +244,9 @@ def _feature_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # within its full map, whose sandwich bounds it by sqrt(2) d.
 _MAPS = {
     MAP_EXACT: (lambda group, x: x, _plane_distances, MAP_TRIANGLE, _SQRT2, 1.0),
-    MAP_SIDE_LENGTHS: (
-        lambda group, x: _side_lengths(x), _feature_distances, MAP_SIDE_LENGTHS, 1.0, _SQRT3
-    ),
-    MAP_TRIANGLE: (lambda group, x: _triangle_coords(x), _feature_distances, MAP_TRIANGLE, 1.0, _SQRT2),
-    REDUCED: (_reduced_stack, _feature_distances, REDUCED, 1.0, _SQRT2),
+    MAP_SIDE_LENGTHS: (lambda group, x: _side_lengths(x), _feature_distance, MAP_SIDE_LENGTHS, 1.0, _SQRT3),
+    MAP_TRIANGLE: (lambda group, x: _triangle_coords(x), _feature_distance, MAP_TRIANGLE, 1.0, _SQRT2),
+    REDUCED: (_reduced_stack, _feature_distance, REDUCED, 1.0, _SQRT2),
 }
 
 

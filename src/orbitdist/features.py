@@ -44,12 +44,26 @@ def feature_vector(
     return _feature(group, _configuration(group, a, "A"), feature_map, "A")
 
 
+def _check_map(feature_map) -> None:
+    """FeatureMapMismatchError unless ``feature_map`` names a feature map."""
+    if feature_map not in (FULL, REDUCED):
+        raise FeatureMapMismatchError(f"unknown feature map {_shown(feature_map)}")
+
+
 def _feature(group: GroupAction, m: np.ndarray, feature_map: str, name: str) -> np.ndarray:
     """:func:`feature_vector` of a validated configuration; messages name
     it ``name``."""
-    if feature_map not in (FULL, REDUCED):
-        raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
+    _check_map(feature_map)
     return _finite(_feature_stack(group, m, feature_map), name)
+
+
+def _feature_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distance between the features ``a`` and ``b`` along their last
+    axis, broadcast over the others: the bits of
+    ``np.linalg.norm(a - b, axis=-1)``, with one temporary."""
+    d = a - b
+    d *= d
+    return np.sqrt(np.add.reduce(d, axis=-1))
 
 
 def _is_triangle(group: GroupAction, x: np.ndarray) -> bool:

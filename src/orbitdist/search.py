@@ -5,8 +5,9 @@ fast route ranks records by the distance between flattened invariant
 features: because full features sandwich the orbit distance within a
 factor of sqrt(2), the feature-nearest record is certified to be within
 sqrt(2) of the true nearest orbit.  The exact route screens every record
-by its features too, solves the feature-nearest one, and then solves only
-the records that the sandwich cannot rule out, usually a handful (see
+by its features too, solves the pivot (the record with the smallest
+float32 screened value), and then solves only the records that the
+sandwich cannot rule out, usually a handful (see
 :func:`linear_scan_nearest`).  It solves them as stacked Procrustes calls
 over blocks of records (one batched SVD per block rather than one Python
 call per record); the features are built the same way at construction.  A
@@ -23,6 +24,12 @@ makes it exact).  At the feature dimensions of real databases (tens of
 coordinates and up) this scan beats a k-d tree, which has to visit nearly
 every leaf there (Weber, Schek & Blott, VLDB 1998).  Searching loads only
 numpy.
+
+Both routes compute the query's feature as :func:`feature_vector` does,
+so every query entry (``query_feature``, :func:`feature_nearest`,
+:func:`linear_scan_nearest`) refuses a query whose feature overflows
+float64 with the same NonFiniteError.  Both rank by ``(distance, id)``
+through one function, :func:`_ranked`.
 
 A feature query is usually followed by :func:`verify` on each of its hits.
 The database remembers its last feature query, so those calls skip the
@@ -46,14 +53,13 @@ import numpy as np
 from .errors import (
     DuplicateIdError,
     EmptyDatabaseError,
-    FeatureMapMismatchError,
     NonFiniteError,
     OrbitDistError,
     OutOfRangeError,
     UnknownIdError,
     _shown,
 )
-from .features import FULL, REDUCED, _feature_stack
+from .features import FULL, REDUCED, _check_map, _feature, _feature_distance, _feature_stack
 from .linalg import _SQRT2, _blocks, _finite, _pow2_scale, _unscaled
 from .metrics import GroupAction, _configuration, _procrustes
 
@@ -69,7 +75,8 @@ _SCREEN_MAX = 2.0**100
 # The largest finite float32.
 _F32_MAX = (2.0 - 2.0**-23) * 2.0**127
 # The screen's first threshold is the k-th value of every
-# max(1, N // 256)-th row: of 256 to 511 rows, or of all rows when N < 512.
+# max(1, N // K)-th row, K = max(256, k): of K to 2K - 1 rows, or of all
+# rows when N < 2K, so of at least k rows.
 _SUBSAMPLE = 256
 # The entries kept per record table of the nearest-record kernel (see
 # _record_table).
@@ -123,20 +130,14 @@ def _slack(n: int, l: int, norms):
     return _gamma(64 * (n + 1) * (l + 1), _U64) * norms
 
 
-def _up32(x: float) -> np.float32:
-    """The least float32 >= x (inf beyond float32), so that a float32 value
-    compares with it as with x."""
-    if x > _F32_MAX:
-        return np.float32(np.inf)
-    t = np.float32(x)
-    return t if float(t) >= x else np.nextafter(t, np.float32(np.inf))
-
-
 def _within(s: np.ndarray, bound: float) -> np.ndarray:
     """The mask of the screened values ``s~_i`` at most the float64
-    ``bound``, compared at ``bound`` rounded up to float32, so that the
-    rounding loses no row."""
-    return s <= _up32(bound)
+    ``bound``, compared at the least float32 at least ``bound`` (inf
+    beyond float32), so that the rounding loses no row."""
+    t = np.float32(np.inf) if bound > _F32_MAX else np.float32(bound)
+    if float(t) < bound:
+        t = np.nextafter(t, np.float32(np.inf))
+    return s <= t
 
 
 def _stack_records(group: GroupAction, records) -> tuple[list[str], dict[str, int], np.ndarray]:
@@ -227,8 +228,7 @@ class ShapeDatabase:
         records: Sequence[tuple[str, np.ndarray]],
         feature_map: str = FULL,
     ):
-        if feature_map not in (FULL, REDUCED):
-            raise FeatureMapMismatchError(f"unknown feature map {feature_map!r}")
+        _check_map(feature_map)
         self.group = group
         self.feature_map = feature_map
         self.ids, self._rows, self.matrices = _stack_records(group, records)
@@ -288,8 +288,10 @@ class ShapeDatabase:
         return _configuration(self.group, query, "query", (self.n, self.l))
 
     def _feature(self, q: np.ndarray) -> np.ndarray:
-        """Feature of a query that :meth:`_check_query` returned."""
-        return _feature_stack(self.group, q, self.feature_map)
+        """Feature of a query that :meth:`_check_query` returned;
+        NonFiniteError when it overflows float64, as in
+        :func:`feature_vector`."""
+        return _feature(self.group, q, self.feature_map, "query")
 
     def _distances(self, qf: np.ndarray, rows) -> np.ndarray:
         """Float64 feature distances from the query feature ``qf`` to the
@@ -302,14 +304,15 @@ class ShapeDatabase:
         distance beyond float64 reads inf, with no warning.
         """
         scale = min(self._scale, _pow2_scale(float(np.abs(qf).max(initial=0.0))))
-        d = self.features[rows] * scale - qf * scale
-        return _unscaled(np.sqrt(np.add.reduce(d * d, axis=-1)), scale)
+        return _unscaled(_feature_distance(self.features[rows] * scale, qf * scale), scale)
 
-    def _screened(self, qf: np.ndarray) -> tuple[np.ndarray, float]:
+    def _screened(self, qf: np.ndarray) -> tuple[np.ndarray, float] | None:
         """The float32 screened values ``s~`` of every row for the query
         feature ``qf``, and the float64 slack ``2 E'`` (see
-        :func:`feature_nearest`); the caller checks with
-        :meth:`_screenable` that the screen can run."""
+        :func:`feature_nearest`); None when the screen cannot run, when an
+        entry of ``sigma * qf`` is 2^100 or more in magnitude."""
+        if float(np.abs(qf).max(initial=0.0)) * self._scale >= _SCREEN_MAX:
+            return None
         h = self._scale * qf
         v = np.ones(len(h) + 1, dtype=np.float32)
         v[:-1] = -2.0 * h
@@ -323,43 +326,32 @@ class ShapeDatabase:
         )
         return v @ self._screen32, slack
 
-    def _screenable(self, qf: np.ndarray) -> bool:
-        """Whether the screen can run for the query feature ``qf``: every
-        entry of ``sigma * qf`` below 2^100 in magnitude (see
-        :func:`feature_nearest`)."""
-        return float(np.abs(qf).max(initial=0.0)) * self._scale < _SCREEN_MAX
-
     def _screen(self, qf: np.ndarray, k: int) -> np.ndarray:
         """Rows the float32 screen cannot rule out of the k feature-nearest
         (every row when ``k >= N`` or when the screen cannot run)."""
-        if k < len(self) and self._screenable(qf):
-            s, slack = self._screened(qf)
-            # the k-th of a subsample bounds the k-th of all rows from above
-            sub = s[:: max(1, len(s) // _SUBSAMPLE)]
-            rows = (
-                np.flatnonzero(_within(s, float(np.partition(sub, k - 1)[k - 1]) + slack))
-                if k <= len(sub)
-                else np.arange(len(s))
-            )
-            near = s[rows]
-            return rows[_within(near, float(np.partition(near, k - 1)[k - 1]) + slack)]
-        _finite(qf, "query")
-        return np.arange(len(self))
+        screened = self._screened(qf) if k < len(self) else None
+        if screened is None:
+            return np.arange(len(self))
+        s, slack = screened
+        # the k-th of a subsample of at least k values bounds the k-th of
+        # all rows from above
+        sub = s[:: max(1, len(s) // max(_SUBSAMPLE, k))]
+        rows = np.flatnonzero(_within(s, float(np.partition(sub, k - 1)[k - 1]) + slack))
+        near = s[rows]
+        return rows[_within(near, float(np.partition(near, k - 1)[k - 1]) + slack)]
 
     def _ball(self, q: np.ndarray, qf: np.ndarray) -> np.ndarray:
         """Rows that :func:`linear_scan_nearest` solves for the query ``q``
         of feature ``qf``: those the sandwich around a pivot cannot rule
         out, or every row when N = 1 or when the screen cannot run."""
-        if len(self) == 1 or not self._screenable(qf):
+        screened = self._screened(qf) if len(self) > 1 else None
+        if screened is None:
             return np.arange(len(self))
-        s, slack = self._screened(qf)
+        s, slack = screened
         p = int(np.argmin(s))
         dp = self._scale * float(_procrustes(self.group, q, self.matrices[p])[0])
-        delta = _slack(
-            self.n,
-            self.l,
-            self._scale * float(np.abs(q).max()) * math.sqrt(self.n * self.l) + self._record_reach,
-        )
+        reach = self._scale * float(np.abs(q).max(initial=0.0)) * math.sqrt(self.n * self.l)
+        delta = _slack(self.n, self.l, reach + self._record_reach)
         rho = (1.0 + 2.0**-20) * (_SQRT2 * (dp + delta) + delta)
         h = self._scale * qf
         return np.flatnonzero(_within(s, rho * rho - float(h @ h) + slack))
@@ -378,6 +370,19 @@ class ShapeDatabase:
         return _SQRT2 if self.feature_map == FULL else float("inf")
 
 
+def _ranked(ids: list[str], d: np.ndarray, rows: np.ndarray, k: int) -> list[tuple[float, str, int]]:
+    """The first k of ``(d_i, id, row)`` over the given rows, with ``d``
+    their distances, in that order: the one (distance, id) rule of
+    :func:`feature_nearest` and :func:`linear_scan_nearest`, ties at the
+    k-th distance broken by id.  Only the rows within the k-th distance
+    are sorted."""
+    if len(rows) > k:
+        keep = d <= np.partition(d, k - 1)[k - 1]
+        rows, d = rows[keep], d[keep]
+    rows = rows.tolist()
+    return sorted(zip(d.tolist(), [ids[i] for i in rows], rows))[:k]
+
+
 def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
     """Exact nearest orbit over every record; ties break on the
     lexicographically smallest id.
@@ -386,8 +391,9 @@ def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
     block of records, and equal :func:`orbit_distance` of each record.  The
     feature distance of the returned record has the bits that
     :func:`feature_nearest` reports for it.  The scan leaves the memo of
-    :func:`verify` alone.  NonFiniteError when the distance of a record it
-    solves overflows float64.
+    :func:`verify` alone.  NonFiniteError when the query's feature
+    overflows float64, with the message of :func:`feature_vector` for a
+    query, or when the distance of a record it solves does.
 
     Only the records that the sqrt(2) sandwich cannot rule out are solved.
     Both feature maps satisfy ``|f(A) - f(B)| <= sqrt(2) d(A, B)`` (the
@@ -413,20 +419,20 @@ def linear_scan_nearest(db: ShapeDatabase, query) -> QueryResult:
     all computed at sigma.  The factor ``1 + 2^-20`` covers the rounding of
     rho and rho^2, and the second E' that of ``|h|^2`` and of the sum;
     underflows fall far below E'.  A radius beyond float32 keeps every row.
-    The ball holds p, and is solved in blocks, then ranked by ``(d^, id)``.
-    When N = 1, or when the screen cannot run, the ball is every row.
+    The ball holds p, and is solved in blocks, then ranked by ``(d^, id)``
+    by :func:`_ranked`, the ranking of :func:`feature_nearest`.  When
+    N = 1, or when the screen cannot run, the ball is every row.
     """
     q = db._check_query(query)
     qf = db._feature(q)
     rows = db._ball(q, qf)
     blocks = _blocks(len(rows), db.n * db.l)
     d = np.concatenate([_procrustes(db.group, q, db.matrices[rows[r]])[0] for r in blocks])
-    j = min(np.flatnonzero(d == d.min()), key=lambda j: db.ids[rows[j]])
-    i = int(rows[j])
+    dist, rid, i = _ranked(db.ids, d, rows, 1)[0]
     return QueryResult(
-        id=db.ids[i],
+        id=rid,
         embedded_distance=float(db._distances(qf, [i])[0]),
-        exact_orbit_distance=float(d[j]),
+        exact_orbit_distance=dist,
         approximation_bound=1.0,
     )
 
@@ -549,10 +555,13 @@ def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:
     Results come back sorted by (feature distance, id): they are the first
     k of that order over every record, ties at the k-th place included,
     and each distance has the bits :func:`linear_scan_nearest` reports.
-    With full features the top result's orbit distance is certified
-    within sqrt(2) of the true nearest orbit.  ``k`` must be an integer
-    >= 1 (OutOfRangeError otherwise).  The call replaces the database's
-    memo of its last feature query, which :func:`verify` reads.
+    :func:`_ranked` holds that (distance, id) rule for both.  With full
+    features the top result's orbit distance is certified within sqrt(2)
+    of the true nearest orbit.  ``k`` must be an integer >= 1
+    (OutOfRangeError otherwise); a query whose feature overflows float64
+    is refused with the NonFiniteError of :func:`feature_vector`.  The
+    call replaces the database's memo of its last feature query, which
+    :func:`verify` reads.
 
     The search screens every record in float32, then computes the float64
     distance ``d^_i`` of the few it cannot rule out.  With the database's
@@ -607,31 +616,27 @@ def feature_nearest(db: ShapeDatabase, query, k: int = 1) -> list[QueryResult]:
     candidate, and ranking the candidates by ``(d^_i, id)`` gives the
     exact answer.
 
-    ``s~_(k)`` is found without a partition of all N values.  The k-th
-    smallest value t of the strided subsample ``s~[::max(1, N // 256)]``
-    is at least ``s~_(k)``, so the rows with ``s~_i <= t + 2E'`` hold the
-    k smallest values and every candidate; ``s~_(k)`` is the k-th smallest
-    value of those rows, and the candidates are the rows among them under
-    its threshold.  When the subsample has fewer than k values, every row
-    takes that second step.  Each threshold is rounded up to float32, so
-    no value at or below it is lost to the rounding, and as every rounding
-    is monotone the first threshold is never below the second.  The screen
-    runs when every entry of h is below 2^100 in magnitude, which keeps
-    every float32 product and sum finite for ``D < 2^26`` (a threshold
-    beyond float32 keeps every row); otherwise, and when k is at least the
-    number of records, every row is scored exactly.
+    ``s~_(k)`` is found without a partition of all N values.  The strided
+    subsample ``s~[::max(1, N // max(256, k))]`` holds at least k values,
+    and its k-th smallest value t is at least ``s~_(k)``, so the rows with
+    ``s~_i <= t + 2E'`` hold the k smallest values and every candidate;
+    ``s~_(k)`` is the k-th smallest value of those rows, and the
+    candidates are the rows among them under its threshold, the rows a
+    partition of all N values would keep.  Each threshold is rounded up to
+    float32, so no value at or below it is lost to the rounding, and as
+    every rounding is monotone the first threshold is never below the
+    second.  The screen runs when every entry of h is below 2^100 in
+    magnitude, which keeps every float32 product and sum finite for
+    ``D < 2^26`` (a threshold beyond float32 keeps every row); otherwise,
+    and when k is at least the number of records, every row is scored
+    exactly.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise OutOfRangeError(f"k must be an integer >= 1, got {_shown(k)}")
     q = db._check_query(query)
     qf = db._feature(q)
     rows = db._screen(qf, k)
-    d = db._distances(qf, rows)
-    if len(rows) > k:
-        keep = d <= np.partition(d, k - 1)[k - 1]
-        rows, d = rows[keep], d[keep]
-    rows = rows.tolist()
-    best = sorted(zip(d.tolist(), [db.ids[i] for i in rows], rows))[:k]
+    best = _ranked(db.ids, db._distances(qf, rows), rows, k)
     positions = {i: p for p, (_, _, i) in enumerate(best)}
     db._memo = _LastQuery(_key(q), positions, None)
     return [

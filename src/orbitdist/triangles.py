@@ -105,15 +105,19 @@ def triangle_from_coords(coords) -> np.ndarray:
 
     The coordinates must be three finite reals (ShapeMismatchError or
     NonFiniteError otherwise) in the image cone z >= 0, x^2 + y^2 <= z^2
-    (OutOfRangeError otherwise).  The first vertex is pinned at the origin.
+    (OutOfRangeError otherwise), where ``x^2 + y^2`` may exceed ``z^2`` by
+    1e-12 of ``z^2`` plus 1e-12 of the square of the least power of two
+    above the largest coordinate.  The first vertex is pinned at the origin.
     """
     c = np.asarray(coords)
     if c.shape != (3,) or np.iscomplexobj(c):
         raise ShapeMismatchError(f"coordinates must be three reals, got {c.dtype} of shape {c.shape}")
     p, q, z = as_matrix(c[None], name="coordinates")[0].tolist()
-    k = _pow2_scale(max(abs(p), abs(q), abs(z)))  # so no square overflows
+    # at the power of two of the largest coordinate, so no square
+    # overflows and the tolerance is relative to that coordinate
+    k = _pow2_scale(max(abs(p), abs(q), abs(z)))
     x, y, w = p * k, q * k, z * k
-    if z < 0 or x * x + y * y > w * w * (1 + 1e-12) + 1e-12 * k * k:
+    if z < 0 or x * x + y * y > w * w * (1 + 1e-12) + 1e-12:
         raise OutOfRangeError("coordinates outside the image cone z >= 0, x^2+y^2 <= z^2")
     root = np.array(
         [[(z + p) / _SQRT2, q / _SQRT2], [q / _SQRT2, (z - p) / _SQRT2]]

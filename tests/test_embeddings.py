@@ -15,6 +15,7 @@ from orbitdist import (
 )
 
 from orbitdist.embeddings import _flatten, _gather, _helmert
+from orbitdist.features import _feature_distance
 
 from oracles import gram_schmidt_mean_last_basis, random_orthogonal, random_unitary
 
@@ -122,6 +123,47 @@ class TestFeatureVector:
     def test_rejects_an_unknown_map(self):
         with pytest.raises(FeatureMapMismatchError, match="bogus"):
             feature_vector(GroupAction.ORTHOGONAL, np.eye(2), "bogus")
+
+    def test_rejects_a_map_too_long_to_print(self):
+        # the repr of a 5000-digit integer raises ValueError
+        with pytest.raises(FeatureMapMismatchError, match="integer too long to print"):
+            feature_vector(GroupAction.ORTHOGONAL, np.eye(2), 10**5000)
+
+
+def feature_rows(rng, count, dim):
+    """Random feature rows, the first five of them -0.0, subnormal, and at
+    the 2^-1030, 1e150 and 1e300 scales (whose squares underflow or
+    overflow)."""
+    x = rng.standard_normal((count, dim))
+    x[0] = -0.0
+    x[1] = 5e-324 * rng.integers(-5, 6, dim)
+    x[2] *= 2.0**-1030
+    x[3] *= 1e150
+    x[4] *= 1e300
+    return x
+
+
+class TestFeatureDistance:
+    """The one feature-distance kernel has the bits of
+    ``np.linalg.norm(a - b, axis=-1)`` on the shapes its callers pass."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 6, 17])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_bits_of_numpy_norm(self, rng, dim, layout):
+        # the triangle maps lay their coordinates outermost (Fortran order)
+        a, b = layout(feature_rows(rng, 8, dim)), layout(feature_rows(rng, 11, dim))
+        cases = [
+            (a[:, None], b),  # _record_table: (B, 1, D) against (N, D)
+            (a, b[3:]),  # _nearest_records, _pair_study: (B, D) against (B, D)
+            (b, a[4]),  # ShapeDatabase._distances: (R, D) against (D,)
+            (b, a[1]),
+        ]
+        for x, y in cases:
+            with np.errstate(over="ignore"):
+                want = np.linalg.norm(x - y, axis=-1)
+                got = _feature_distance(x, y)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.isinf(got).any() and (got[:5] < 1e-300).any()
 
 
 class TestOrthogonalEmbedding:

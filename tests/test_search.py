@@ -61,6 +61,11 @@ class TestShapeDatabase:
         with pytest.raises(FeatureMapMismatchError):
             ShapeDatabase(GroupAction.EUCLIDEAN, [], feature_map="fancy")
 
+    def test_feature_map_too_long_to_print_is_refused_as_a_map(self):
+        # the repr of a 5000-digit integer raises ValueError
+        with pytest.raises(FeatureMapMismatchError, match="integer too long to print"):
+            ShapeDatabase(GroupAction.EUCLIDEAN, [], feature_map=10**5000)
+
     # np.stack refuses np.matrix records, which cannot be 3-D, so they are
     # checked one by one; np.matrix itself warns of its deprecation
     @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
@@ -287,6 +292,16 @@ class TestLinearScan:
         with pytest.raises(EmptyDatabaseError):
             linear_scan_nearest(db, rng.standard_normal((2, 3)))
 
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("group", [GroupAction.ORTHOGONAL, GroupAction.UNITARY])
+    def test_zero_column_records(self, group, size):
+        # O and U accept n x 0 configurations, all in one orbit
+        db = ShapeDatabase(group, [(f"r{i}", np.ones((2, 0))) for i in range(size)])
+        res = linear_scan_nearest(db, np.ones((2, 0)))
+        assert (res.id, res.embedded_distance, res.exact_orbit_distance) == ("r0", 0.0, 0.0)
+        hits = feature_nearest(db, np.ones((2, 0)), k=size)
+        assert [(r.id, r.embedded_distance) for r in hits] == [(f"r{i}", 0.0) for i in range(size)]
+
     @pytest.mark.parametrize("group", list(GroupAction))
     def test_matches_scalar_loop_oracle(self, rng, group):
         db = group_db(rng, group, 60)
@@ -399,7 +414,7 @@ class TestScanBall:
     def test_query_beyond_the_screen_solves_every_record(self, rng, monkeypatch):
         db = group_db(rng, GroupAction.EUCLIDEAN, 2000, 2, 6)
         query = 1e32 * rng.standard_normal((2, 6))
-        assert not db._screenable(db.query_feature(query))
+        assert db._screened(db.query_feature(query)) is None
         shapes = count_kernel_calls(monkeypatch)
         res = linear_scan_nearest(db, query)
         assert sum(s[0] for s in shapes) == len(db)
@@ -622,6 +637,19 @@ class TestExactScreen:
             with pytest.raises(NonFiniteError, match="'huge'"):
                 ShapeDatabase(GroupAction.EUCLIDEAN, [("fine", big / 1e308), ("huge", big)])
 
+    def test_overflowing_query_feature_refused_by_every_entry(self, rng):
+        # a finite query whose feature overflows float64: every query entry
+        # refuses it as feature_vector does
+        records = [(f"r{i}", rng.standard_normal((8, 2))) for i in range(3)]
+        db = ShapeDatabase(GroupAction.ORTHOGONAL, records)
+        query = np.full((8, 2), 1.5e308)
+        with pytest.raises(NonFiniteError, match="^A has a feature too large for float64$"):
+            feature_vector(GroupAction.ORTHOGONAL, query)
+        entries = [db.query_feature, lambda q: feature_nearest(db, q), lambda q: linear_scan_nearest(db, q)]
+        for entry in entries:
+            with pytest.raises(NonFiniteError, match="^query has a feature too large for float64$"):
+                entry(query)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_feature_in_a_later_block(self, monkeypatch, rng, bad):
         # a nan feature must not pass the build's running maximum
@@ -700,7 +728,7 @@ class TestSubsampledScreen:
         subsample = len(range(0, size, max(1, size // 256)))
         ks = [1, 5, 9, 12, subsample - 1]
         if subsample < size:
-            ks += [subsample, subsample + 3]  # beyond the subsample: every row
+            ks += [subsample, subsample + 3]  # past 256 the subsample widens to k rows
         unit = rng.standard_normal((4, 2, 4))
         unit /= np.linalg.norm(unit, axis=(1, 2))[:, None, None]
         queries = [
@@ -712,6 +740,21 @@ class TestSubsampledScreen:
         for query in queries:
             for k in ks:
                 assert_screen_exact(db, query, k)
+
+    @pytest.mark.parametrize("size", [257, 2000])
+    def test_two_steps_keep_the_rows_of_one(self, rng, size):
+        # the subsample's threshold only narrows the partition: the screen
+        # keeps the rows within the k-th screened value of all rows plus 2E'
+        db = thin_shell_db(rng, size, 1.0)
+        unit = rng.standard_normal((2, 4))
+        unit /= np.linalg.norm(unit)
+        for query in (db.matrices[0] * (1.0 + 1e-9), 2.0**-24 * unit, unit):
+            qf = db.query_feature(query)
+            s, slack = db._screened(qf)
+            for k in (1, 5, 255, 256, min(300, size - 1), size - 1):
+                kth = float(np.partition(s, k - 1)[k - 1])
+                want = np.flatnonzero(search._within(s, kth + slack))
+                assert db._screen(qf, k).tolist() == want.tolist()
 
     @pytest.mark.parametrize("spread", [0.0, 44.0])
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])

@@ -237,6 +237,23 @@ class TestConeSurjectivity:
         got = triangle_embedding(triangle_from_coords(target))
         assert np.abs(got - target).max() <= 1e-15 * 1e200
 
+    @pytest.mark.parametrize("coords", [[1e-7, 0.0, 0.0], [3e-160, 0.0, 1e-160], [0.0, 1e-300, 0.0]])
+    def test_cone_test_is_relative_at_every_scale(self, coords):
+        # far outside the cone however small: the tolerance is relative to
+        # the largest coordinate
+        with pytest.raises(OutOfRangeError):
+            triangle_from_coords(coords)
+
+    @pytest.mark.parametrize("e", [-600, 600])
+    @pytest.mark.parametrize(
+        "unit", [[0.3, -0.4, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.6, 0.8, 1.0], [0.0, -1.0, 1.0]]
+    )
+    def test_round_trip_at_extreme_scales(self, unit, e):
+        # interior points, then points on the boundary
+        target = np.ldexp(np.array(unit), e)
+        got = triangle_embedding(triangle_from_coords(target))
+        assert np.abs(got - target).max() <= 1e-15 * np.ldexp(1.0, e)
+
     @pytest.mark.parametrize(
         "coords, error",
         [
